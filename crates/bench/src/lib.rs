@@ -20,11 +20,7 @@
 //!   root,
 //! * `kernel` — per-point kernel layers bare (functional emulation,
 //!   detailed pipeline, decode, single-thread end-to-end run); emits
-//!   `BENCH_kernel.json`, which CI's perf-smoke job gates on,
-//! * `sched` — static striding vs the dynamic chunk-claiming scheduler
-//!   on a deliberately cost-skewed phased workload; emits
-//!   `BENCH_sched.json` with a dynamic-vs-static speedup map CI's
-//!   perf-smoke job gates on (skipped on degraded single-core hosts).
+//!   `BENCH_kernel.json`, which CI's perf-smoke job gates on.
 //!
 //! This library crate only exposes shared fixtures for those targets.
 

@@ -16,10 +16,39 @@
 //! and with telemetry compiled out (`--no-default-features`) the whole
 //! layer short-circuits the same way.
 
-use spectral_stats::{AnomalyDetector, MIN_SAMPLE_SIZE};
+use spectral_stats::{
+    AnomalyDetector, Confidence, MatchedPair, OnlineEstimator, StratifiedEstimator, MIN_SAMPLE_SIZE,
+};
 use spectral_telemetry::{AnomalyEvent, ProgressEvent};
 
 use crate::runner::RunPolicy;
+
+/// A running estimate as a progress record reports it.
+pub(crate) trait Interval {
+    /// `(points, mean, half-width at confidence, relative-error
+    /// denominator)` — the denominator is the mean itself for absolute
+    /// estimates and the base-machine mean for matched deltas.
+    fn interval(&self, confidence: Confidence) -> (u64, f64, f64, f64);
+}
+
+impl Interval for OnlineEstimator {
+    fn interval(&self, confidence: Confidence) -> (u64, f64, f64, f64) {
+        (self.count(), self.mean(), self.half_width(confidence), self.mean())
+    }
+}
+
+impl Interval for StratifiedEstimator {
+    fn interval(&self, confidence: Confidence) -> (u64, f64, f64, f64) {
+        (self.count(), self.mean(), self.half_width(confidence), self.mean())
+    }
+}
+
+impl Interval for MatchedPair {
+    fn interval(&self, confidence: Confidence) -> (u64, f64, f64, f64) {
+        let delta = self.delta_half_width(confidence);
+        (self.count(), self.delta_mean(), delta, self.base().mean())
+    }
+}
 
 /// Per-point processing metadata threaded from the decode/simulate
 /// sites to the health monitor.
@@ -118,30 +147,24 @@ impl HealthMonitor {
         .emit();
     }
 
-    /// Emit one merge-stride progress record for the merged estimate
-    /// `(n, mean, half_width, half_width_95)`. `comparison_mean` is the
-    /// relative-error denominator — the mean itself for absolute
-    /// estimates, the base-machine mean for matched deltas. `overshoot`
-    /// is the exact count of points processed past the stop condition
-    /// (non-zero only on a run's closing record). No-op (single branch)
-    /// when unsubscribed.
-    #[allow(clippy::too_many_arguments)]
+    /// Emit one progress record for the estimate `est` under the
+    /// policy's confidence (and 95 %). `overshoot` is the exact count
+    /// of points processed past the stop condition (non-zero only on a
+    /// run's closing record). No-op (single branch) when unsubscribed.
     pub fn progress(
         &self,
         metric: &'static str,
         config: Option<usize>,
-        n: u64,
-        mean: f64,
-        half_width: f64,
-        half_width_95: f64,
-        comparison_mean: f64,
+        est: &dyn Interval,
         policy: &RunPolicy,
         overshoot: u64,
     ) {
         if !self.on {
             return;
         }
-        let rel = |hw: f64| if comparison_mean > 0.0 { hw / comparison_mean } else { f64::NAN };
+        let (n, mean, half_width, scale) = est.interval(policy.confidence);
+        let half_width_95 = est.interval(Confidence::C95).2;
+        let rel = |hw: f64| if scale > 0.0 { hw / scale } else { f64::NAN };
         let rel_half_width = rel(half_width);
         let rel_half_width_95 = rel(half_width_95);
         let floor = n >= MIN_SAMPLE_SIZE;

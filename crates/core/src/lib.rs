@@ -29,12 +29,19 @@
 //!   is decompressed and decoded once, then simulated under every
 //!   candidate machine, so per-config estimates are matched-pair
 //!   comparable by construction,
-//! * parallel processing over [`std::thread::scope`]d workers with
-//!   sharded, low-contention accumulation — live-point independence
-//!   makes this embarrassingly parallel. Work is distributed by a
-//!   dynamic chunk-claiming scheduler with decode-ahead prefetch
-//!   ([`ChunkCursor`], [`SchedMode`]); exhaustive parallel runs replay
-//!   observations in index order and are bit-identical to serial runs.
+//! * [`StratifiedRunner`] — position-band stratified estimation, whose
+//!   combined interval converges sooner on phased programs,
+//! * one run driver behind all four runners: each exposes
+//!   `run(program, policy)` and `run_parallel(program, policy, threads)`,
+//!   and `run` is `run_parallel` on one thread — the serial loop, on the
+//!   calling thread, checking the stop rule after every point. More
+//!   threads spread the work over [`std::thread::scope`]d workers
+//!   (live-point independence makes this embarrassingly parallel) that
+//!   claim chunks from a dynamic scheduler with decode-ahead prefetch
+//!   ([`ChunkCursor`]). Rows are replayed in index order, so a run's
+//!   estimate is bit-identical at every thread count, and
+//!   [`RunPolicy::recovery`] checkpoints any run or resumes it
+//!   ([`Recovery`]).
 //!
 //! ## Example
 //!
@@ -63,6 +70,7 @@
 #![warn(missing_docs)]
 
 mod creation;
+mod drive;
 mod encode;
 mod error;
 mod health;
@@ -91,6 +99,6 @@ pub use resume::{
     CHECKPOINT_MAGIC,
 };
 pub use runner::{simulate_live_point, Estimate, OnlineRunner, RunPolicy};
-pub use sched::{ChunkCursor, SchedMode};
+pub use sched::ChunkCursor;
 pub use stratified::{StratifiedEstimate, StratifiedRunner};
 pub use sweep::{SweepOutcome, SweepRunner};

@@ -1,47 +1,21 @@
 //! Matched-pair comparative experiments over a live-point library
 //! (paper §6.2).
 
-use std::sync::atomic::Ordering;
-
 use spectral_isa::Program;
 use spectral_stats::{Confidence, MatchedPair, MIN_SAMPLE_SIZE};
-use spectral_telemetry::{ProfilePhase, Stopwatch, WorkerTimeline};
 use spectral_uarch::MachineConfig;
 
+use crate::drive::{drive, Observe, Series};
 use crate::error::CoreError;
-use crate::health::{HealthMonitor, PointMeta};
-use crate::library::{DecodeScratch, LivePointLibrary};
-use crate::resume::{
-    config_fingerprint, policy_fingerprint, CheckpointSpec, Recovery, RecoverySession, RunKind,
-};
-use crate::runner::{
-    decode_point, note_early_stop, overshoot_of, simulate_point, RunPolicy, ShardCoordinator,
-};
-use crate::sched::{ChunkLog, PrefetchRing, WorkQueue};
-
-/// Emit one matched-run progress record from the merged pair state
-/// (metric `delta_cpi`; relative error is the delta half-width over the
-/// base-machine mean, matching the §6.2 termination rule). `overshoot`
-/// is non-zero only on the run's closing record.
-fn emit_progress(monitor: &HealthMonitor, pair: &MatchedPair, policy: &RunPolicy, overshoot: u64) {
-    monitor.progress(
-        "delta_cpi",
-        None,
-        pair.count(),
-        pair.delta_mean(),
-        pair.delta_half_width(policy.confidence),
-        pair.delta_half_width(Confidence::C95),
-        pair.base().mean(),
-        policy,
-        overshoot,
-    );
-}
+use crate::library::LivePointLibrary;
+use crate::resume::RunKind;
+use crate::runner::RunPolicy;
 
 /// Result of a matched-pair comparison between two machines.
 #[derive(Debug, Clone)]
 pub struct MatchedOutcome {
     pair: MatchedPair,
-    confidence: spectral_stats::Confidence,
+    confidence: Confidence,
     processed: usize,
     reached_target: bool,
 }
@@ -97,8 +71,8 @@ impl MatchedOutcome {
 #[derive(Debug)]
 pub struct MatchedRunner<'l> {
     library: &'l LivePointLibrary,
-    base: MachineConfig,
-    experiment: MachineConfig,
+    /// `[base, experiment]`.
+    machines: [MachineConfig; 2],
 }
 
 impl<'l> MatchedRunner<'l> {
@@ -109,311 +83,60 @@ impl<'l> MatchedRunner<'l> {
         base: MachineConfig,
         experiment: MachineConfig,
     ) -> Self {
-        MatchedRunner { library, base, experiment }
+        MatchedRunner { library, machines: [base, experiment] }
+    }
+
+    /// Serial run: [`run_parallel`](Self::run_parallel) on one thread.
+    pub fn run(&self, program: &Program, policy: &RunPolicy) -> Result<MatchedOutcome, CoreError> {
+        self.run_parallel(program, policy, 1)
     }
 
     /// Process pairs in library (shuffled) order until the delta's
     /// confidence interval shrinks below `policy.target_rel_err` of the
-    /// base CPI, the cap is hit, or the library is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode/simulation faults; an empty library is
-    /// [`CoreError::EmptyLibrary`].
-    pub fn run(&self, program: &Program, policy: &RunPolicy) -> Result<MatchedOutcome, CoreError> {
-        self.run_recoverable(program, policy, &Recovery::none())
-    }
-
-    /// The checkpoint identity for this runner's pairs: two `f64`s per
-    /// live-point (base CPI, experiment CPI).
-    fn spec(&self, program: &Program, policy: &RunPolicy) -> CheckpointSpec {
-        CheckpointSpec {
-            kind: RunKind::Matched,
-            benchmark: program.name().to_owned(),
-            library_hash: self.library.content_hash(),
-            policy_fp: policy_fingerprint(policy)
-                ^ config_fingerprint(&(&self.base, &self.experiment)),
-            arity: 2,
-        }
-    }
-
-    /// Serial matched-pair run with crash recovery (see [`Recovery`]
-    /// and
-    /// [`OnlineRunner::run_recoverable`](crate::OnlineRunner::run_recoverable)
-    /// for the bit-identity argument — checkpoints store raw
-    /// `(base, experiment)` CPI pairs and resume replays the exact
-    /// push sequence).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run`] raises, plus [`CoreError::Checkpoint`]
-    /// and [`CoreError::Interrupted`].
-    pub fn run_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        recovery: &Recovery,
-    ) -> Result<MatchedOutcome, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let session = RecoverySession::start(recovery, self.spec(program, policy))?;
-        let _span = spectral_telemetry::span("run.matched");
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "matched", 1);
-        let mut tl = WorkerTimeline::new(seq, "matched", 0);
-        let limit = policy.max_points.unwrap_or(usize::MAX).min(self.library.len());
-        let mut pair = MatchedPair::new();
-        let mut reached = false;
-        let mut reached_at = 0u64;
-        let mut processed = 0;
-        let mut scratch = DecodeScratch::new();
-        let mut monitor = HealthMonitor::new(seq, "matched", 0, policy);
-        let progress_stride = policy.merge_stride.max(1);
-        for i in 0..limit {
-            let (base_cpi, exp_cpi) = match session.restored(i) {
-                Some(row) => (row[0], row[1]),
-                None => {
-                    let (lp, decode_ns) = decode_point(self.library, i, &mut scratch)?;
-                    let (base, base_ns) = simulate_point(&lp, program, &self.base)?;
-                    let (exp, exp_ns) = simulate_point(&lp, program, &self.experiment)?;
-                    tl.note(ProfilePhase::Decode, decode_ns);
-                    tl.note(ProfilePhase::Simulate, base_ns + exp_ns);
-                    // The anomaly stream watches the base-machine CPI;
-                    // the point's simulate cost covers both machines.
-                    monitor.observe(
-                        i as u64,
-                        base.cpi(),
-                        &PointMeta {
-                            decode_ns,
-                            simulate_ns: base_ns + exp_ns,
-                            detail_start: lp.window.detail_start,
-                            measure_start: lp.window.measure_start,
-                        },
-                    );
-                    session.record(i, &[base.cpi(), exp.cpi()])?;
-                    (base.cpi(), exp.cpi())
-                }
-            };
-            pair.push(base_cpi, exp_cpi);
-            processed += 1;
-            if processed % progress_stride == 0 {
-                emit_progress(&monitor, &pair, policy, 0);
-            }
-            let base_mean = pair.base().mean();
-            if !reached
-                && pair.count() >= MIN_SAMPLE_SIZE
-                && base_mean > 0.0
-                && pair.delta_half_width(policy.confidence) <= policy.target_rel_err * base_mean
-            {
-                reached = true;
-                reached_at = pair.count();
-                note_early_stop(reached_at);
-            }
-            if reached && policy.stop_at_target {
-                break;
-            }
-        }
-        let overshoot = overshoot_of(reached, reached_at, processed as u64);
-        if processed % progress_stride != 0 || overshoot > 0 {
-            emit_progress(&monitor, &pair, policy, overshoot);
-        }
-        session.finish()?;
-        Ok(MatchedOutcome {
-            pair,
-            confidence: policy.confidence,
-            processed,
-            reached_target: reached,
-        })
-    }
-
-    /// Parallel matched-pair run on the scheduling machinery of
-    /// [`OnlineRunner::run_parallel`](crate::OnlineRunner::run_parallel):
-    /// workers claim index chunks per [`RunPolicy::sched`], decode each
-    /// live-point once (up to [`RunPolicy::prefetch`] points ahead),
-    /// simulate it under both machines, and merge thread-local
-    /// [`MatchedPair`] batches into the shared state every
-    /// [`RunPolicy::merge_stride`] pairs; the early-termination check
-    /// runs on the merged delta interval. Raw `(base, experiment)` CPI
-    /// pairs are logged per chunk and replayed in ascending index order
-    /// after the join, so an exhaustive run is bit-identical to serial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker fault; an empty library is
-    /// [`CoreError::EmptyLibrary`].
+    /// base CPI, the cap is hit, or the library is exhausted. Each
+    /// live-point is decoded once and simulated under both machines;
+    /// threading, determinism and recovery are as for
+    /// [`OnlineRunner::run_parallel`](crate::OnlineRunner::run_parallel),
+    /// errors included.
     pub fn run_parallel(
         &self,
         program: &Program,
         policy: &RunPolicy,
         threads: usize,
     ) -> Result<MatchedOutcome, CoreError> {
-        self.run_parallel_recoverable(program, policy, threads, &Recovery::none())
-    }
-
-    /// Parallel matched-pair run with crash recovery (see [`Recovery`]
-    /// and
-    /// [`OnlineRunner::run_parallel_recoverable`](crate::OnlineRunner::run_parallel_recoverable)).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_parallel`] raises, plus
-    /// [`CoreError::Checkpoint`] and [`CoreError::Interrupted`].
-    pub fn run_parallel_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        threads: usize,
-        recovery: &Recovery,
-    ) -> Result<MatchedOutcome, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let session = RecoverySession::start(recovery, self.spec(program, policy))?;
-        let _span = spectral_telemetry::span("run.matched_parallel");
-        let limit = policy.max_points.unwrap_or(usize::MAX).min(self.library.len());
-        let threads = threads.clamp(1, limit);
-        let merge_stride = policy.merge_stride.max(1) as u64;
-        let coord: ShardCoordinator<MatchedPair> = ShardCoordinator::new();
-        let cursor = policy.cursor(limit, threads);
-
-        let flush = |batch: &mut MatchedPair, monitor: &HealthMonitor, tl: &mut WorkerTimeline| {
-            let snapshot = {
-                let mut guard = tl.enter(ProfilePhase::MergeWait);
-                let mut merged = coord.lock_progress();
-                guard.switch(ProfilePhase::Merge);
-                merged.merge(batch);
-                *merged
-            };
-            *batch = MatchedPair::new();
-            emit_progress(monitor, &snapshot, policy, 0);
-            let base_mean = snapshot.base().mean();
-            if base_mean > 0.0 {
-                let rel = snapshot.delta_half_width(policy.confidence) / base_mean;
-                if policy.stop_at_target {
-                    if let Some(cursor) = &cursor {
-                        cursor.note_rel_error(rel, policy.target_rel_err);
-                    }
-                }
-                if snapshot.count() >= MIN_SAMPLE_SIZE && rel <= policy.target_rel_err {
-                    coord.note_reached(snapshot.count(), policy);
-                }
-            }
-        };
-
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "matched", threads);
-        let logs: Vec<ChunkLog<(f64, f64)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let coord = &coord;
-                let cursor = cursor.as_ref();
-                let flush = &flush;
-                let session = &session;
-                handles.push(scope.spawn(move || {
-                    let wall = Stopwatch::start();
-                    let mut busy = 0u64;
-                    let mut log = ChunkLog::new();
-                    let mut batch = MatchedPair::new();
-                    let mut scratch = DecodeScratch::new();
-                    let mut ring = PrefetchRing::new(policy.prefetch, worker);
-                    let mut monitor = HealthMonitor::new(seq, "matched", worker, policy);
-                    let mut tl = WorkerTimeline::new(seq, "matched", worker);
-                    let mut queue = match cursor {
-                        Some(c) => WorkQueue::chunked(c, worker),
-                        None => WorkQueue::stride(worker, threads, limit),
-                    };
-                    'chunks: while !coord.stop.load(Ordering::Relaxed) {
-                        let Some(chunk) = queue.next_chunk(&mut tl) else { break };
-                        log.begin(chunk.start, chunk.len());
-                        // Restored indices never re-decode; the
-                        // prefetch ring sees only the fresh remainder.
-                        let mut pending = chunk.clone().filter(|&i| !session.knows(i));
-                        for index in chunk {
-                            if coord.stop.load(Ordering::Relaxed) {
-                                ring.clear();
-                                break 'chunks;
-                            }
-                            let (base, exp) = if let Some(row) = session.restored(index) {
-                                (row[0], row[1])
-                            } else {
-                                if let Err(e) =
-                                    ring.fill(self.library, &mut pending, &mut scratch, &mut tl)
-                                {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                let (lp, decode_ns) =
-                                    ring.pop().expect("ring holds the current index");
-                                let outcome = simulate_point(&lp, program, &self.base).and_then(
-                                    |(base, base_ns)| {
-                                        let (exp, exp_ns) =
-                                            simulate_point(&lp, program, &self.experiment)?;
-                                        Ok((base.cpi(), exp.cpi(), base_ns + exp_ns))
-                                    },
-                                );
-                                let (base, exp, simulate_ns) = match outcome {
-                                    Ok(r) => r,
-                                    Err(e) => {
-                                        coord.fail(e);
-                                        break 'chunks;
-                                    }
-                                };
-                                tl.note(ProfilePhase::Simulate, simulate_ns);
-                                busy += decode_ns + simulate_ns;
-                                let meta = PointMeta {
-                                    decode_ns,
-                                    simulate_ns,
-                                    detail_start: lp.window.detail_start,
-                                    measure_start: lp.window.measure_start,
-                                };
-                                monitor.observe(index as u64, base, &meta);
-                                if let Err(e) = session.record(index, &[base, exp]) {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                (base, exp)
-                            };
-                            log.push((base, exp));
-                            batch.push(base, exp);
-                            if batch.count() >= merge_stride {
-                                flush(&mut batch, &monitor, &mut tl);
-                            }
-                        }
-                    }
-                    if batch.count() > 0 {
-                        flush(&mut batch, &monitor, &mut tl);
-                    }
-                    queue.finish();
-                    crate::sched::note_worker_time(busy, wall.ns());
-                    log
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker threads do not panic")).collect()
-        });
-
-        let (reached, stop_n, fault) = coord.finish();
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        session.finish()?;
-        // Deterministic reduction: replay pairs in ascending index
-        // order, exactly as the serial loop pushes them.
-        let mut pair = MatchedPair::new();
-        for (base, exp) in ChunkLog::into_ordered(logs) {
-            pair.push(base, exp);
-        }
-        // Close the event stream with the replayed state and the exact
-        // overshoot past the stop point.
-        let monitor = HealthMonitor::new(seq, "matched", 0, policy);
-        emit_progress(&monitor, &pair, policy, overshoot_of(reached, stop_n, pair.count()));
-        let processed = pair.count() as usize;
+        let run = drive(self, self.library, program, policy, threads)?;
         Ok(MatchedOutcome {
-            pair,
+            pair: run.acc,
             confidence: policy.confidence,
-            processed,
-            reached_target: reached,
+            processed: run.processed,
+            reached_target: run.reached,
         })
+    }
+}
+
+impl Observe for MatchedRunner<'_> {
+    type Acc = MatchedPair;
+    const KIND: RunKind = RunKind::Matched;
+
+    fn machines(&self) -> &[MachineConfig] {
+        &self.machines
+    }
+    fn acc(&self) -> MatchedPair {
+        MatchedPair::new()
+    }
+    fn push(&self, acc: &mut MatchedPair, row: &[f64]) {
+        acc.push(row[0], row[1]);
+    }
+    /// The §6.2 rule: the delta half-width against the base-machine
+    /// mean.
+    fn status(&self, acc: &MatchedPair, policy: &RunPolicy) -> (f64, bool) {
+        let (hw, base) = (acc.delta_half_width(policy.confidence), acc.base().mean());
+        let done =
+            acc.count() >= MIN_SAMPLE_SIZE && base > 0.0 && hw <= policy.target_rel_err * base;
+        (hw / base, done)
+    }
+    fn series<'a>(&self, acc: &'a MatchedPair) -> Vec<Series<'a>> {
+        vec![("delta_cpi", None, acc)]
     }
 }
 

@@ -52,8 +52,8 @@ pub const CHECKPOINT_MAGIC: &str = "spectral-ckpt v1";
 
 /// Which runner wrote a checkpoint. Resuming requires the same kind:
 /// observation layouts differ (CPI, matched pair, per-machine sweep
-/// row) and replaying one kind's data through another would be silent
-/// corruption.
+/// row, CPI plus window position) and replaying one kind's data through
+/// another would be silent corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunKind {
     /// [`OnlineRunner`](crate::OnlineRunner): one CPI per point.
@@ -64,6 +64,9 @@ pub enum RunKind {
     /// [`SweepRunner`](crate::SweepRunner): one CPI per machine per
     /// point.
     Sweep,
+    /// [`StratifiedRunner`](crate::StratifiedRunner): a CPI and the
+    /// measured window's start per point.
+    Stratified,
 }
 
 impl RunKind {
@@ -73,6 +76,17 @@ impl RunKind {
             RunKind::Online => "online",
             RunKind::Matched => "matched",
             RunKind::Sweep => "sweep",
+            RunKind::Stratified => "stratified",
+        }
+    }
+
+    /// The run's telemetry span, `run.<kind>`.
+    pub(crate) fn span(self) -> &'static str {
+        match self {
+            RunKind::Online => "run.online",
+            RunKind::Matched => "run.matched",
+            RunKind::Sweep => "run.sweep",
+            RunKind::Stratified => "run.stratified",
         }
     }
 
@@ -81,6 +95,7 @@ impl RunKind {
             "online" => Some(RunKind::Online),
             "matched" => Some(RunKind::Matched),
             "sweep" => Some(RunKind::Sweep),
+            "stratified" => Some(RunKind::Stratified),
             _ => None,
         }
     }
@@ -97,8 +112,10 @@ impl fmt::Display for RunKind {
 /// Resume demands the *same* policy as the interrupted run — the
 /// bit-identity guarantee is "identical command, restarted", so every
 /// field participates (via the `Debug` rendering, which spells out all
-/// of them).
+/// of them) except [`RunPolicy::recovery`]: a crashed run and its
+/// resume necessarily carry different recovery settings.
 pub fn policy_fingerprint(policy: &RunPolicy) -> u64 {
+    let policy = RunPolicy { recovery: Recovery::none(), ..policy.clone() };
     fnv1a64(format!("{policy:?}").as_bytes())
 }
 
@@ -129,8 +146,8 @@ pub struct CheckpointSpec {
     /// [`config_fingerprint`] of the runner's machine
     /// configuration(s).
     pub policy_fp: u64,
-    /// `f64`s per observation: 1 (online), 2 (matched pair), or the
-    /// sweep's machine count.
+    /// `f64`s per observation: 1 (online), 2 (matched pair or
+    /// stratified), or the sweep's machine count.
     pub arity: usize,
 }
 
@@ -304,9 +321,9 @@ impl RunCheckpoint {
     }
 }
 
-/// Crash-recovery configuration for a run: where to checkpoint, what
-/// to resume from, and (for tests and drills) a deterministic
-/// interruption point.
+/// Crash-recovery configuration for a run, carried in
+/// [`RunPolicy::recovery`]: where to checkpoint, what to resume from,
+/// and (for tests and drills) a deterministic interruption point.
 ///
 /// The default [`Recovery::none()`] costs nothing on the run's hot
 /// path. With a checkpoint configured, the runner snapshots every
@@ -336,19 +353,19 @@ impl RunCheckpoint {
 /// let ckpt = std::env::temp_dir().join(format!("doc-resume-{}.ckpt", std::process::id()));
 ///
 /// // "Crash" after three points; the flushed sidecar survives.
-/// let crash = Recovery::none().checkpoint_to(&ckpt, 2).abort_after(3);
-/// let err = runner.run_recoverable(&program, &policy, &crash).unwrap_err();
+/// let recovery = Recovery::none().checkpoint_to(&ckpt, 2).abort_after(3);
+/// let err = runner.run(&program, &RunPolicy { recovery, ..policy.clone() }).unwrap_err();
 /// assert!(matches!(err, CoreError::Interrupted { .. }));
 ///
 /// // Restart: restored points replay, the rest simulate fresh.
-/// let resumed =
-///     runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(&ckpt))?;
+/// let recovery = Recovery::none().resume_from(&ckpt);
+/// let resumed = runner.run(&program, &RunPolicy { recovery, ..policy.clone() })?;
 /// let baseline = runner.run(&program, &policy)?;
 /// assert_eq!(resumed.mean().to_bits(), baseline.mean().to_bits());
 /// std::fs::remove_file(&ckpt).ok();
 /// # Ok::<(), spectral_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recovery {
     pub(crate) checkpoint: Option<(PathBuf, usize)>,
     pub(crate) resume: Option<PathBuf>,

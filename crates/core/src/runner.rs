@@ -1,198 +1,47 @@
-//! Live-point simulation: single points, and the random-order online
-//! runner (serial and parallel).
+//! Live-point simulation: single points, the run policy, and the
+//! random-order online runner.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use spectral_isa::{Emulator, Program};
 use spectral_stats::{Confidence, OnlineEstimator, MIN_SAMPLE_SIZE};
-use spectral_telemetry::{Counter, Gauge, ProfilePhase, Stopwatch, WorkerTimeline};
+use spectral_telemetry::{Counter, Stopwatch};
 use spectral_uarch::{DetailedSim, MachineConfig, WindowStats};
 
+use crate::drive::{drive, Observe, Sample, Series};
 use crate::error::CoreError;
-use crate::health::{HealthMonitor, PointMeta};
 use crate::library::{DecodeScratch, LivePointLibrary};
 use crate::livepoint::LivePoint;
 use crate::pointcache;
-use crate::resume::{
-    config_fingerprint, policy_fingerprint, CheckpointSpec, Recovery, RecoverySession, RunKind,
-};
-use crate::sched::{ChunkCursor, ChunkLog, PrefetchRing, SchedMode, WorkQueue};
+use crate::resume::{Recovery, RunKind};
 
-// Runner metrics, shared by the online, matched-pair, and sweep
-// runners: where each processed point's time goes (record decode +
-// state reconstruction vs. detailed simulation), how long workers wait
-// on the shared progress lock at merge points, and where early
-// termination landed. All no-ops without the `telemetry` feature.
-static TLM_POINTS: Counter = Counter::new("core.run.points");
+// Decode time; a no-op without the `telemetry` feature.
 static TLM_DECODE_NS: Counter = Counter::new("core.run.decode_ns");
-static TLM_SIMULATE_NS: Counter = Counter::new("core.run.simulate_ns");
-static TLM_MERGES: Counter = Counter::new("core.run.merges");
-static TLM_LOCK_WAIT_NS: Counter = Counter::new("core.run.lock_wait_ns");
-static TLM_EARLY_STOP_POINT: Gauge = Gauge::new("core.run.early_stop_point");
 
-/// Decode live-point `index` through per-thread scratch buffers,
-/// feeding the decode-time counter; also returns the decode wall-clock
-/// for per-point health accounting.
-///
-/// Decodes go through the process-wide [`pointcache`]: matched-pair
-/// and repeated-sweep workloads re-visit indices, and a hit skips the
-/// read + LZSS + DER work entirely. The key is the library *content*
-/// hash, so any handle onto the same bytes (v1 load, v2 open, a second
-/// open of the same file) shares entries.
+/// Decode live-point `index` through per-thread scratch buffers and the
+/// process-wide [`pointcache`] (keyed by library *content* hash, so a
+/// hit skips the read + LZSS + DER work for any handle onto the same
+/// bytes); also returns the decode wall-clock.
 pub(crate) fn decode_point(
     library: &LivePointLibrary,
     index: usize,
     scratch: &mut DecodeScratch,
 ) -> Result<(Arc<LivePoint>, u64), CoreError> {
-    // Fault site `core.decode.point`: lets the harness inject decode
-    // failures (and process death) into any runner's decode path.
+    // Fault site `core.decode.point`: injected decode faults and death.
     spectral_faultd::probe("core.decode.point")?;
     let sw = Stopwatch::start();
-    let cache = pointcache::global();
-    let key = pointcache::cache_key(library.content_hash(), index);
-    if let Some(lp) = cache.lookup(key) {
-        let ns = sw.ns();
-        TLM_DECODE_NS.add(ns);
-        return Ok((lp, ns));
-    }
-    let lp = Arc::new(library.get_with(scratch, index)?);
-    cache.insert(key, lp.clone());
+    let (cache, key) = (pointcache::global(), pointcache::cache_key(library.content_hash(), index));
+    let lp = match cache.lookup(key) {
+        Some(lp) => lp,
+        None => {
+            let lp = Arc::new(library.get_with(scratch, index)?);
+            cache.insert(key, lp.clone());
+            lp
+        }
+    };
     let ns = sw.ns();
     TLM_DECODE_NS.add(ns);
     Ok((lp, ns))
-}
-
-/// Simulate a decoded live-point, feeding the simulate-time counter
-/// and the processed-points count (one per simulation — a matched pair
-/// counts twice); also returns the simulate wall-clock for per-point
-/// health accounting.
-pub(crate) fn simulate_point(
-    lp: &LivePoint,
-    program: &Program,
-    machine: &MachineConfig,
-) -> Result<(WindowStats, u64), CoreError> {
-    // Fault site `core.sim.point`: simulation faults and worker death
-    // (each parallel worker funnels through here, so an armed kill at
-    // this site dies inside worker code mid-run).
-    spectral_faultd::probe("core.sim.point")?;
-    let sw = Stopwatch::start();
-    let stats = simulate_live_point(lp, program, machine)?;
-    let ns = sw.ns();
-    TLM_SIMULATE_NS.add(ns);
-    TLM_POINTS.inc();
-    Ok((stats, ns))
-}
-
-/// Decode live-point `index` and simulate it — the instrumented
-/// point-processing site shared by the runners. Returns the window
-/// stats plus the point's processing metadata (timings and window
-/// provenance) for the health monitor.
-pub(crate) fn process_point(
-    library: &LivePointLibrary,
-    index: usize,
-    program: &Program,
-    machine: &MachineConfig,
-    scratch: &mut DecodeScratch,
-) -> Result<(WindowStats, PointMeta), CoreError> {
-    let (lp, decode_ns) = decode_point(library, index, scratch)?;
-    let (stats, simulate_ns) = simulate_point(&lp, program, machine)?;
-    let meta = PointMeta {
-        decode_ns,
-        simulate_ns,
-        detail_start: lp.window.detail_start,
-        measure_start: lp.window.measure_start,
-    };
-    Ok((stats, meta))
-}
-
-/// Record that early termination fired with `count` points merged.
-pub(crate) fn note_early_stop(count: u64) {
-    TLM_EARLY_STOP_POINT.set(count as i64);
-}
-
-/// Cross-worker coordination for sharded parallel runs: the merged
-/// progress estimator (early termination only — trajectories are
-/// regenerated from the deterministic index-ordered replay), the
-/// stop/reached flags, the merged count at the moment the target was
-/// first reached (for exact overshoot accounting), and the first
-/// worker fault.
-pub(crate) struct ShardCoordinator<P> {
-    pub progress: Mutex<P>,
-    pub stop: AtomicBool,
-    pub reached: AtomicBool,
-    /// Merged point count when `reached` first flipped (0 = never).
-    pub stop_n: AtomicU64,
-    pub fault: Mutex<Option<CoreError>>,
-}
-
-impl<P: Default> ShardCoordinator<P> {
-    pub fn new() -> Self {
-        Self::with_progress(P::default())
-    }
-}
-
-impl<P> ShardCoordinator<P> {
-    pub fn with_progress(progress: P) -> Self {
-        ShardCoordinator {
-            progress: Mutex::new(progress),
-            stop: AtomicBool::new(false),
-            reached: AtomicBool::new(false),
-            stop_n: AtomicU64::new(0),
-            fault: Mutex::new(None),
-        }
-    }
-
-    /// Acquire the shared progress estimator for a merge, timing how
-    /// long the worker waited on the lock (`core.run.lock_wait_ns`).
-    pub fn lock_progress(&self) -> std::sync::MutexGuard<'_, P> {
-        let sw = Stopwatch::start();
-        let guard = self.progress.lock().expect("progress lock");
-        TLM_LOCK_WAIT_NS.add(sw.ns());
-        TLM_MERGES.inc();
-        guard
-    }
-
-    /// Record that the confidence target was first met with `count`
-    /// points merged, and stop all shards if the policy says so.
-    pub fn note_reached(&self, count: u64, policy: &RunPolicy) {
-        if !self.reached.swap(true, Ordering::Relaxed) {
-            note_early_stop(count);
-            self.stop_n.store(count, Ordering::Relaxed);
-        }
-        if policy.stop_at_target {
-            self.stop.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a worker fault and halt all shards.
-    pub fn fail(&self, e: CoreError) {
-        let mut guard = self.fault.lock().expect("fault lock");
-        if guard.is_none() {
-            *guard = Some(e);
-        }
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Tear down: `(reached, merged count at first eligibility, first
-    /// fault)`.
-    pub fn finish(self) -> (bool, u64, Option<CoreError>) {
-        (
-            self.reached.load(Ordering::Relaxed),
-            self.stop_n.load(Ordering::Relaxed),
-            self.fault.into_inner().expect("fault lock"),
-        )
-    }
-}
-
-/// Exact early-termination overshoot: points processed past the count
-/// at which the run first became eligible to stop.
-pub(crate) fn overshoot_of(reached: bool, stop_n: u64, total: u64) -> u64 {
-    if reached {
-        total.saturating_sub(stop_n)
-    } else {
-        0
-    }
 }
 
 /// Simulate one live-point under `machine`: reconstruct the warm
@@ -227,8 +76,8 @@ pub fn simulate_live_point(
     Ok(sim.run(lp.window.measure_len))
 }
 
-/// Termination policy for online runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Termination policy (and crash recovery) for a run.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunPolicy {
     /// Stop once the confidence interval's relative half-width falls to
     /// this value (the paper's ±3% is `0.03`).
@@ -238,39 +87,32 @@ pub struct RunPolicy {
     /// Hard cap on processed live-points (`None` = whole library).
     pub max_points: Option<usize>,
     /// Record a trajectory sample every this many points (for
-    /// convergence plots; 0 disables the trajectory). Parallel runs
-    /// regenerate the trajectory during the index-ordered replay after
-    /// the join, so it is identical to the serial trajectory.
+    /// convergence plots; 0 disables the trajectory).
     pub trajectory_stride: usize,
-    /// Parallel-run merge cadence K: each worker accumulates this many
-    /// points into a thread-local estimator before merging into the
-    /// shared state, so the global lock is taken once per K simulated
-    /// points instead of once per point. Serial runs emit their
-    /// sampling-health progress events on the same cadence.
+    /// Progress cadence K: a progress event every K points. Parallel
+    /// workers also batch K points before pushing them to the shared
+    /// estimate and checking the stop rule, so the lock is taken once
+    /// per K points.
     pub merge_stride: usize,
     /// kσ threshold for flagging a live-point's CPI as an outlier
-    /// against the running estimate (sampling-health events only; does
-    /// not affect the estimate itself).
+    /// (sampling-health events only; the estimate is unaffected).
     pub anomaly_sigma: f64,
     /// Whether reaching the confidence target terminates the run
     /// (`true`, the paper's online mode). With `false` the run
     /// processes every point (up to the cap) but still records *when*
-    /// it first became eligible to stop — the doctor's
-    /// wasted-points-past-convergence analysis needs that trajectory.
+    /// it first became eligible to stop.
     pub stop_at_target: bool,
-    /// How parallel runs assign live-points to workers: dynamic chunk
-    /// claiming (the default) or the legacy static stride, retained for
-    /// A/B benchmarking. Results are bit-identical in both modes.
-    pub sched: SchedMode,
     /// Base chunk size for dynamic claiming, in live-points (`0` =
-    /// auto: one [`merge_stride`](Self::merge_stride)). The scheduler
-    /// clamps it so every worker owns a non-empty first chunk, and
-    /// shrinks it adaptively as the run nears its confidence target.
+    /// auto: one [`merge_stride`](Self::merge_stride)); it shrinks
+    /// adaptively as the run nears its confidence target.
     pub chunk: usize,
-    /// Decode-ahead depth per worker, in live-points: how far LZSS
-    /// decompression + DER decode may run ahead of detailed simulation
-    /// within the current chunk (`0` = decode on demand).
+    /// Decode-ahead depth per worker, in live-points (`0` = decode on
+    /// demand).
     pub prefetch: usize,
+    /// Checkpointing, resume and interruption drills (see
+    /// [`Recovery`]). Not part of the run's identity: a crashed run and
+    /// its resume carry different values.
+    pub recovery: Recovery,
 }
 
 impl Default for RunPolicy {
@@ -283,55 +125,24 @@ impl Default for RunPolicy {
             merge_stride: 8,
             anomaly_sigma: 3.0,
             stop_at_target: true,
-            sched: SchedMode::DynamicChunk,
             chunk: 0,
             prefetch: 4,
+            recovery: Recovery::none(),
         }
-    }
-}
-
-impl RunPolicy {
-    /// The dynamic scheduler's base chunk size: the explicit `chunk`
-    /// knob, or one merge stride when left on auto.
-    pub(crate) fn effective_chunk(&self) -> usize {
-        if self.chunk > 0 {
-            self.chunk
-        } else {
-            self.merge_stride.max(1)
-        }
-    }
-
-    /// The shared chunk cursor for a dynamic-mode parallel run, `None`
-    /// in static-stride mode.
-    pub(crate) fn cursor(&self, limit: usize, threads: usize) -> Option<ChunkCursor> {
-        (self.sched == SchedMode::DynamicChunk)
-            .then(|| ChunkCursor::new(limit, threads, self.effective_chunk()))
     }
 }
 
 /// The running (or final) result of an online estimation.
 #[derive(Debug, Clone)]
 pub struct Estimate {
-    estimator: OnlineEstimator,
-    confidence: Confidence,
-    processed: usize,
-    reached_target: bool,
-    trajectory: Vec<(u64, f64, f64)>,
+    pub(crate) estimator: OnlineEstimator,
+    pub(crate) confidence: Confidence,
+    pub(crate) processed: usize,
+    pub(crate) reached_target: bool,
+    pub(crate) trajectory: Vec<Sample>,
 }
 
 impl Estimate {
-    /// Assemble an estimate from runner internals (used by the sweep
-    /// runner, which builds several estimates per pass).
-    pub(crate) fn from_parts(
-        estimator: OnlineEstimator,
-        confidence: Confidence,
-        processed: usize,
-        reached_target: bool,
-        trajectory: Vec<(u64, f64, f64)>,
-    ) -> Self {
-        Estimate { estimator, confidence, processed, reached_target, trajectory }
-    }
-
     /// Estimated CPI (mean over processed live-points).
     pub fn mean(&self) -> f64 {
         self.estimator.mean()
@@ -366,7 +177,7 @@ impl Estimate {
 
     /// Convergence trajectory: `(points_processed, mean, half_width)`
     /// samples taken every `trajectory_stride` points.
-    pub fn trajectory(&self) -> &[(u64, f64, f64)] {
+    pub fn trajectory(&self) -> &[Sample] {
         &self.trajectory
     }
 }
@@ -387,16 +198,7 @@ impl<'l> OnlineRunner<'l> {
         OnlineRunner { library, machine }
     }
 
-    /// The machine configuration being estimated.
-    pub fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-
-    fn limit(&self, policy: &RunPolicy) -> usize {
-        policy.max_points.unwrap_or(usize::MAX).min(self.library.len())
-    }
-
-    /// Serial run.
+    /// Serial run: [`run_parallel`](Self::run_parallel) on one thread.
     ///
     /// # Example
     ///
@@ -417,384 +219,63 @@ impl<'l> OnlineRunner<'l> {
     /// assert!(estimate.processed() > 0);
     /// # Ok::<(), spectral_core::CoreError>(())
     /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode and simulation faults; an empty library is
-    /// [`CoreError::EmptyLibrary`].
     pub fn run(&self, program: &Program, policy: &RunPolicy) -> Result<Estimate, CoreError> {
-        self.run_recoverable(program, policy, &Recovery::none())
+        self.run_parallel(program, policy, 1)
     }
 
-    /// Serial run with crash recovery: checkpoint on a cadence, resume
-    /// from a prior checkpoint, or both (see [`Recovery`]).
-    ///
-    /// Restored observations are replayed through the exact estimator
-    /// push sequence an uninterrupted run would execute, so the
-    /// resulting [`Estimate`] — mean, half-width, variance, trajectory
-    /// — is **bit-identical** to an uninterrupted run under the same
-    /// policy. Restored points skip decode/simulation (and therefore
-    /// per-point health timing observations); progress events and
-    /// early-termination checks see the same counts either way.
+    /// Run over `threads` workers (live-point independence makes this
+    /// embarrassingly parallel, §6). One thread runs on the calling
+    /// thread and checks the stop rule after every point; more threads
+    /// claim index chunks, decode up to [`RunPolicy::prefetch`] points
+    /// ahead, and check it every [`RunPolicy::merge_stride`] points.
+    /// Rows are replayed in index order after the join, so the estimate
+    /// over a given set of points — mean, half-width, trajectory — is
+    /// bit-identical at every thread count. [`RunPolicy::recovery`]
+    /// checkpoints the run, or resumes it to the bit-identical estimate.
     ///
     /// # Errors
     ///
-    /// Everything [`Self::run`] raises, plus [`CoreError::Checkpoint`]
-    /// for an unreadable/corrupt/mismatched resume file and
-    /// [`CoreError::Interrupted`] when a
-    /// [`Recovery::abort_after`] drill fires.
-    pub fn run_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        recovery: &Recovery,
-    ) -> Result<Estimate, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let session = RecoverySession::start(
-            recovery,
-            CheckpointSpec {
-                kind: RunKind::Online,
-                benchmark: program.name().to_owned(),
-                library_hash: self.library.content_hash(),
-                policy_fp: policy_fingerprint(policy) ^ config_fingerprint(&self.machine),
-                arity: 1,
-            },
-        )?;
-        let _span = spectral_telemetry::span("run.online");
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "online", 1);
-        let mut tl = WorkerTimeline::new(seq, "online", 0);
-        let mut estimator = OnlineEstimator::new();
-        let mut trajectory = Vec::new();
-        let mut reached = false;
-        let mut reached_at = 0u64;
-        let limit = self.limit(policy);
-        let mut processed = 0usize;
-        let mut scratch = DecodeScratch::new();
-        let mut monitor = HealthMonitor::new(seq, "online", 0, policy);
-        let progress_stride = policy.merge_stride.max(1);
-        let emit = |monitor: &HealthMonitor, est: &OnlineEstimator, overshoot: u64| {
-            monitor.progress(
-                "cpi",
-                None,
-                est.count(),
-                est.mean(),
-                est.half_width(policy.confidence),
-                est.half_width(Confidence::C95),
-                est.mean(),
-                policy,
-                overshoot,
-            );
-        };
-        for i in 0..limit {
-            let (cpi, fresh) = match session.restored(i) {
-                Some(row) => (row[0], None),
-                None => {
-                    let (stats, meta) =
-                        process_point(self.library, i, program, &self.machine, &mut scratch)?;
-                    tl.note(ProfilePhase::Decode, meta.decode_ns);
-                    tl.note(ProfilePhase::Simulate, meta.simulate_ns);
-                    (stats.cpi(), Some(meta))
-                }
-            };
-            estimator.push(cpi);
-            if let Some(meta) = &fresh {
-                monitor.observe(i as u64, cpi, meta);
-                session.record(i, &[cpi])?;
-            }
-            processed += 1;
-            if policy.trajectory_stride > 0 && processed.is_multiple_of(policy.trajectory_stride) {
-                trajectory.push((
-                    processed as u64,
-                    estimator.mean(),
-                    estimator.half_width(policy.confidence),
-                ));
-            }
-            if processed.is_multiple_of(progress_stride) {
-                emit(&monitor, &estimator, 0);
-            }
-            if !reached
-                && estimator.count() >= MIN_SAMPLE_SIZE
-                && estimator.relative_half_width(policy.confidence) <= policy.target_rel_err
-            {
-                reached = true;
-                reached_at = estimator.count();
-                note_early_stop(reached_at);
-            }
-            if reached && policy.stop_at_target {
-                break;
-            }
-        }
-        // Close the event stream on the final state: exact overshoot
-        // accounting, and a final record when the run did not land
-        // exactly on a stride boundary.
-        let overshoot = overshoot_of(reached, reached_at, processed as u64);
-        if !processed.is_multiple_of(progress_stride) || overshoot > 0 {
-            emit(&monitor, &estimator, overshoot);
-        }
-        session.finish()?;
-        Ok(Estimate {
-            estimator,
-            confidence: policy.confidence,
-            processed,
-            reached_target: reached,
-            trajectory,
-        })
-    }
-
-    /// Parallel run over `threads` workers (live-point independence
-    /// makes this embarrassingly parallel; parallelism up to the sample
-    /// size, §6).
-    ///
-    /// Scheduling follows [`RunPolicy::sched`]: by default workers
-    /// claim contiguous index chunks from a shared [`ChunkCursor`]
-    /// (work stealing with adaptive chunk sizing), decoding up to
-    /// [`RunPolicy::prefetch`] points ahead of detailed simulation.
-    /// Each worker accumulates observations into a thread-local batch,
-    /// merging into the shared progress state every
-    /// [`RunPolicy::merge_stride`] points; the early-termination check
-    /// runs on the merged state at each merge point. Raw observations
-    /// are logged per chunk and replayed in ascending index order into
-    /// a fresh estimator after the join, so an exhaustive parallel run
-    /// is **bit-identical** to the serial run — same mean, half-width,
-    /// and trajectory — in both scheduling modes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker fault; an empty library is
-    /// [`CoreError::EmptyLibrary`].
+    /// The first decode or simulation fault; [`CoreError::EmptyLibrary`]
+    /// for an empty library; [`CoreError::Checkpoint`] for an
+    /// unreadable, corrupt or mismatched resume file; and
+    /// [`CoreError::Interrupted`] when a [`Recovery::abort_after`] drill
+    /// fires.
     pub fn run_parallel(
         &self,
         program: &Program,
         policy: &RunPolicy,
         threads: usize,
     ) -> Result<Estimate, CoreError> {
-        self.run_parallel_recoverable(program, policy, threads, &Recovery::none())
-    }
-
-    /// Parallel run with crash recovery (see [`Recovery`] and
-    /// [`Self::run_recoverable`]).
-    ///
-    /// Restored indices are replayed into each worker's chunk log
-    /// without decode or simulation; the index-ordered replay after
-    /// the join then reduces restored and fresh observations exactly
-    /// as an uninterrupted run would, so exhaustive resumed runs stay
-    /// bit-identical to serial in both scheduling modes. (As with
-    /// uninterrupted runs, *early-terminating* parallel runs stop at a
-    /// scheduling-dependent point; the bit-identity guarantee is for
-    /// the estimate over the same processed set.)
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_parallel`] raises, plus
-    /// [`CoreError::Checkpoint`] and [`CoreError::Interrupted`] as for
-    /// [`Self::run_recoverable`].
-    pub fn run_parallel_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        threads: usize,
-        recovery: &Recovery,
-    ) -> Result<Estimate, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let session = RecoverySession::start(
-            recovery,
-            CheckpointSpec {
-                kind: RunKind::Online,
-                benchmark: program.name().to_owned(),
-                library_hash: self.library.content_hash(),
-                policy_fp: policy_fingerprint(policy) ^ config_fingerprint(&self.machine),
-                arity: 1,
-            },
-        )?;
-        let _span = spectral_telemetry::span("run.online_parallel");
-        let limit = self.limit(policy);
-        let threads = threads.clamp(1, limit);
-        let merge_stride = policy.merge_stride.max(1) as u64;
-        let coord: ShardCoordinator<OnlineEstimator> = ShardCoordinator::new();
-        let cursor = policy.cursor(limit, threads);
-        // One run ordinal for the whole parallel run: every worker's
-        // events carry it so a consumer can group them.
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "online", threads);
-
-        let logs: Vec<ChunkLog<f64>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let coord = &coord;
-                let cursor = cursor.as_ref();
-                let session = &session;
-                handles.push(scope.spawn(move || {
-                    let wall = Stopwatch::start();
-                    let mut busy = 0u64;
-                    let mut log = ChunkLog::new();
-                    let mut batch = OnlineEstimator::new();
-                    let mut scratch = DecodeScratch::new();
-                    let mut ring = PrefetchRing::new(policy.prefetch, worker);
-                    let mut monitor = HealthMonitor::new(seq, "online", worker, policy);
-                    let mut tl = WorkerTimeline::new(seq, "online", worker);
-                    let mut queue = match cursor {
-                        Some(c) => WorkQueue::chunked(c, worker),
-                        None => WorkQueue::stride(worker, threads, limit),
-                    };
-                    'chunks: while !coord.stop.load(Ordering::Relaxed) {
-                        let Some(chunk) = queue.next_chunk(&mut tl) else { break };
-                        log.begin(chunk.start, chunk.len());
-                        // Resumed runs never re-decode restored
-                        // indices: the prefetch ring only sees the
-                        // chunk's fresh remainder.
-                        let mut pending = chunk.clone().filter(|&i| !session.knows(i));
-                        for index in chunk {
-                            if coord.stop.load(Ordering::Relaxed) {
-                                ring.clear();
-                                break 'chunks;
-                            }
-                            let cpi = if let Some(row) = session.restored(index) {
-                                row[0]
-                            } else {
-                                if let Err(e) =
-                                    ring.fill(self.library, &mut pending, &mut scratch, &mut tl)
-                                {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                let (lp, decode_ns) =
-                                    ring.pop().expect("ring holds the current index");
-                                let (stats, simulate_ns) =
-                                    match simulate_point(&lp, program, &self.machine) {
-                                        Ok(r) => r,
-                                        Err(e) => {
-                                            coord.fail(e);
-                                            break 'chunks;
-                                        }
-                                    };
-                                tl.note(ProfilePhase::Simulate, simulate_ns);
-                                let cpi = stats.cpi();
-                                busy += decode_ns + simulate_ns;
-                                let meta = PointMeta {
-                                    decode_ns,
-                                    simulate_ns,
-                                    detail_start: lp.window.detail_start,
-                                    measure_start: lp.window.measure_start,
-                                };
-                                monitor.observe(index as u64, cpi, &meta);
-                                if let Err(e) = session.record(index, &[cpi]) {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                cpi
-                            };
-                            log.push(cpi);
-                            batch.push(cpi);
-                            if batch.count() >= merge_stride {
-                                self.flush_batch(
-                                    &mut batch, policy, coord, &monitor, cursor, &mut tl,
-                                );
-                            }
-                        }
-                    }
-                    if batch.count() > 0 {
-                        self.flush_batch(&mut batch, policy, coord, &monitor, cursor, &mut tl);
-                    }
-                    queue.finish();
-                    crate::sched::note_worker_time(busy, wall.ns());
-                    log
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker threads do not panic")).collect()
-        });
-
-        let (reached, stop_n, fault) = coord.finish();
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        session.finish()?;
-        // Deterministic reduction: replay every logged observation in
-        // ascending index order into a fresh estimator, regenerating
-        // the trajectory exactly as the serial loop would.
-        let mut estimator = OnlineEstimator::new();
-        let mut trajectory = Vec::new();
-        let mut processed = 0usize;
-        for cpi in ChunkLog::into_ordered(logs) {
-            estimator.push(cpi);
-            processed += 1;
-            if policy.trajectory_stride > 0 && processed.is_multiple_of(policy.trajectory_stride) {
-                trajectory.push((
-                    processed as u64,
-                    estimator.mean(),
-                    estimator.half_width(policy.confidence),
-                ));
-            }
-        }
-        // Close the event stream with the definitive replayed estimate
-        // and the exact overshoot past the stop point.
-        let monitor = HealthMonitor::new(seq, "online", 0, policy);
-        monitor.progress(
-            "cpi",
-            None,
-            estimator.count(),
-            estimator.mean(),
-            estimator.half_width(policy.confidence),
-            estimator.half_width(Confidence::C95),
-            estimator.mean(),
-            policy,
-            overshoot_of(reached, stop_n, processed as u64),
-        );
+        let run = drive(self, self.library, program, policy, threads)?;
         Ok(Estimate {
-            estimator,
+            estimator: run.acc,
             confidence: policy.confidence,
-            processed,
-            reached_target: reached,
-            trajectory,
+            processed: run.processed,
+            reached_target: run.reached,
+            trajectory: run.trajectories.into_iter().next().unwrap_or_default(),
         })
     }
+}
 
-    /// Merge a worker's local batch into the shared progress estimator,
-    /// emit a progress event, feed the adaptive chunk sizer, and run
-    /// the early-termination check — everything but the merge itself on
-    /// a lock-free snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_batch(
-        &self,
-        batch: &mut OnlineEstimator,
-        policy: &RunPolicy,
-        coord: &ShardCoordinator<OnlineEstimator>,
-        monitor: &HealthMonitor,
-        cursor: Option<&ChunkCursor>,
-        tl: &mut WorkerTimeline,
-    ) {
-        let snapshot = {
-            let mut guard = tl.enter(ProfilePhase::MergeWait);
-            let mut merged = coord.lock_progress();
-            guard.switch(ProfilePhase::Merge);
-            merged.merge(batch);
-            *merged
-        };
-        *batch = OnlineEstimator::new();
-        monitor.progress(
-            "cpi",
-            None,
-            snapshot.count(),
-            snapshot.mean(),
-            snapshot.half_width(policy.confidence),
-            snapshot.half_width(Confidence::C95),
-            snapshot.mean(),
-            policy,
-            0,
-        );
-        let rel = snapshot.relative_half_width(policy.confidence);
-        if policy.stop_at_target {
-            if let Some(cursor) = cursor {
-                cursor.note_rel_error(rel, policy.target_rel_err);
-            }
-        }
-        if snapshot.count() >= MIN_SAMPLE_SIZE && rel <= policy.target_rel_err {
-            coord.note_reached(snapshot.count(), policy);
-        }
+impl Observe for OnlineRunner<'_> {
+    type Acc = OnlineEstimator;
+    const KIND: RunKind = RunKind::Online;
+
+    fn machines(&self) -> &[MachineConfig] {
+        std::slice::from_ref(&self.machine)
+    }
+    fn acc(&self) -> OnlineEstimator {
+        OnlineEstimator::new()
+    }
+    fn push(&self, acc: &mut OnlineEstimator, row: &[f64]) {
+        acc.push(row[0]);
+    }
+    fn status(&self, acc: &OnlineEstimator, policy: &RunPolicy) -> (f64, bool) {
+        let rel = acc.relative_half_width(policy.confidence);
+        (rel, acc.count() >= MIN_SAMPLE_SIZE && rel <= policy.target_rel_err)
+    }
+    fn series<'a>(&self, acc: &'a OnlineEstimator) -> Vec<Series<'a>> {
+        vec![("cpi", None, acc)]
     }
 }
 
@@ -881,27 +362,24 @@ mod tests {
         let policy =
             RunPolicy { target_rel_err: 1e-9, trajectory_stride: 5, ..RunPolicy::default() };
         let serial = runner.run(&p, &policy).unwrap();
-        for sched in [SchedMode::DynamicChunk, SchedMode::StaticStride] {
-            let policy = RunPolicy { sched, ..policy };
-            let parallel = runner.run_parallel(&p, &policy, 4).unwrap();
-            assert_eq!(serial.processed(), parallel.processed());
-            // Index-ordered replay makes exhaustive parallel runs
-            // bit-identical to serial, not merely close.
-            assert_eq!(
-                serial.mean().to_bits(),
-                parallel.mean().to_bits(),
-                "{sched:?}: serial {} vs parallel {}",
-                serial.mean(),
-                parallel.mean()
-            );
-            assert_eq!(
-                serial.estimator().variance().to_bits(),
-                parallel.estimator().variance().to_bits(),
-                "{sched:?} variance"
-            );
-            assert_eq!(serial.trajectory(), parallel.trajectory(), "{sched:?} trajectory");
-            assert_eq!(serial.half_width().to_bits(), parallel.half_width().to_bits());
-        }
+        let parallel = runner.run_parallel(&p, &policy, 4).unwrap();
+        assert_eq!(serial.processed(), parallel.processed());
+        // Index-ordered replay makes exhaustive parallel runs
+        // bit-identical to serial, not merely close.
+        assert_eq!(
+            serial.mean().to_bits(),
+            parallel.mean().to_bits(),
+            "serial {} vs parallel {}",
+            serial.mean(),
+            parallel.mean()
+        );
+        assert_eq!(
+            serial.estimator().variance().to_bits(),
+            parallel.estimator().variance().to_bits(),
+            "variance"
+        );
+        assert_eq!(serial.trajectory(), parallel.trajectory(), "trajectory");
+        assert_eq!(serial.half_width().to_bits(), parallel.half_width().to_bits());
     }
 
     #[test]

@@ -1,41 +1,15 @@
-//! Dynamic chunk-claiming scheduler and decode-ahead prefetch for the
-//! parallel runners.
+//! Chunk claiming, decode-ahead prefetch and the index-ordered row log
+//! behind the run driver.
 //!
-//! Live-points are mutually independent, so the paper's "process in any
-//! order, in parallel" guarantee (§6) leaves the *assignment* of points
-//! to workers entirely up to us. The original static stride
-//! (`index += threads`) pins every point to a lane at spawn time: one
-//! slow point — exactly the decode/simulate latency tails the health
-//! layer flags — stalls its whole lane while the other workers idle at
-//! the join. This module replaces that with:
-//!
-//! * [`ChunkCursor`] — an atomic claim cursor over the library index
-//!   space. Each worker starts on a pre-assigned chunk (so every worker
-//!   owns work even on heavily loaded hosts) and then *steals* further
-//!   chunks from the shared cursor as it drains its own. Chunk size
-//!   adapts: large while the run is far from its confidence target,
-//!   shrinking toward a single point as the stop condition approaches,
-//!   so early-termination overshoot collapses from up to
-//!   `threads × merge_stride` points to roughly one chunk.
-//! * [`PrefetchRing`] — a small per-worker ring of pre-decoded
-//!   live-points (reusing the per-thread [`DecodeScratch`] pool), so
-//!   LZSS decompression + DER decode runs ahead of detailed simulation
-//!   in batches instead of strictly interleaving with it.
-//! * [`ChunkLog`] — per-chunk observation logs. Workers record raw
-//!   observations per claimed chunk; after the join the runner replays
-//!   every observation in ascending index order into a fresh
-//!   estimator. Exhaustive parallel runs are therefore **bit-identical**
-//!   to serial runs (same pushes, same order — not merely equal up to
-//!   summation order), under both scheduling modes.
-//!
-//! Everything is instrumented: steal counts, chunk sizes, prefetch-ring
-//! occupancy, and per-worker busy/idle time land in the metrics
-//! registry (`core.sched.*`) and flow into run manifests via
-//! [`spectral_telemetry::snapshot`]. When a trace sink is installed
-//! ([`spectral_telemetry::tracing`]), the same quantities are also
-//! sampled as per-worker `{"type":"sched"}` JSONL records, which the
-//! perfetto exporter renders as counter tracks next to the span
-//! timeline.
+//! Live-points are independent, so the paper's "process in any order,
+//! in parallel" guarantee (§6) leaves the assignment of points to
+//! workers up to us: workers claim contiguous chunks from a
+//! [`ChunkCursor`], decode a few points ahead of simulation in a
+//! [`PrefetchRing`], and log their rows per chunk in a [`ChunkLog`],
+//! whose index-ordered replay makes the estimate the same at every
+//! thread count. Steals, chunk sizes, ring occupancy and busy/idle
+//! time land in the `core.sched.*` metrics, and in per-worker
+//! `{"type":"sched"}` trace records when a trace sink is installed.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -49,10 +23,7 @@ use crate::library::{DecodeScratch, LivePointLibrary};
 use crate::livepoint::LivePoint;
 use crate::runner::decode_point;
 
-// Scheduler metrics: how work moved between lanes (steals, chunk
-// sizes), how far decode ran ahead of simulation (ring occupancy), and
-// where worker wall-clock went (busy vs idle). All no-ops without the
-// `telemetry` feature.
+// Scheduler metrics; no-ops without the `telemetry` feature.
 static TLM_STEALS: Counter = Counter::new("core.sched.steals");
 static TLM_CHUNKS: Counter = Counter::new("core.sched.chunks");
 static TLM_CHUNK_POINTS: Histogram = Histogram::new("core.sched.chunk_points");
@@ -61,28 +32,13 @@ static TLM_PREFETCH_OCCUPANCY: Histogram = Histogram::new("core.sched.prefetch_o
 static TLM_BUSY_NS: Counter = Counter::new("core.sched.busy_ns");
 static TLM_IDLE_NS: Counter = Counter::new("core.sched.idle_ns");
 
-/// How a parallel runner assigns live-points to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Static striding: worker `w` owns indices `w, w+T, w+2T, …`,
-    /// fixed at spawn time. Retained for A/B benchmarking against the
-    /// dynamic scheduler; results are bit-identical in both modes.
-    StaticStride,
-    /// Dynamic chunk claiming over a shared [`ChunkCursor`]: workers
-    /// steal chunks as they drain their own, and chunk size shrinks as
-    /// the run approaches its confidence target.
-    DynamicChunk,
-}
-
 /// Shared atomic chunk cursor: carves `0..limit` into contiguous,
 /// non-overlapping chunks claimed by competing workers.
 ///
 /// The first `threads` chunks are pre-assigned (worker `w` owns
-/// `[w·base, (w+1)·base)`), guaranteeing every worker participates even
-/// when one lane races ahead; everything past `threads × base` is
-/// claimed dynamically. Claims tile the index space exactly once
-/// regardless of interleaving or adaptive resizing — the property the
-/// deterministic index-ordered reduction (and a proptest) relies on.
+/// `[w·base, (w+1)·base)`), so every worker participates even when one
+/// lane races ahead; the rest are claimed dynamically. Claims tile the
+/// index space exactly once, whatever the interleaving or resizing.
 #[derive(Debug)]
 pub struct ChunkCursor {
     limit: usize,
@@ -133,8 +89,7 @@ impl ChunkCursor {
     /// Adapt the dynamic chunk size to the run's distance from its
     /// confidence target: full base size while the relative half-width
     /// is at least twice the target, shrinking linearly to a single
-    /// point as it closes in. Called from the runners' merge points, so
-    /// the cost is one relaxed store per `merge_stride` points.
+    /// point as it closes in.
     pub fn note_rel_error(&self, rel_half_width: f64, target: f64) {
         if !(rel_half_width.is_finite() && target > 0.0) {
             return;
@@ -151,75 +106,53 @@ impl ChunkCursor {
     }
 }
 
-/// A worker's source of index chunks: its pre-assigned stride (static
-/// mode) or the shared cursor (dynamic mode). Also owns the worker's
-/// steal count for the per-worker telemetry histogram.
-pub(crate) enum WorkQueue<'a> {
-    /// `next, next+step, …` below `limit`, one index per "chunk".
-    Stride { worker: usize, next: usize, step: usize, limit: usize },
-    /// Pre-assigned first chunk, then claims from the shared cursor.
-    Chunked { cursor: &'a ChunkCursor, worker: usize, first: bool, steals: u64 },
+/// A worker's source of index chunks: its pre-assigned first chunk,
+/// then steals from the shared cursor (counted for telemetry).
+pub(crate) struct WorkQueue<'a> {
+    cursor: &'a ChunkCursor,
+    worker: usize,
+    first: bool,
+    steals: u64,
 }
 
 impl<'a> WorkQueue<'a> {
-    pub fn stride(worker: usize, threads: usize, limit: usize) -> Self {
-        WorkQueue::Stride { worker, next: worker, step: threads, limit }
+    pub fn new(cursor: &'a ChunkCursor, worker: usize) -> Self {
+        WorkQueue { cursor, worker, first: true, steals: 0 }
     }
 
-    pub fn chunked(cursor: &'a ChunkCursor, worker: usize) -> Self {
-        WorkQueue::Chunked { cursor, worker, first: true, steals: 0 }
-    }
-
-    /// The next chunk of indices this worker owns, or `None` when its
-    /// share of the library is exhausted. The claim (stride math or
-    /// shared-cursor atomics) is attributed to the worker timeline's
-    /// `claim` phase.
+    /// The worker's next chunk (timed as the `claim` phase), or `None`
+    /// when the library is exhausted.
     pub fn next_chunk(&mut self, tl: &mut WorkerTimeline) -> Option<Range<usize>> {
         let _claim = tl.enter(ProfilePhase::Claim);
-        let (chunk, worker, steals) = match self {
-            WorkQueue::Stride { worker, next, step, limit } => {
-                if *next >= *limit {
-                    return None;
-                }
-                let start = *next;
-                *next += *step;
-                (start..start + 1, *worker, None)
-            }
-            WorkQueue::Chunked { cursor, worker, first, steals } => {
-                let chunk = if *first {
-                    *first = false;
-                    cursor.first(*worker)
-                } else {
-                    let chunk = cursor.claim()?;
-                    *steals += 1;
-                    TLM_STEALS.inc();
-                    chunk
-                };
-                if chunk.is_empty() {
-                    return None;
-                }
-                (chunk, *worker, Some(*steals))
-            }
+        let chunk = if self.first {
+            self.first = false;
+            self.cursor.first(self.worker)
+        } else {
+            let chunk = self.cursor.claim()?;
+            self.steals += 1;
+            TLM_STEALS.inc();
+            chunk
         };
+        if chunk.is_empty() {
+            return None;
+        }
         TLM_CHUNKS.inc();
         TLM_CHUNK_POINTS.record(chunk.len() as u64);
         if spectral_telemetry::tracing() {
-            spectral_telemetry::trace_sched(worker, Some(chunk.len() as u64), steals, None);
+            let len = Some(chunk.len() as u64);
+            spectral_telemetry::trace_sched(self.worker, len, Some(self.steals), None);
         }
         Some(chunk)
     }
 
     /// Close out the worker's scheduling telemetry (steal histogram).
     pub fn finish(&self) {
-        if let WorkQueue::Chunked { steals, .. } = self {
-            TLM_STEALS_PER_WORKER.record(*steals);
-        }
+        TLM_STEALS_PER_WORKER.record(self.steals);
     }
 }
 
-/// Record a worker's wall-clock split for the busy/idle metrics: `busy`
-/// is time spent decoding + simulating, the rest of `wall` is idle
-/// (lock waits, scheduling, joins).
+/// Record a worker's wall-clock split: `busy` decoding + simulating,
+/// the rest of `wall` idle.
 pub(crate) fn note_worker_time(busy_ns: u64, wall_ns: u64) {
     TLM_BUSY_NS.add(busy_ns);
     TLM_IDLE_NS.add(wall_ns.saturating_sub(busy_ns));
@@ -227,8 +160,7 @@ pub(crate) fn note_worker_time(busy_ns: u64, wall_ns: u64) {
 
 /// Bounded per-worker ring of pre-decoded live-points: decode runs up
 /// to `depth` points ahead of detailed simulation within the current
-/// chunk, so decompression works in batches against warm scratch
-/// buffers instead of strictly alternating with simulation.
+/// chunk.
 pub(crate) struct PrefetchRing {
     ring: VecDeque<(Arc<LivePoint>, u64)>,
     depth: usize,
@@ -250,17 +182,10 @@ impl PrefetchRing {
         }
     }
 
-    /// Top the ring up from the front of `pending` (the undecoded
-    /// remainder of the current chunk — resumed runs pass the chunk
-    /// range with already-restored indices filtered out), recording
-    /// the resulting occupancy. Decode order is index order, so
-    /// consumption order is deterministic.
-    ///
-    /// Timeline attribution: when the ring is empty on entry the
-    /// simulator is stalled on the first decode (`prefetch_wait`);
-    /// decodes past the first are decode-ahead work (`decode`). Both
-    /// reuse the decode duration the cache layer already measured, so
-    /// profiling adds no clock read here.
+    /// Top the ring up from the front of `pending` (the chunk's
+    /// undecoded, unrestored remainder, in index order). On an empty
+    /// ring the first decode stalls the simulator (`prefetch_wait`);
+    /// later ones are decode-ahead work (`decode`).
     pub fn fill(
         &mut self,
         library: &LivePointLibrary,
@@ -290,44 +215,33 @@ impl PrefetchRing {
     pub fn pop(&mut self) -> Option<(Arc<LivePoint>, u64)> {
         self.ring.pop_front()
     }
-
-    /// Drop decoded-but-unsimulated points (early termination).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-    }
 }
 
-/// Per-chunk observation log: each claimed chunk's raw observations in
-/// processing (= index) order, keyed by the chunk's start index.
-///
-/// Chunks from all workers are disjoint, so sorting the combined logs
-/// by start index and replaying linearly reproduces the exact serial
-/// push sequence — the mechanism behind bit-identical exhaustive runs.
-pub(crate) struct ChunkLog<O> {
-    chunks: Vec<(usize, Vec<O>)>,
+/// Per-chunk row log: each claimed chunk's rows in index order, keyed
+/// by the chunk's start. Chunks are disjoint, so sorting all workers'
+/// logs by start reproduces the serial push sequence exactly.
+#[derive(Default)]
+pub(crate) struct ChunkLog {
+    chunks: Vec<(usize, Vec<f64>)>,
 }
 
-impl<O> ChunkLog<O> {
-    pub fn new() -> Self {
-        ChunkLog { chunks: Vec::new() }
-    }
-
+impl ChunkLog {
     /// Open a log segment for the chunk starting at `start`.
     pub fn begin(&mut self, start: usize, capacity: usize) {
         self.chunks.push((start, Vec::with_capacity(capacity)));
     }
 
-    /// Append one observation to the current chunk's segment.
-    pub fn push(&mut self, obs: O) {
-        self.chunks.last_mut().expect("begin() opens a segment before push()").1.push(obs);
+    /// Append one row to the current chunk's segment.
+    pub fn push(&mut self, row: &[f64]) {
+        self.chunks.last_mut().expect("begin() opens a segment before push()").1.extend(row);
     }
 
-    /// Merge per-worker logs into one observation stream in ascending
+    /// Concatenate per-worker logs into one row stream in ascending
     /// index order (the fixed reduction order).
-    pub fn into_ordered(logs: Vec<ChunkLog<O>>) -> impl Iterator<Item = O> {
-        let mut chunks: Vec<(usize, Vec<O>)> = logs.into_iter().flat_map(|l| l.chunks).collect();
+    pub fn into_ordered(logs: Vec<ChunkLog>) -> Vec<f64> {
+        let mut chunks: Vec<(usize, Vec<f64>)> = logs.into_iter().flat_map(|l| l.chunks).collect();
         chunks.sort_by_key(|&(start, _)| start);
-        chunks.into_iter().flat_map(|(_, obs)| obs)
+        chunks.into_iter().flat_map(|(_, rows)| rows).collect()
     }
 }
 
@@ -391,30 +305,18 @@ mod tests {
     }
 
     #[test]
-    fn stride_queue_matches_static_assignment() {
-        let mut q = WorkQueue::stride(1, 3, 10);
-        let mut tl = WorkerTimeline::disabled();
-        let mut seen = Vec::new();
-        while let Some(c) = q.next_chunk(&mut tl) {
-            assert_eq!(c.len(), 1);
-            seen.push(c.start);
-        }
-        assert_eq!(seen, vec![1, 4, 7]);
-    }
-
-    #[test]
     fn chunk_log_replays_in_index_order() {
-        let mut a = ChunkLog::new();
+        let mut a = ChunkLog::default();
         a.begin(8, 4);
-        a.push(80);
-        a.push(81);
-        let mut b = ChunkLog::new();
+        a.push(&[80.0]);
+        a.push(&[81.0]);
+        let mut b = ChunkLog::default();
         b.begin(0, 4);
-        b.push(0);
-        b.push(1);
+        b.push(&[0.0]);
+        b.push(&[1.0]);
         b.begin(12, 4);
-        b.push(120);
-        let ordered: Vec<i32> = ChunkLog::into_ordered(vec![a, b]).collect();
-        assert_eq!(ordered, vec![0, 1, 80, 81, 120]);
+        b.push(&[120.0]);
+        let ordered = ChunkLog::into_ordered(vec![a, b]);
+        assert_eq!(ordered, vec![0.0, 1.0, 80.0, 81.0, 120.0]);
     }
 }

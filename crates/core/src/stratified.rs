@@ -1,28 +1,28 @@
-//! Stratified live-point processing — the sampling optimization the
-//! paper cites alongside matched pairs ("recently-proposed sampling
-//! optimizations such as matched-pair comparison and stratified
-//! sampling" lower sample sizes but leave SMARTS runtimes unchanged;
-//! with live-points they translate directly into time savings).
+//! Stratified live-point processing, the sampling optimization the
+//! paper cites alongside matched pairs: with live-points its smaller
+//! samples translate directly into time savings.
 //!
 //! Strata are position bands of the benchmark: for phased programs,
 //! position tracks phase, so within-stratum CPI variance is far below
-//! population variance and the combined estimate converges with fewer
-//! points.
+//! population variance and the combined estimate converges sooner.
 
 use spectral_isa::Program;
-use spectral_stats::{StratifiedEstimator, MIN_SAMPLE_SIZE};
+use spectral_stats::{Confidence, StratifiedEstimator, MIN_SAMPLE_SIZE};
+use spectral_uarch::MachineConfig;
 
 use crate::creation::benchmark_length;
+use crate::drive::{drive, Observe, Series};
 use crate::error::CoreError;
 use crate::library::LivePointLibrary;
-use crate::runner::{simulate_live_point, RunPolicy};
-use spectral_uarch::MachineConfig;
+use crate::livepoint::LivePoint;
+use crate::resume::RunKind;
+use crate::runner::RunPolicy;
 
 /// Result of a stratified estimation run.
 #[derive(Debug, Clone)]
 pub struct StratifiedEstimate {
     estimator: StratifiedEstimator,
-    confidence: spectral_stats::Confidence,
+    confidence: Confidence,
     processed: usize,
     reached_target: bool,
 }
@@ -60,9 +60,10 @@ impl StratifiedEstimate {
     }
 }
 
-/// Processes a library with position-band strata: a pilot round seeds
-/// per-stratum variances, then points are consumed in shuffled order
-/// while the *combined* confidence interval drives termination.
+/// Processes a library with position-band strata: points are consumed
+/// in shuffled order, each counted in the band its measured window
+/// starts in, while the *combined* confidence interval drives
+/// termination.
 #[derive(Debug)]
 pub struct StratifiedRunner<'l> {
     library: &'l LivePointLibrary,
@@ -81,51 +82,73 @@ impl<'l> StratifiedRunner<'l> {
         StratifiedRunner { library, machine, num_strata }
     }
 
-    /// Run until the combined CI meets `policy.target_rel_err`, every
-    /// stratum has at least `MIN_SAMPLE_SIZE / num_strata` points, or
-    /// the library is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode/simulation faults; an empty library is
-    /// [`CoreError::EmptyLibrary`].
+    /// Serial run: [`run_parallel`](Self::run_parallel) on one thread.
     pub fn run(
         &self,
         program: &Program,
         policy: &RunPolicy,
     ) -> Result<StratifiedEstimate, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let n = benchmark_length(program);
-        let band = (n / self.num_strata as u64).max(1);
-        let stratum_of = |measure_start: u64| -> usize {
-            ((measure_start / band) as usize).min(self.num_strata - 1)
-        };
-        let mut est = StratifiedEstimator::uniform(self.num_strata);
-        let per_stratum_floor = (MIN_SAMPLE_SIZE / self.num_strata as u64).max(2);
-        let limit = policy.max_points.unwrap_or(usize::MAX).min(self.library.len());
-        let mut processed = 0;
-        let mut reached = false;
-        for i in 0..limit {
-            let lp = self.library.get(i)?;
-            let stats = simulate_live_point(&lp, program, &self.machine)?;
-            est.push(stratum_of(lp.window.measure_start), stats.cpi());
-            processed += 1;
-            if est.all_strata_have(per_stratum_floor)
-                && est.count() >= MIN_SAMPLE_SIZE
-                && est.relative_half_width(policy.confidence) <= policy.target_rel_err
-            {
-                reached = true;
-                break;
-            }
-        }
+        self.run_parallel(program, policy, 1)
+    }
+
+    /// Run until the combined CI meets `policy.target_rel_err` with
+    /// every stratum holding at least `MIN_SAMPLE_SIZE / num_strata`
+    /// points (and two at minimum), or the library is exhausted.
+    /// Threading, determinism and recovery are as for
+    /// [`OnlineRunner::run_parallel`](crate::OnlineRunner::run_parallel),
+    /// errors included.
+    pub fn run_parallel(
+        &self,
+        program: &Program,
+        policy: &RunPolicy,
+        threads: usize,
+    ) -> Result<StratifiedEstimate, CoreError> {
+        let band = (benchmark_length(program) / self.num_strata as u64).max(1);
+        let run = drive(&Bands { runner: self, band }, self.library, program, policy, threads)?;
         Ok(StratifiedEstimate {
-            estimator: est,
+            estimator: run.acc,
             confidence: policy.confidence,
-            processed,
-            reached_target: reached,
+            processed: run.processed,
+            reached_target: run.reached,
         })
+    }
+}
+
+/// One stratified run: the runner plus its benchmark's band width.
+/// Rows are `(CPI, measured window's start)`.
+struct Bands<'a> {
+    runner: &'a StratifiedRunner<'a>,
+    band: u64,
+}
+
+impl Observe for Bands<'_> {
+    type Acc = StratifiedEstimator;
+    const KIND: RunKind = RunKind::Stratified;
+
+    fn machines(&self) -> &[MachineConfig] {
+        std::slice::from_ref(&self.runner.machine)
+    }
+    fn acc(&self) -> StratifiedEstimator {
+        StratifiedEstimator::uniform(self.runner.num_strata)
+    }
+    fn push(&self, acc: &mut StratifiedEstimator, row: &[f64]) {
+        let stratum = (row[1] as u64 / self.band) as usize;
+        acc.push(stratum.min(self.runner.num_strata - 1), row[0]);
+    }
+    fn status(&self, acc: &StratifiedEstimator, policy: &RunPolicy) -> (f64, bool) {
+        let floor = (MIN_SAMPLE_SIZE / self.runner.num_strata as u64).max(2);
+        let rel = acc.relative_half_width(policy.confidence);
+        let enough = acc.all_strata_have(floor) && acc.count() >= MIN_SAMPLE_SIZE;
+        (rel, enough && rel <= policy.target_rel_err)
+    }
+    fn series<'a>(&self, acc: &'a StratifiedEstimator) -> Vec<Series<'a>> {
+        vec![("cpi", None, acc)]
+    }
+    fn label(&self, lp: &LivePoint) -> Option<f64> {
+        Some(lp.window.measure_start as f64)
+    }
+    fn arity(&self) -> usize {
+        2
     }
 }
 
@@ -186,5 +209,24 @@ mod tests {
             .unwrap();
         assert!(strat.reached_target());
         assert!(strat.processed() < lib.len());
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn stratified_runs_emit_progress_events() {
+        spectral_telemetry::enable_run_summaries();
+        let (p, lib) = setup();
+        let runner = StratifiedRunner::new(&lib, MachineConfig::eight_way(), 2);
+        let est = runner.run_parallel(&p, &RunPolicy::default(), 2).unwrap();
+        // Other tests' runs may land in the tally too; ours is the
+        // stratified series whose closing record carries its final n.
+        let summaries = spectral_telemetry::take_run_summaries();
+        assert!(
+            summaries.iter().any(|s| s.run == "stratified"
+                && s.metric == "cpi"
+                && s.n == est.processed() as u64),
+            "no stratified progress series ending at n = {} in {summaries:?}",
+            est.processed()
+        );
     }
 }

@@ -1,112 +1,34 @@
 //! Decode-once design-space sweeps: simulate each live-point under many
 //! machine configurations per decode.
 //!
-//! The paper charts decompress + DER decode as the per-point
-//! "checkpoint processing" cost (Fig 8); a design-space study that runs
-//! one [`OnlineRunner`](crate::OnlineRunner) per candidate pays that
-//! cost once *per configuration*. [`SweepRunner`] pays it once per
-//! point: every decoded live-point is simulated under all N candidate
-//! machines before the next record is touched, so the decode cost is
-//! amortized N ways and — because every configuration sees exactly the
-//! same points — the per-config estimates are matched-pair-comparable
-//! by construction (§6.2).
-
-use std::sync::atomic::Ordering;
+//! Decompress + DER decode is the per-point "checkpoint processing"
+//! cost (Fig 8). One [`OnlineRunner`](crate::OnlineRunner) per
+//! candidate pays it once per configuration; [`SweepRunner`] pays it
+//! once per point, and because every configuration sees the same
+//! points its estimates are matched-pair comparable (§6.2).
 
 use spectral_isa::Program;
 use spectral_stats::{Confidence, MatchedPair, OnlineEstimator, MIN_SAMPLE_SIZE};
-use spectral_telemetry::{ProfilePhase, Stopwatch, WorkerTimeline};
 use spectral_uarch::MachineConfig;
 
+use crate::drive::{drive, Observe, Series};
 use crate::error::CoreError;
-use crate::health::{HealthMonitor, PointMeta};
-use crate::library::{DecodeScratch, LivePointLibrary};
-use crate::resume::{
-    config_fingerprint, policy_fingerprint, CheckpointSpec, Recovery, RecoverySession, RunKind,
-};
-use crate::runner::{
-    decode_point, note_early_stop, overshoot_of, simulate_point, Estimate, RunPolicy,
-    ShardCoordinator,
-};
-use crate::sched::{ChunkLog, PrefetchRing, WorkQueue};
+use crate::health::Interval;
+use crate::library::LivePointLibrary;
+use crate::resume::RunKind;
+use crate::runner::{Estimate, RunPolicy};
 
-/// Emit one sweep progress record per configuration from the merged
-/// estimators (metric `cpi`, `config: Some(j)`). `overshoot` is
-/// non-zero only on the run's closing records.
-fn emit_progress(
-    monitor: &HealthMonitor,
-    estimators: &[OnlineEstimator],
-    policy: &RunPolicy,
-    overshoot: u64,
-) {
-    for (j, est) in estimators.iter().enumerate() {
-        monitor.progress(
-            "cpi",
-            Some(j),
-            est.count(),
-            est.mean(),
-            est.half_width(policy.confidence),
-            est.half_width(Confidence::C95),
-            est.mean(),
-            policy,
-            overshoot,
-        );
-    }
-}
-
-/// Accumulated sweep state: one estimator per configuration, one
-/// matched pair per non-baseline configuration (vs configuration 0),
-/// and per-config trajectories.
-#[derive(Debug, Clone)]
-struct SweepProgress {
+/// Accumulated sweep state: one estimator per configuration and one
+/// matched pair per non-baseline configuration (vs configuration 0).
+pub(crate) struct SweepProgress {
     estimators: Vec<OnlineEstimator>,
     pairs: Vec<MatchedPair>,
-    trajectories: Vec<Vec<(u64, f64, f64)>>,
 }
 
-impl SweepProgress {
-    fn new(configs: usize) -> Self {
-        SweepProgress {
-            estimators: vec![OnlineEstimator::new(); configs],
-            pairs: vec![MatchedPair::new(); configs.saturating_sub(1)],
-            trajectories: vec![Vec::new(); configs],
-        }
-    }
-
-    /// Record one live-point's CPI under every configuration.
-    fn push(&mut self, cpis: &[f64]) {
-        for (est, &cpi) in self.estimators.iter_mut().zip(cpis) {
-            est.push(cpi);
-        }
-        for (pair, &cpi) in self.pairs.iter_mut().zip(&cpis[1..]) {
-            pair.push(cpis[0], cpi);
-        }
-    }
-
-    /// Merge another partial (parallel merge batches); trajectories are
-    /// not merged — the index-ordered replay regenerates them.
-    fn merge(&mut self, other: &SweepProgress) {
-        for (est, o) in self.estimators.iter_mut().zip(&other.estimators) {
-            est.merge(o);
-        }
-        for (pair, o) in self.pairs.iter_mut().zip(&other.pairs) {
-            pair.merge(o);
-        }
-    }
-
-    fn record_trajectory(&mut self, policy: &RunPolicy) {
-        for (est, traj) in self.estimators.iter().zip(self.trajectories.iter_mut()) {
-            traj.push((est.count(), est.mean(), est.half_width(policy.confidence)));
-        }
-    }
-
-    /// Whether every configuration's interval meets the policy target.
-    fn all_reached(&self, policy: &RunPolicy) -> bool {
-        self.estimators.iter().all(|est| {
-            est.count() >= MIN_SAMPLE_SIZE
-                && est.relative_half_width(policy.confidence) <= policy.target_rel_err
-        })
-    }
+/// Whether `est` meets the policy's confidence target.
+fn reached(est: &OnlineEstimator, policy: &RunPolicy) -> bool {
+    est.count() >= MIN_SAMPLE_SIZE
+        && est.relative_half_width(policy.confidence) <= policy.target_rel_err
 }
 
 /// Result of a design-space sweep.
@@ -114,7 +36,7 @@ impl SweepProgress {
 pub struct SweepOutcome {
     estimates: Vec<Estimate>,
     pairs: Vec<MatchedPair>,
-    confidence: spectral_stats::Confidence,
+    confidence: Confidence,
     processed: usize,
     reached_target: bool,
 }
@@ -179,363 +101,75 @@ impl<'l> SweepRunner<'l> {
         SweepRunner { library, machines }
     }
 
-    /// The candidate machine configurations.
-    pub fn machines(&self) -> &[MachineConfig] {
-        &self.machines
-    }
-
-    fn limit(&self, policy: &RunPolicy) -> usize {
-        policy.max_points.unwrap_or(usize::MAX).min(self.library.len())
-    }
-
-    /// Simulate one decoded live-point under every configuration.
-    /// Returns the per-config CPIs plus the point's processing metadata
-    /// (one decode; simulate cost summed over all configurations).
-    fn measure_point(
-        &self,
-        index: usize,
-        program: &Program,
-        scratch: &mut DecodeScratch,
-    ) -> Result<(Vec<f64>, PointMeta), CoreError> {
-        let (lp, decode_ns) = decode_point(self.library, index, scratch)?; // the one decode
-        let mut simulate_ns = 0u64;
-        let cpis = self
-            .machines
-            .iter()
-            .map(|m| {
-                simulate_point(&lp, program, m).map(|(stats, ns)| {
-                    simulate_ns += ns;
-                    stats.cpi()
-                })
-            })
-            .collect::<Result<Vec<f64>, CoreError>>()?;
-        let meta = PointMeta {
-            decode_ns,
-            simulate_ns,
-            detail_start: lp.window.detail_start,
-            measure_start: lp.window.measure_start,
-        };
-        Ok((cpis, meta))
-    }
-
-    fn outcome(&self, progress: SweepProgress, policy: &RunPolicy, reached: bool) -> SweepOutcome {
-        let processed = progress.estimators[0].count() as usize;
-        let estimates = progress
-            .estimators
-            .into_iter()
-            .zip(progress.trajectories)
-            .map(|(est, traj)| {
-                let conf_reached = est.count() >= MIN_SAMPLE_SIZE
-                    && est.relative_half_width(policy.confidence) <= policy.target_rel_err;
-                Estimate::from_parts(
-                    est,
-                    policy.confidence,
-                    est.count() as usize,
-                    conf_reached,
-                    traj,
-                )
-            })
-            .collect();
-        SweepOutcome {
-            estimates,
-            pairs: progress.pairs,
-            confidence: policy.confidence,
-            processed,
-            reached_target: reached,
-        }
-    }
-
-    /// Serial sweep: runs until every configuration's interval meets the
-    /// policy target, the cap is hit, or the library is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode and simulation faults; an empty library is
-    /// [`CoreError::EmptyLibrary`].
+    /// Serial sweep: [`run_parallel`](Self::run_parallel) on one thread.
     pub fn run(&self, program: &Program, policy: &RunPolicy) -> Result<SweepOutcome, CoreError> {
-        self.run_recoverable(program, policy, &Recovery::none())
+        self.run_parallel(program, policy, 1)
     }
 
-    /// The checkpoint identity for this runner: one CPI per candidate
-    /// machine per live-point.
-    fn spec(&self, program: &Program, policy: &RunPolicy) -> CheckpointSpec {
-        CheckpointSpec {
-            kind: RunKind::Sweep,
-            benchmark: program.name().to_owned(),
-            library_hash: self.library.content_hash(),
-            policy_fp: policy_fingerprint(policy) ^ config_fingerprint(&self.machines),
-            arity: self.machines.len(),
-        }
-    }
-
-    /// Serial sweep with crash recovery (see [`Recovery`] and
-    /// [`OnlineRunner::run_recoverable`](crate::OnlineRunner::run_recoverable)
-    /// — checkpoints store each point's per-configuration CPI row and
-    /// resume replays the exact push sequence).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run`] raises, plus [`CoreError::Checkpoint`]
-    /// and [`CoreError::Interrupted`].
-    pub fn run_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        recovery: &Recovery,
-    ) -> Result<SweepOutcome, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let session = RecoverySession::start(recovery, self.spec(program, policy))?;
-        let _span = spectral_telemetry::span("run.sweep");
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "sweep", 1);
-        let mut tl = WorkerTimeline::new(seq, "sweep", 0);
-        let limit = self.limit(policy);
-        let mut progress = SweepProgress::new(self.machines.len());
-        let mut reached = false;
-        let mut reached_at = 0u64;
-        let mut scratch = DecodeScratch::new();
-        let mut monitor = HealthMonitor::new(seq, "sweep", 0, policy);
-        let progress_stride = policy.merge_stride.max(1) as u64;
-        let mut n = 0;
-        for i in 0..limit {
-            match session.restored(i) {
-                Some(row) => progress.push(row),
-                None => {
-                    // The anomaly stream watches the baseline
-                    // configuration's CPI; the point's simulate cost
-                    // covers every configuration.
-                    let (cpis, meta) = self.measure_point(i, program, &mut scratch)?;
-                    tl.note(ProfilePhase::Decode, meta.decode_ns);
-                    tl.note(ProfilePhase::Simulate, meta.simulate_ns);
-                    progress.push(&cpis);
-                    monitor.observe(i as u64, cpis[0], &meta);
-                    session.record(i, &cpis)?;
-                }
-            }
-            n = progress.estimators[0].count();
-            if policy.trajectory_stride > 0 && n.is_multiple_of(policy.trajectory_stride as u64) {
-                progress.record_trajectory(policy);
-            }
-            if n.is_multiple_of(progress_stride) {
-                emit_progress(&monitor, &progress.estimators, policy, 0);
-            }
-            if !reached && progress.all_reached(policy) {
-                reached = true;
-                reached_at = n;
-                note_early_stop(n);
-            }
-            if reached && policy.stop_at_target {
-                break;
-            }
-        }
-        let overshoot = overshoot_of(reached, reached_at, n);
-        if !n.is_multiple_of(progress_stride) || overshoot > 0 {
-            emit_progress(&monitor, &progress.estimators, policy, overshoot);
-        }
-        session.finish()?;
-        Ok(self.outcome(progress, policy, reached))
-    }
-
-    /// Parallel sweep on the scheduling machinery of
-    /// [`OnlineRunner::run_parallel`](crate::OnlineRunner::run_parallel):
-    /// workers claim index chunks per [`RunPolicy::sched`], decode each
-    /// point once (up to [`RunPolicy::prefetch`] points ahead),
-    /// simulate all configurations, and merge thread-local partials
-    /// into the shared state every [`RunPolicy::merge_stride`] points;
-    /// termination requires every configuration to meet the target on
-    /// the merged state. Per-config CPI vectors are logged per chunk
-    /// and replayed in ascending index order after the join — including
-    /// trajectory regeneration — so an exhaustive run is bit-identical
-    /// to serial.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker fault; an empty library is
-    /// [`CoreError::EmptyLibrary`].
+    /// Run until every configuration's interval meets the policy
+    /// target, the cap is hit, or the library is exhausted. Each
+    /// live-point is decoded once and simulated under every
+    /// configuration; threading, determinism (trajectories included)
+    /// and recovery are as for
+    /// [`OnlineRunner::run_parallel`](crate::OnlineRunner::run_parallel),
+    /// errors included.
     pub fn run_parallel(
         &self,
         program: &Program,
         policy: &RunPolicy,
         threads: usize,
     ) -> Result<SweepOutcome, CoreError> {
-        self.run_parallel_recoverable(program, policy, threads, &Recovery::none())
+        let run = drive(self, self.library, program, policy, threads)?;
+        let confidence = policy.confidence;
+        let estimates = (run.acc.estimators.into_iter().zip(run.trajectories))
+            .map(|(estimator, trajectory)| {
+                let (processed, reached_target) =
+                    (estimator.count() as usize, reached(&estimator, policy));
+                Estimate { estimator, confidence, processed, reached_target, trajectory }
+            })
+            .collect();
+        Ok(SweepOutcome {
+            estimates,
+            pairs: run.acc.pairs,
+            confidence,
+            processed: run.processed,
+            reached_target: run.reached,
+        })
     }
+}
 
-    /// Parallel sweep with crash recovery (see [`Recovery`] and
-    /// [`OnlineRunner::run_parallel_recoverable`](crate::OnlineRunner::run_parallel_recoverable)).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Self::run_parallel`] raises, plus
-    /// [`CoreError::Checkpoint`] and [`CoreError::Interrupted`].
-    pub fn run_parallel_recoverable(
-        &self,
-        program: &Program,
-        policy: &RunPolicy,
-        threads: usize,
-        recovery: &Recovery,
-    ) -> Result<SweepOutcome, CoreError> {
-        if self.library.is_empty() {
-            return Err(CoreError::EmptyLibrary);
+impl Observe for SweepRunner<'_> {
+    type Acc = SweepProgress;
+    const KIND: RunKind = RunKind::Sweep;
+
+    fn machines(&self) -> &[MachineConfig] {
+        &self.machines
+    }
+    fn acc(&self) -> SweepProgress {
+        let n = self.machines.len();
+        SweepProgress {
+            estimators: vec![OnlineEstimator::new(); n],
+            pairs: vec![MatchedPair::new(); n - 1],
         }
-        let session = RecoverySession::start(recovery, self.spec(program, policy))?;
-        let _span = spectral_telemetry::span("run.sweep_parallel");
-        let limit = self.limit(policy);
-        let threads = threads.clamp(1, limit);
-        let merge_stride = policy.merge_stride.max(1) as u64;
-        let configs = self.machines.len();
-        let coord: ShardCoordinator<SweepProgress> =
-            ShardCoordinator::with_progress(SweepProgress::new(configs));
-        let cursor = policy.cursor(limit, threads);
-
-        let flush =
-            |batch: &mut SweepProgress, monitor: &HealthMonitor, tl: &mut WorkerTimeline| {
-                let mut guard = tl.enter(ProfilePhase::MergeWait);
-                let mut merged = coord.lock_progress();
-                guard.switch(ProfilePhase::Merge);
-                merged.merge(batch);
-                let done = merged.all_reached(policy);
-                let count = merged.estimators[0].count();
-                let estimators = merged.estimators.clone();
-                drop(merged);
-                drop(guard);
-                *batch = SweepProgress::new(configs);
-                emit_progress(monitor, &estimators, policy, 0);
-                if policy.stop_at_target {
-                    if let Some(cursor) = &cursor {
-                        // The sweep stops on its worst configuration: feed
-                        // the chunk sizer the largest relative half-width.
-                        let worst = estimators
-                            .iter()
-                            .map(|e| e.relative_half_width(policy.confidence))
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        cursor.note_rel_error(worst, policy.target_rel_err);
-                    }
-                }
-                if done {
-                    coord.note_reached(count, policy);
-                }
-            };
-
-        let seq = spectral_telemetry::next_run_seq();
-        let _profile = spectral_telemetry::run_scope(seq, "sweep", threads);
-        let logs: Vec<ChunkLog<Vec<f64>>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let coord = &coord;
-                let cursor = cursor.as_ref();
-                let flush = &flush;
-                let session = &session;
-                handles.push(scope.spawn(move || {
-                    let wall = Stopwatch::start();
-                    let mut busy = 0u64;
-                    let mut log = ChunkLog::new();
-                    let mut batch = SweepProgress::new(configs);
-                    let mut scratch = DecodeScratch::new();
-                    let mut ring = PrefetchRing::new(policy.prefetch, worker);
-                    let mut monitor = HealthMonitor::new(seq, "sweep", worker, policy);
-                    let mut tl = WorkerTimeline::new(seq, "sweep", worker);
-                    let mut queue = match cursor {
-                        Some(c) => WorkQueue::chunked(c, worker),
-                        None => WorkQueue::stride(worker, threads, limit),
-                    };
-                    'chunks: while !coord.stop.load(Ordering::Relaxed) {
-                        let Some(chunk) = queue.next_chunk(&mut tl) else { break };
-                        log.begin(chunk.start, chunk.len());
-                        // Restored indices never re-decode; the
-                        // prefetch ring sees only the fresh remainder.
-                        let mut pending = chunk.clone().filter(|&i| !session.knows(i));
-                        for index in chunk {
-                            if coord.stop.load(Ordering::Relaxed) {
-                                ring.clear();
-                                break 'chunks;
-                            }
-                            let cpis = if let Some(row) = session.restored(index) {
-                                row.to_vec()
-                            } else {
-                                if let Err(e) =
-                                    ring.fill(self.library, &mut pending, &mut scratch, &mut tl)
-                                {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                let (lp, decode_ns) =
-                                    ring.pop().expect("ring holds the current index");
-                                let mut simulate_ns = 0u64;
-                                let cpis = self
-                                    .machines
-                                    .iter()
-                                    .map(|m| {
-                                        simulate_point(&lp, program, m).map(|(stats, ns)| {
-                                            simulate_ns += ns;
-                                            stats.cpi()
-                                        })
-                                    })
-                                    .collect::<Result<Vec<f64>, CoreError>>();
-                                let cpis = match cpis {
-                                    Ok(c) => c,
-                                    Err(e) => {
-                                        coord.fail(e);
-                                        break 'chunks;
-                                    }
-                                };
-                                tl.note(ProfilePhase::Simulate, simulate_ns);
-                                busy += decode_ns + simulate_ns;
-                                let meta = PointMeta {
-                                    decode_ns,
-                                    simulate_ns,
-                                    detail_start: lp.window.detail_start,
-                                    measure_start: lp.window.measure_start,
-                                };
-                                monitor.observe(index as u64, cpis[0], &meta);
-                                if let Err(e) = session.record(index, &cpis) {
-                                    coord.fail(e);
-                                    break 'chunks;
-                                }
-                                cpis
-                            };
-                            batch.push(&cpis);
-                            log.push(cpis);
-                            if batch.estimators[0].count() >= merge_stride {
-                                flush(&mut batch, &monitor, &mut tl);
-                            }
-                        }
-                    }
-                    if batch.estimators[0].count() > 0 {
-                        flush(&mut batch, &monitor, &mut tl);
-                    }
-                    queue.finish();
-                    crate::sched::note_worker_time(busy, wall.ns());
-                    log
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker threads do not panic")).collect()
-        });
-
-        let (reached, stop_n, fault) = coord.finish();
-        if let Some(e) = fault {
-            return Err(e);
+    }
+    fn push(&self, acc: &mut SweepProgress, row: &[f64]) {
+        for (est, &cpi) in acc.estimators.iter_mut().zip(row) {
+            est.push(cpi);
         }
-        session.finish()?;
-        // Deterministic reduction: replay each point's per-config CPIs
-        // in ascending index order, regenerating the trajectories
-        // exactly as the serial loop would.
-        let mut progress = SweepProgress::new(configs);
-        let mut n = 0;
-        for cpis in ChunkLog::into_ordered(logs) {
-            progress.push(&cpis);
-            n = progress.estimators[0].count();
-            if policy.trajectory_stride > 0 && n.is_multiple_of(policy.trajectory_stride as u64) {
-                progress.record_trajectory(policy);
-            }
+        for (pair, &cpi) in acc.pairs.iter_mut().zip(&row[1..]) {
+            pair.push(row[0], cpi);
         }
-        // Close the event stream with the replayed estimators and the
-        // exact overshoot past the stop point.
-        let monitor = HealthMonitor::new(seq, "sweep", 0, policy);
-        emit_progress(&monitor, &progress.estimators, policy, overshoot_of(reached, stop_n, n));
-        Ok(self.outcome(progress, policy, reached))
+    }
+    /// The sweep stops on its worst configuration: every interval must
+    /// meet the target.
+    fn status(&self, acc: &SweepProgress, policy: &RunPolicy) -> (f64, bool) {
+        let rels = acc.estimators.iter().map(|e| e.relative_half_width(policy.confidence));
+        let worst = rels.fold(f64::NEG_INFINITY, f64::max);
+        (worst, acc.estimators.iter().all(|e| reached(e, policy)))
+    }
+    fn series<'a>(&self, acc: &'a SweepProgress) -> Vec<Series<'a>> {
+        let configs = acc.estimators.iter().enumerate();
+        configs.map(|(j, est)| ("cpi", Some(j), est as &dyn Interval)).collect()
     }
 }
 

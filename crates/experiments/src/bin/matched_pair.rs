@@ -6,38 +6,15 @@
 //! relative to absolute estimation, with the largest wins on changes
 //! that have little effect.
 
-use std::path::{Path, PathBuf};
-
-use spectral_core::{CreationConfig, LivePointLibrary, MatchedRunner, Recovery, RunPolicy};
+use spectral_core::{CreationConfig, LivePointLibrary, MatchedRunner, RunPolicy};
 use spectral_experiments::{load_cases, run_main, Args, ExpError, Report, Timer};
 use spectral_uarch::{FuPools, MachineConfig};
 
-/// Per-(benchmark, variant) sidecar path: `--checkpoint` / `--resume`
-/// name a path *prefix* here, since one invocation runs many
-/// independent matched-pair comparisons.
-fn sidecar(base: &Path, bench: &str, variant: usize) -> PathBuf {
-    let mut name = base.as_os_str().to_owned();
-    name.push(format!(".{bench}.v{variant}"));
-    PathBuf::from(name)
-}
-
-/// The recovery configuration for one (benchmark, variant) cell.
-fn cell_recovery(args: &Args, bench: &str, variant: usize) -> Recovery {
-    let mut r = Recovery::none();
-    if let Some(base) = &args.checkpoint {
-        let every = args.checkpoint_every.unwrap_or(64) as usize;
-        r = r.checkpoint_to(sidecar(base, bench, variant), every);
-    }
-    if let Some(base) = &args.resume {
-        let p = sidecar(base, bench, variant);
-        // Cells the crashed invocation never reached have no sidecar to
-        // replay; they run fresh. A bad prefix is caught up front in
-        // `run`, so this cannot silently resume nothing.
-        if p.exists() {
-            r = r.resume_from(p);
-        }
-    }
-    r
+/// The recovery sidecar name of one (benchmark, variant) cell:
+/// `--checkpoint` / `--resume` name a path *prefix* here, since one
+/// invocation runs many independent matched-pair comparisons.
+fn cell(bench: &str, variant: usize) -> String {
+    format!("{bench}.v{variant}")
 }
 
 fn main() -> std::process::ExitCode {
@@ -79,19 +56,9 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     ];
 
     args.stamp_recovery(&mut manifest);
-    if let Some(base) = &args.resume {
-        let any = cases
-            .iter()
-            .any(|case| (0..variants.len()).any(|vi| sidecar(base, case.name(), vi).exists()));
-        if !any {
-            return Err(ExpError::msg(format!(
-                "--resume {}: no checkpoint sidecars found for that prefix \
-                 (expected files like {})",
-                base.display(),
-                sidecar(base, cases[0].name(), 0).display()
-            )));
-        }
-    }
+    let cells: Vec<String> =
+        cases.iter().flat_map(|case| (0..variants.len()).map(|vi| cell(case.name(), vi))).collect();
+    args.check_resume_prefix(&cells)?;
 
     report.line("== Matched-pair comparison (paper SS6.2): sample-size reduction ==");
     report.line(format!("benchmarks={} library cap={}\n", cases.len(), library_cap));
@@ -108,9 +75,12 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         let t = Timer::start();
         for (vi, (label, variant)) in variants.iter().enumerate() {
             let runner = MatchedRunner::new(&library, base.clone(), variant.clone());
-            let recovery = cell_recovery(&args, case.name(), vi);
-            let out =
-                runner.run_parallel_recoverable(&case.program, &policy, threads, &recovery)?;
+            let recovery = args.cell_recovery(&cell(case.name(), vi));
+            let out = runner.run_parallel(
+                &case.program,
+                &RunPolicy { recovery, ..policy.clone() },
+                threads,
+            )?;
             let absolute =
                 out.pair().required_absolute_sample(policy.target_rel_err, policy.confidence);
             let matched =

@@ -23,7 +23,6 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let case = &cases[0];
     let machine = MachineConfig::eight_way();
     let library_cap = args.window_count(400);
-    let recovery = args.recovery();
     let mut report = Report::new("online");
     let mut manifest = args.manifest("online", case.name());
     manifest.seed = Some(CreationConfig::for_machine(&machine).seed);
@@ -90,23 +89,14 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     // estimator push sequence and lands on bit-identical estimates.
     let t = Timer::start();
     let target = args.target_rel_err(RunPolicy::default().target_rel_err);
-    let policy = RunPolicy {
+    let policy = args.sched_policy(RunPolicy {
         target_rel_err: target,
         stop_at_target: false,
         trajectory_stride: 20,
+        recovery: args.recovery(),
         ..RunPolicy::default()
-    };
-    let threads = args.thread_count();
-    let estimate = if threads > 1 && recovery.is_active() {
-        runner.run_parallel_recoverable(
-            &case.program,
-            &args.sched_policy(policy),
-            threads,
-            &recovery,
-        )?
-    } else {
-        runner.run_recoverable(&case.program, &policy, &recovery)?
-    };
+    });
+    let estimate = runner.run_parallel(&case.program, &policy, args.thread_count())?;
     manifest.phase("run_exhaustive", t.secs());
     let reference = complete_detailed(&machine, &case.program);
 

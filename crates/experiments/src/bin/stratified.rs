@@ -13,8 +13,11 @@ fn main() -> std::process::ExitCode {
     run_main("stratified", run)
 }
 
+/// The runs per benchmark, each with its own recovery sidecar
+/// `<prefix>.<benchmark>.<leg>` under `--checkpoint` / `--resume`.
+const LEGS: [&str; 4] = ["uniform", "strat", "uniform-early", "strat-early"];
+
 fn run(mut args: Args) -> Result<(), ExpError> {
-    args.reject_recovery_flags("stratified")?;
     if args.benchmarks.is_none() && args.limit.is_none() && !args.quick {
         // Phased benchmarks, where position tracks phase.
         args.benchmarks = Some(vec![
@@ -32,6 +35,10 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     let mut report = Report::new("stratified");
     let mut manifest = args.manifest("stratified", &benchmarks.join(","));
+    args.stamp_recovery(&mut manifest);
+    let cells: Vec<String> =
+        benchmarks.iter().flat_map(|b| LEGS.map(|leg| format!("{b}.{leg}"))).collect();
+    args.check_resume_prefix(&cells)?;
 
     report.line("== Stratified vs uniform estimation (position-band strata) ==");
     report.line(format!("benchmarks={} library cap={}\n", cases.len(), library_cap));
@@ -41,6 +48,12 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         trajectory_stride: 0,
         ..RunPolicy::default()
     });
+    // Early termination at the paper's ±3% target.
+    let target = args.sched_policy(RunPolicy::default());
+    let leg = |bench: &str, name: &str, policy: &RunPolicy| RunPolicy {
+        recovery: args.cell_recovery(&format!("{bench}.{name}")),
+        ..policy.clone()
+    };
     let t = Timer::start();
     let mut points = 0u64;
     let mut rows = Vec::new();
@@ -48,21 +61,16 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         let cfg = CreationConfig::for_machine(&machine).with_sample_size(library_cap);
         let lib = LivePointLibrary::create_parallel(&case.program, &cfg, threads)?;
 
-        // The uniform comparator runs sharded-parallel; the stratified
-        // runner is serial (per-stratum accumulation).
-        let uniform = OnlineRunner::new(&lib, machine.clone()).run_parallel(
-            &case.program,
-            &exhaustive,
-            threads,
-        )?;
-        let strat =
-            StratifiedRunner::new(&lib, machine.clone(), 4).run(&case.program, &exhaustive)?;
-
-        // Early-termination comparison at the paper's ±3% target.
-        let target = args.sched_policy(RunPolicy::default());
-        let u_early = OnlineRunner::new(&lib, machine.clone()).run(&case.program, &target)?;
-        let s_early =
-            StratifiedRunner::new(&lib, machine.clone(), 4).run(&case.program, &target)?;
+        let (program, name) = (&case.program, case.name());
+        let online = OnlineRunner::new(&lib, machine.clone());
+        let stratified = StratifiedRunner::new(&lib, machine.clone(), 4);
+        // Both exhaustive legs run on `--threads` workers. The
+        // early-termination legs stay serial, so the point counts they
+        // report are the exact stop points.
+        let uniform = online.run_parallel(program, &leg(name, "uniform", &exhaustive), threads)?;
+        let strat = stratified.run_parallel(program, &leg(name, "strat", &exhaustive), threads)?;
+        let u_early = online.run(program, &leg(name, "uniform-early", &target))?;
+        let s_early = stratified.run(program, &leg(name, "strat-early", &target))?;
         points +=
             (uniform.processed() + strat.processed() + u_early.processed() + s_early.processed())
                 as u64;

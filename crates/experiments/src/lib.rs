@@ -43,8 +43,10 @@
 //!   (default 64)
 //! * `--resume PATH` — restart an interrupted run from a checkpoint
 //!   written by `--checkpoint`; resumed estimates are bit-identical to
-//!   an uninterrupted run. Binaries without a resumable run loop
-//!   reject the recovery flags instead of silently restarting.
+//!   an uninterrupted run. Binaries that run many estimates
+//!   (`matched_pair`, `stratified`) treat PATH as a prefix with one
+//!   sidecar per run; binaries without a resumable run loop reject the
+//!   recovery flags instead of silently restarting.
 //! * `--metrics-out PATH` — write a JSON run manifest (with the full
 //!   metrics snapshot embedded) on exit
 //! * `--trace PATH` — append JSONL span events to PATH as the run
@@ -74,7 +76,7 @@
 
 use std::fmt;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use spectral_isa::Program;
@@ -437,6 +439,45 @@ impl Args {
         r
     }
 
+    /// The recovery configuration for run `cell` of a binary that runs
+    /// many estimates: `--checkpoint` and `--resume` name a path
+    /// *prefix*, and the run's sidecar is `<prefix>.<cell>`. A cell the
+    /// crashed invocation never reached has no sidecar and runs fresh;
+    /// [`Self::check_resume_prefix`] catches a prefix that matches
+    /// nothing.
+    pub fn cell_recovery(&self, cell: &str) -> spectral_core::Recovery {
+        let mut r = spectral_core::Recovery::none();
+        if let Some(base) = &self.checkpoint {
+            let every = self.checkpoint_every.unwrap_or(64) as usize;
+            r = r.checkpoint_to(sidecar(base, cell), every);
+        }
+        if let Some(base) = &self.resume {
+            let path = sidecar(base, cell);
+            if path.exists() {
+                r = r.resume_from(path);
+            }
+        }
+        r
+    }
+
+    /// Fail when `--resume` names a prefix with no sidecar for any of
+    /// `cells`, instead of silently restarting every run from zero.
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic naming the prefix and an expected sidecar path.
+    pub fn check_resume_prefix(&self, cells: &[String]) -> Result<(), ExpError> {
+        let Some(base) = &self.resume else { return Ok(()) };
+        if cells.iter().any(|cell| sidecar(base, cell).exists()) {
+            return Ok(());
+        }
+        Err(ExpError(format!(
+            "--resume {}: no checkpoint sidecars found for that prefix (expected files like {})",
+            base.display(),
+            sidecar(base, cells.first().map_or("", String::as_str)).display()
+        )))
+    }
+
     /// Stamp resume lineage into a run manifest: when `--resume` named
     /// a checkpoint, a `resumed_from` note records it so the manifest,
     /// the registry record, and `doctor analyze` can distinguish
@@ -459,7 +500,7 @@ impl Args {
         if self.checkpoint.is_some() || self.checkpoint_every.is_some() || self.resume.is_some() {
             return Err(ExpError(format!(
                 "{binary} does not support --checkpoint/--checkpoint-every/--resume \
-                 (resumable binaries: online, matched_pair)"
+                 (resumable binaries: online, matched_pair, stratified)"
             )));
         }
         Ok(())
@@ -477,6 +518,14 @@ impl Args {
         }
         policy
     }
+}
+
+/// Run `cell`'s sidecar under the recovery prefix `base`:
+/// `<base>.<cell>`.
+fn sidecar(base: &Path, cell: &str) -> PathBuf {
+    let mut name = base.as_os_str().to_owned();
+    name.push(format!(".{cell}"));
+    PathBuf::from(name)
 }
 
 impl Args {

@@ -4,7 +4,7 @@
 //! either old or new — never torn — and a killed checkpointing run must
 //! resume to the same printed estimate an uninterrupted run produces.
 //!
-//! The in-process differential suite (`crates/core/tests/resume.rs`)
+//! The in-process differential suite (`tests/resume.rs`)
 //! pins bit-identity; this suite pins the end-to-end operator story:
 //! crash the binary for real, restart it with `--resume`, read the same
 //! answer.

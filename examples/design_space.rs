@@ -87,6 +87,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // the candidates.
     let mut machines = vec![base];
     machines.extend(candidates.iter().map(|(_, m)| m.clone()));
+    let configs = machines.len();
     let sweep = SweepRunner::new(&library, machines);
     let policy = RunPolicy::default();
     let t = Instant::now();
@@ -95,7 +96,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     manifest.points_processed = Some(outcome.processed() as u64);
     println!(
         "swept {} configurations over {} decoded points in {:.2?} ({} worker(s))\n",
-        sweep.machines().len(),
+        configs,
         outcome.processed(),
         t.elapsed(),
         threads

@@ -9,10 +9,10 @@
 //! them. Any behavioural drift in the kernel shows up as a digest
 //! mismatch here before it can silently bias an experiment.
 //!
-//! The parallel tests extend the same guard over the dynamic
-//! chunk-claiming scheduler: exhaustive parallel runs (online, matched,
-//! sweep) must reproduce the serial goldens bit-for-bit at every thread
-//! count, in both scheduling modes.
+//! The parallel tests extend the same guard over the run driver:
+//! exhaustive parallel runs (online, matched, sweep, stratified) must
+//! reproduce the serial results bit-for-bit at every thread count, and
+//! a one-thread run must stop exactly where the serial run stops.
 //!
 //! To regenerate the goldens after an *intentional* behaviour change,
 //! run with `SPECTRAL_DIFF_PRINT=1 cargo test --release --test
@@ -20,7 +20,7 @@
 
 use spectral_core::{
     simulate_live_point, CreationConfig, LivePointLibrary, MatchedRunner, OnlineRunner, RunPolicy,
-    SchedMode, SweepRunner, V2WriteOptions,
+    StratifiedRunner, SweepRunner, V2WriteOptions,
 };
 use spectral_uarch::{MachineConfig, WindowStats};
 use spectral_workloads::tiny;
@@ -146,28 +146,25 @@ fn online_estimate_is_bit_identical() {
 
 #[test]
 fn parallel_online_is_bit_identical_at_any_thread_count() {
-    // The dynamic chunk-claiming scheduler replays observations in
-    // index order after the join, so an exhaustive parallel run must
-    // reproduce the serial goldens exactly — whatever the thread count
-    // or scheduling mode.
+    // The run driver replays observations in index order after the
+    // join, so an exhaustive parallel run must reproduce the serial
+    // goldens exactly — whatever the thread count.
     let (program, library) = setup();
     let runner = OnlineRunner::new(&library, MachineConfig::eight_way());
-    for sched in [SchedMode::DynamicChunk, SchedMode::StaticStride] {
-        for threads in [1usize, 2, 4] {
-            let policy = RunPolicy { sched, ..exhaustive() };
-            let est = runner.run_parallel(&program, &policy, threads).expect("parallel run");
-            assert_eq!(est.processed(), GOLDEN_RUN_PROCESSED, "{sched:?} x{threads}");
-            assert_eq!(
-                est.mean().to_bits(),
-                GOLDEN_RUN_MEAN_BITS,
-                "{sched:?} x{threads}: parallel mean drifted from the serial golden"
-            );
-            assert_eq!(
-                est.estimator().variance().to_bits(),
-                GOLDEN_RUN_VARIANCE_BITS,
-                "{sched:?} x{threads}: parallel variance drifted from the serial golden"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let policy = exhaustive();
+        let est = runner.run_parallel(&program, &policy, threads).expect("parallel run");
+        assert_eq!(est.processed(), GOLDEN_RUN_PROCESSED, "x{threads}");
+        assert_eq!(
+            est.mean().to_bits(),
+            GOLDEN_RUN_MEAN_BITS,
+            "x{threads}: parallel mean drifted from the serial golden"
+        );
+        assert_eq!(
+            est.estimator().variance().to_bits(),
+            GOLDEN_RUN_VARIANCE_BITS,
+            "x{threads}: parallel variance drifted from the serial golden"
+        );
     }
 }
 
@@ -227,6 +224,63 @@ fn parallel_sweep_is_bit_identical() {
         let out = sweep.run_parallel(&program, &exhaustive(), threads).expect("parallel sweep");
         let means: Vec<u64> = out.estimates().iter().map(|e| e.mean().to_bits()).collect();
         assert_eq!(means, GOLDEN_SWEEP_MEAN_BITS, "x{threads}: sweep means drifted");
+    }
+}
+
+#[test]
+fn parallel_stratified_is_bit_identical() {
+    let (program, library) = setup();
+    let runner = StratifiedRunner::new(&library, MachineConfig::eight_way(), 3);
+    let serial = runner.run(&program, &exhaustive()).expect("serial stratified run");
+    assert_eq!(serial.processed(), library.len());
+    for threads in [2usize, 4] {
+        let parallel =
+            runner.run_parallel(&program, &exhaustive(), threads).expect("parallel stratified");
+        assert_eq!(parallel.processed(), serial.processed(), "x{threads}");
+        assert_eq!(
+            parallel.mean().to_bits(),
+            serial.mean().to_bits(),
+            "x{threads}: stratified mean drifted"
+        );
+        assert_eq!(
+            parallel.half_width().to_bits(),
+            serial.half_width().to_bits(),
+            "x{threads}: stratified half-width drifted"
+        );
+    }
+}
+
+#[test]
+fn one_thread_stops_where_serial_stops() {
+    // Early-stopping runs: a one-thread run checks the stop rule after
+    // every point, as the serial run does, so it stops at the same n
+    // with the same bits — not at the next merge stride.
+    let program = tiny().build();
+    let mut cfg = CreationConfig::default().with_sample_size(40);
+    cfg.unit_len = 500;
+    cfg.warm_len = 1500;
+    let library = LivePointLibrary::create(&program, &cfg).expect("fixture library");
+    let m = MachineConfig::eight_way();
+    let slow = m.clone().with_mem_latency(200);
+    for (experiment, target_rel_err) in [(m.clone(), 0.03), (slow, 0.2)] {
+        let runner = MatchedRunner::new(&library, m.clone(), experiment);
+        let policy = RunPolicy { target_rel_err, ..RunPolicy::default() };
+        let serial = runner.run(&program, &policy).expect("serial matched run");
+        let one = runner.run_parallel(&program, &policy, 1).expect("one-thread matched run");
+        assert!(serial.reached_target(), "the policy stops early");
+        assert_eq!(one.processed(), serial.processed(), "matched: stop point moved");
+        assert_eq!(one.delta_mean().to_bits(), serial.delta_mean().to_bits());
+        assert_eq!(one.delta_half_width().to_bits(), serial.delta_half_width().to_bits());
+    }
+    let runner = OnlineRunner::new(&library, m);
+    for target_rel_err in [0.5, 0.9] {
+        let policy = RunPolicy { target_rel_err, ..RunPolicy::default() };
+        let serial = runner.run(&program, &policy).expect("serial online run");
+        let one = runner.run_parallel(&program, &policy, 1).expect("one-thread online run");
+        assert!(serial.reached_target(), "the policy stops early");
+        assert_eq!(one.processed(), serial.processed(), "online: stop point moved");
+        assert_eq!(one.mean().to_bits(), serial.mean().to_bits());
+        assert_eq!(one.half_width().to_bits(), serial.half_width().to_bits());
     }
 }
 

@@ -1,8 +1,7 @@
 //! Differential resume tests: a run interrupted at an arbitrary point
 //! and resumed from its checkpoint must produce estimates **bit
 //! identical** to the same run never having been interrupted — serial
-//! and parallel (1/2/4 threads), in both scheduling modes, for all
-//! three runner kinds.
+//! and parallel (1/2/4 threads), for all four runner kinds.
 //!
 //! Interruption uses [`Recovery::abort_after`], the deterministic
 //! in-process stand-in for `kill -9` (the experiments crate exercises
@@ -17,7 +16,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use spectral_core::{
     CoreError, CreationConfig, LivePointLibrary, MatchedRunner, OnlineRunner, Recovery,
-    RunCheckpoint, RunPolicy, SchedMode, SweepRunner,
+    RunCheckpoint, RunPolicy, StratifiedRunner, SweepRunner,
 };
 use spectral_uarch::MachineConfig;
 use spectral_workloads::{tiny, Benchmark};
@@ -37,11 +36,16 @@ fn library() -> &'static LivePointLibrary {
 }
 
 /// Exhaustive policy: parallel early termination stops at a
-/// scheduling-dependent point, so the cross-mode differential runs
+/// scheduling-dependent point, so the cross-thread differential runs
 /// process the whole library. A small merge stride keeps the batching
 /// machinery engaged even on the tiny fixture.
-fn exhaustive(sched: SchedMode) -> RunPolicy {
-    RunPolicy { stop_at_target: false, merge_stride: 3, sched, ..RunPolicy::default() }
+fn exhaustive() -> RunPolicy {
+    RunPolicy { stop_at_target: false, merge_stride: 3, ..RunPolicy::default() }
+}
+
+/// `policy` with `recovery`.
+fn with(policy: &RunPolicy, recovery: Recovery) -> RunPolicy {
+    RunPolicy { recovery, ..policy.clone() }
 }
 
 /// Fresh sidecar path in the per-process temp dir.
@@ -68,16 +72,16 @@ fn interrupted_then_resumed_online(
     path: &PathBuf,
 ) -> spectral_core::Estimate {
     let program = bench().build();
-    let crash = Recovery::none().checkpoint_to(path, 2).abort_after(kill_at);
+    let crash = with(policy, Recovery::none().checkpoint_to(path, 2).abort_after(kill_at));
     let err = match threads {
-        Some(t) => runner.run_parallel_recoverable(&program, policy, t, &crash).unwrap_err(),
-        None => runner.run_recoverable(&program, policy, &crash).unwrap_err(),
+        Some(t) => runner.run_parallel(&program, &crash, t).unwrap_err(),
+        None => runner.run(&program, &crash).unwrap_err(),
     };
     assert!(matches!(err, CoreError::Interrupted { .. }), "expected interruption, got: {err}");
-    let resume = Recovery::none().checkpoint_to(path, 2).resume_from(path);
+    let resume = with(policy, Recovery::none().checkpoint_to(path, 2).resume_from(path));
     match threads {
-        Some(t) => runner.run_parallel_recoverable(&program, policy, t, &resume).unwrap(),
-        None => runner.run_recoverable(&program, policy, &resume).unwrap(),
+        Some(t) => runner.run_parallel(&program, &resume, t).unwrap(),
+        None => runner.run(&program, &resume).unwrap(),
     }
 }
 
@@ -85,7 +89,7 @@ fn interrupted_then_resumed_online(
 fn online_serial_resume_is_bit_identical() {
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
     let program = bench().build();
-    let policy = exhaustive(SchedMode::DynamicChunk);
+    let policy = exhaustive();
     let baseline = runner.run(&program, &policy).unwrap();
     for kill_at in [1u64, 5, 10] {
         let path = ckpt(&format!("online-serial-{kill_at}.ckpt"));
@@ -97,24 +101,21 @@ fn online_serial_resume_is_bit_identical() {
 }
 
 #[test]
-fn online_parallel_resume_is_bit_identical_all_threads_and_modes() {
+fn online_parallel_resume_is_bit_identical_all_threads() {
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
     let program = bench().build();
-    for sched in [SchedMode::DynamicChunk, SchedMode::StaticStride] {
-        let policy = exhaustive(sched);
-        let baseline = runner.run(&program, &policy).unwrap();
-        for threads in [1usize, 2, 4] {
-            let path = ckpt(&format!("online-par-{sched:?}-{threads}.ckpt"));
-            let resumed =
-                interrupted_then_resumed_online(&runner, &policy, Some(threads), 5, &path);
-            assert_bits("mean", baseline.mean(), resumed.mean());
-            assert_bits("half_width", baseline.half_width(), resumed.half_width());
-            assert_eq!(
-                baseline.processed(),
-                resumed.processed(),
-                "{sched:?} x{threads}: processed-set must match the uninterrupted run"
-            );
-        }
+    let policy = exhaustive();
+    let baseline = runner.run(&program, &policy).unwrap();
+    for threads in [1usize, 2, 4] {
+        let path = ckpt(&format!("online-par-{threads}.ckpt"));
+        let resumed = interrupted_then_resumed_online(&runner, &policy, Some(threads), 5, &path);
+        assert_bits("mean", baseline.mean(), resumed.mean());
+        assert_bits("half_width", baseline.half_width(), resumed.half_width());
+        assert_eq!(
+            baseline.processed(),
+            resumed.processed(),
+            "x{threads}: processed-set must match the uninterrupted run"
+        );
     }
 }
 
@@ -122,7 +123,7 @@ fn online_parallel_resume_is_bit_identical_all_threads_and_modes() {
 fn online_survives_repeated_interruptions() {
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
     let program = bench().build();
-    let policy = exhaustive(SchedMode::DynamicChunk);
+    let policy = exhaustive();
     let baseline = runner.run(&program, &policy).unwrap();
     let path = ckpt("online-repeated.ckpt");
 
@@ -130,15 +131,15 @@ fn online_survives_repeated_interruptions() {
     // sidecar is re-seeded with restored observations on every leg, so
     // progress accumulates monotonically across crashes.
     let first = Recovery::none().checkpoint_to(&path, 2).abort_after(3);
-    assert!(runner.run_recoverable(&program, &policy, &first).is_err());
+    assert!(runner.run(&program, &with(&policy, first)).is_err());
     let n_first = RunCheckpoint::load(&path).unwrap().len();
     let second = Recovery::none().checkpoint_to(&path, 2).resume_from(&path).abort_after(3);
-    assert!(runner.run_recoverable(&program, &policy, &second).is_err());
+    assert!(runner.run(&program, &with(&policy, second)).is_err());
     let n_second = RunCheckpoint::load(&path).unwrap().len();
     assert!(n_second > n_first, "second leg must extend the checkpoint ({n_first}->{n_second})");
 
     let last = Recovery::none().checkpoint_to(&path, 2).resume_from(&path);
-    let resumed = runner.run_recoverable(&program, &policy, &last).unwrap();
+    let resumed = runner.run(&program, &with(&policy, last)).unwrap();
     assert_bits("mean", baseline.mean(), resumed.mean());
     assert_bits("half_width", baseline.half_width(), resumed.half_width());
     assert_eq!(baseline.processed(), resumed.processed());
@@ -150,34 +151,26 @@ fn matched_resume_is_bit_identical_serial_and_parallel() {
     let experiment = base.clone().with_mem_latency(200);
     let runner = MatchedRunner::new(library(), base, experiment);
     let program = bench().build();
-    for sched in [SchedMode::DynamicChunk, SchedMode::StaticStride] {
-        let policy = exhaustive(sched);
-        let baseline = runner.run(&program, &policy).unwrap();
-        for threads in [None, Some(1usize), Some(2), Some(4)] {
-            let label = threads.map_or("serial".into(), |t| format!("x{t}"));
-            let path = ckpt(&format!("matched-{sched:?}-{label}.ckpt"));
-            let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-            let err = match threads {
-                Some(t) => {
-                    runner.run_parallel_recoverable(&program, &policy, t, &crash).unwrap_err()
-                }
-                None => runner.run_recoverable(&program, &policy, &crash).unwrap_err(),
-            };
-            assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
-            let resume = Recovery::none().resume_from(&path);
-            let resumed = match threads {
-                Some(t) => runner.run_parallel_recoverable(&program, &policy, t, &resume).unwrap(),
-                None => runner.run_recoverable(&program, &policy, &resume).unwrap(),
-            };
-            assert_bits("delta_mean", baseline.delta_mean(), resumed.delta_mean());
-            assert_bits(
-                "delta_half_width",
-                baseline.delta_half_width(),
-                resumed.delta_half_width(),
-            );
-            assert_bits("base mean", baseline.pair().base().mean(), resumed.pair().base().mean());
-            assert_eq!(baseline.processed(), resumed.processed(), "{sched:?} {label}");
-        }
+    let policy = exhaustive();
+    let baseline = runner.run(&program, &policy).unwrap();
+    for threads in [None, Some(1usize), Some(2), Some(4)] {
+        let label = threads.map_or("serial".into(), |t| format!("x{t}"));
+        let path = ckpt(&format!("matched-{label}.ckpt"));
+        let crash = with(&policy, Recovery::none().checkpoint_to(&path, 2).abort_after(4));
+        let err = match threads {
+            Some(t) => runner.run_parallel(&program, &crash, t).unwrap_err(),
+            None => runner.run(&program, &crash).unwrap_err(),
+        };
+        assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
+        let resume = with(&policy, Recovery::none().resume_from(&path));
+        let resumed = match threads {
+            Some(t) => runner.run_parallel(&program, &resume, t).unwrap(),
+            None => runner.run(&program, &resume).unwrap(),
+        };
+        assert_bits("delta_mean", baseline.delta_mean(), resumed.delta_mean());
+        assert_bits("delta_half_width", baseline.delta_half_width(), resumed.delta_half_width());
+        assert_bits("base mean", baseline.pair().base().mean(), resumed.pair().base().mean());
+        assert_eq!(baseline.processed(), resumed.processed(), "{label}");
     }
 }
 
@@ -187,33 +180,55 @@ fn sweep_resume_is_bit_identical_serial_and_parallel() {
     let machines = vec![m.clone(), m.clone().with_mem_latency(120), m.with_mem_latency(200)];
     let runner = SweepRunner::new(library(), machines);
     let program = bench().build();
-    for sched in [SchedMode::DynamicChunk, SchedMode::StaticStride] {
-        let policy = exhaustive(sched);
-        let baseline = runner.run(&program, &policy).unwrap();
-        for threads in [None, Some(2usize), Some(4)] {
-            let label = threads.map_or("serial".into(), |t| format!("x{t}"));
-            let path = ckpt(&format!("sweep-{sched:?}-{label}.ckpt"));
-            let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-            let err = match threads {
-                Some(t) => {
-                    runner.run_parallel_recoverable(&program, &policy, t, &crash).unwrap_err()
-                }
-                None => runner.run_recoverable(&program, &policy, &crash).unwrap_err(),
-            };
-            assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
-            let resume = Recovery::none().resume_from(&path);
-            let resumed = match threads {
-                Some(t) => runner.run_parallel_recoverable(&program, &policy, t, &resume).unwrap(),
-                None => runner.run_recoverable(&program, &policy, &resume).unwrap(),
-            };
-            let (a, b) = (baseline.estimates(), resumed.estimates());
-            assert_eq!(a.len(), b.len());
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                assert_bits(&format!("machine {i} mean"), x.mean(), y.mean());
-                assert_bits(&format!("machine {i} half_width"), x.half_width(), y.half_width());
-                assert_eq!(x.processed(), y.processed(), "{sched:?} {label} machine {i}");
-            }
+    let policy = exhaustive();
+    let baseline = runner.run(&program, &policy).unwrap();
+    for threads in [None, Some(2usize), Some(4)] {
+        let label = threads.map_or("serial".into(), |t| format!("x{t}"));
+        let path = ckpt(&format!("sweep-{label}.ckpt"));
+        let crash = with(&policy, Recovery::none().checkpoint_to(&path, 2).abort_after(4));
+        let err = match threads {
+            Some(t) => runner.run_parallel(&program, &crash, t).unwrap_err(),
+            None => runner.run(&program, &crash).unwrap_err(),
+        };
+        assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
+        let resume = with(&policy, Recovery::none().resume_from(&path));
+        let resumed = match threads {
+            Some(t) => runner.run_parallel(&program, &resume, t).unwrap(),
+            None => runner.run(&program, &resume).unwrap(),
+        };
+        let (a, b) = (baseline.estimates(), resumed.estimates());
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_bits(&format!("machine {i} mean"), x.mean(), y.mean());
+            assert_bits(&format!("machine {i} half_width"), x.half_width(), y.half_width());
+            assert_eq!(x.processed(), y.processed(), "{label} machine {i}");
         }
+    }
+}
+
+#[test]
+fn stratified_resume_is_bit_identical_serial_and_parallel() {
+    let runner = StratifiedRunner::new(library(), MachineConfig::eight_way(), 3);
+    let program = bench().build();
+    let policy = exhaustive();
+    let baseline = runner.run(&program, &policy).unwrap();
+    for threads in [None, Some(1usize), Some(2), Some(4)] {
+        let label = threads.map_or("serial".into(), |t| format!("x{t}"));
+        let path = ckpt(&format!("stratified-{label}.ckpt"));
+        let crash = with(&policy, Recovery::none().checkpoint_to(&path, 2).abort_after(4));
+        let err = match threads {
+            Some(t) => runner.run_parallel(&program, &crash, t).unwrap_err(),
+            None => runner.run(&program, &crash).unwrap_err(),
+        };
+        assert!(matches!(err, CoreError::Interrupted { .. }), "{err}");
+        let resume = with(&policy, Recovery::none().resume_from(&path));
+        let resumed = match threads {
+            Some(t) => runner.run_parallel(&program, &resume, t).unwrap(),
+            None => runner.run(&program, &resume).unwrap(),
+        };
+        assert_bits("mean", baseline.mean(), resumed.mean());
+        assert_bits("half_width", baseline.half_width(), resumed.half_width());
+        assert_eq!(baseline.processed(), resumed.processed(), "{label}");
     }
 }
 
@@ -227,9 +242,8 @@ fn interrupted_online_ckpt() -> &'static PathBuf {
         let path = ckpt("identity-source.ckpt");
         let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
         let program = bench().build();
-        let policy = exhaustive(SchedMode::DynamicChunk);
-        let crash = Recovery::none().checkpoint_to(&path, 2).abort_after(4);
-        assert!(runner.run_recoverable(&program, &policy, &crash).is_err());
+        let crash = with(&exhaustive(), Recovery::none().checkpoint_to(&path, 2).abort_after(4));
+        assert!(runner.run(&program, &crash).is_err());
         path
     })
 }
@@ -239,10 +253,9 @@ fn resume_with_different_policy_refuses() {
     let path = interrupted_online_ckpt();
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
     let program = bench().build();
-    let mut other = exhaustive(SchedMode::DynamicChunk);
+    let mut other = with(&exhaustive(), Recovery::none().resume_from(path));
     other.merge_stride = 5;
-    let err =
-        runner.run_recoverable(&program, &other, &Recovery::none().resume_from(path)).unwrap_err();
+    let err = runner.run(&program, &other).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("refusing to resume"), "{msg}");
     assert!(!msg.contains('\n'), "one-line diagnostic: {msg}");
@@ -253,9 +266,8 @@ fn resume_with_different_machine_refuses() {
     let path = interrupted_online_ckpt();
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way().with_mem_latency(200));
     let program = bench().build();
-    let policy = exhaustive(SchedMode::DynamicChunk);
-    let err =
-        runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(path)).unwrap_err();
+    let policy = with(&exhaustive(), Recovery::none().resume_from(path));
+    let err = runner.run(&program, &policy).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("refusing to resume"), "{msg}");
 }
@@ -266,9 +278,8 @@ fn resume_with_different_runner_kind_refuses() {
     let base = MachineConfig::eight_way();
     let runner = MatchedRunner::new(library(), base.clone(), base.with_mem_latency(200));
     let program = bench().build();
-    let policy = exhaustive(SchedMode::DynamicChunk);
-    let err =
-        runner.run_recoverable(&program, &policy, &Recovery::none().resume_from(path)).unwrap_err();
+    let policy = with(&exhaustive(), Recovery::none().resume_from(path));
+    let err = runner.run(&program, &policy).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("run kind") && msg.contains("refusing to resume"), "{msg}");
 }
@@ -277,19 +288,17 @@ fn resume_with_different_runner_kind_refuses() {
 fn resume_from_missing_or_corrupt_checkpoint_never_silently_restarts() {
     let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
     let program = bench().build();
-    let policy = exhaustive(SchedMode::DynamicChunk);
+    let policy = exhaustive();
 
     let missing = ckpt("never-written.ckpt");
-    let err = runner
-        .run_recoverable(&program, &policy, &Recovery::none().resume_from(&missing))
-        .unwrap_err();
+    let err =
+        runner.run(&program, &with(&policy, Recovery::none().resume_from(&missing))).unwrap_err();
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 
     let garbled = ckpt("garbled.ckpt");
     std::fs::write(&garbled, b"spectral-ckpt v1\nmeta nonsense\ncrc 00000000\n").unwrap();
-    let err = runner
-        .run_recoverable(&program, &policy, &Recovery::none().resume_from(&garbled))
-        .unwrap_err();
+    let err =
+        runner.run(&program, &with(&policy, Recovery::none().resume_from(&garbled))).unwrap_err();
     let msg = err.to_string();
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{msg}");
     assert!(!msg.contains('\n'), "one-line diagnostic: {msg}");
@@ -304,9 +313,8 @@ fn ckpt_bytes() -> &'static [u8] {
         let path = ckpt("proptest-source.ckpt");
         let runner = OnlineRunner::new(library(), MachineConfig::eight_way());
         let program = bench().build();
-        let policy = exhaustive(SchedMode::DynamicChunk);
-        let crash = Recovery::none().checkpoint_to(&path, 1).abort_after(6);
-        assert!(runner.run_parallel_recoverable(&program, &policy, 2, &crash).is_err());
+        let crash = with(&exhaustive(), Recovery::none().checkpoint_to(&path, 1).abort_after(6));
+        assert!(runner.run_parallel(&program, &crash, 2).is_err());
         std::fs::read(&path).expect("checkpoint bytes")
     })
 }
