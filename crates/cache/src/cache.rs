@@ -1,4 +1,11 @@
 //! Set-associative, LRU, tag-only cache model.
+//!
+//! Tags are stored flat: one `num_sets × assoc` slot array with a `u8`
+//! length per set, each set's resident lines MRU-first at the front of
+//! its slots. Set `s` occupies `slots[s * assoc..(s + 1) * assoc]`, and
+//! the line and set of an address come from a shift and a mask (every
+//! geometry is a power of two), so neither an access nor building a
+//! warm cache allocates per set.
 
 use crate::config::CacheConfig;
 
@@ -15,6 +22,11 @@ pub struct Eviction {
 pub(crate) struct Line {
     pub(crate) block: u64,
     pub(crate) dirty: bool,
+}
+
+impl Line {
+    /// Filler for the unused slots of a set; never read as a line.
+    const EMPTY: Line = Line { block: 0, dirty: false };
 }
 
 /// Serializable warm state of a cache: per-set lines in MRU-first order.
@@ -42,8 +54,13 @@ impl CacheState {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// MRU-first per-set recency lists.
-    sets: Vec<Vec<Line>>,
+    line_shift: u32,
+    set_mask: u64,
+    assoc: usize,
+    /// `num_sets × assoc` slots; set `s`'s lines are the first `lens[s]`
+    /// of `slots[s * assoc..]`, MRU-first.
+    slots: Vec<Line>,
+    lens: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -52,12 +69,48 @@ impl Cache {
     /// Create an empty (cold) cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         let n = config.num_sets() as usize;
-        Cache { config, sets: vec![Vec::new(); n], hits: 0, misses: 0 }
+        let assoc = config.assoc() as usize;
+        Cache {
+            config,
+            line_shift: config.line_shift(),
+            set_mask: config.num_sets() - 1,
+            assoc,
+            slots: vec![Line::EMPTY; n * assoc],
+            lens: vec![0; n],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Build a warm cache set by set: `fill(s, slots)` writes set `s`'s
+    /// lines, MRU-first, to the front of its `assoc` slots and returns
+    /// how many it wrote. This is the one writer behind [`from_state`]
+    /// (Self::from_state) and [`Csr::reconstruct_cache`]
+    /// (crate::Csr::reconstruct_cache).
+    pub(crate) fn from_sets(
+        config: CacheConfig,
+        mut fill: impl FnMut(usize, &mut [Line]) -> usize,
+    ) -> Self {
+        let mut cache = Cache::new(config);
+        let sets = cache.slots.chunks_exact_mut(cache.assoc).zip(&mut cache.lens);
+        for (s, (lines, len)) in sets.enumerate() {
+            // `CacheConfig` bounds the associativity to 255.
+            *len = fill(s, lines) as u8;
+        }
+        cache
     }
 
     /// The cache's geometry.
     pub fn config(&self) -> &CacheConfig {
         &self.config
+    }
+
+    /// The set holding `block`, and its resident lines (MRU-first).
+    #[inline]
+    fn lines_of(&self, block: u64) -> (usize, &[Line]) {
+        let set = (block & self.set_mask) as usize;
+        let base = set * self.assoc;
+        (set, &self.slots[base..base + self.lens[set] as usize])
     }
 
     /// Access the line containing `addr`; returns `true` on hit.
@@ -71,26 +124,31 @@ impl Cache {
 
     /// Access the line containing `addr`; returns `(hit, eviction)`.
     pub fn access_full(&mut self, addr: u64, write: bool) -> (bool, Option<Eviction>) {
-        let block = self.config.block_of(addr);
-        let set_idx = (block % self.config.num_sets()) as usize;
-        let assoc = self.config.assoc() as usize;
-        let set = &mut self.sets[set_idx];
+        let block = addr >> self.line_shift;
+        let set = (block & self.set_mask) as usize;
+        let len = self.lens[set] as usize;
+        let base = set * self.assoc;
+        let lines = &mut self.slots[base..base + self.assoc];
 
-        if let Some(pos) = set.iter().position(|l| l.block == block) {
-            let mut line = set.remove(pos);
-            line.dirty |= write;
-            set.insert(0, line);
+        if let Some(pos) = lines[..len].iter().position(|l| l.block == block) {
+            let dirty = lines[pos].dirty | write;
+            lines.copy_within(..pos, 1);
+            lines[0] = Line { block, dirty };
             self.hits += 1;
             return (true, None);
         }
 
         self.misses += 1;
-        let evicted = if set.len() == assoc {
-            set.pop().map(|l| Eviction { block: l.block, dirty: l.dirty })
+        let evicted = if len == self.assoc {
+            let victim = lines[len - 1];
+            lines.copy_within(..len - 1, 1);
+            Some(Eviction { block: victim.block, dirty: victim.dirty })
         } else {
+            lines.copy_within(..len, 1);
+            self.lens[set] += 1;
             None
         };
-        set.insert(0, Line { block, dirty: write });
+        lines[0] = Line { block, dirty: write };
         (false, evicted)
     }
 
@@ -100,20 +158,21 @@ impl Cache {
     /// consult tags without perturbing state it does not own, and by
     /// tests.
     pub fn probe(&self, addr: u64) -> bool {
-        let block = self.config.block_of(addr);
-        let set_idx = (block % self.config.num_sets()) as usize;
-        self.sets[set_idx].iter().any(|l| l.block == block)
+        let block = addr >> self.line_shift;
+        self.lines_of(block).1.iter().any(|l| l.block == block)
     }
 
     /// Invalidate the line containing `addr` if resident; returns whether
     /// a line was removed.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let block = self.config.block_of(addr);
-        let set_idx = (block % self.config.num_sets()) as usize;
-        let set = &mut self.sets[set_idx];
-        match set.iter().position(|l| l.block == block) {
+        let block = addr >> self.line_shift;
+        let (set, lines) = self.lines_of(block);
+        match lines.iter().position(|l| l.block == block) {
             Some(pos) => {
-                set.remove(pos);
+                let base = set * self.assoc;
+                let len = lines.len();
+                self.slots[base..base + len].copy_within(pos + 1.., pos);
+                self.lens[set] -= 1;
                 true
             }
             None => false,
@@ -122,7 +181,7 @@ impl Cache {
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&l| l as usize).sum()
     }
 
     /// Lifetime hit count.
@@ -143,18 +202,17 @@ impl Cache {
 
     /// Drop all lines (cold cache) and keep statistics.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Export the warm state (tags + recency + dirty bits).
     pub fn to_state(&self) -> CacheState {
         CacheState {
             sets: self
-                .sets
-                .iter()
-                .map(|s| s.iter().map(|l| (l.block, l.dirty)).collect())
+                .slots
+                .chunks_exact(self.assoc)
+                .zip(&self.lens)
+                .map(|(s, &len)| s[..len as usize].iter().map(|l| (l.block, l.dirty)).collect())
                 .collect(),
         }
     }
@@ -165,22 +223,13 @@ impl Cache {
     /// truncated; this makes loading a state saved from the same geometry
     /// lossless while remaining total on malformed input.
     pub fn from_state(config: CacheConfig, state: &CacheState) -> Self {
-        let n = config.num_sets() as usize;
-        let assoc = config.assoc() as usize;
-        let mut sets = vec![Vec::new(); n];
-        for (i, src) in state.sets.iter().enumerate().take(n) {
-            sets[i] = src.iter().take(assoc).map(|&(block, dirty)| Line { block, dirty }).collect();
-        }
-        Cache { config, sets, hits: 0, misses: 0 }
-    }
-
-    /// Assemble a cache directly from per-set MRU-first line lists (the
-    /// allocation-lean path used by [`Csr::reconstruct_cache`]
-    /// (crate::Csr::reconstruct_cache)). `sets` must already be sized to
-    /// the geometry and truncated to the associativity.
-    pub(crate) fn from_line_sets(config: CacheConfig, sets: Vec<Vec<Line>>) -> Self {
-        debug_assert_eq!(sets.len(), config.num_sets() as usize);
-        Cache { config, sets, hits: 0, misses: 0 }
+        Cache::from_sets(config, |s, lines| {
+            let src = state.sets.get(s).map_or(&[][..], Vec::as_slice);
+            for (line, &(block, dirty)) in lines.iter_mut().zip(src) {
+                *line = Line { block, dirty };
+            }
+            src.len().min(lines.len())
+        })
     }
 }
 

@@ -3,8 +3,14 @@
 use crate::error::CacheError;
 use std::fmt;
 
+/// The largest associativity a [`CacheConfig`] or
+/// [`TlbConfig`](crate::TlbConfig) accepts: a set's length is one byte,
+/// in live-point records and in [`Cache`](crate::Cache).
+pub(crate) const MAX_ASSOC: u32 = 255;
+
 /// Geometry of a set-associative cache: total size, associativity, and
-/// line size. All three must be powers of two.
+/// line size. All three must be powers of two, so every index is a shift
+/// or a mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     size_bytes: u64,
@@ -18,13 +24,15 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`CacheError::BadGeometry`] if any parameter is zero or
-    /// not a power of two, and [`CacheError::TooSmall`] if the size does
-    /// not accommodate at least one full set.
+    /// not a power of two, or if `assoc` exceeds 255 (a set's length is
+    /// one byte, in live-point records and in [`Cache`](crate::Cache)),
+    /// and [`CacheError::TooSmall`] if the size does not accommodate at
+    /// least one full set.
     pub fn new(size_bytes: u64, assoc: u32, line_bytes: u64) -> Result<Self, CacheError> {
         if size_bytes == 0 || !size_bytes.is_power_of_two() {
             return Err(CacheError::BadGeometry { what: "size_bytes" });
         }
-        if assoc == 0 || !assoc.is_power_of_two() {
+        if assoc == 0 || !assoc.is_power_of_two() || assoc > MAX_ASSOC {
             return Err(CacheError::BadGeometry { what: "assoc" });
         }
         if line_bytes == 0 || !line_bytes.is_power_of_two() {
@@ -53,7 +61,7 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.assoc as u64 * self.line_bytes)
+        self.size_bytes >> (self.assoc.trailing_zeros() + self.line_shift())
     }
 
     /// Number of lines (blocks) in the cache.
@@ -61,16 +69,22 @@ impl CacheConfig {
         self.size_bytes / self.line_bytes
     }
 
+    /// log2 of the line size: `addr >> line_shift()` is the block number.
+    #[inline]
+    pub fn line_shift(&self) -> u32 {
+        self.line_bytes.trailing_zeros()
+    }
+
     /// Block number of `addr` (address divided by line size).
     #[inline]
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift()
     }
 
     /// Set index for `addr`.
     #[inline]
     pub fn set_of(&self, addr: u64) -> u64 {
-        self.block_of(addr) % self.num_sets()
+        self.block_of(addr) & (self.num_sets() - 1)
     }
 
     /// Whether `target` can be exactly reconstructed from warm state
@@ -118,6 +132,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_assoc_beyond_one_byte() {
+        assert_eq!(
+            CacheConfig::new(1 << 20, 256, 32),
+            Err(CacheError::BadGeometry { what: "assoc" })
+        );
+        assert_eq!(CacheConfig::new(1 << 20, 128, 32).unwrap().assoc(), 128);
+    }
+
+    #[test]
     fn rejects_too_small() {
         assert_eq!(CacheConfig::new(64, 4, 32), Err(CacheError::TooSmall));
     }
@@ -128,6 +151,14 @@ mod tests {
         assert_eq!(c.block_of(0x40), 2);
         assert_eq!(c.set_of(0x40), 2);
         assert_eq!(c.set_of(0x40 + 16 * 32), 2, "wraps around sets");
+        for (size, assoc, line) in [(1u64 << 20, 4u32, 128u64), (4096, 1, 1)] {
+            let c = CacheConfig::new(size, assoc, line).unwrap();
+            assert_eq!(c.num_sets(), size / (assoc as u64 * line));
+            for addr in [0u64, 127, 128, 0xDEAD_BEEF, u64::MAX] {
+                assert_eq!(c.block_of(addr), addr / line);
+                assert_eq!(c.set_of(addr), addr / line % c.num_sets());
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,14 @@
 //! Cache Set Record (CSR) — adaptable warm cache state bounded by a
 //! maximum configuration (Barr et al., ISPASS 2005; paper §4.3).
+//!
+//! A record is packed: one `Vec` of the occupied entries, set by set,
+//! each set MRU-first, behind per-set start offsets. L2 records are
+//! mostly empty (3–7 % of a 16-way 4 MB record's slots on gzip- and
+//! gcc-like programs), so a slot array the size of the maximum geometry
+//! would cost many times the entries themselves; the reconstructed
+//! [`Cache`] is the slotted form.
+
+use std::cmp::Reverse;
 
 use crate::cache::{Cache, CacheState, Line};
 use crate::config::CacheConfig;
@@ -36,31 +45,72 @@ pub struct CsrEntry {
 /// # Example
 ///
 /// ```
-/// use spectral_cache::{Csr, Cache, CacheConfig};
+/// use spectral_cache::{Csr, CacheConfig};
 ///
 /// let max = CacheConfig::new(1 << 20, 4, 32)?;   // record up to 1MB/4-way
 /// let mut csr = Csr::new(max);
-/// for addr in (0..10_000u64).map(|i| i * 64) {
+/// for addr in (0..10_000u64).map(|i| i * 32) {
 ///     csr.record(addr, false);
 /// }
+/// // The record holds only the lines it saw, set by set, MRU-first.
+/// assert_eq!(csr.entry_count(), 10_000);
+/// assert_eq!(csr.sets().len(), 8192);
 /// let small = CacheConfig::new(32 << 10, 2, 32)?; // simulate 32KB/2-way
-/// let state = csr.reconstruct(&small)?;
-/// let cache = Cache::from_state(small, &state);
-/// assert!(cache.occupancy() > 0);
+/// let cache = csr.reconstruct_cache(&small)?;
+/// assert_eq!(cache.occupancy(), 1024);
 /// # Ok::<(), spectral_cache::CacheError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     max: CacheConfig,
     clock: u64,
-    sets: Vec<Vec<CsrEntry>>, // MRU-first, bounded by max assoc
+    /// Occupied entries, set by set, each set MRU-first and at most the
+    /// maximum associativity long.
+    entries: Vec<CsrEntry>,
+    /// `entries[starts[s]..starts[s + 1]]` is set `s`; `num_sets + 1`
+    /// offsets.
+    starts: Vec<u32>,
 }
 
 impl Csr {
     /// Create an empty record bounded by `max`.
     pub fn new(max: CacheConfig) -> Self {
         let n = max.num_sets() as usize;
-        Csr { max, clock: 0, sets: vec![Vec::new(); n] }
+        Csr { max, clock: 0, entries: Vec::new(), starts: vec![0; n + 1] }
+    }
+
+    /// Rebuild a record from its packed form: `entries` holds, in set
+    /// order, `set_lens[s]` entries of set `s`, each set MRU-first. The
+    /// clock resumes at the largest recorded timestamp.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheError::BadRecord`] unless `set_lens` has one length
+    /// per set of `max`, each at most its associativity, summing to
+    /// `entries.len()`.
+    pub fn from_packed(
+        max: CacheConfig,
+        set_lens: &[u8],
+        entries: Vec<CsrEntry>,
+    ) -> Result<Self, CacheError> {
+        if set_lens.len() as u64 != max.num_sets() {
+            return Err(CacheError::BadRecord { what: "set count" });
+        }
+        let mut starts = Vec::with_capacity(set_lens.len() + 1);
+        let mut at = 0u32;
+        starts.push(at);
+        for &len in set_lens {
+            if u32::from(len) > max.assoc() {
+                return Err(CacheError::BadRecord { what: "set length" });
+            }
+            at = at.checked_add(len.into()).ok_or(CacheError::BadRecord { what: "entry count" })?;
+            starts.push(at);
+        }
+        if at as usize != entries.len() {
+            return Err(CacheError::BadRecord { what: "entry count" });
+        }
+        let clock = entries.iter().map(|e| e.last_access).max().unwrap_or(0);
+        Ok(Csr { max, clock, entries, starts })
     }
 
     /// The maximum configuration this record can reconstruct up to.
@@ -70,28 +120,35 @@ impl Csr {
 
     /// Record an access to the line containing `addr`, exactly as the
     /// maximum-configuration cache would process it.
+    ///
+    /// A miss in a set that is not yet full inserts into the packed
+    /// entries, which moves the later sets up by one; a record's life
+    /// holds at most one insert per line of the maximum geometry.
     pub fn record(&mut self, addr: u64, write: bool) {
         self.clock += 1;
         let block = self.max.block_of(addr);
-        let set_idx = (block % self.max.num_sets()) as usize;
-        let assoc = self.max.assoc() as usize;
-        let set = &mut self.sets[set_idx];
+        let s = (block & (self.max.num_sets() - 1)) as usize;
+        let (start, end) = (self.starts[s] as usize, self.starts[s + 1] as usize);
+        let set = &mut self.entries[start..end];
+        let mut entry = CsrEntry { block, last_access: self.clock, dirty: write };
         if let Some(pos) = set.iter().position(|e| e.block == block) {
-            let mut e = set.remove(pos);
-            e.last_access = self.clock;
-            e.dirty |= write;
-            set.insert(0, e);
+            entry.dirty |= set[pos].dirty;
+            set.copy_within(..pos, 1);
+            set[0] = entry;
+        } else if set.len() == self.max.assoc() as usize {
+            set.copy_within(..set.len() - 1, 1);
+            set[0] = entry;
         } else {
-            if set.len() == assoc {
-                set.pop();
+            self.entries.insert(start, entry);
+            for at in &mut self.starts[s + 1..] {
+                *at += 1;
             }
-            set.insert(0, CsrEntry { block, last_access: self.clock, dirty: write });
         }
     }
 
     /// Number of recorded lines.
     pub fn entry_count(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// Logical time of the most recent recorded access.
@@ -99,7 +156,33 @@ impl Csr {
         self.clock
     }
 
-    /// Reconstruct the warm state of a cache with geometry `target`.
+    /// Set `s`'s entries, MRU-first.
+    fn set(&self, s: usize) -> &[CsrEntry] {
+        &self.entries[self.starts[s] as usize..self.starts[s + 1] as usize]
+    }
+
+    /// Every set's entries, in set order, each MRU-first.
+    pub fn sets(&self) -> impl ExactSizeIterator<Item = &[CsrEntry]> + '_ {
+        self.starts.windows(2).map(|w| &self.entries[w[0] as usize..w[1] as usize])
+    }
+
+    /// Reconstruct the warm state of a cache with geometry `target`:
+    /// `reconstruct_cache(target)?.to_state()`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`reconstruct_cache`](Self::reconstruct_cache).
+    pub fn reconstruct(&self, target: &CacheConfig) -> Result<CacheState, CacheError> {
+        Ok(self.reconstruct_cache(target)?.to_state())
+    }
+
+    /// Reconstruct a warm [`Cache`] with geometry `target`: contents,
+    /// LRU order and dirty flags. Recorded set `s` folds into target set
+    /// `s % target_sets`; each target set takes the most recent
+    /// `target.assoc()` of its entries, ordered by a stable sort on
+    /// descending last-access time. This is the hot path of per-point
+    /// hierarchy reconstruction: it writes the target's slots once,
+    /// through one reused scratch buffer.
     ///
     /// # Errors
     ///
@@ -107,71 +190,21 @@ impl Csr {
     /// [`CacheError::TargetExceedsBounds`] when the target is larger or
     /// more associative than the recorded maximum (or its set count does
     /// not divide the maximum's).
-    pub fn reconstruct(&self, target: &CacheConfig) -> Result<CacheState, CacheError> {
-        self.check_target(target)?;
-        let t_sets = target.num_sets();
-        let t_assoc = target.assoc() as usize;
-        let mut out = vec![Vec::new(); t_sets as usize];
-        // Fold: max-set s contributes to target set s % t_sets.
-        for (s, set) in self.sets.iter().enumerate() {
-            let t = (s as u64 % t_sets) as usize;
-            out[t].extend(set.iter().copied());
-        }
-        let sets = out
-            .into_iter()
-            .map(|mut entries| {
-                entries.sort_by_key(|e| std::cmp::Reverse(e.last_access));
-                entries.truncate(t_assoc);
-                entries.into_iter().map(|e| (e.block, e.dirty)).collect()
-            })
-            .collect();
-        Ok(CacheState { sets })
-    }
-
-    /// Reconstruct a warm [`Cache`] with geometry `target` directly —
-    /// contents, LRU order, and dirty flags identical to
-    /// `Cache::from_state(target, &self.reconstruct(target)?)`, without
-    /// materializing the intermediate [`CacheState`]. When the target
-    /// set count equals the recorded maximum's (no folding), per-set
-    /// work runs through one reused scratch buffer, so reconstruction
-    /// allocates only the final per-set line lists. This is the hot path
-    /// of per-point hierarchy reconstruction.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`reconstruct`](Self::reconstruct).
     pub fn reconstruct_cache(&self, target: &CacheConfig) -> Result<Cache, CacheError> {
         self.check_target(target)?;
-        let t_sets = target.num_sets();
-        let t_assoc = target.assoc() as usize;
-        let mut sets: Vec<Vec<Line>> = Vec::with_capacity(t_sets as usize);
-        if t_sets as usize == self.sets.len() {
-            // Identity fold: each recorded set maps to exactly one
-            // target set.
-            let mut scratch: Vec<CsrEntry> = Vec::new();
-            for set in &self.sets {
-                scratch.clear();
-                scratch.extend_from_slice(set);
-                scratch.sort_by_key(|e| std::cmp::Reverse(e.last_access));
-                scratch.truncate(t_assoc);
-                sets.push(
-                    scratch.iter().map(|e| Line { block: e.block, dirty: e.dirty }).collect(),
-                );
+        let t_sets = target.num_sets() as usize;
+        let mut scratch: Vec<CsrEntry> = Vec::new();
+        Ok(Cache::from_sets(*target, |t, lines| {
+            scratch.clear();
+            for s in (t..self.starts.len() - 1).step_by(t_sets) {
+                scratch.extend_from_slice(self.set(s));
             }
-        } else {
-            let mut out = vec![Vec::new(); t_sets as usize];
-            for (s, set) in self.sets.iter().enumerate() {
-                out[(s as u64 % t_sets) as usize].extend(set.iter().copied());
+            scratch.sort_by_key(|e| Reverse(e.last_access));
+            for (line, e) in lines.iter_mut().zip(&scratch) {
+                *line = Line { block: e.block, dirty: e.dirty };
             }
-            for mut entries in out {
-                entries.sort_by_key(|e| std::cmp::Reverse(e.last_access));
-                entries.truncate(t_assoc);
-                sets.push(
-                    entries.iter().map(|e| Line { block: e.block, dirty: e.dirty }).collect(),
-                );
-            }
-        }
-        Ok(Cache::from_line_sets(*target, sets))
+            scratch.len().min(lines.len())
+        }))
     }
 
     fn check_target(&self, target: &CacheConfig) -> Result<(), CacheError> {
@@ -185,30 +218,6 @@ impl Csr {
             return Err(CacheError::TargetExceedsBounds { what: "size or associativity" });
         }
         Ok(())
-    }
-
-    /// Export the raw per-set entries (MRU-first) for serialization.
-    pub fn to_entries(&self) -> Vec<Vec<CsrEntry>> {
-        self.sets.clone()
-    }
-
-    /// Rebuild a record from serialized entries.
-    ///
-    /// Entries beyond the maximum associativity are truncated; the clock
-    /// resumes past the largest recorded timestamp.
-    pub fn from_entries(max: CacheConfig, entries: Vec<Vec<CsrEntry>>) -> Self {
-        let n = max.num_sets() as usize;
-        let assoc = max.assoc() as usize;
-        let mut sets = vec![Vec::new(); n];
-        let mut clock = 0;
-        for (i, mut src) in entries.into_iter().enumerate().take(n) {
-            src.truncate(assoc);
-            for e in &src {
-                clock = clock.max(e.last_access);
-            }
-            sets[i] = src;
-        }
-        Csr { max, clock, sets }
     }
 }
 
@@ -277,17 +286,29 @@ mod tests {
     }
 
     #[test]
-    fn entries_roundtrip() {
+    fn packed_roundtrip() {
         let max = cfg(4096, 2, 32);
         let mut csr = Csr::new(max);
         for i in 0..100u64 {
             csr.record(i * 96, i % 2 == 0);
         }
-        let entries = csr.to_entries();
-        let restored = Csr::from_entries(max, entries.clone());
-        assert_eq!(restored.to_entries(), entries);
+        let lens: Vec<u8> = csr.sets().map(|s| s.len() as u8).collect();
+        let entries: Vec<CsrEntry> = csr.sets().flatten().copied().collect();
+        let restored = Csr::from_packed(max, &lens, entries).unwrap();
+        assert_eq!(restored, csr);
         assert_eq!(restored.clock(), csr.clock());
         assert_eq!(restored.reconstruct(&max).unwrap(), csr.reconstruct(&max).unwrap());
+    }
+
+    #[test]
+    fn from_packed_rejects_inconsistent_lengths() {
+        let max = cfg(128, 2, 32); // 2 sets
+        let e = CsrEntry { block: 0, last_access: 1, dirty: false };
+        let bad = |what| Err(CacheError::BadRecord { what });
+        assert_eq!(Csr::from_packed(max, &[1], vec![e]), bad("set count"));
+        assert_eq!(Csr::from_packed(max, &[3, 0], vec![e; 3]), bad("set length"));
+        assert_eq!(Csr::from_packed(max, &[1, 1], vec![e]), bad("entry count"));
+        assert!(Csr::from_packed(max, &[0, 2], vec![e; 2]).is_ok());
     }
 
     #[test]

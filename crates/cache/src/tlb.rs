@@ -1,7 +1,7 @@
 //! TLB model — a set-associative structure at page granularity.
 
 use crate::cache::{Cache, CacheState};
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, MAX_ASSOC};
 use crate::error::CacheError;
 
 /// Geometry of a TLB: entry count, associativity, and page size.
@@ -17,13 +17,15 @@ impl TlbConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError`] if any parameter is zero or not a power of
-    /// two, or if `assoc > entries`.
+    /// Returns [`CacheError::BadGeometry`] if any parameter is zero or
+    /// not a power of two, or if `assoc` exceeds 255 (a set's length is
+    /// one byte, as for [`CacheConfig`]), and [`CacheError::TooSmall`] if
+    /// `assoc > entries`.
     pub fn new(entries: u32, assoc: u32, page_bytes: u64) -> Result<Self, CacheError> {
         if entries == 0 || !entries.is_power_of_two() {
             return Err(CacheError::BadGeometry { what: "entries" });
         }
-        if assoc == 0 || !assoc.is_power_of_two() {
+        if assoc == 0 || !assoc.is_power_of_two() || assoc > MAX_ASSOC {
             return Err(CacheError::BadGeometry { what: "assoc" });
         }
         if page_bytes == 0 || !page_bytes.is_power_of_two() {
@@ -167,6 +169,12 @@ mod tests {
     #[test]
     fn rejects_assoc_beyond_entries() {
         assert!(TlbConfig::new(4, 8, 4096).is_err());
+    }
+
+    #[test]
+    fn rejects_assoc_beyond_one_byte() {
+        assert_eq!(TlbConfig::new(256, 256, 4096), Err(CacheError::BadGeometry { what: "assoc" }));
+        assert!(TlbConfig::new(256, 128, 4096).is_ok());
     }
 
     #[test]

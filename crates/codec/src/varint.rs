@@ -55,8 +55,12 @@ pub fn encode_all(values: &[u64]) -> Vec<u8> {
 /// # Errors
 ///
 /// Propagates [`read_uvarint`] errors, plus [`CodecError::BadLength`]
-/// when trailing bytes remain.
+/// when trailing bytes remain or when `count` exceeds `data.len()`
+/// (every varint takes at least one byte), checked before allocating.
 pub fn decode_exact(data: &[u8], count: usize) -> Result<Vec<u64>, CodecError> {
+    if count > data.len() {
+        return Err(CodecError::BadLength);
+    }
     let mut pos = 0;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -113,6 +117,15 @@ mod tests {
         let mut buf = encode_all(&[5, 6]);
         buf.push(0);
         assert_eq!(decode_exact(&buf, 2).unwrap_err(), CodecError::BadLength);
+    }
+
+    #[test]
+    fn count_beyond_the_data_is_rejected_before_allocating() {
+        let buf = encode_all(&[5, 6]);
+        assert_eq!(decode_exact(&buf, 3).unwrap_err(), CodecError::BadLength);
+        // A capacity this large would panic or abort if it were reserved.
+        assert_eq!(decode_exact(&buf, 1 << 61).unwrap_err(), CodecError::BadLength);
+        assert_eq!(decode_exact(&buf, usize::MAX).unwrap_err(), CodecError::BadLength);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use spectral_cache::{Cache, CacheConfig, Csr, HierarchyConfig};
+use spectral_cache::{Cache, Csr, HierarchyConfig};
 use spectral_isa::{DynInst, Emulator, MemOp, OpClass, Program, INST_BYTES};
 use spectral_uarch::{BpredConfig, BranchPredictor, MachineConfig};
 
@@ -134,7 +134,7 @@ pub(crate) struct CreationWarmers {
     filter_l1d: Cache,
     policy: L2StreamPolicy,
     last_fetch_line: u64,
-    l1i_line: u64,
+    l1i_line_shift: u32,
 }
 
 impl CreationWarmers {
@@ -151,13 +151,13 @@ impl CreationWarmers {
             filter_l1d: Cache::new(h.l1d),
             policy: cfg.l2_policy,
             last_fetch_line: u64::MAX,
-            l1i_line: h.l1i.line_bytes(),
+            l1i_line_shift: h.l1i.line_shift(),
         }
     }
 
     /// Observe one committed instruction.
     pub fn observe(&mut self, di: &DynInst) {
-        let line = di.pc / self.l1i_line;
+        let line = di.pc >> self.l1i_line_shift;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
             self.csr_l1i.record(di.pc, false);
@@ -232,26 +232,22 @@ impl TouchedState {
 
 /// Filter a CSR down to the blocks in `touched` (restricted live-state:
 /// untouched warm state is omitted and therefore cold at load time).
-pub(crate) fn filter_csr(csr: &Csr, touched: &HashSet<u64>, granule: &CacheConfig) -> Csr {
-    let entries = csr
-        .to_entries()
-        .into_iter()
-        .map(|set| {
-            set.into_iter()
-                .filter(|e| {
-                    // CSR blocks are at the record's own granularity.
-                    let _ = granule;
-                    touched.contains(&e.block)
-                })
-                .collect()
-        })
-        .collect();
-    Csr::from_entries(*csr.max_config(), entries)
+pub(crate) fn filter_csr(csr: &Csr, touched: &HashSet<u64>) -> Csr {
+    let mut set_lens = Vec::with_capacity(csr.sets().len());
+    let mut entries = Vec::new();
+    for set in csr.sets() {
+        let before = entries.len();
+        entries.extend(set.iter().filter(|e| touched.contains(&e.block)));
+        set_lens.push((entries.len() - before) as u8);
+    }
+    Csr::from_packed(*csr.max_config(), &set_lens, entries)
+        .expect("a filtered record keeps its geometry")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spectral_cache::CacheConfig;
     use spectral_workloads::tiny;
 
     #[test]
@@ -325,8 +321,8 @@ mod tests {
             csr.record(i * 32, false);
         }
         let touched: HashSet<u64> = (0..10u64).collect(); // blocks 0..10
-        let filtered = filter_csr(&csr, &touched, &cfg);
+        let filtered = filter_csr(&csr, &touched);
         assert_eq!(filtered.entry_count(), 10);
-        assert!(filtered.to_entries().iter().flatten().all(|e| touched.contains(&e.block)));
+        assert!(filtered.sets().flatten().all(|e| touched.contains(&e.block)));
     }
 }

@@ -44,11 +44,9 @@ fn pack_bits(bits: &[bool]) -> Vec<u8> {
     out
 }
 
-fn unpack_bits(data: &[u8], count: usize) -> Result<Vec<bool>, CodecError> {
-    if data.len() != count.div_ceil(8) {
-        return Err(CodecError::BadLength);
-    }
-    Ok((0..count).map(|i| data[i / 8] & (1 << (i % 8)) != 0).collect())
+/// Bit `i` of a [`pack_bits`] image.
+fn bit(data: &[u8], i: usize) -> bool {
+    data[i / 8] & (1 << (i % 8)) != 0
 }
 
 fn u64s_to_bytes(words: impl Iterator<Item = u64>) -> Vec<u8> {
@@ -126,13 +124,13 @@ fn dec_tlb_config(r: &mut DerReader<'_>) -> Result<TlbConfig, CoreError> {
 fn enc_csr(w: &mut DerWriter, csr: &Csr) {
     let cfg = *csr.max_config();
     let clock = csr.clock();
-    let sets = csr.to_entries();
     let num_sets = cfg.num_sets();
-    let mut set_lens = Vec::with_capacity(sets.len());
+    let mut set_lens = Vec::with_capacity(num_sets as usize);
     let mut tags = Vec::new();
     let mut ages = Vec::new();
-    let mut dirty = Vec::new();
-    for set in &sets {
+    let mut dirty = Vec::with_capacity(csr.entry_count());
+    for set in csr.sets() {
+        // A set holds at most the associativity, which is below 256.
         set_lens.push(set.len() as u8);
         for e in set {
             varint::write_uvarint(&mut tags, e.block / num_sets);
@@ -150,34 +148,45 @@ fn enc_csr(w: &mut DerWriter, csr: &Csr) {
     });
 }
 
+/// Decode a record straight into its packed entries: the set-length
+/// column gives each entry's set, the varint columns its tag and age.
 fn dec_csr(r: &mut DerReader<'_>) -> Result<Csr, CoreError> {
     let mut s = r.seq()?;
     let cfg = dec_cache_config(&mut s)?;
     let clock = s.u64()?;
-    let set_lens = s.bytes()?.to_vec();
-    if set_lens.len() != cfg.num_sets() as usize {
+    let set_lens = s.bytes()?;
+    let tag_bytes = s.bytes()?;
+    let age_bytes = s.bytes()?;
+    let dirty = s.bytes()?;
+    let num_sets = cfg.num_sets();
+    if set_lens.len() as u64 != num_sets {
         return Err(CodecError::BadLength.into());
     }
     let total: usize = set_lens.iter().map(|&l| l as usize).sum();
-    let tag_bytes = s.bytes()?;
-    let age_bytes = s.bytes()?;
-    let dirty = unpack_bits(s.bytes()?, total)?;
-    let tags = varint::decode_exact(tag_bytes, total)?;
-    let ages = varint::decode_exact(age_bytes, total)?;
-    let num_sets = cfg.num_sets();
-    let mut entries = Vec::with_capacity(set_lens.len());
-    let mut k = 0usize;
-    for (set_idx, &len) in set_lens.iter().enumerate() {
-        let mut set = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let block = tags[k] * num_sets + set_idx as u64;
-            let last_access = clock.checked_sub(ages[k]).ok_or(CodecError::BadLength)?;
-            set.push(CsrEntry { block, last_access, dirty: dirty[k] });
-            k += 1;
-        }
-        entries.push(set);
+    // Every varint takes at least one byte: bound the allocation by the
+    // bytes actually present.
+    if total > tag_bytes.len() || dirty.len() != total.div_ceil(8) {
+        return Err(CodecError::BadLength.into());
     }
-    Ok(Csr::from_entries(cfg, entries))
+    let (mut tag_pos, mut age_pos) = (0, 0);
+    let mut entries = Vec::with_capacity(total);
+    for (set_idx, &len) in set_lens.iter().enumerate() {
+        for _ in 0..len {
+            let k = entries.len();
+            let tag = varint::read_uvarint(tag_bytes, &mut tag_pos)?;
+            let age = varint::read_uvarint(age_bytes, &mut age_pos)?;
+            let block = tag
+                .checked_mul(num_sets)
+                .and_then(|b| b.checked_add(set_idx as u64))
+                .ok_or(CodecError::BadLength)?;
+            let last_access = clock.checked_sub(age).ok_or(CodecError::BadLength)?;
+            entries.push(CsrEntry { block, last_access, dirty: bit(dirty, k) });
+        }
+    }
+    if tag_pos != tag_bytes.len() || age_pos != age_bytes.len() {
+        return Err(CodecError::BadLength.into());
+    }
+    Ok(Csr::from_packed(cfg, set_lens, entries)?)
 }
 
 // --- branch predictor -------------------------------------------------------
@@ -296,8 +305,8 @@ fn dec_live_state(r: &mut DerReader<'_>) -> Result<(LiveState, WindowSpec), Core
     let mut memory = Vec::with_capacity(count);
     let mut word = 0u64;
     for (d, v) in deltas.into_iter().zip(values) {
-        word += d;
-        memory.push((word << 3, v));
+        word = word.checked_add(d).ok_or(CodecError::BadLength)?;
+        memory.push((word.checked_mul(8).ok_or(CodecError::BadLength)?, v));
     }
     Ok((LiveState { arch: ArchState { regs, pc, seq }, memory, conventional_bytes }, window))
 }
@@ -499,9 +508,11 @@ mod tests {
         assert_eq!(back.scope, lp.scope);
         assert_eq!(back.live_state, lp.live_state);
         assert_eq!(back.max_hierarchy, lp.max_hierarchy);
-        assert_eq!(back.warm.l1d.to_entries(), lp.warm.l1d.to_entries());
-        assert_eq!(back.warm.l2.to_entries(), lp.warm.l2.to_entries());
-        assert_eq!(back.warm.itlb.to_entries(), lp.warm.itlb.to_entries());
+        assert_eq!(back.warm.l1i, lp.warm.l1i);
+        assert_eq!(back.warm.l1d, lp.warm.l1d);
+        assert_eq!(back.warm.l2, lp.warm.l2);
+        assert_eq!(back.warm.itlb, lp.warm.itlb);
+        assert_eq!(back.warm.dtlb, lp.warm.dtlb);
         assert_eq!(back.warm.bpreds, lp.warm.bpreds);
     }
 
@@ -509,6 +520,70 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode_livepoint(&[0x30, 0x02, 0x01, 0x01]).is_err());
         assert!(decode_livepoint(&[]).is_err());
+    }
+
+    /// A live-state record laid out as `enc_live_state` writes it, with
+    /// the memory-word count and address deltas given directly.
+    fn live_state_record(count: u64, deltas: &[u64]) -> Vec<u8> {
+        let mut w = DerWriter::new();
+        w.seq(|w| {
+            w.u64(0).u64(0).u64(0);
+            w.u64_array(&[0; 32]).u64_array(&[0; 32]);
+            w.u64(0x40_0000).u64(0).u64(0);
+            w.u64(count);
+            w.bytes(&varint::encode_all(deltas));
+            w.bytes(&vec![0; deltas.len() * 8]);
+        });
+        w.finish()
+    }
+
+    /// A one-entry CSR record in set 0 of a 64-set cache.
+    fn csr_record(tag: u64) -> Vec<u8> {
+        let mut w = DerWriter::new();
+        w.seq(|w| {
+            enc_cache_config(w, &CacheConfig::new(4096, 2, 32).unwrap());
+            w.u64(7);
+            let mut set_lens = vec![0u8; 64];
+            set_lens[0] = 1;
+            w.bytes(&set_lens);
+            w.bytes(&varint::encode_all(&[tag]));
+            w.bytes(&varint::encode_all(&[0]));
+            w.bytes(&[1]);
+        });
+        w.finish()
+    }
+
+    fn bad_length<T: std::fmt::Debug>(r: Result<T, CoreError>) -> bool {
+        matches!(r, Err(CoreError::Codec(CodecError::BadLength)))
+    }
+
+    #[test]
+    fn decode_rejects_absurd_word_count() {
+        let dec = |b: &[u8]| dec_live_state(&mut DerReader::new(b));
+        let (ls, _) = dec(&live_state_record(2, &[1, 2])).unwrap();
+        assert_eq!(ls.memory, [(8, 0), (24, 0)]);
+        assert!(bad_length(dec(&live_state_record(1 << 61, &[1, 2]))));
+        assert!(bad_length(dec(&live_state_record(u64::MAX, &[1, 2]))));
+    }
+
+    #[test]
+    fn decode_rejects_address_overflow() {
+        let dec = |b: &[u8]| dec_live_state(&mut DerReader::new(b));
+        assert!(bad_length(dec(&live_state_record(2, &[u64::MAX, 1]))));
+        // A word whose byte address does not fit in 64 bits.
+        assert!(bad_length(dec(&live_state_record(1, &[1 << 61]))));
+    }
+
+    #[test]
+    fn decode_rejects_tag_overflow() {
+        let dec = |b: &[u8]| dec_csr(&mut DerReader::new(b));
+        let csr = dec(&csr_record(3)).unwrap();
+        assert_eq!(
+            csr.sets().next().unwrap(),
+            [CsrEntry { block: 3 * 64, last_access: 7, dirty: true }]
+        );
+        assert!(bad_length(dec(&csr_record(u64::MAX))));
+        assert!(bad_length(dec(&csr_record(u64::MAX / 64 + 1))));
     }
 
     #[test]
@@ -544,7 +619,8 @@ mod tests {
     fn pack_unpack_bits() {
         let bits: Vec<bool> = (0..21).map(|i| i % 3 == 0).collect();
         let packed = pack_bits(&bits);
-        assert_eq!(unpack_bits(&packed, bits.len()).unwrap(), bits);
+        assert_eq!(packed.len(), 3);
+        assert!((0..bits.len()).all(|i| bit(&packed, i) == bits[i]));
     }
 
     #[test]

@@ -1463,7 +1463,7 @@ fn walk_windows(
         let live_state = collector.finish();
         let warm = match cfg.scope {
             StateScope::Full => payload,
-            StateScope::Restricted => restrict_payload(payload, &touched, cfg),
+            StateScope::Restricted => restrict_payload(payload, &touched),
         };
         TLM_SNAPSHOT_NS.add(sw.ns());
         TLM_WINDOWS.inc();
@@ -1606,20 +1606,14 @@ impl Iterator for Iter<'_> {
     }
 }
 
-fn restrict_payload(
-    payload: WarmPayload,
-    touched: &TouchedState,
-    cfg: &CreationConfig,
-) -> WarmPayload {
+fn restrict_payload(payload: WarmPayload, touched: &TouchedState) -> WarmPayload {
     use crate::creation::filter_csr;
-    use crate::livepoint::tlb_as_cache;
-    let h = &cfg.max_hierarchy;
     WarmPayload {
-        l1i: filter_csr(&payload.l1i, &touched.l1i, &h.l1i),
-        l1d: filter_csr(&payload.l1d, &touched.l1d, &h.l1d),
-        l2: filter_csr(&payload.l2, &touched.l2, &h.l2),
-        itlb: filter_csr(&payload.itlb, &touched.itlb, &tlb_as_cache(&h.itlb)),
-        dtlb: filter_csr(&payload.dtlb, &touched.dtlb, &tlb_as_cache(&h.dtlb)),
+        l1i: filter_csr(&payload.l1i, &touched.l1i),
+        l1d: filter_csr(&payload.l1d, &touched.l1d),
+        l2: filter_csr(&payload.l2, &touched.l2),
+        itlb: filter_csr(&payload.itlb, &touched.itlb),
+        dtlb: filter_csr(&payload.dtlb, &touched.dtlb),
         bpreds: payload.bpreds,
     }
 }

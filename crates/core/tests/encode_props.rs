@@ -90,10 +90,10 @@ proptest! {
         prop_assert_eq!(&back.benchmark, &lp.benchmark);
         prop_assert_eq!(back.window, lp.window);
         prop_assert_eq!(&back.live_state, &lp.live_state);
-        prop_assert_eq!(back.warm.l1d.to_entries(), lp.warm.l1d.to_entries());
-        prop_assert_eq!(back.warm.l2.to_entries(), lp.warm.l2.to_entries());
-        prop_assert_eq!(back.warm.itlb.to_entries(), lp.warm.itlb.to_entries());
-        prop_assert_eq!(back.warm.dtlb.to_entries(), lp.warm.dtlb.to_entries());
+        prop_assert_eq!(&back.warm.l1d, &lp.warm.l1d);
+        prop_assert_eq!(&back.warm.l2, &lp.warm.l2);
+        prop_assert_eq!(&back.warm.itlb, &lp.warm.itlb);
+        prop_assert_eq!(&back.warm.dtlb, &lp.warm.dtlb);
         prop_assert_eq!(&back.warm.bpreds, &lp.warm.bpreds);
     }
 

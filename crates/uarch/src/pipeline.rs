@@ -619,7 +619,7 @@ impl<'p> DetailedSim<'p> {
         }
         let mut fetched = 0u32;
         let mut cond_predictions = 0u32;
-        let line_bytes = self.cfg.hierarchy.l1i.line_bytes();
+        let line_shift = self.cfg.hierarchy.l1i.line_shift();
 
         while fetched < self.cfg.width {
             if self.ruu.len() >= self.cfg.ruu_size as usize {
@@ -630,7 +630,7 @@ impl<'p> DetailedSim<'p> {
             }
 
             // Instruction-cache lookup, one access per new line.
-            let line = self.fetch_pc / line_bytes;
+            let line = self.fetch_pc >> line_shift;
             if self.line_ready.0 != line {
                 let out = self.hierarchy.access(AccessKind::Fetch, self.fetch_pc);
                 let mut ready = self.cycle;
@@ -698,7 +698,7 @@ impl<'p> DetailedSim<'p> {
             }
             fetched += 1;
             // A predicted-taken transfer ends the fetch group.
-            if self.line_ready.0 != self.fetch_pc / line_bytes {
+            if self.line_ready.0 != self.fetch_pc >> line_shift {
                 // Redirected to a different line: stop this cycle.
                 break;
             }

@@ -2,7 +2,7 @@
 //! programs and access streams.
 
 use proptest::prelude::*;
-use spectral::cache::{Cache, CacheConfig, CacheHierarchy, Csr, HierarchyConfig, Mtr};
+use spectral::cache::{Cache, CacheConfig, CacheHierarchy, Csr, Eviction, HierarchyConfig, Mtr};
 use spectral::isa::{Emulator, ProgramBuilder, Reg};
 use spectral::stats::OnlineEstimator;
 use spectral::uarch::{DetailedSim, MachineConfig};
@@ -50,8 +50,100 @@ fn arb_program() -> impl Strategy<Value = spectral::isa::Program> {
         })
 }
 
+/// A true-LRU cache kept as one MRU-first `Vec` per set: the reference
+/// model the flat [`Cache`] must agree with on every call.
+struct RefLru {
+    sets: Vec<Vec<(u64, bool)>>,
+    assoc: usize,
+    line: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefLru {
+    fn new(cfg: &CacheConfig) -> Self {
+        RefLru {
+            sets: vec![Vec::new(); cfg.num_sets() as usize],
+            assoc: cfg.assoc() as usize,
+            line: cfg.line_bytes(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, addr: u64) -> (u64, &mut Vec<(u64, bool)>) {
+        let block = addr / self.line;
+        let n = self.sets.len() as u64;
+        (block, &mut self.sets[(block % n) as usize])
+    }
+
+    fn access_full(&mut self, addr: u64, write: bool) -> (bool, Option<Eviction>) {
+        let assoc = self.assoc;
+        let (block, set) = self.set(addr);
+        if let Some(pos) = set.iter().position(|l| l.0 == block) {
+            let (_, dirty) = set.remove(pos);
+            set.insert(0, (block, dirty | write));
+            self.hits += 1;
+            return (true, None);
+        }
+        let evicted = if set.len() == assoc {
+            set.pop().map(|(block, dirty)| Eviction { block, dirty })
+        } else {
+            None
+        };
+        set.insert(0, (block, write));
+        self.misses += 1;
+        (false, evicted)
+    }
+
+    fn probe(&mut self, addr: u64) -> bool {
+        let (block, set) = self.set(addr);
+        set.iter().any(|l| l.0 == block)
+    }
+
+    fn invalidate(&mut self, addr: u64) -> bool {
+        let (block, set) = self.set(addr);
+        let pos = set.iter().position(|l| l.0 == block);
+        pos.map(|p| set.remove(p)).is_some()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The flat tag array behaves exactly like a nested-`Vec` LRU model:
+    /// every hit, eviction (block and dirty bit), probe and invalidate
+    /// result, the hit/miss counts and the exported state agree after
+    /// any interleaving of accesses, probes, invalidations and flushes.
+    #[test]
+    fn cache_matches_reference_lru(
+        ops in proptest::collection::vec((0u8..32, 0u64..1 << 13, any::<bool>()), 1..600),
+        size_log in 6u32..12,
+        assoc_log in 0u32..4,
+        line_log in 3u32..7,
+    ) {
+        let cfg = CacheConfig::new(1 << size_log, 1 << assoc_log, 1 << line_log);
+        prop_assume!(cfg.is_ok());
+        let cfg = cfg.expect("checked");
+        let mut cache = Cache::new(cfg);
+        let mut model = RefLru::new(&cfg);
+        for &(op, addr, write) in &ops {
+            match op {
+                0..=21 => prop_assert_eq!(cache.access_full(addr, write), model.access_full(addr, write)),
+                22..=27 => prop_assert_eq!(cache.probe(addr), model.probe(addr)),
+                28..=30 => prop_assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
+                _ => {
+                    cache.flush();
+                    model.sets.iter_mut().for_each(Vec::clear);
+                }
+            }
+            prop_assert_eq!(&cache.to_state().sets, &model.sets);
+        }
+        prop_assert_eq!((cache.hits(), cache.misses()), (model.hits, model.misses));
+        prop_assert_eq!(cache.occupancy(), model.sets.iter().map(Vec::len).sum::<usize>());
+        let restored = Cache::from_state(cfg, &cache.to_state());
+        prop_assert_eq!(restored.to_state(), cache.to_state());
+    }
 
     /// The timing model must commit exactly the functional stream.
     #[test]
@@ -80,14 +172,17 @@ proptest! {
     }
 
     /// CSR reconstruction equals direct simulation for arbitrary streams
-    /// and covered geometries (contents + LRU order).
+    /// and covered geometries (contents + LRU order), folded ones (fewer
+    /// target sets than recorded) included; at the recorded geometry
+    /// itself the dirty bits agree too.
     #[test]
     fn csr_matches_direct_cache(
         addrs in proptest::collection::vec((0u64..1u64 << 20, any::<bool>()), 1..800),
-        shift in 0u32..3,
+        size_shift in 0u32..5,
+        assoc_shift in 0u32..3,
     ) {
         let max = CacheConfig::new(1 << 16, 4, 32).expect("valid");
-        let target = CacheConfig::new((1 << 16) >> shift, 4 >> shift.min(2), 32);
+        let target = CacheConfig::new((1 << 16) >> size_shift, 4 >> assoc_shift, 32);
         prop_assume!(target.is_ok());
         let target = target.expect("checked");
         prop_assume!(max.covers(&target));
@@ -102,6 +197,9 @@ proptest! {
             s.sets.iter().map(|v| v.iter().map(|&(b, _)| b).collect()).collect()
         };
         prop_assert_eq!(blocks(&rec), blocks(&direct.to_state()));
+        if target == max {
+            prop_assert_eq!(rec, direct.to_state());
+        }
     }
 
     /// MTR reconstruction equals direct simulation for arbitrary
