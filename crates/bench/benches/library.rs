@@ -1,13 +1,15 @@
-//! Library container benchmark: monolithic v1 stream vs paged v2.
+//! Library container benchmark: legacy v1 stream input vs paged v2.
 //!
 //! The fixture is a ~3000-point library grown by self-merging a real
 //! 24-point tiny-benchmark library (quick mode stays at ~768 points),
-//! persisted three ways: v1, v2 without dictionaries, and v2 with
-//! block-shared LZSS dictionaries. Three claims are measured:
+//! persisted three ways: v1 (framed here, since libraries only read
+//! v1), v2 without dictionaries, and v2 with block-shared LZSS
+//! dictionaries. Three claims are measured:
 //!
 //! 1. **Open latency** — v2 reads header + footer only, so open cost
-//!    is (near) independent of point count, while v1 parses the whole
-//!    stream before the first record is reachable.
+//!    is (near) independent of point count, while v1 input is read
+//!    whole and re-framed into a v2 image before the first record is
+//!    reachable.
 //! 2. **Random-access single-point read** — cold `open` + `get(i)`:
 //!    the v2 path is one positioned read of one record.
 //! 3. **Compressed bytes/point** — block-shared dictionaries must not
@@ -26,6 +28,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use criterion::{black_box, Criterion, Throughput};
+use spectral_codec::{paged, ContainerWriter};
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy, V2WriteOptions};
 use spectral_uarch::MachineConfig;
 use spectral_workloads::tiny;
@@ -42,6 +45,27 @@ fn doublings() -> u32 {
     } else {
         7
     }
+}
+
+/// Frame `library` as a legacy v1 container, laid out as the v1 writer
+/// wrote it: the metadata record, then every record in processing
+/// order, taken from the library's canonical v2 image.
+fn v1_bytes(library: &LivePointLibrary) -> Vec<u8> {
+    let image = library.to_bytes().expect("canonical image");
+    let header = paged::parse_v2_header(&image).expect("v2 header");
+    let meta_end = paged::V2_HEADER_LEN + header.meta_len as usize;
+    let meta =
+        paged::decode_v2_meta(&header, &image[paged::V2_HEADER_LEN..meta_end]).expect("v2 meta");
+    let trailer = paged::parse_v2_trailer(&image, image.len() as u64).expect("v2 trailer");
+    let footer = &image[trailer.footer_offset as usize..][..trailer.footer_len as usize];
+    let (_, records) =
+        paged::parse_v2_footer(footer, &trailer, meta_end as u64).expect("v2 footer");
+    let mut v1 = ContainerWriter::new();
+    v1.push(&meta);
+    for r in &records {
+        v1.push_compressed(&image[r.offset as usize..][..r.len as usize]);
+    }
+    v1.finish()
 }
 
 fn temp(name: &str) -> PathBuf {
@@ -79,7 +103,7 @@ fn build_fixture() -> Fixture {
     let v1_path = temp("v1.splp");
     let v2_plain_path = temp("v2_plain.splp");
     let v2_dict_path = temp("v2_dict.splp");
-    big.save(&v1_path).expect("save v1");
+    std::fs::write(&v1_path, v1_bytes(&big)).expect("write v1");
     let plain = big
         .save_v2(&v2_plain_path, &V2WriteOptions { dict: false, ..V2WriteOptions::default() })
         .expect("save v2 plain");

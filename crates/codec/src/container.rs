@@ -1,9 +1,10 @@
-//! The live-point library container format.
+//! The single-stream container format (library format v1).
 //!
 //! A container is a single byte stream holding an ordered sequence of
 //! compressed, CRC-protected records — the "single compressed file"
 //! arrangement the paper recommends for shuffled live-point libraries
-//! (§6.1). Layout:
+//! (§6.1). Libraries read it as legacy input only, re-framing its
+//! records into the paged v2 format ([`crate::paged`]). Layout:
 //!
 //! ```text
 //! magic "SPLP" | version u16 LE | count u32 LE
@@ -22,12 +23,6 @@ use crate::lzss;
 pub(crate) const MAGIC: &[u8; 4] = b"SPLP";
 const VERSION: u16 = 1;
 
-/// Length of the fixed v1 container header (magic + version + count).
-pub const V1_HEADER_LEN: usize = 10;
-
-/// Length of a per-record frame header (compressed length + CRC32).
-pub const FRAME_HEADER_LEN: usize = 8;
-
 /// Read the shared container magic and format version from a file
 /// prefix without committing to a layout — the version-dispatch point
 /// between the monolithic v1 container and the paged v2 container
@@ -45,34 +40,6 @@ pub fn sniff_version(prefix: &[u8]) -> Result<u16, CodecError> {
         return Err(CodecError::BadContainer);
     }
     Ok(u16::from_le_bytes([prefix[4], prefix[5]]))
-}
-
-/// Parse a full v1 header, returning the record count (which counts the
-/// meta record, when the caller stored one).
-///
-/// # Errors
-///
-/// Returns [`CodecError::Truncated`] on a short prefix,
-/// [`CodecError::BadContainer`] on a bad magic, and
-/// [`CodecError::UnsupportedVersion`] when the version is not 1.
-pub fn parse_v1_header(prefix: &[u8]) -> Result<u32, CodecError> {
-    if prefix.len() < V1_HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let version = sniff_version(prefix)?;
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion { found: version });
-    }
-    Ok(u32::from_le_bytes([prefix[6], prefix[7], prefix[8], prefix[9]]))
-}
-
-/// Parse one record frame header: `(compressed_len, crc32)`. Used by
-/// metadata-only opens that walk frames by seeking instead of reading
-/// record bodies.
-pub fn frame_header(bytes: &[u8; FRAME_HEADER_LEN]) -> (u32, u32) {
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    (len, crc)
 }
 
 /// Build a container in memory, one record at a time.
@@ -182,59 +149,38 @@ impl<'a> ContainerReader<'a> {
     /// CRC mismatches, truncation, and decompression faults are
     /// reported per frame.
     pub fn next_record(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        if self.data.len() - self.pos < 8 {
-            return Err(CodecError::Truncated);
-        }
-        let len = u32::from_le_bytes(self.data[self.pos..self.pos + 4].try_into().expect("4 bytes"))
-            as usize;
-        let crc =
-            u32::from_le_bytes(self.data[self.pos + 4..self.pos + 8].try_into().expect("4 bytes"));
-        self.pos += 8;
-        if self.data.len() - self.pos < len {
-            return Err(CodecError::Truncated);
-        }
-        let body = &self.data[self.pos..self.pos + len];
-        if crc32::checksum(body) != crc {
-            return Err(CodecError::CrcMismatch { frame: self.index });
-        }
-        self.pos += len;
-        self.remaining -= 1;
-        self.index += 1;
-        lzss::decompress(body).map(Some)
+        self.next_record_compressed()?.map(lzss::decompress).transpose()
     }
 
     /// Read the next record *without* decompressing (CRC still checked),
-    /// or `None` at the end.
+    /// borrowed from the container bytes, or `None` at the end.
     ///
     /// # Errors
     ///
     /// CRC mismatches and truncation are reported per frame.
-    pub fn next_record_compressed(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
+    pub fn next_record_compressed(&mut self) -> Result<Option<&'a [u8]>, CodecError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        if self.data.len() - self.pos < 8 {
+        let data = self.data;
+        if data.len() - self.pos < 8 {
             return Err(CodecError::Truncated);
         }
-        let len = u32::from_le_bytes(self.data[self.pos..self.pos + 4].try_into().expect("4 bytes"))
-            as usize;
-        let crc =
-            u32::from_le_bytes(self.data[self.pos + 4..self.pos + 8].try_into().expect("4 bytes"));
+        let len =
+            u32::from_le_bytes(data[self.pos..self.pos + 4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(data[self.pos + 4..self.pos + 8].try_into().expect("4 bytes"));
         self.pos += 8;
-        if self.data.len() - self.pos < len {
+        if data.len() - self.pos < len {
             return Err(CodecError::Truncated);
         }
-        let body = &self.data[self.pos..self.pos + len];
+        let body = &data[self.pos..self.pos + len];
         if crc32::checksum(body) != crc {
             return Err(CodecError::CrcMismatch { frame: self.index });
         }
         self.pos += len;
         self.remaining -= 1;
         self.index += 1;
-        Ok(Some(body.to_vec()))
+        Ok(Some(body))
     }
 }
 

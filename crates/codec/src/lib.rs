@@ -13,12 +13,14 @@
 //!   (documented substitution; ratios on tag/predictor state are in the
 //!   same ~4–6:1 band the paper reports for gzip),
 //! * [`crc32`] — IEEE CRC-32 integrity checks for container frames,
-//! * [`Container`] — the shuffled single-stream live-point library file
-//!   format recommended in §6.1 ("stored in a single compressed file to
-//!   maximize I/O performance"),
+//! * [`Container`] — library format v1, the shuffled single-stream file
+//!   recommended in §6.1 ("stored in a single compressed file to
+//!   maximize I/O performance"), which libraries now read as legacy
+//!   input only,
 //! * [`paged`] — library format v2: a footer-indexed paged container
 //!   with O(1) positioned record reads and block-shared LZSS
-//!   dictionaries ([`sniff_version`] dispatches between v1 and v2).
+//!   dictionaries, the one format libraries serve records from
+//!   ([`sniff_version`] dispatches between v1 and v2).
 //!
 //! ## Example: encode, compress, round-trip
 //!
@@ -51,9 +53,6 @@ pub mod lzss;
 pub mod paged;
 pub mod varint;
 
-pub use container::{
-    frame_header, parse_v1_header, sniff_version, Container, ContainerReader, ContainerWriter,
-    FRAME_HEADER_LEN, V1_HEADER_LEN,
-};
+pub use container::{sniff_version, Container, ContainerReader, ContainerWriter};
 pub use der::{DerReader, DerWriter};
 pub use error::CodecError;

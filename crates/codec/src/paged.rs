@@ -25,8 +25,8 @@
 //! plain-LZSS-compressed) that primes the window for every record in the
 //! block ([`lzss::compress_with_dict`]). A block with `dict_len == 0`
 //! has no dictionary and its records are plain [`lzss::compress`]
-//! streams — byte-identical to their v1 framing, which makes
-//! v1 ↔ v2-without-dictionaries conversion a pure re-framing (no
+//! streams — byte-identical to their v1 framing, which makes reading a
+//! v1 stream into a dictionary-less v2 image a pure re-framing (no
 //! decompression) and lets `merge` operate at the index level.
 //!
 //! The writer is purely streaming (`io::Write`, no seeks): shards can

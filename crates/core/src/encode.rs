@@ -87,6 +87,12 @@ fn bytes_to_u64s(data: &[u8]) -> Result<Vec<u64>, CodecError> {
 
 // --- cache/TLB geometry ---------------------------------------------------
 
+/// Read a DER integer that must fit in 32 bits: a wider value marks a
+/// corrupt record and is rejected, never silently truncated.
+fn dec_u32(r: &mut DerReader<'_>) -> Result<u32, CodecError> {
+    u32::try_from(r.u64()?).map_err(|_| CodecError::BadLength)
+}
+
 fn enc_cache_config(w: &mut DerWriter, c: &CacheConfig) {
     w.seq(|w| {
         w.u64(c.size_bytes());
@@ -98,7 +104,7 @@ fn enc_cache_config(w: &mut DerWriter, c: &CacheConfig) {
 fn dec_cache_config(r: &mut DerReader<'_>) -> Result<CacheConfig, CoreError> {
     let mut s = r.seq()?;
     let size = s.u64()?;
-    let assoc = s.u64()? as u32;
+    let assoc = dec_u32(&mut s)?;
     let line = s.u64()?;
     Ok(CacheConfig::new(size, assoc, line)?)
 }
@@ -113,10 +119,48 @@ fn enc_tlb_config(w: &mut DerWriter, t: &TlbConfig) {
 
 fn dec_tlb_config(r: &mut DerReader<'_>) -> Result<TlbConfig, CoreError> {
     let mut s = r.seq()?;
-    let entries = s.u64()? as u32;
-    let assoc = s.u64()? as u32;
+    let entries = dec_u32(&mut s)?;
+    let assoc = dec_u32(&mut s)?;
     let page = s.u64()?;
     Ok(TlbConfig::new(entries, assoc, page)?)
+}
+
+/// The five geometries of a hierarchy, in the order the live-point
+/// record and the library metadata both store them.
+pub(crate) fn enc_hierarchy(w: &mut DerWriter, h: &HierarchyConfig) {
+    for c in [&h.l1i, &h.l1d, &h.l2] {
+        enc_cache_config(w, c);
+    }
+    for t in [&h.itlb, &h.dtlb] {
+        enc_tlb_config(w, t);
+    }
+}
+
+/// Read the geometries [`enc_hierarchy`] wrote.
+pub(crate) fn dec_hierarchy(r: &mut DerReader<'_>) -> Result<HierarchyConfig, CoreError> {
+    Ok(HierarchyConfig {
+        l1i: dec_cache_config(r)?,
+        l1d: dec_cache_config(r)?,
+        l2: dec_cache_config(r)?,
+        itlb: dec_tlb_config(r)?,
+        dtlb: dec_tlb_config(r)?,
+    })
+}
+
+/// The stored code of a warm-state scope.
+pub(crate) fn enc_scope(scope: StateScope) -> u64 {
+    match scope {
+        StateScope::Full => 0,
+        StateScope::Restricted => 1,
+    }
+}
+
+/// The scope a stored code names (any non-zero code is restricted).
+pub(crate) fn dec_scope(code: u64) -> StateScope {
+    match code {
+        0 => StateScope::Full,
+        _ => StateScope::Restricted,
+    }
 }
 
 // --- CSR ------------------------------------------------------------------
@@ -214,12 +258,12 @@ fn enc_bpred(w: &mut DerWriter, s: &BpredSnapshot) {
 
 fn dec_bpred(r: &mut DerReader<'_>) -> Result<BpredSnapshot, CoreError> {
     let mut s = r.seq()?;
-    let table_entries = s.u64()? as u32;
-    let history_bits = s.u64()? as u32;
-    let btb_entries = s.u64()? as u32;
-    let ras_entries = s.u64()? as u32;
+    let table_entries = dec_u32(&mut s)?;
+    let history_bits = dec_u32(&mut s)?;
+    let btb_entries = dec_u32(&mut s)?;
+    let ras_entries = dec_u32(&mut s)?;
     let mispredict_penalty = s.u64()?;
-    let predictions_per_cycle = s.u64()? as u32;
+    let predictions_per_cycle = dec_u32(&mut s)?;
     let config = BpredConfig {
         table_entries,
         history_bits,
@@ -242,7 +286,7 @@ fn dec_bpred(r: &mut DerReader<'_>) -> Result<BpredSnapshot, CoreError> {
     if ras.len() != ras_entries as usize {
         return Err(CodecError::BadLength.into());
     }
-    let ras_top = s.u64()? as u32;
+    let ras_top = dec_u32(&mut s)?;
     Ok(BpredSnapshot {
         config,
         bimodal,
@@ -318,17 +362,8 @@ pub fn encode_livepoint(lp: &LivePoint) -> Vec<u8> {
     let mut w = DerWriter::new();
     w.seq(|w| {
         w.utf8(&lp.benchmark);
-        w.u64(match lp.scope {
-            StateScope::Full => 0,
-            StateScope::Restricted => 1,
-        });
-        w.seq(|w| {
-            enc_cache_config(w, &lp.max_hierarchy.l1i);
-            enc_cache_config(w, &lp.max_hierarchy.l1d);
-            enc_cache_config(w, &lp.max_hierarchy.l2);
-            enc_tlb_config(w, &lp.max_hierarchy.itlb);
-            enc_tlb_config(w, &lp.max_hierarchy.dtlb);
-        });
+        w.u64(enc_scope(lp.scope));
+        w.seq(|w| enc_hierarchy(w, &lp.max_hierarchy));
         enc_live_state(w, &lp.live_state, &lp.window);
         enc_csr(w, &lp.warm.l1i);
         enc_csr(w, &lp.warm.l1d);
@@ -354,18 +389,8 @@ pub fn decode_livepoint(data: &[u8]) -> Result<LivePoint, CoreError> {
     let mut r = DerReader::new(data);
     let mut s = r.seq()?;
     let benchmark = s.utf8()?.to_owned();
-    let scope = match s.u64()? {
-        0 => StateScope::Full,
-        _ => StateScope::Restricted,
-    };
-    let mut h = s.seq()?;
-    let l1i_cfg = dec_cache_config(&mut h)?;
-    let l1d_cfg = dec_cache_config(&mut h)?;
-    let l2_cfg = dec_cache_config(&mut h)?;
-    let itlb_cfg = dec_tlb_config(&mut h)?;
-    let dtlb_cfg = dec_tlb_config(&mut h)?;
-    let max_hierarchy =
-        HierarchyConfig { l1i: l1i_cfg, l1d: l1d_cfg, l2: l2_cfg, itlb: itlb_cfg, dtlb: dtlb_cfg };
+    let scope = dec_scope(s.u64()?);
+    let max_hierarchy = dec_hierarchy(&mut s.seq()?)?;
     let (live_state, window) = dec_live_state(&mut s)?;
     let l1i = dec_csr(&mut s)?;
     let l1d = dec_csr(&mut s)?;
@@ -397,13 +422,7 @@ pub fn breakdown(lp: &LivePoint) -> SizeBreakdown {
     let arch_and_header = comp(&|w| {
         w.utf8(&lp.benchmark);
         w.u64(0);
-        w.seq(|w| {
-            enc_cache_config(w, &lp.max_hierarchy.l1i);
-            enc_cache_config(w, &lp.max_hierarchy.l1d);
-            enc_cache_config(w, &lp.max_hierarchy.l2);
-            enc_tlb_config(w, &lp.max_hierarchy.itlb);
-            enc_tlb_config(w, &lp.max_hierarchy.dtlb);
-        });
+        w.seq(|w| enc_hierarchy(w, &lp.max_hierarchy));
         w.u64_array(lp.live_state.arch.regs.int_regs());
         w.u64_array(&lp.live_state.arch.regs.fp_regs().map(f64::to_bits));
     });
@@ -584,6 +603,39 @@ mod tests {
         );
         assert!(bad_length(dec(&csr_record(u64::MAX))));
         assert!(bad_length(dec(&csr_record(u64::MAX / 64 + 1))));
+    }
+
+    /// A predictor record as `enc_bpred` lays out an empty 4-entry
+    /// predictor, with a raw RAS top-of-stack value.
+    fn bpred_record(ras_top: u64) -> Vec<u8> {
+        let mut w = DerWriter::new();
+        w.seq(|w| {
+            w.u64(4).u64(0).u64(0).u64(0).u64(10).u64(1);
+            w.bytes(&[0]).bytes(&[0]).bytes(&[0]);
+            w.u64(0);
+            w.bytes(&[]).bytes(&[]).bytes(&[]);
+            w.u64(ras_top);
+        });
+        w.finish()
+    }
+
+    #[test]
+    fn decode_rejects_truncating_u32_fields() {
+        // A cache claiming 2^32 + 2 ways used to read back as 2-way.
+        let cache = |assoc: u64| {
+            let mut w = DerWriter::new();
+            w.seq(|w| {
+                w.u64(4096).u64(assoc).u64(32);
+            });
+            w.finish()
+        };
+        let dec = |b: &[u8]| dec_cache_config(&mut DerReader::new(b));
+        assert_eq!(dec(&cache(2)).unwrap(), CacheConfig::new(4096, 2, 32).unwrap());
+        assert!(bad_length(dec(&cache((1 << 32) + 2))));
+        // Likewise a predictor's RAS top-of-stack index.
+        let dec = |b: &[u8]| dec_bpred(&mut DerReader::new(b));
+        assert_eq!(dec(&bpred_record(1)).unwrap().ras_top, 1);
+        assert!(bad_length(dec(&bpred_record((1 << 32) + 1))));
     }
 
     #[test]

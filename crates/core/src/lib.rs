@@ -13,11 +13,13 @@
 //!   snapshot per selected predictor configuration,
 //! * [`LivePointLibrary`] — creation (one functional pass per
 //!   benchmark, optionally streamed straight to disk), shuffling, and
-//!   two container formats: the single-compressed-stream v1 file the
-//!   paper recommends (§6.1) and the paged v2 file whose open reads
-//!   only a footer index and whose point reads are O(1) positioned
-//!   reads, with block-shared LZSS dictionaries and index-level merge
-//!   ([`LivePointLibrary::merge_files`]),
+//!   one way of serving records: a paged v2 image, on disk or in
+//!   memory, whose open reads only a footer index and whose point reads
+//!   are O(1) (a positioned read of a file, a borrow from memory), with
+//!   block-shared LZSS dictionaries and index-level merge
+//!   ([`LivePointLibrary::merge_files`]). The
+//!   single-compressed-stream v1 file the paper recommends (§6.1) is
+//!   still read, re-framed into a v2 image on open,
 //! * [`OnlineRunner`] — random-order processing with online confidence:
 //!   results and their confidence are available *while the simulation
 //!   runs*, and the run stops as soon as the target confidence is met

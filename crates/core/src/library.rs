@@ -1,23 +1,25 @@
 //! Live-point libraries: creation, shuffling, and on-disk containers.
 //!
-//! Two on-disk formats are supported (see `DESIGN.md` §library-format):
+//! Every library serves its records the same way (see `DESIGN.md`
+//! §5e): from a paged v2 image ([`spectral_codec::paged`]) whose footer
+//! index locates each record. The image is a file opened with
+//! [`LivePointLibrary::open`], where each
+//! [`get`](LivePointLibrary::get) is one CRC-checked positioned read,
+//! or lives in memory after fresh creation,
+//! [`from_bytes`](LivePointLibrary::from_bytes) or
+//! [`merge`](LivePointLibrary::merge), where `get` borrows the record
+//! bytes, checked once when the image was built. v2 blocks may carry
+//! shared LZSS dictionaries that prime the compression window for every
+//! record in the block.
 //!
-//! * **v1** — the monolithic [`Container`](spectral_codec::Container)
-//!   stream; loading parses every frame up front and holds all
-//!   compressed records in memory ([`Backing::Memory`]).
-//! * **v2** — the paged container ([`spectral_codec::paged`]); opening
-//!   reads only the header and footer index, and each
-//!   [`get`](LivePointLibrary::get) is one positioned read
-//!   ([`Backing::Paged`]). v2 blocks may carry shared LZSS
-//!   dictionaries that prime the compression window for every record
-//!   in the block.
-//!
-//! [`LivePointLibrary::open`] dispatches on the version byte, so
-//! callers never care which format a file uses.
+//! The monolithic v1 [`Container`](spectral_codec::Container) stream is
+//! read-only input: `open` and `from_bytes` dispatch on the version
+//! byte and re-frame a v1 stream's CRC-checked compressed records into
+//! a dictionary-less v2 image, never decompressing one.
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -25,15 +27,16 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use spectral_cache::HierarchyConfig;
 use spectral_codec::{
-    crc32, frame_header, lzss, paged, sniff_version, CodecError, ContainerReader, ContainerWriter,
-    DerReader, DerWriter, FRAME_HEADER_LEN, V1_HEADER_LEN,
+    crc32, lzss, paged, sniff_version, CodecError, ContainerReader, DerReader, DerWriter,
 };
 use spectral_isa::{Emulator, Program};
 use spectral_stats::{SampleDesign, SystematicDesign, WindowSpec};
 use spectral_telemetry::{Counter, Histogram, Stopwatch};
 
 use crate::creation::{benchmark_length, CreationConfig, CreationWarmers, TouchedState};
-use crate::encode::{decode_livepoint, encode_livepoint};
+use crate::encode::{
+    dec_hierarchy, dec_scope, decode_livepoint, enc_hierarchy, enc_scope, encode_livepoint,
+};
 use crate::error::CoreError;
 use crate::livepoint::{LivePoint, SizeBreakdown, WarmPayload};
 use crate::livestate::{LiveStateCollector, StateScope};
@@ -50,19 +53,23 @@ static TLM_COMPRESS_NS: Counter = Counter::new("core.create.compress_ns");
 static TLM_DER_BYTES: Histogram = Histogram::new("core.create.record_der_bytes");
 static TLM_RECORD_BYTES: Histogram = Histogram::new("core.create.record_bytes");
 
-// Library-access metrics: open cost and per-record positioned reads on
-// the paged backing, plus time spent building shared dictionaries.
+// Library-access metrics: open cost of every image a library serves
+// from (files, and the in-memory images of fresh creation, `from_bytes`
+// and `merge`), per-record positioned reads of files, and time spent
+// building shared dictionaries.
 static TLM_OPENS: Counter = Counter::new("core.lib.opens");
 static TLM_OPEN_NS: Counter = Counter::new("core.lib.open_ns");
 static TLM_PAGED_READS: Counter = Counter::new("core.lib.paged_reads");
 static TLM_PAGED_READ_BYTES: Counter = Counter::new("core.lib.paged_read_bytes");
 static TLM_DICT_BUILD_NS: Counter = Counter::new("core.lib.dict_build_ns");
 
+/// Mixed into the creation seed to derive the creation shuffle.
+const CREATION_SHUFFLE_SALT: u64 = 0x0F1E_2D3C;
+
 /// DER-encode and LZSS-compress one live-point, feeding the per-record
-/// telemetry — the single compression site for both the serial and the
-/// pipelined creation paths. The caller keeps one [`CompressScratch`]
-/// per thread so the match-finder tables are allocated once, not per
-/// record.
+/// telemetry — the single compression site of both creation paths. The
+/// caller keeps one [`CompressScratch`] per thread so the match-finder
+/// tables are allocated once, not per record.
 ///
 /// [`CompressScratch`]: lzss::CompressScratch
 fn compress_record(scratch: &mut lzss::CompressScratch, lp: &LivePoint) -> Vec<u8> {
@@ -78,10 +85,9 @@ fn compress_record(scratch: &mut lzss::CompressScratch, lp: &LivePoint) -> Vec<u
 }
 
 /// Reusable decode buffers for [`LivePointLibrary::get_with`]: holds
-/// the decompressed DER image (and, for paged libraries, the compressed
-/// record read from disk) between decodes so steady-state point
-/// processing performs no decompression-side heap allocation. Keep one
-/// per runner thread.
+/// the compressed record read from the image and its decompressed DER
+/// image between decodes, so steady-state point processing performs no
+/// decompression-side heap allocation. Keep one per runner thread.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     der: Vec<u8>,
@@ -96,20 +102,27 @@ impl DecodeScratch {
     }
 }
 
-/// Where a record's bytes are read from.
+/// Where a v2 image's bytes are read from.
 #[derive(Debug)]
 enum Source {
     /// An open file; records are fetched with positioned reads.
     File(File),
-    /// An in-memory image (e.g. [`LivePointLibrary::from_bytes`]).
-    Bytes(Arc<Vec<u8>>),
+    /// An in-memory image (fresh creation, `from_bytes`, `merge`).
+    Bytes(Vec<u8>),
 }
 
 impl Source {
-    /// Read exactly `buf.len()` bytes at absolute `offset`.
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> Result<(), CoreError> {
+    /// The `len` bytes at absolute `offset`: borrowed from an in-memory
+    /// image, or read into `buf` with one positioned read of a file.
+    fn bytes_at<'a>(
+        &'a self,
+        offset: u64,
+        len: usize,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], CoreError> {
         match self {
             Source::File(f) => {
+                buf.resize(len, 0);
                 #[cfg(unix)]
                 {
                     use std::os::unix::fs::FileExt;
@@ -120,23 +133,19 @@ impl Source {
                     let _ = (f, offset);
                     unimplemented!("paged libraries require positioned reads (unix)");
                 }
+                Ok(buf)
             }
-            Source::Bytes(data) => {
-                let start = usize::try_from(offset).map_err(|_| CodecError::Truncated)?;
-                let end = start
-                    .checked_add(buf.len())
-                    .filter(|&e| e <= data.len())
-                    .ok_or(CodecError::Truncated)?;
-                buf.copy_from_slice(&data[start..end]);
-            }
+            Source::Bytes(data) => usize::try_from(offset)
+                .ok()
+                .and_then(|start| data.get(start..start.checked_add(len)?))
+                .ok_or_else(|| CodecError::Truncated.into()),
         }
-        Ok(())
     }
 }
 
-/// An opened v2 container: the source plus its parsed footer index and
-/// a lazily-populated per-block cache of decompressed dictionaries.
-/// Shared (`Arc`) so cloning a paged library clones no file state.
+/// An opened v2 image: the source plus its parsed footer index and a
+/// lazily-populated per-block cache of decompressed dictionaries.
+/// Shared (`Arc`) so cloning a library copies no record bytes.
 #[derive(Debug)]
 struct PagedSource {
     source: Source,
@@ -146,36 +155,58 @@ struct PagedSource {
     stored_hash: u32,
     /// Sum of record body lengths from the footer index.
     record_bytes: u64,
-    file_bytes: u64,
     /// Decompressed shared dictionaries, filled on first use per block.
     dicts: Vec<Mutex<Option<Arc<Vec<u8>>>>>,
 }
 
 impl PagedSource {
-    /// Positioned read + CRC check of stored record `stored` into `buf`.
-    fn read_record(&self, stored: usize, buf: &mut Vec<u8>) -> Result<(), CoreError> {
+    /// The compressed body of stored record `stored`. A file record is
+    /// read into `buf` and CRC-checked on every read. An in-memory
+    /// record is borrowed unchecked: every in-memory image had its
+    /// records CRC-checked once, when it was written or loaded.
+    fn read_record<'a>(
+        &'a self,
+        stored: usize,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], CoreError> {
         let e = &self.records[stored];
-        buf.resize(e.len as usize, 0);
-        self.source.read_exact_at(buf, e.offset)?;
-        if crc32::checksum(buf) != e.crc {
-            return Err(CodecError::CrcMismatch { frame: stored }.into());
+        let body = self.source.bytes_at(e.offset, e.len as usize, buf)?;
+        if let Source::File(_) = self.source {
+            if crc32::checksum(body) != e.crc {
+                return Err(CodecError::CrcMismatch { frame: stored }.into());
+            }
+            TLM_PAGED_READS.inc();
+            TLM_PAGED_READ_BYTES.add(e.len as u64);
         }
-        TLM_PAGED_READS.inc();
-        TLM_PAGED_READ_BYTES.add(e.len as u64);
+        Ok(body)
+    }
+
+    /// CRC-check every record body once — what makes an in-memory image
+    /// from outside safe to serve unchecked.
+    fn check_records(&self) -> Result<(), CoreError> {
+        let mut buf = Vec::new();
+        for (stored, e) in self.records.iter().enumerate() {
+            let body = self.source.bytes_at(e.offset, e.len as usize, &mut buf)?;
+            if crc32::checksum(body) != e.crc {
+                return Err(CodecError::CrcMismatch { frame: stored }.into());
+            }
+        }
         Ok(())
     }
 
-    /// Positioned read + CRC check of block `block`'s compressed
-    /// dictionary bytes (which may be raw-copied into a merged file
-    /// without decompression).
-    fn read_dict_raw(&self, block: usize, buf: &mut Vec<u8>) -> Result<(), CoreError> {
+    /// Block `block`'s compressed dictionary bytes, CRC-checked (they
+    /// may be raw-copied into a merged image without decompression).
+    fn read_dict_raw<'a>(
+        &'a self,
+        block: usize,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], CoreError> {
         let b = &self.blocks[block];
-        buf.resize(b.dict_len as usize, 0);
-        self.source.read_exact_at(buf, b.dict_offset)?;
-        if crc32::checksum(buf) != b.dict_crc {
+        let dict = self.source.bytes_at(b.dict_offset, b.dict_len as usize, buf)?;
+        if crc32::checksum(dict) != b.dict_crc {
             return Err(CodecError::CrcMismatch { frame: block }.into());
         }
-        Ok(())
+        Ok(dict)
     }
 
     /// The decompressed shared dictionary for `block`, or `None` for a
@@ -188,21 +219,11 @@ impl PagedSource {
         if let Some(d) = self.dicts[block].lock().expect("dict lock").as_ref() {
             return Ok(Some(d.clone()));
         }
-        let mut raw = Vec::new();
-        self.read_dict_raw(block, &mut raw)?;
-        let dict = Arc::new(lzss::decompress(&raw)?);
+        let mut buf = Vec::new();
+        let dict = Arc::new(lzss::decompress(self.read_dict_raw(block, &mut buf)?)?);
         *self.dicts[block].lock().expect("dict lock") = Some(dict.clone());
         Ok(Some(dict))
     }
-}
-
-/// The two record backings: all compressed records resident (v1 load,
-/// fresh creation) or a footer-indexed file read on demand (v2 open).
-#[derive(Debug, Clone)]
-enum Backing {
-    /// LZSS-compressed DER live-points, in shuffled processing order.
-    Memory(Vec<Vec<u8>>),
-    Paged(Arc<PagedSource>),
 }
 
 /// Knobs for writing a v2 paged container
@@ -212,9 +233,9 @@ pub struct V2WriteOptions {
     /// Records per dictionary block.
     pub block_points: usize,
     /// Whether to build block-shared LZSS dictionaries. Without
-    /// dictionaries records are byte-identical to their v1 bodies, so
-    /// conversion is a pure re-framing (no decompression) and the v2
-    /// content hash equals the v1 content hash.
+    /// dictionaries every record is a plain LZSS stream, so the write
+    /// is a pure re-framing (no decompression) of a dictionary-less
+    /// library and keeps its content hash.
     pub dict: bool,
     /// Maximum dictionary size in bytes (decompressed).
     pub dict_cap: usize,
@@ -228,12 +249,12 @@ impl Default for V2WriteOptions {
     }
 }
 
-/// Metadata from a metadata-only open ([`LivePointLibrary::open_header`]):
-/// everything the experiment binaries print about a library without
-/// decompressing a single record.
+/// Metadata from [`LivePointLibrary::open_header`]: everything the
+/// experiment binaries print about a library without decompressing a
+/// single record.
 #[derive(Debug, Clone)]
 pub struct LibraryHeader {
-    /// Container format version (1 or 2).
+    /// Container format version of the file (1 or 2).
     pub format_version: u16,
     /// The benchmark the library samples.
     pub benchmark: String,
@@ -243,15 +264,16 @@ pub struct LibraryHeader {
     pub max_hierarchy: HierarchyConfig,
     /// Number of live-points.
     pub points: u64,
-    /// Dictionary blocks (0 for v1).
+    /// Dictionary blocks of the v2 image (for v1 input, of the image it
+    /// is re-framed into).
     pub blocks: u64,
     /// Sum of compressed record body lengths.
     pub total_compressed_bytes: u64,
     /// Total container file length.
     pub file_bytes: u64,
-    /// Stored content hash (v2 trailer); `None` for v1, where computing
-    /// it would require reading every record body.
-    pub content_hash: Option<u32>,
+    /// The v2 image's trailer content hash (for v1 input, that of the
+    /// re-framed image, which equals the v1 content hash).
+    pub content_hash: u32,
 }
 
 /// A benchmark's live-point library: independently-loadable compressed
@@ -262,10 +284,9 @@ pub struct LivePointLibrary {
     benchmark: String,
     scope: StateScope,
     max_hierarchy: HierarchyConfig,
-    backing: Backing,
-    /// Paged processing order: processing index `i` reads stored record
-    /// `order[i]`. Empty for the memory backing (which shuffles the
-    /// record vector itself).
+    paged: Arc<PagedSource>,
+    /// Processing order: processing index `i` reads stored record
+    /// `order[i]`.
     order: Vec<u32>,
     /// Cached [`content_hash`](Self::content_hash); reset by any
     /// reordering mutation (shuffle, merge).
@@ -273,22 +294,6 @@ pub struct LivePointLibrary {
 }
 
 impl LivePointLibrary {
-    fn from_records(
-        benchmark: String,
-        scope: StateScope,
-        max_hierarchy: HierarchyConfig,
-        records: Vec<Vec<u8>>,
-    ) -> Self {
-        LivePointLibrary {
-            benchmark,
-            scope,
-            max_hierarchy,
-            backing: Backing::Memory(records),
-            order: Vec::new(),
-            cache_hash: OnceLock::new(),
-        }
-    }
-
     /// Create a library with the paper's periodic sample design: one
     /// functional pass to measure the benchmark, one creation pass to
     /// collect the points, then a seeded shuffle.
@@ -317,9 +322,7 @@ impl LivePointLibrary {
         cfg: &CreationConfig,
         threads: usize,
     ) -> Result<Self, CoreError> {
-        let n = benchmark_length(program);
-        let design = SystematicDesign::new(cfg.unit_len, cfg.warm_len);
-        let windows = design.windows(n, cfg.sample_size, cfg.seed);
+        let windows = design_windows(program, cfg);
         Self::create_with_windows_parallel(program, cfg, &windows, threads)
     }
 
@@ -346,6 +349,11 @@ impl LivePointLibrary {
     /// [`create_parallel`](Self::create_parallel)); `threads <= 1` runs
     /// fully inline.
     ///
+    /// The compressed records are written once, already in shuffled
+    /// order, into a dictionary-less in-memory v2 image: stored order
+    /// is processing order, so the content hash is the image's trailer
+    /// hash.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::BenchmarkTooShort`] for an empty window list.
@@ -359,33 +367,33 @@ impl LivePointLibrary {
         windows: &[WindowSpec],
         threads: usize,
     ) -> Result<Self, CoreError> {
-        if windows.is_empty() {
-            return Err(CoreError::BenchmarkTooShort);
-        }
-        assert!(
-            windows.windows(2).all(|w| w[0].end() <= w[1].detail_start),
-            "windows must be sorted and non-overlapping"
-        );
-
+        check_windows(windows)?;
         let _span = spectral_telemetry::span("create.library");
-        let records = if threads <= 1 {
-            let mut records = Vec::with_capacity(windows.len());
-            let mut scratch = lzss::CompressScratch::new();
-            walk_windows(program, cfg, windows, |_, lp| {
-                records.push(compress_record(&mut scratch, &lp));
-            });
-            records
-        } else {
-            encode_pipelined(program, cfg, windows, threads)
-        };
-
+        let mut records = Vec::with_capacity(windows.len());
+        spool_pipelined(program, cfg, windows, threads, |rec| {
+            records.push(rec);
+            Ok(())
+        })?;
         if records.is_empty() {
             return Err(CoreError::BenchmarkTooShort);
         }
-        let mut lib =
-            Self::from_records(program.name().to_owned(), cfg.scope, cfg.max_hierarchy, records);
-        lib.shuffle(cfg.seed ^ 0x0F1E_2D3C);
-        Ok(lib)
+        // Shuffle indices, not records: the same permutation `shuffle`
+        // applies to a processing order, so every creation path agrees.
+        let mut order: Vec<u32> = (0..records.len() as u32).collect();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(cfg.seed ^ CREATION_SHUFFLE_SALT));
+        // Size the image up front (the metadata frame and the 20-byte
+        // index entries fit the generous slack) and free each record as
+        // it is copied in, so the records and the image are not both
+        // held whole.
+        let meta = encode_meta_der(program.name(), cfg.scope, &cfg.max_hierarchy);
+        let body: usize = records.iter().map(Vec::len).sum();
+        let mut image = Vec::with_capacity(body + 2 * meta.len() + 32 * records.len() + 256);
+        let mut w = paged::PagedWriter::new(&mut image, &meta)?;
+        for &i in &order {
+            w.push_record(&std::mem::take(&mut records[i as usize]))?;
+        }
+        w.finish()?;
+        Self::from_image(image)
     }
 
     /// Create a library directly on disk as a v2 paged container:
@@ -410,9 +418,7 @@ impl LivePointLibrary {
         path: impl AsRef<Path>,
         opts: &V2WriteOptions,
     ) -> Result<Self, CoreError> {
-        let n = benchmark_length(program);
-        let design = SystematicDesign::new(cfg.unit_len, cfg.warm_len);
-        let windows = design.windows(n, cfg.sample_size, cfg.seed);
+        let windows = design_windows(program, cfg);
         Self::create_with_windows_to_path(program, cfg, &windows, threads, path, opts)
     }
 
@@ -435,13 +441,7 @@ impl LivePointLibrary {
         path: impl AsRef<Path>,
         opts: &V2WriteOptions,
     ) -> Result<Self, CoreError> {
-        if windows.is_empty() {
-            return Err(CoreError::BenchmarkTooShort);
-        }
-        assert!(
-            windows.windows(2).all(|w| w[0].end() <= w[1].detail_start),
-            "windows must be sorted and non-overlapping"
-        );
+        check_windows(windows)?;
         let path = path.as_ref();
         let mut spool_name = path.as_os_str().to_owned();
         spool_name.push(".spool");
@@ -467,33 +467,15 @@ impl LivePointLibrary {
         opts: &V2WriteOptions,
     ) -> Result<Self, CoreError> {
         let meta = encode_meta_der(program.name(), cfg.scope, &cfg.max_hierarchy);
-        let file = File::create(spool)?;
-        let mut w = paged::PagedWriter::new(BufWriter::new(file), &meta)?;
-        let mut io_err: Option<std::io::Error> = None;
-        if threads <= 1 {
-            let mut scratch = lzss::CompressScratch::new();
-            walk_windows(program, cfg, windows, |_, lp| {
-                if io_err.is_some() {
-                    return;
-                }
-                let bytes = compress_record(&mut scratch, &lp);
-                if let Err(e) = w.push_record(&bytes) {
-                    io_err = Some(e);
-                }
-            });
-        } else {
-            io_err = spool_pipelined(program, cfg, windows, threads, &mut w);
-        }
-        if let Some(e) = io_err {
-            return Err(e.into());
-        }
+        let mut w = paged::PagedWriter::new(BufWriter::new(File::create(spool)?), &meta)?;
+        spool_pipelined(program, cfg, windows, threads, |rec| w.push_record(&rec))?;
         if w.is_empty() {
             return Err(CoreError::BenchmarkTooShort);
         }
         w.finish()?;
 
         let mut spooled = Self::open(spool)?;
-        spooled.shuffle(cfg.seed ^ 0x0F1E_2D3C);
+        spooled.shuffle(cfg.seed ^ CREATION_SHUFFLE_SALT);
         spooled.save_v2(path, opts)?;
         drop(spooled);
         Self::open(path)
@@ -514,21 +496,15 @@ impl LivePointLibrary {
         &self.max_hierarchy
     }
 
-    /// The container format backing this library: 1 when all records
-    /// are resident in memory, 2 when reads go through a paged file.
+    /// The container format serving this library's records: always 2,
+    /// since fresh and v1 libraries are served from a v2 image too.
     pub fn format_version(&self) -> u16 {
-        match &self.backing {
-            Backing::Memory(_) => 1,
-            Backing::Paged(_) => paged::V2_VERSION,
-        }
+        paged::V2_VERSION
     }
 
     /// Number of live-points.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Memory(records) => records.len(),
-            Backing::Paged(_) => self.order.len(),
-        }
+        self.order.len()
     }
 
     /// Whether the library holds no live-points.
@@ -536,9 +512,9 @@ impl LivePointLibrary {
         self.len() == 0
     }
 
-    /// Decode live-point `index` (decompression + DER decode — the cost
-    /// the paper charts as "checkpoint processing time" in Fig 8). On a
-    /// paged library this is one positioned read plus the decode.
+    /// Decode live-point `index` (one positioned read, decompression and
+    /// DER decode — the cost the paper charts as "checkpoint processing
+    /// time" in Fig 8).
     ///
     /// # Errors
     ///
@@ -564,34 +540,23 @@ impl LivePointLibrary {
     }
 
     /// Fill `scratch.der` with the decompressed DER image of record
-    /// `index` (processing order), reading through the paged backing
-    /// and its shared dictionary when needed.
+    /// `index` (processing order), through its block's shared
+    /// dictionary when it has one.
     fn decompress_record_into(
         &self,
         index: usize,
         scratch: &mut DecodeScratch,
     ) -> Result<(), CoreError> {
-        match &self.backing {
-            Backing::Memory(records) => {
-                let rec = records
-                    .get(index)
-                    .ok_or(CoreError::IndexOutOfRange { index, len: records.len() })?;
-                lzss::decompress_into(rec, &mut scratch.der)?;
-            }
-            Backing::Paged(p) => {
-                let stored = *self
-                    .order
-                    .get(index)
-                    .ok_or(CoreError::IndexOutOfRange { index, len: self.order.len() })?
-                    as usize;
-                p.read_record(stored, &mut scratch.comp)?;
-                match p.dict(p.records[stored].block as usize)? {
-                    None => lzss::decompress_into(&scratch.comp, &mut scratch.der)?,
-                    Some(dict) => {
-                        lzss::decompress_into_with_dict(&dict, &scratch.comp, &mut scratch.der)?;
-                    }
-                }
-            }
+        let p = &self.paged;
+        let stored = *self
+            .order
+            .get(index)
+            .ok_or(CoreError::IndexOutOfRange { index, len: self.order.len() })?
+            as usize;
+        let comp = p.read_record(stored, &mut scratch.comp)?;
+        match p.dict(p.records[stored].block as usize)? {
+            None => lzss::decompress_into(comp, &mut scratch.der)?,
+            Some(dict) => lzss::decompress_into_with_dict(&dict, comp, &mut scratch.der)?,
         }
         Ok(())
     }
@@ -612,27 +577,18 @@ impl LivePointLibrary {
         Iter { library: self, index: 0, scratch: DecodeScratch::new() }
     }
 
-    /// Compressed size of record `index` in bytes. For a paged library
-    /// this comes straight from the footer index — no read, no
-    /// decompression.
+    /// Compressed size of record `index` in bytes, straight from the
+    /// footer index — no read, no decompression.
     pub fn record_bytes(&self, index: usize) -> Option<usize> {
-        match &self.backing {
-            Backing::Memory(records) => records.get(index).map(Vec::len),
-            Backing::Paged(p) => {
-                let stored = *self.order.get(index)? as usize;
-                Some(p.records[stored].len as usize)
-            }
-        }
+        let stored = *self.order.get(index)? as usize;
+        Some(self.paged.records[stored].len as usize)
     }
 
     /// Total compressed library size in bytes (the paper's "12 GB for
-    /// SPEC2K" quantity, at this repo's scale). For a paged library this
-    /// is the footer-index sum — no reads.
+    /// SPEC2K" quantity, at this repo's scale): the footer-index sum —
+    /// no reads.
     pub fn total_compressed_bytes(&self) -> u64 {
-        match &self.backing {
-            Backing::Memory(records) => records.iter().map(|r| r.len() as u64).sum(),
-            Backing::Paged(p) => p.record_bytes,
-        }
+        self.paged.record_bytes
     }
 
     /// CRC32 content hash over the compressed records in processing
@@ -641,30 +597,22 @@ impl LivePointLibrary {
     /// identical order). Computed once and cached; any reordering
     /// mutation invalidates the cache.
     ///
-    /// A paged library in its stored order returns the trailer hash
-    /// (for dictionary-less files this equals the v1 in-memory hash).
-    /// A *re-shuffled* paged library hashes the footer's per-record
-    /// CRCs in processing order instead — still a deterministic
-    /// identity, without touching record bodies.
+    /// A library in its stored order — fresh, opened, or merged —
+    /// returns the trailer hash (for dictionary-less images this is the
+    /// v1 content hash of the same records). A *re-shuffled* library
+    /// hashes the footer's per-record CRCs in processing order instead —
+    /// still a deterministic identity, without touching record bodies.
     pub fn content_hash(&self) -> u32 {
-        *self.cache_hash.get_or_init(|| match &self.backing {
-            Backing::Memory(records) => {
+        *self.cache_hash.get_or_init(|| {
+            let p = &self.paged;
+            if self.order.iter().enumerate().all(|(i, &s)| i as u32 == s) {
+                p.stored_hash
+            } else {
                 let mut h = crc32::Hasher::new();
-                for rec in records {
-                    h.update(rec);
+                for &s in &self.order {
+                    h.update(&p.records[s as usize].crc.to_le_bytes());
                 }
                 h.finalize()
-            }
-            Backing::Paged(p) => {
-                if self.order.iter().enumerate().all(|(i, &s)| i as u32 == s) {
-                    p.stored_hash
-                } else {
-                    let mut h = crc32::Hasher::new();
-                    for &s in &self.order {
-                        h.update(&p.records[s as usize].crc.to_le_bytes());
-                    }
-                    h.finalize()
-                }
             }
         })
     }
@@ -707,141 +655,98 @@ impl LivePointLibrary {
         })
     }
 
-    /// Re-shuffle the processing order (deterministic in `seed`). On a
-    /// paged library only the in-memory order indirection moves — the
-    /// file is untouched.
+    /// Re-shuffle the processing order (deterministic in `seed`). Only
+    /// the in-memory order indirection moves — the image is untouched.
     pub fn shuffle(&mut self, seed: u64) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        match &mut self.backing {
-            Backing::Memory(records) => records.shuffle(&mut rng),
-            // Same length + same RNG stream ⇒ the same permutation the
-            // memory backing would apply, so streamed and in-memory
-            // creation agree point for point.
-            Backing::Paged(_) => self.order.shuffle(&mut rng),
-        }
+        self.order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
         self.cache_hash = OnceLock::new();
     }
 
     /// The library metadata payload (benchmark, scope, hierarchy
-    /// bounds) as DER — the v1 meta record and the v2 metadata frame.
+    /// bounds) as DER — the v2 metadata frame.
     fn meta_der(&self) -> Vec<u8> {
         encode_meta_der(&self.benchmark, self.scope, &self.max_hierarchy)
     }
 
     /// Visit the plain-LZSS bytes of every record in processing order.
-    /// Memory records are already plain; paged dictionary-less records
-    /// are raw-copied; paged dictionary records are decompressed and
-    /// deterministically recompressed, so a v1 → v2-with-dictionaries
-    /// → v1 round trip is byte-identical.
+    /// Dictionary-less records are raw-copied; dictionary records are
+    /// decompressed and deterministically recompressed, so writing a
+    /// library with dictionaries and back without them is
+    /// byte-identical.
     fn for_each_plain_record(
         &self,
         mut f: impl FnMut(&[u8]) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        match &self.backing {
-            Backing::Memory(records) => {
-                for rec in records {
-                    f(rec)?;
-                }
-            }
-            Backing::Paged(p) => {
-                let mut comp = Vec::new();
-                let mut der = Vec::new();
-                let mut scratch = lzss::CompressScratch::new();
-                for &stored in &self.order {
-                    let stored = stored as usize;
-                    p.read_record(stored, &mut comp)?;
-                    match p.dict(p.records[stored].block as usize)? {
-                        None => f(&comp)?,
-                        Some(dict) => {
-                            lzss::decompress_into_with_dict(&dict, &comp, &mut der)?;
-                            f(&lzss::compress_with(&mut scratch, &der))?;
-                        }
-                    }
+        let p = &self.paged;
+        let mut buf = Vec::new();
+        let mut der = Vec::new();
+        let mut scratch = lzss::CompressScratch::new();
+        for &stored in &self.order {
+            let stored = stored as usize;
+            let comp = p.read_record(stored, &mut buf)?;
+            match p.dict(p.records[stored].block as usize)? {
+                None => f(comp)?,
+                Some(dict) => {
+                    lzss::decompress_into_with_dict(&dict, comp, &mut der)?;
+                    f(&lzss::compress_with(&mut scratch, &der))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Serialize the library to v1 container bytes (meta record followed
-    /// by the compressed live-points).
+    /// Serialize the library to its canonical v2 image: records in
+    /// processing order, one dictionary-less block — what
+    /// [`save_v2`](Self::save_v2) writes with `dict: false`. Libraries
+    /// with equal images hold identical points in identical order.
     ///
     /// # Errors
     ///
-    /// Propagates read faults from a paged backing (in-memory libraries
-    /// cannot fail).
+    /// Propagates read faults from the library's image.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let mut writer = ContainerWriter::new();
-        writer.push(&self.meta_der());
-        self.for_each_plain_record(|rec| {
-            writer.push_compressed(rec);
-            Ok(())
-        })?;
-        Ok(writer.finish())
+        let mut image = Vec::new();
+        self.write_v2(&mut image, &V2WriteOptions { dict: false, ..V2WriteOptions::default() })?;
+        Ok(image)
     }
 
-    /// Parse a library from container bytes of either format. v2 bytes
-    /// are served paged from the in-memory image (no up-front record
-    /// parsing).
+    /// Parse a library from container bytes of either format. A v2
+    /// image is copied and every record CRC-checked once; a v1 stream is
+    /// re-framed into a dictionary-less v2 image, each record
+    /// CRC-checked and copied, never decompressed. Either way, reads
+    /// then borrow the records without a per-read check.
     ///
     /// # Errors
     ///
-    /// Propagates container/DER faults; an empty v1 container is
-    /// [`CoreError::EmptyLibrary`].
+    /// Propagates container/DER faults; a v1 container without a
+    /// metadata record is [`CoreError::EmptyLibrary`].
     pub fn from_bytes(data: &[u8]) -> Result<Self, CoreError> {
         if sniff_version(data)? == paged::V2_VERSION {
-            return Self::open_paged(Source::Bytes(Arc::new(data.to_vec())), data.len() as u64);
+            let lib = Self::from_image(data.to_vec())?;
+            lib.paged.check_records()?;
+            return Ok(lib);
         }
         let mut reader = ContainerReader::new(data)?;
-        let meta_bytes = reader.next_record()?.ok_or(CoreError::EmptyLibrary)?;
-        let (benchmark, scope, max_hierarchy) = parse_meta_der(&meta_bytes)?;
-        let mut records = Vec::new();
+        let meta = reader.next_record()?.ok_or(CoreError::EmptyLibrary)?;
+        let mut image = Vec::with_capacity(data.len());
+        let mut w = paged::PagedWriter::new(&mut image, &meta)?;
         while let Some(rec) = reader.next_record_compressed()? {
-            records.push(rec);
+            w.push_record(rec)?;
         }
-        Ok(Self::from_records(benchmark, scope, max_hierarchy, records))
+        w.finish()?;
+        Self::from_image(image)
     }
 
-    /// Save to a file in v1 format. The write is atomic — temp file +
-    /// fsync + rename (fault site `library.save`) — so a crash leaves
-    /// the previous container or the new one, never a torn file.
-    ///
-    /// # Example
-    ///
-    /// Build a small library, save it, and reopen it:
-    ///
-    /// ```
-    /// use spectral_core::{CreationConfig, LivePointLibrary};
-    /// use spectral_uarch::MachineConfig;
-    ///
-    /// let program = spectral_workloads::tiny().build();
-    /// let cfg = CreationConfig::for_machine(&MachineConfig::eight_way()).with_sample_size(4);
-    /// let library = LivePointLibrary::create(&program, &cfg)?;
-    ///
-    /// let path = std::env::temp_dir().join(format!("doc-save-{}.slp", std::process::id()));
-    /// library.save(&path)?;
-    /// let reopened = LivePointLibrary::open(&path)?;
-    /// assert_eq!(reopened.len(), library.len());
-    /// assert_eq!(reopened.benchmark(), library.benchmark());
-    /// std::fs::remove_file(&path).ok();
-    /// # Ok::<(), spectral_core::CoreError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let bytes = self.to_bytes()?;
-        spectral_faultd::retry("library.save", || {
-            spectral_faultd::write_atomic("library.save", path.as_ref(), &bytes)
-        })?;
-        Ok(())
+    /// Serve a library from an in-memory v2 image whose records the
+    /// caller has CRC-checked (or just written).
+    fn from_image(image: Vec<u8>) -> Result<Self, CoreError> {
+        let len = image.len() as u64;
+        Self::open_paged(Source::Bytes(image), len)
     }
 
     /// Save to a file as a v2 paged container, returning the writer's
     /// size summary. Without dictionaries this is a pure re-framing of
-    /// the plain-compressed records (no decompression for in-memory or
-    /// dictionary-less paged sources); with dictionaries each block of
+    /// the plain-compressed records (no decompression for
+    /// dictionary-less libraries); with dictionaries each block of
     /// [`V2WriteOptions::block_points`] records is recompressed against
     /// a dictionary sampled from the block's own records.
     ///
@@ -849,6 +754,27 @@ impl LivePointLibrary {
     /// renamed into place only after a complete, CRC-consistent write
     /// (fault site `library.v2.save`), so a crash mid-save never leaves
     /// a torn container at `path`.
+    ///
+    /// # Example
+    ///
+    /// Build a small library, save it, and reopen it:
+    ///
+    /// ```
+    /// use spectral_core::{CreationConfig, LivePointLibrary, V2WriteOptions};
+    /// use spectral_uarch::MachineConfig;
+    ///
+    /// let program = spectral_workloads::tiny().build();
+    /// let cfg = CreationConfig::for_machine(&MachineConfig::eight_way()).with_sample_size(4);
+    /// let library = LivePointLibrary::create(&program, &cfg)?;
+    ///
+    /// let path = std::env::temp_dir().join(format!("doc-save-{}.slp", std::process::id()));
+    /// library.save_v2(&path, &V2WriteOptions::default())?;
+    /// let reopened = LivePointLibrary::open(&path)?;
+    /// assert_eq!(reopened.len(), library.len());
+    /// assert_eq!(reopened.benchmark(), library.benchmark());
+    /// std::fs::remove_file(&path).ok();
+    /// # Ok::<(), spectral_core::CoreError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -861,32 +787,22 @@ impl LivePointLibrary {
         let path = path.as_ref();
         spectral_faultd::probe("library.v2.save")?;
         let tmp = tmp_sibling(path);
-        match self.save_v2_into(&tmp, opts) {
-            Ok(summary) => {
-                commit_tmp("library.v2.save", &tmp, path)?;
-                Ok(summary)
-            }
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
+        let written = File::create(&tmp)
+            .map_err(CoreError::from)
+            .and_then(|f| self.write_v2(BufWriter::new(f), opts));
+        publish("library.v2.save", &tmp, path, written)
     }
 
-    /// The streaming body of [`save_v2`](Self::save_v2), writing the
-    /// container to its (non-atomic) destination.
-    fn save_v2_into(
+    /// Stream the library as a v2 container into `out` — the body of
+    /// [`save_v2`](Self::save_v2) and [`to_bytes`](Self::to_bytes).
+    fn write_v2<W: Write>(
         &self,
-        path: &Path,
+        out: W,
         opts: &V2WriteOptions,
     ) -> Result<paged::V2Summary, CoreError> {
-        let file = File::create(path)?;
-        let mut w = paged::PagedWriter::new(BufWriter::new(file), &self.meta_der())?;
+        let mut w = paged::PagedWriter::new(out, &self.meta_der())?;
         if !opts.dict {
-            self.for_each_plain_record(|rec| {
-                w.push_record(rec)?;
-                Ok(())
-            })?;
+            self.for_each_plain_record(|rec| Ok(w.push_record(rec)?))?;
         } else {
             let n = self.len();
             let block_points = opts.block_points.max(1);
@@ -942,58 +858,64 @@ impl LivePointLibrary {
         Ok(dict)
     }
 
-    /// Open a library file of either format. v1 files load fully (all
-    /// records resident); v2 files open paged — only the header,
-    /// metadata, and footer index are read, and records are fetched
-    /// with positioned reads on demand.
+    /// Open a library file of either format. v2 files open paged — only
+    /// the header, metadata, and footer index are read, and records are
+    /// fetched with positioned reads on demand; v1 files are read whole
+    /// and re-framed (see [`from_bytes`](Self::from_bytes)).
     ///
     /// # Errors
     ///
     /// Propagates I/O and container faults.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let path = path.as_ref();
+        Self::open_versioned(path.as_ref()).map(|(_, lib)| lib)
+    }
+
+    /// [`open`](Self::open), also returning the file's format version.
+    fn open_versioned(path: &Path) -> Result<(u16, Self), CoreError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < 6 {
             return Err(CodecError::Truncated.into());
         }
         let source = Source::File(file);
-        let mut prefix = [0u8; 6];
-        source.read_exact_at(&mut prefix, 0)?;
-        match sniff_version(&prefix)? {
-            1 => Self::from_bytes(&std::fs::read(path)?),
-            paged::V2_VERSION => Self::open_paged(source, file_len),
-            v => Err(CodecError::UnsupportedVersion { found: v }.into()),
-        }
+        let version = sniff_version(source.bytes_at(0, 6, &mut Vec::new())?)?;
+        let lib = match version {
+            1 => Self::from_bytes(&std::fs::read(path)?)?,
+            paged::V2_VERSION => Self::open_paged(source, file_len)?,
+            v => return Err(CodecError::UnsupportedVersion { found: v }.into()),
+        };
+        Ok((version, lib))
     }
 
-    /// Open a v2 container over `source`: header + metadata + footer
-    /// index only; no record is read or decompressed.
+    /// Open a v2 image over `source`: header + metadata + footer index
+    /// only; no record is read or decompressed.
     fn open_paged(source: Source, file_len: u64) -> Result<Self, CoreError> {
         let sw = Stopwatch::start();
         if file_len < (paged::V2_HEADER_LEN + paged::V2_TRAILER_LEN) as u64 {
             return Err(CodecError::Truncated.into());
         }
-        let mut prefix = [0u8; paged::V2_HEADER_LEN];
-        source.read_exact_at(&mut prefix, 0)?;
-        let header = paged::parse_v2_header(&prefix)?;
+        let mut buf = Vec::new();
+        let header = paged::parse_v2_header(source.bytes_at(0, paged::V2_HEADER_LEN, &mut buf)?)?;
         let meta_end = paged::V2_HEADER_LEN as u64 + u64::from(header.meta_len);
         if meta_end + paged::V2_TRAILER_LEN as u64 > file_len {
             return Err(CodecError::Truncated.into());
         }
-        let mut meta_bytes = vec![0u8; header.meta_len as usize];
-        source.read_exact_at(&mut meta_bytes, paged::V2_HEADER_LEN as u64)?;
-        let meta_der = paged::decode_v2_meta(&header, &meta_bytes)?;
+        let meta_bytes =
+            source.bytes_at(paged::V2_HEADER_LEN as u64, header.meta_len as usize, &mut buf)?;
+        let meta_der = paged::decode_v2_meta(&header, meta_bytes)?;
         let (benchmark, scope, max_hierarchy) = parse_meta_der(&meta_der)?;
-        let mut tail = [0u8; paged::V2_TRAILER_LEN];
-        source.read_exact_at(&mut tail, file_len - paged::V2_TRAILER_LEN as u64)?;
-        let trailer = paged::parse_v2_trailer(&tail, file_len)?;
+        let tail = source.bytes_at(
+            file_len - paged::V2_TRAILER_LEN as u64,
+            paged::V2_TRAILER_LEN,
+            &mut buf,
+        )?;
+        let trailer = paged::parse_v2_trailer(tail, file_len)?;
         if trailer.footer_offset < meta_end {
             return Err(CodecError::BadFooter.into());
         }
-        let mut footer = vec![0u8; trailer.footer_len as usize];
-        source.read_exact_at(&mut footer, trailer.footer_offset)?;
-        let (blocks, records) = paged::parse_v2_footer(&footer, &trailer, meta_end)?;
+        let footer =
+            source.bytes_at(trailer.footer_offset, trailer.footer_len as usize, &mut buf)?;
+        let (blocks, records) = paged::parse_v2_footer(footer, &trailer, meta_end)?;
         let record_bytes = records.iter().map(|r| u64::from(r.len)).sum();
         let dicts = blocks.iter().map(|_| Mutex::new(None)).collect();
         let order = (0..records.len() as u32).collect();
@@ -1001,15 +923,14 @@ impl LivePointLibrary {
             benchmark,
             scope,
             max_hierarchy,
-            backing: Backing::Paged(Arc::new(PagedSource {
+            paged: Arc::new(PagedSource {
                 source,
                 blocks,
                 records,
                 stored_hash: trailer.content_hash,
                 record_bytes,
-                file_bytes: file_len,
                 dicts,
-            })),
+            }),
             order,
             cache_hash: OnceLock::new(),
         };
@@ -1019,170 +940,65 @@ impl LivePointLibrary {
     }
 
     /// Metadata-only open: benchmark, scope, hierarchy bounds, point
-    /// count, and size totals without decompressing a single record.
-    /// v2 reads the header and footer; v1 reads the meta record and
-    /// walks frame headers by seeking over record bodies.
+    /// count, and size totals without decompressing a single record. A
+    /// v2 file is read for its header and footer only; a v1 file is
+    /// read whole and re-framed, so the header reports the re-framed
+    /// image's blocks and content hash.
     ///
     /// # Errors
     ///
     /// Propagates I/O and container faults.
     pub fn open_header(path: impl AsRef<Path>) -> Result<LibraryHeader, CoreError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < V1_HEADER_LEN as u64 {
-            return Err(CodecError::Truncated.into());
-        }
-        let source = Source::File(file);
-        let mut h = [0u8; V1_HEADER_LEN];
-        source.read_exact_at(&mut h, 0)?;
-        match sniff_version(&h)? {
-            1 => Self::open_header_v1(&source, &h, file_len),
-            paged::V2_VERSION => {
-                let lib = Self::open_paged(source, file_len)?;
-                let Backing::Paged(p) = &lib.backing else {
-                    unreachable!("open_paged always yields a paged backing");
-                };
-                Ok(LibraryHeader {
-                    format_version: paged::V2_VERSION,
-                    benchmark: lib.benchmark.clone(),
-                    scope: lib.scope,
-                    max_hierarchy: lib.max_hierarchy,
-                    points: p.records.len() as u64,
-                    blocks: p.blocks.len() as u64,
-                    total_compressed_bytes: p.record_bytes,
-                    file_bytes: p.file_bytes,
-                    content_hash: Some(p.stored_hash),
-                })
-            }
-            v => Err(CodecError::UnsupportedVersion { found: v }.into()),
-        }
-    }
-
-    /// v1 metadata-only open: parse the meta record, then walk the
-    /// remaining frame headers (8 bytes each) accumulating sizes —
-    /// record bodies are skipped, never read.
-    fn open_header_v1(
-        source: &Source,
-        header: &[u8; V1_HEADER_LEN],
-        file_len: u64,
-    ) -> Result<LibraryHeader, CoreError> {
-        let count = spectral_codec::parse_v1_header(header)?;
-        if count == 0 {
-            return Err(CoreError::EmptyLibrary);
-        }
-        let mut pos = V1_HEADER_LEN as u64;
-        let mut fh = [0u8; FRAME_HEADER_LEN];
-        let read_frame =
-            |pos: u64, fh: &mut [u8; FRAME_HEADER_LEN]| -> Result<(u32, u32), CoreError> {
-                if pos + FRAME_HEADER_LEN as u64 > file_len {
-                    return Err(CodecError::Truncated.into());
-                }
-                source.read_exact_at(fh, pos)?;
-                Ok(frame_header(fh))
-            };
-        let (meta_len, meta_crc) = read_frame(pos, &mut fh)?;
-        pos += FRAME_HEADER_LEN as u64;
-        if pos + u64::from(meta_len) > file_len {
-            return Err(CodecError::Truncated.into());
-        }
-        let mut meta_comp = vec![0u8; meta_len as usize];
-        source.read_exact_at(&mut meta_comp, pos)?;
-        if crc32::checksum(&meta_comp) != meta_crc {
-            return Err(CodecError::CrcMismatch { frame: 0 }.into());
-        }
-        let meta_der = lzss::decompress(&meta_comp)?;
-        let (benchmark, scope, max_hierarchy) = parse_meta_der(&meta_der)?;
-        pos += u64::from(meta_len);
-        let mut total = 0u64;
-        for _ in 1..count {
-            let (len, _) = read_frame(pos, &mut fh)?;
-            pos += FRAME_HEADER_LEN as u64 + u64::from(len);
-            if pos > file_len {
-                return Err(CodecError::Truncated.into());
-            }
-            total += u64::from(len);
-        }
+        let path = path.as_ref();
+        let file_bytes = std::fs::metadata(path)?.len();
+        let (format_version, lib) = Self::open_versioned(path)?;
+        let p = &lib.paged;
         Ok(LibraryHeader {
-            format_version: 1,
-            benchmark,
-            scope,
-            max_hierarchy,
-            points: u64::from(count) - 1,
-            blocks: 0,
-            total_compressed_bytes: total,
-            file_bytes: file_len,
-            content_hash: None,
+            format_version,
+            benchmark: lib.benchmark.clone(),
+            scope: lib.scope,
+            max_hierarchy: lib.max_hierarchy,
+            points: p.records.len() as u64,
+            blocks: p.blocks.len() as u64,
+            total_compressed_bytes: p.record_bytes,
+            file_bytes,
+            content_hash: p.stored_hash,
         })
     }
 
-    /// Load from a file — an alias for [`open`](Self::open), kept for
-    /// callers predating the paged format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and container errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::open(path)
-    }
-
-    /// Convert a paged backing into the memory backing (plain-LZSS
-    /// records resident, processing order preserved). A no-op for
-    /// libraries that are already in memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read faults from the paged source.
-    pub fn materialize(&mut self) -> Result<(), CoreError> {
-        if matches!(self.backing, Backing::Memory(_)) {
-            return Ok(());
-        }
-        let mut records = Vec::with_capacity(self.len());
-        self.for_each_plain_record(|rec| {
-            records.push(rec.to_vec());
-            Ok(())
-        })?;
-        self.backing = Backing::Memory(records);
-        self.order = Vec::new();
-        self.cache_hash = OnceLock::new();
-        Ok(())
-    }
-
-    /// Merge another library of the same benchmark into this one
-    /// (growing the sample-size upper bound, e.g. when a comparative
-    /// study needs more points than originally planned — the risk §6.2
-    /// discusses). The merged records are re-shuffled. Paged backings
-    /// are materialized first; to merge large on-disk libraries without
-    /// decompressing them, use [`merge_files`](Self::merge_files).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BenchmarkMismatch`] when the benchmark or
-    /// creation bounds differ (points from mismatched bounds cannot be
-    /// processed interchangeably).
-    pub fn merge(
-        &mut self,
-        mut other: LivePointLibrary,
-        shuffle_seed: u64,
-    ) -> Result<(), CoreError> {
+    /// Points from libraries with different benchmarks or creation
+    /// bounds cannot be processed interchangeably.
+    fn check_mergeable(&self, other: &Self) -> Result<(), CoreError> {
         if other.benchmark != self.benchmark
             || other.max_hierarchy != self.max_hierarchy
             || other.scope != self.scope
         {
             return Err(CoreError::BenchmarkMismatch {
                 expected: self.benchmark.clone(),
-                found: other.benchmark,
+                found: other.benchmark.clone(),
             });
         }
-        self.materialize()?;
-        other.materialize()?;
-        let Backing::Memory(ours) = &mut self.backing else {
-            unreachable!("materialize yields a memory backing");
-        };
-        let Backing::Memory(theirs) = other.backing else {
-            unreachable!("materialize yields a memory backing");
-        };
-        ours.extend(theirs);
-        self.shuffle(shuffle_seed);
+        Ok(())
+    }
+
+    /// Merge another library of the same benchmark into this one
+    /// (growing the sample-size upper bound, e.g. when a comparative
+    /// study needs more points than originally planned — the risk §6.2
+    /// discusses). The merged records are re-shuffled into a new
+    /// in-memory image by the index-level writer of
+    /// [`merge_files`](Self::merge_files), so no record is
+    /// decompressed and the permutation matches `merge_files` of the
+    /// same inputs with the same seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BenchmarkMismatch`] when the benchmark or
+    /// creation bounds differ, plus any read fault.
+    pub fn merge(&mut self, other: LivePointLibrary, shuffle_seed: u64) -> Result<(), CoreError> {
+        self.check_mergeable(&other)?;
+        let mut image = Vec::new();
+        Self::merge_into(&[&*self, &other], &mut image, shuffle_seed)?;
+        *self = Self::from_image(image)?;
         Ok(())
     }
 
@@ -1190,8 +1006,6 @@ impl LivePointLibrary {
     /// the index level: dictionaries and record bodies are raw-copied
     /// (CRC-verified, never decompressed), block pointers are remapped,
     /// and the combined records are written in a seeded shuffled order.
-    /// The permutation matches [`merge`](Self::merge) of the same
-    /// inputs with the same seed.
     ///
     /// Returns the merged library, opened paged from `out`.
     ///
@@ -1210,36 +1024,24 @@ impl LivePointLibrary {
         }
         let libs = inputs.iter().map(Self::open).collect::<Result<Vec<_>, _>>()?;
         for lib in &libs[1..] {
-            if lib.benchmark != libs[0].benchmark
-                || lib.max_hierarchy != libs[0].max_hierarchy
-                || lib.scope != libs[0].scope
-            {
-                return Err(CoreError::BenchmarkMismatch {
-                    expected: libs[0].benchmark.clone(),
-                    found: lib.benchmark.clone(),
-                });
-            }
+            libs[0].check_mergeable(lib)?;
         }
         let out = out.as_ref();
         spectral_faultd::probe("library.merge.save")?;
         let tmp = tmp_sibling(out);
-        match Self::merge_files_into(&libs, &tmp, shuffle_seed) {
-            Ok(()) => {
-                commit_tmp("library.merge.save", &tmp, out)?;
-            }
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                return Err(e);
-            }
-        }
+        let refs: Vec<&Self> = libs.iter().collect();
+        let written = File::create(&tmp)
+            .map_err(CoreError::from)
+            .and_then(|f| Self::merge_into(&refs, BufWriter::new(f), shuffle_seed));
+        publish("library.merge.save", &tmp, out, written)?;
         Self::open(out)
     }
 
-    /// The streaming body of [`merge_files`](Self::merge_files),
-    /// writing the merged container to its (non-atomic) destination.
-    fn merge_files_into(libs: &[Self], out: &Path, shuffle_seed: u64) -> Result<(), CoreError> {
-        let file = File::create(out)?;
-        let mut w = paged::PagedWriter::new(BufWriter::new(file), &libs[0].meta_der())?;
+    /// The index-level merge writer behind [`merge`](Self::merge) and
+    /// [`merge_files`](Self::merge_files), streaming the merged
+    /// container into `out`.
+    fn merge_into<W: Write>(libs: &[&Self], out: W, shuffle_seed: u64) -> Result<(), CoreError> {
+        let mut w = paged::PagedWriter::new(out, &libs[0].meta_der())?;
 
         // Write every input's dictionaries up front; records then point
         // back at them through a per-input block-id base.
@@ -1248,47 +1050,29 @@ impl LivePointLibrary {
         let mut buf = Vec::new();
         for lib in libs {
             block_base.push(written_blocks);
-            match &lib.backing {
-                Backing::Memory(_) => {
+            let p = &lib.paged;
+            for (bi, b) in p.blocks.iter().enumerate() {
+                if b.dict_len == 0 {
                     w.begin_block(&[])?;
-                    written_blocks += 1;
+                } else {
+                    w.begin_block(p.read_dict_raw(bi, &mut buf)?)?;
                 }
-                Backing::Paged(p) => {
-                    for (bi, b) in p.blocks.iter().enumerate() {
-                        if b.dict_len == 0 {
-                            w.begin_block(&[])?;
-                        } else {
-                            p.read_dict_raw(bi, &mut buf)?;
-                            w.begin_block(&buf)?;
-                        }
-                        written_blocks += 1;
-                    }
-                }
+                written_blocks += 1;
             }
         }
 
-        // Shuffle the concatenated processing orders — the same
-        // permutation `merge` applies to the concatenated record vector.
+        // Shuffle the concatenated processing orders.
         let mut all: Vec<(u32, u32)> = Vec::new();
         for (li, lib) in libs.iter().enumerate() {
             all.extend((0..lib.len() as u32).map(|i| (li as u32, i)));
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(shuffle_seed);
-        all.shuffle(&mut rng);
+        all.shuffle(&mut rand::rngs::StdRng::seed_from_u64(shuffle_seed));
 
         for (li, i) in all {
-            let lib = &libs[li as usize];
-            let base = block_base[li as usize];
-            match &lib.backing {
-                Backing::Memory(records) => {
-                    w.push_record_in_block(&records[i as usize], base)?;
-                }
-                Backing::Paged(p) => {
-                    let stored = lib.order[i as usize] as usize;
-                    p.read_record(stored, &mut buf)?;
-                    w.push_record_in_block(&buf, base + p.records[stored].block)?;
-                }
-            }
+            let p = &libs[li as usize].paged;
+            let stored = libs[li as usize].order[i as usize] as usize;
+            let rec = p.read_record(stored, &mut buf)?;
+            w.push_record_in_block(rec, block_base[li as usize] + p.records[stored].block)?;
         }
         w.finish()?;
         Ok(())
@@ -1340,7 +1124,24 @@ impl LivePointLibrary {
     }
 }
 
-/// DER-encode the library metadata payload.
+/// The paper's periodic sample design over `program` for `cfg`.
+fn design_windows(program: &Program, cfg: &CreationConfig) -> Vec<WindowSpec> {
+    let n = benchmark_length(program);
+    SystematicDesign::new(cfg.unit_len, cfg.warm_len).windows(n, cfg.sample_size, cfg.seed)
+}
+
+/// Reject an empty window list; panic on an unsorted one.
+fn check_windows(windows: &[WindowSpec]) -> Result<(), CoreError> {
+    if windows.is_empty() {
+        return Err(CoreError::BenchmarkTooShort);
+    }
+    assert!(
+        windows.windows(2).all(|w| w[0].end() <= w[1].detail_start),
+        "windows must be sorted and non-overlapping"
+    );
+    Ok(())
+}
+
 /// The temp sibling a streaming save writes to before its atomic
 /// rename: `<file>.tmp.<pid>`, in the same directory so the rename
 /// stays within one filesystem.
@@ -1350,16 +1151,27 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     std::path::PathBuf::from(name)
 }
 
-/// Durably publish a fully written temp file at its final path:
-/// fsync the temp, rename it over `path`, then fsync the parent
-/// directory (best-effort) so the rename itself survives a crash.
-/// `{site}.rename` is a fault kill-point between fsync and rename —
-/// a SIGKILL there leaves the old file (or nothing) plus a temp
-/// sibling, never a torn container.
-fn commit_tmp(site: &str, tmp: &Path, path: &Path) -> std::io::Result<()> {
-    let f = File::open(tmp)?;
-    f.sync_all()?;
-    drop(f);
+/// Finish a streaming save: when `written` succeeded, durably publish
+/// the temp file at `path` — fsync the temp, rename it over `path`,
+/// then fsync the parent directory (best-effort) so the rename itself
+/// survives a crash; when it failed, remove the temp. `{site}.rename`
+/// is a fault kill-point between fsync and rename — a SIGKILL there
+/// leaves the old file (or nothing) plus a temp sibling, never a torn
+/// container.
+fn publish<T>(
+    site: &str,
+    tmp: &Path,
+    path: &Path,
+    written: Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let value = match written {
+        Ok(value) => value,
+        Err(e) => {
+            std::fs::remove_file(tmp).ok();
+            return Err(e);
+        }
+    };
+    File::open(tmp)?.sync_all()?;
     spectral_faultd::kill_point(&format!("{site}.rename"));
     std::fs::rename(tmp, path)?;
     if let Some(parent) = path.parent() {
@@ -1367,31 +1179,16 @@ fn commit_tmp(site: &str, tmp: &Path, path: &Path) -> std::io::Result<()> {
             let _ = dir.sync_all();
         }
     }
-    Ok(())
+    Ok(value)
 }
 
+/// DER-encode the library metadata payload.
 fn encode_meta_der(benchmark: &str, scope: StateScope, h: &HierarchyConfig) -> Vec<u8> {
     let mut meta = DerWriter::new();
     meta.seq(|w| {
         w.utf8(benchmark);
-        w.u64(match scope {
-            StateScope::Full => 0,
-            StateScope::Restricted => 1,
-        });
-        for c in [&h.l1i, &h.l1d, &h.l2] {
-            w.seq(|w| {
-                w.u64(c.size_bytes());
-                w.u64(c.assoc() as u64);
-                w.u64(c.line_bytes());
-            });
-        }
-        for t in [&h.itlb, &h.dtlb] {
-            w.seq(|w| {
-                w.u64(t.entries() as u64);
-                w.u64(t.assoc() as u64);
-                w.u64(t.page_bytes());
-            });
-        }
+        w.u64(enc_scope(scope));
+        enc_hierarchy(w, h);
     });
     meta.finish()
 }
@@ -1401,24 +1198,8 @@ fn parse_meta_der(meta: &[u8]) -> Result<(String, StateScope, HierarchyConfig), 
     let mut r = DerReader::new(meta);
     let mut s = r.seq()?;
     let benchmark = s.utf8()?.to_owned();
-    let scope = match s.u64()? {
-        0 => StateScope::Full,
-        _ => StateScope::Restricted,
-    };
-    let mut cache_cfg = || -> Result<spectral_cache::CacheConfig, CoreError> {
-        let mut q = s.seq()?;
-        Ok(spectral_cache::CacheConfig::new(q.u64()?, q.u64()? as u32, q.u64()?)?)
-    };
-    let l1i = cache_cfg()?;
-    let l1d = cache_cfg()?;
-    let l2 = cache_cfg()?;
-    let mut tlb_cfg = || -> Result<spectral_cache::TlbConfig, CoreError> {
-        let mut q = s.seq()?;
-        Ok(spectral_cache::TlbConfig::new(q.u64()? as u32, q.u64()? as u32, q.u64()?)?)
-    };
-    let itlb = tlb_cfg()?;
-    let dtlb = tlb_cfg()?;
-    Ok((benchmark, scope, HierarchyConfig { l1i, l1d, l2, itlb, dtlb }))
+    let scope = dec_scope(s.u64()?);
+    Ok((benchmark, scope, dec_hierarchy(&mut s)?))
 }
 
 /// Run the sequential functional-warming walk over `windows`, handing
@@ -1481,59 +1262,34 @@ fn walk_windows(
     }
 }
 
-/// Pipelined creation: the warming walk runs on the calling thread,
-/// feeding snapshots through a channel to `threads` encode/compress
-/// workers. Indexed result slots preserve record order, so the output is
-/// byte-identical to the serial pass.
-fn encode_pipelined(
+/// The creation pipeline behind both creation paths: run the warming
+/// walk over `windows` and hand each compressed record to `sink` in
+/// window order. `threads <= 1` encodes inline; otherwise the walk
+/// feeds `threads` encode/compress workers, and a writer thread drains
+/// their output through a reorder buffer, so only O(threads) records
+/// are in flight beyond what the sink keeps. Returns the first sink
+/// fault, after which no record reaches the sink.
+fn spool_pipelined(
     program: &Program,
     cfg: &CreationConfig,
     windows: &[WindowSpec],
     threads: usize,
-) -> Vec<Vec<u8>> {
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, LivePoint)>();
-    let rx = Mutex::new(rx);
-    let slots: Vec<Mutex<Option<Vec<u8>>>> = windows.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = lzss::CompressScratch::new();
-                loop {
-                    // Take the receiver lock only to pull the next job;
-                    // encoding runs unlocked.
-                    let job = rx.lock().expect("receiver lock").recv();
-                    let Ok((i, lp)) = job else { break };
-                    let bytes = compress_record(&mut scratch, &lp);
-                    *slots[i].lock().expect("slot lock") = Some(bytes);
-                }
-            });
-        }
-        walk_windows(program, cfg, windows, |i, lp| {
-            tx.send((i, lp)).expect("encode workers outlive the walk");
+    mut sink: impl FnMut(Vec<u8>) -> std::io::Result<()> + Send,
+) -> std::io::Result<()> {
+    if threads <= 1 {
+        let mut scratch = lzss::CompressScratch::new();
+        let mut written = Ok(());
+        walk_windows(program, cfg, windows, |_, lp| {
+            if written.is_ok() {
+                written = sink(compress_record(&mut scratch, &lp));
+            }
         });
-        drop(tx);
-    });
-    // The walk may halt early; completed records are a prefix.
-    slots.into_iter().map_while(|slot| slot.into_inner().expect("slot lock")).collect()
-}
-
-/// Pipelined creation streamed to disk: the walk feeds `threads`
-/// encode/compress workers, and a dedicated writer thread drains their
-/// output through a reorder buffer so records land in the spool in
-/// window order with only O(threads) records in flight — never the
-/// whole library. Returns the first write fault, if any.
-fn spool_pipelined<W: std::io::Write + Send>(
-    program: &Program,
-    cfg: &CreationConfig,
-    windows: &[WindowSpec],
-    threads: usize,
-    w: &mut paged::PagedWriter<W>,
-) -> Option<std::io::Error> {
+        return written;
+    }
     let (tx, rx) = std::sync::mpsc::channel::<(usize, LivePoint)>();
     let (otx, orx) = std::sync::mpsc::channel::<(usize, Vec<u8>)>();
     let rx = Mutex::new(rx);
     let aborted = std::sync::atomic::AtomicBool::new(false);
-    let write_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let otx = otx.clone();
@@ -1541,6 +1297,8 @@ fn spool_pipelined<W: std::io::Write + Send>(
             scope.spawn(move || {
                 let mut scratch = lzss::CompressScratch::new();
                 loop {
+                    // Take the receiver lock only to pull the next job;
+                    // encoding runs unlocked.
                     let job = rx.lock().expect("receiver lock").recv();
                     let Ok((i, lp)) = job else { break };
                     let bytes = compress_record(&mut scratch, &lp);
@@ -1551,22 +1309,21 @@ fn spool_pipelined<W: std::io::Write + Send>(
             });
         }
         drop(otx);
-        let write_err = &write_err;
         let aborted = &aborted;
-        scope.spawn(move || {
+        let writer = scope.spawn(move || {
             let mut pending: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
             let mut next = 0usize;
             for (i, bytes) in orx.iter() {
                 pending.insert(i, bytes);
                 while let Some(bytes) = pending.remove(&next) {
-                    if let Err(e) = w.push_record(&bytes) {
-                        *write_err.lock().expect("write-err lock") = Some(e);
+                    if let Err(e) = sink(bytes) {
                         aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                        return;
+                        return Err(e);
                     }
                     next += 1;
                 }
             }
+            Ok(())
         });
         walk_windows(program, cfg, windows, |i, lp| {
             if !aborted.load(std::sync::atomic::Ordering::Relaxed) {
@@ -1574,8 +1331,8 @@ fn spool_pipelined<W: std::io::Write + Send>(
             }
         });
         drop(tx);
-    });
-    write_err.into_inner().expect("write-err lock")
+        writer.join().expect("creation writer thread")
+    })
 }
 
 /// Iterator over a library's decoded live-points; created by
@@ -1633,9 +1390,22 @@ mod tests {
     }
 
     /// Decoded window starts in processing order — the order-sensitive
-    /// fingerprint used to compare libraries across backings.
+    /// fingerprint used to compare libraries across containers.
     fn window_seq(l: &LivePointLibrary) -> Vec<u64> {
         (0..l.len()).map(|i| l.get(i).unwrap().window.measure_start).collect()
+    }
+
+    /// Frame `lib` as a legacy v1 stream, as the v1 writer laid it out:
+    /// the meta record, then every record in processing order.
+    fn v1_bytes(lib: &LivePointLibrary) -> Vec<u8> {
+        let mut w = spectral_codec::ContainerWriter::new();
+        w.push(&lib.meta_der());
+        lib.for_each_plain_record(|rec| {
+            w.push_compressed(rec);
+            Ok(())
+        })
+        .unwrap();
+        w.finish()
     }
 
     #[test]
@@ -1674,14 +1444,36 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
+    fn corrupt_record_fails_the_file_read_and_the_bytes_load() {
+        let p = tiny().build();
+        let mut bytes = LivePointLibrary::create(&p, &small_cfg()).unwrap().to_bytes().unwrap();
+        let offset = LivePointLibrary::from_bytes(&bytes).unwrap().paged.records[0].offset;
+        bytes[offset as usize] ^= 0x5a;
+        let crc_fault = |r: Result<_, CoreError>| {
+            matches!(r, Err(CoreError::Codec(CodecError::CrcMismatch { frame: 0 })))
+        };
+        // In memory the records are checked once, up front ...
+        assert!(crc_fault(LivePointLibrary::from_bytes(&bytes).map(|_| ())));
+        // ... while a file checks each record as it is read.
+        let path = temp_path("corrupt_record.splp");
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = LivePointLibrary::open(&path).unwrap();
+        assert!(crc_fault(opened.get(0).map(|_| ())));
+        assert!(opened.get(1).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v1_file_is_reframed_on_open() {
         let p = tiny().build();
         let lib = LivePointLibrary::create(&p, &small_cfg()).unwrap();
         let path = temp_path("library_v1.splp");
-        lib.save(&path).unwrap();
-        let back = LivePointLibrary::load(&path).unwrap();
+        std::fs::write(&path, v1_bytes(&lib)).unwrap();
+        let back = LivePointLibrary::open(&path).unwrap();
+        assert_eq!(back.format_version(), 2);
         assert_eq!(back.len(), lib.len());
-        assert_eq!(back.format_version(), 1);
+        assert_eq!(back.content_hash(), lib.content_hash());
+        assert_eq!(back.to_bytes().unwrap(), lib.to_bytes().unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1693,8 +1485,8 @@ mod tests {
         let opts = V2WriteOptions { dict: false, ..V2WriteOptions::default() };
         let summary = lib.save_v2(&path, &opts).unwrap();
         assert_eq!(summary.count as usize, lib.len());
-        // Dictionary-less records are byte-identical to v1 bodies, so
-        // the stored content hash equals the in-memory hash …
+        // Dictionary-less records are raw-copied, so the stored content
+        // hash equals the in-memory hash …
         assert_eq!(summary.content_hash, lib.content_hash());
         let back = LivePointLibrary::open(&path).unwrap();
         assert_eq!(back.format_version(), 2);
@@ -1703,7 +1495,7 @@ mod tests {
         assert_eq!(back.max_hierarchy(), lib.max_hierarchy());
         assert_eq!(back.len(), lib.len());
         assert_eq!(back.content_hash(), lib.content_hash());
-        // … as do the footer-derived sizes (satellite: v1/v2 agreement).
+        // … as do the footer-derived sizes.
         assert_eq!(back.total_compressed_bytes(), lib.total_compressed_bytes());
         for i in 0..lib.len() {
             assert_eq!(back.record_bytes(i), lib.record_bytes(i));
@@ -1740,16 +1532,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_v2_v1_round_trip_is_byte_identical() {
+    fn dict_round_trip_restores_the_canonical_image() {
         let p = tiny().build();
         let lib = LivePointLibrary::create(&p, &small_cfg()).unwrap();
-        let v1 = lib.to_bytes().unwrap();
+        let image = lib.to_bytes().unwrap();
         let path = temp_path("library_v2_rt.splp");
         lib.save_v2(&path, &V2WriteOptions::default()).unwrap();
         let back = LivePointLibrary::open(&path).unwrap();
         // Dictionary records decompress + deterministically recompress
         // to the exact original plain streams.
-        assert_eq!(back.to_bytes().unwrap(), v1);
+        assert_eq!(back.to_bytes().unwrap(), image);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1759,7 +1551,7 @@ mod tests {
         let lib = LivePointLibrary::create(&p, &small_cfg()).unwrap();
         let v1_path = temp_path("header_v1.splp");
         let v2_path = temp_path("header_v2.splp");
-        lib.save(&v1_path).unwrap();
+        std::fs::write(&v1_path, v1_bytes(&lib)).unwrap();
         let opts = V2WriteOptions { dict: false, ..V2WriteOptions::default() };
         lib.save_v2(&v2_path, &opts).unwrap();
 
@@ -1770,14 +1562,15 @@ mod tests {
         assert_eq!(h1.total_compressed_bytes, lib.total_compressed_bytes());
         assert_eq!(h1.scope, lib.scope());
         assert_eq!(&h1.max_hierarchy, lib.max_hierarchy());
-        assert!(h1.content_hash.is_none());
+        assert_eq!(h1.content_hash, lib.content_hash());
+        assert_eq!(h1.file_bytes, std::fs::metadata(&v1_path).unwrap().len());
 
         let h2 = LivePointLibrary::open_header(&v2_path).unwrap();
         assert_eq!(h2.format_version, 2);
         assert_eq!(h2.benchmark, lib.benchmark());
         assert_eq!(h2.points as usize, lib.len());
         assert_eq!(h2.total_compressed_bytes, lib.total_compressed_bytes());
-        assert_eq!(h2.content_hash, Some(lib.content_hash()));
+        assert_eq!(h2.content_hash, lib.content_hash());
         assert!(h2.blocks > 0);
 
         std::fs::remove_file(&v1_path).ok();
@@ -1798,6 +1591,7 @@ mod tests {
             assert_eq!(streamed.len(), mem.len());
             // Same records, same shuffle ⇒ same stream ⇒ same hash.
             assert_eq!(streamed.content_hash(), mem.content_hash());
+            assert_eq!(streamed.to_bytes().unwrap(), mem.to_bytes().unwrap());
             assert_eq!(window_seq(&streamed), window_seq(&mem));
             std::fs::remove_file(&path).ok();
         }
@@ -1812,7 +1606,7 @@ mod tests {
         let b_path = temp_path("merge_b_v2.splp");
         let out_plain = temp_path("merge_out_plain.splp");
         let out_dict = temp_path("merge_out_dict.splp");
-        a.save(&a_path).unwrap();
+        std::fs::write(&a_path, v1_bytes(&a)).unwrap();
 
         let mut expected = a.clone();
         expected.merge(b.clone(), 5).unwrap();
@@ -1867,15 +1661,26 @@ mod tests {
         let b = LivePointLibrary::create(&p, &small_cfg().with_seed(991)).unwrap();
         let path = temp_path("merge_paged_in.splp");
         a.save_v2(&path, &V2WriteOptions::default()).unwrap();
+        let b_path = temp_path("merge_paged_b.splp");
+        b.save_v2(&b_path, &V2WriteOptions { dict: false, ..V2WriteOptions::default() }).unwrap();
+        let out = temp_path("merge_paged_out.splp");
+        let on_disk = LivePointLibrary::merge_files(&[&path, &b_path], &out, 5).unwrap();
         let mut paged = LivePointLibrary::open(&path).unwrap();
         let total = a.len() + b.len();
         paged.merge(b, 5).unwrap();
         assert_eq!(paged.len(), total);
-        assert_eq!(paged.format_version(), 1, "merge materializes");
         for i in 0..paged.len() {
             paged.get(i).unwrap();
         }
-        std::fs::remove_file(&path).ok();
+        // The dictionary blocks are copied as they are, so the merged
+        // identity is that of the image `merge_files` writes, not the
+        // hash of the same points as plain records.
+        assert_eq!(paged.content_hash(), on_disk.content_hash());
+        let plain = LivePointLibrary::from_bytes(&paged.to_bytes().unwrap()).unwrap();
+        assert_ne!(paged.content_hash(), plain.content_hash());
+        for file in [&path, &b_path, &out] {
+            std::fs::remove_file(file).ok();
+        }
     }
 
     #[test]
@@ -1941,6 +1746,34 @@ mod tests {
         let bigger = CreationConfig::default().with_sample_size(12);
         let b = LivePointLibrary::create(&p, &bigger).unwrap();
         assert!(a.merge(b, 5).is_err());
+    }
+
+    #[test]
+    fn meta_rejects_a_truncating_associativity() {
+        // Caches claiming 2^32 + 4 ways used to read back as 4-way.
+        let meta = |assoc: u64| {
+            let mut w = DerWriter::new();
+            w.seq(|w| {
+                w.utf8("tiny").u64(0);
+                for _ in 0..3 {
+                    w.seq(|w| {
+                        w.u64(32 * 1024).u64(assoc).u64(64);
+                    });
+                }
+                for _ in 0..2 {
+                    w.seq(|w| {
+                        w.u64(64).u64(4).u64(4096);
+                    });
+                }
+            });
+            w.finish()
+        };
+        let (_, _, h) = parse_meta_der(&meta(4)).unwrap();
+        assert_eq!(h.l2.assoc(), 4);
+        assert!(matches!(
+            parse_meta_der(&meta((1 << 32) + 4)),
+            Err(CoreError::Codec(CodecError::BadLength))
+        ));
     }
 
     #[test]

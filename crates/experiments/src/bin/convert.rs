@@ -1,17 +1,16 @@
-//! `convert` — inspect and convert on-disk live-point libraries
-//! between container formats.
+//! `convert` — inspect on-disk live-point libraries and rewrite them as
+//! paged v2 containers.
 //!
 //! * `convert --library in.splp` — print the library header (format
 //!   version, benchmark, scope, point/block counts, compressed size)
-//!   without touching a single record: a metadata-only
+//!   without decompressing a single record: a metadata-only
 //!   [`LivePointLibrary::open_header`] read.
-//! * `convert --library in.splp --save-library out.splp
-//!   [--lib-format 1|2] [--block N] [--dict on|off]` — rewrite the
-//!   library in the requested container (paged v2 by default) and
-//!   verify the copy decodes to the same content.
+//! * `convert --library in.splp --save-library out.splp [--block N]
+//!   [--dict on|off]` — rewrite the library (v1 or v2) as a paged v2
+//!   container and verify the copy decodes to the same content.
 //!
-//! Conversion preserves record order and point content; v1 → v2 → v1
-//! is byte-identical (the round-trip golden in the core tests).
+//! Conversion preserves record order and point content: both libraries
+//! have the same canonical image ([`LivePointLibrary::to_bytes`]).
 
 use spectral_core::LivePointLibrary;
 use spectral_experiments::{
@@ -29,8 +28,8 @@ fn run(args: Args) -> Result<(), ExpError> {
     };
     let mut report = Report::new("convert");
 
-    // Metadata-only open: header + footer for v2, a frame walk (no
-    // decompression) for v1.
+    // Metadata-only open: header + footer for v2, a re-framing (no
+    // record decompressed) for v1.
     let t = Timer::start();
     let header = LivePointLibrary::open_header(input).context("cannot read library", input)?;
     report.line(format!("{}:", input.display()));
@@ -46,9 +45,7 @@ fn run(args: Args) -> Result<(), ExpError> {
         fmt_bytes(header.file_bytes),
         spectral_experiments::fmt_secs(t.secs()),
     ));
-    if let Some(hash) = header.content_hash {
-        report.line(format!("  content hash crc32:{hash:08x}"));
-    }
+    report.line(format!("  content hash crc32:{:08x}", header.content_hash));
 
     let Some(output) = &args.save_library else {
         report.finish(&args)?;
@@ -60,7 +57,6 @@ fn run(args: Args) -> Result<(), ExpError> {
     let library = LivePointLibrary::open(input).context("cannot open library", input)?;
     manifest.phase("open_library", t.secs());
 
-    let target = args.lib_format.unwrap_or(2);
     let t = Timer::start();
     args.write_library(&library, output)?;
     manifest.phase("write_library", t.secs());
@@ -68,8 +64,9 @@ fn run(args: Args) -> Result<(), ExpError> {
     // Re-open the copy and verify it carries the same points. The
     // stored content hash moves with the representation (dictionary
     // compression changes the stored bodies), so compare the canonical
-    // v1-semantics stream instead — it decodes every record of both
-    // containers and is byte-identical iff the points are.
+    // dictionary-less images instead — they decode every dictionary
+    // record of both containers and are byte-identical iff the points
+    // are.
     let converted = LivePointLibrary::open(output).context("cannot re-open converted", output)?;
     if converted.len() != library.len() || converted.to_bytes()? != library.to_bytes()? {
         return Err(ExpError::msg(format!(
@@ -85,7 +82,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     report.line(format!(
         "wrote {} as format v{}: {} compressed ({} on disk), verified {} points intact",
         output.display(),
-        target,
+        out_header.format_version,
         fmt_bytes(out_header.total_compressed_bytes),
         fmt_bytes(out_header.file_bytes),
         converted.len(),

@@ -34,8 +34,10 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let t = Timer::start();
     let library = match &args.library {
         Some(path) => {
-            // Metadata-only peek first: the header tells us what we are
-            // about to run without touching a single record.
+            // Metadata peek first: the header tells us what we are about
+            // to run. A v2 file is read for its header and footer only;
+            // a v1 file is read whole and re-framed, here and again by
+            // `open` below.
             let header =
                 LivePointLibrary::open_header(path).context("cannot read library header", path)?;
             report.line(format!(
@@ -71,11 +73,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         let t = Timer::start();
         args.write_library(&library, path)?;
         manifest.phase("save_library", t.secs());
-        report.line(format!(
-            "library saved to {} (format v{})",
-            path.display(),
-            args.lib_format.unwrap_or(2)
-        ));
+        report.line(format!("library saved to {} (format v2)", path.display()));
     }
     stamp_library(&mut manifest, &library);
     let runner = OnlineRunner::new(&library, machine.clone());

@@ -25,8 +25,6 @@
 //! * `--library PATH` — open an existing on-disk library (either
 //!   format) instead of re-creating one, where the binary supports it
 //! * `--save-library PATH` — persist the library the binary used
-//! * `--lib-format N` — container format for `--save-library`: 1 =
-//!   monolithic v1 stream, 2 = paged (default)
 //! * `--block N` — records per shared-dictionary block when writing v2
 //! * `--dict on|off` — enable/disable block-shared LZSS dictionaries
 //!   when writing v2 (default on)
@@ -166,9 +164,6 @@ pub struct Args {
     pub library: Option<PathBuf>,
     /// Where to persist the library the binary used (`--save-library`).
     pub save_library: Option<PathBuf>,
-    /// Container format for `--save-library`: 1 or 2 (`--lib-format`;
-    /// default 2).
-    pub lib_format: Option<u16>,
     /// Records per shared-dictionary block when writing v2 (`--block`).
     pub block: Option<usize>,
     /// Block-shared LZSS dictionaries when writing v2 (`--dict on|off`;
@@ -218,7 +213,6 @@ impl Args {
             threads: None,
             library: None,
             save_library: None,
-            lib_format: None,
             block: None,
             dict: None,
             decode_cache: None,
@@ -328,13 +322,6 @@ impl Args {
                 "--save-library" => {
                     args.save_library = Some(PathBuf::from(value("--save-library")?))
                 }
-                "--lib-format" => {
-                    let v: u16 = int("--lib-format", value("--lib-format")?)?;
-                    if !(v == 1 || v == 2) {
-                        return Err(ExpError(format!("--lib-format: expected 1 or 2, got '{v}'")));
-                    }
-                    args.lib_format = Some(v);
-                }
                 "--block" => {
                     let v: usize = int("--block", value("--block")?)?;
                     if v == 0 {
@@ -388,7 +375,7 @@ impl Args {
                     return Err(ExpError(format!(
                         "unknown argument {other} (flags: --benchmarks --limit --quick \
                          --windows --seeds --scale --machine --threads --library \
-                         --save-library --lib-format --block --dict --decode-cache \
+                         --save-library --block --dict --decode-cache \
                          --chunk --prefetch --target --checkpoint --checkpoint-every \
                          --resume --metrics-out --trace --events \
                          --profile --registry --report-out --report-json)"
@@ -560,9 +547,8 @@ impl Args {
         opts
     }
 
-    /// Persist `library` to `path` in the `--lib-format` container
-    /// (paged v2 unless `--lib-format 1` asked for the monolithic
-    /// stream).
+    /// Persist `library` to `path` as a paged v2 container written with
+    /// the `--block` / `--dict` options.
     ///
     /// # Errors
     ///
@@ -572,15 +558,7 @@ impl Args {
         library: &spectral_core::LivePointLibrary,
         path: &std::path::Path,
     ) -> Result<(), ExpError> {
-        match self.lib_format.unwrap_or(2) {
-            1 => library.save(path).context("cannot save library", path)?,
-            _ => {
-                library
-                    .save_v2(path, &self.v2_options())
-                    .context("cannot save library", path)
-                    .map(drop)?;
-            }
-        }
+        library.save_v2(path, &self.v2_options()).context("cannot save library", path)?;
         Ok(())
     }
 
@@ -606,9 +584,6 @@ impl Args {
         }
         if let Some(p) = self.prefetch {
             m.note("prefetch", p.to_string());
-        }
-        if let Some(f) = self.lib_format {
-            m.note("lib_format", f.to_string());
         }
         if let Some(c) = self.decode_cache {
             m.note("decode_cache", c.to_string());
@@ -1075,8 +1050,6 @@ mod tests {
             "lib.splp",
             "--save-library",
             "out.splp",
-            "--lib-format",
-            "2",
             "--block",
             "32",
             "--dict",
@@ -1121,7 +1094,6 @@ mod tests {
         assert_eq!(a.threads, Some(6));
         assert_eq!(a.library.as_deref(), Some(std::path::Path::new("lib.splp")));
         assert_eq!(a.save_library.as_deref(), Some(std::path::Path::new("out.splp")));
-        assert_eq!(a.lib_format, Some(2));
         assert_eq!(a.block, Some(32));
         assert_eq!(a.dict, Some(false));
         assert_eq!(a.decode_cache, Some(512));
@@ -1163,8 +1135,6 @@ mod tests {
         assert!(e.to_string().contains("--prefetch"), "{e}");
         let e = Args::try_parse_from(&argv(&["--bogus"])).unwrap_err();
         assert!(e.to_string().contains("unknown argument --bogus"), "{e}");
-        let e = Args::try_parse_from(&argv(&["--lib-format", "3"])).unwrap_err();
-        assert!(e.to_string().contains("--lib-format"), "{e}");
         let e = Args::try_parse_from(&argv(&["--dict", "maybe"])).unwrap_err();
         assert!(e.to_string().contains("--dict"), "{e}");
         let e = Args::try_parse_from(&argv(&["--block", "0"])).unwrap_err();
@@ -1209,6 +1179,19 @@ mod tests {
         assert_eq!(items[1].get("type").and_then(|t| t.as_str()), Some("table"));
         assert_eq!(items[1].get("title").and_then(|t| t.as_str()), Some("caption"));
         assert!(r.to_text().contains("caption\n"));
+    }
+
+    #[test]
+    fn fresh_library_stamps_format_two() {
+        use spectral_core::{CreationConfig, LivePointLibrary};
+        use spectral_uarch::MachineConfig;
+        let program = spectral_workloads::tiny().build();
+        let cfg = CreationConfig::for_machine(&MachineConfig::eight_way()).with_sample_size(4);
+        let library = LivePointLibrary::create(&program, &cfg).unwrap();
+        let mut m = Args::empty().manifest("unit", "tiny");
+        stamp_library(&mut m, &library);
+        assert_eq!(m.library_format, Some(2));
+        assert_eq!(m.library_points, Some(library.len() as u64));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! container format must surface as typed errors — never a panic, never
 //! a silently wrong decode that trips an internal `expect`.
 //!
-//! The v1 path guards frame-by-frame parsing; the v2 path guards the
-//! header/trailer/footer geometry checks and the CRC-verified
-//! positioned reads behind them (`from_bytes` serves v2 images through
-//! the same paged reader as `open`).
+//! The v1 path guards the frame-by-frame parsing that re-frames a
+//! legacy stream into a v2 image; the v2 path guards the
+//! header/trailer/footer geometry checks and the record CRCs behind
+//! them (`from_bytes` checks every record of a v2 image once, up
+//! front; `open` checks each record of a file as it is read).
+
+mod common;
 
 use std::sync::OnceLock;
 
@@ -25,7 +28,11 @@ fn library() -> &'static LivePointLibrary {
 
 fn v1_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| library().to_bytes().expect("v1 bytes"))
+    BYTES.get_or_init(|| {
+        let bytes = common::v1_bytes(library());
+        assert_eq!(spectral_codec::sniff_version(&bytes), Ok(1), "the v1 cases must fuzz v1");
+        bytes
+    })
 }
 
 fn v2_bytes() -> &'static [u8] {
@@ -85,8 +92,9 @@ proptest! {
     #[test]
     fn corrupt_v2_record_body_is_a_typed_crc_error(noise in 1u16..256) {
         // Flip a byte inside the first record body specifically: the
-        // footer still parses, so the fault must surface as a CRC (or
-        // decode) error on the read path, not before.
+        // footer still parses, so the fault must surface as a typed CRC
+        // (or decode) error — from `from_bytes`, which checks every
+        // record once, or from a read — never as a panic.
         let bytes = v2_bytes();
         let lib = LivePointLibrary::from_bytes(bytes).expect("pristine parses");
         let mut corrupt = bytes.to_vec();

@@ -18,6 +18,8 @@
 //! run with `SPECTRAL_DIFF_PRINT=1 cargo test --release --test
 //! differential -- --nocapture` and paste the printed constants.
 
+mod common;
+
 use spectral_core::{
     simulate_live_point, CreationConfig, LivePointLibrary, MatchedRunner, OnlineRunner, RunPolicy,
     StratifiedRunner, SweepRunner, V2WriteOptions,
@@ -332,10 +334,12 @@ fn v2_decoded_points_reproduce_the_run_goldens() {
 }
 
 #[test]
-fn v1_v2_v1_round_trip_is_byte_identical() {
-    // Converting to v2 with shared dictionaries and back must restore
-    // the exact v1 byte stream (dictionary records decompress and
-    // deterministically recompress to their original plain streams).
+fn dict_round_trip_restores_the_canonical_image() {
+    // Saving with shared dictionaries and reading back must restore the
+    // exact canonical image `to_bytes` returns — records in processing
+    // order, one dictionary-less block — because dictionary records
+    // decompress and deterministically recompress to their original
+    // plain streams.
     let (_, library) = setup();
     let v1 = library.to_bytes().expect("v1 bytes");
     let path = std::env::temp_dir().join(format!("spectral_diff_v2r_{}.splp", std::process::id()));
@@ -343,6 +347,31 @@ fn v1_v2_v1_round_trip_is_byte_identical() {
     let paged = LivePointLibrary::open(&path).expect("open v2");
     assert_eq!(paged.to_bytes().expect("back to v1"), v1, "v1→v2→v1 bytes drifted");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn v1_input_reproduces_the_goldens() {
+    // A legacy v1 container is re-framed on read without decompressing
+    // a record, so it keeps the content hash golden, decodes to the same
+    // points, and drives the online runner to the run goldens.
+    let (program, library) = setup();
+    let v1 = LivePointLibrary::from_bytes(&common::v1_bytes(&library)).expect("read v1");
+    assert_eq!(v1.content_hash(), GOLDEN_CONTENT_HASH, "v1 input hash drifted");
+    assert_eq!(v1.len(), library.len());
+    for i in 0..v1.len() {
+        let (got, want) = (v1.get(i).expect("v1 decode"), library.get(i).expect("decode"));
+        assert_eq!(got.to_der(), want.to_der(), "point {i} differs");
+    }
+    let est = OnlineRunner::new(&v1, MachineConfig::eight_way())
+        .run(&program, &exhaustive())
+        .expect("run on v1 input");
+    assert_eq!(est.processed(), GOLDEN_RUN_PROCESSED);
+    assert_eq!(est.mean().to_bits(), GOLDEN_RUN_MEAN_BITS, "v1 input mean drifted");
+    assert_eq!(
+        est.estimator().variance().to_bits(),
+        GOLDEN_RUN_VARIANCE_BITS,
+        "v1 input variance drifted"
+    );
 }
 
 #[test]

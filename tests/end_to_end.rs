@@ -4,6 +4,7 @@
 
 use spectral::core::{
     CreationConfig, LivePointLibrary, MatchedRunner, OnlineRunner, RunPolicy, StateScope,
+    V2WriteOptions,
 };
 use spectral::stats::{SampleDesign, SystematicDesign};
 use spectral::uarch::MachineConfig;
@@ -23,10 +24,10 @@ fn full_experiment_procedure() {
     let library = small_library(&program);
     assert!(library.len() >= 30);
 
-    // Step 3: the library is stored as a single compressed stream.
+    // Step 3: the library is stored as one compressed container.
     let path = std::env::temp_dir().join("spectral_e2e.splp");
-    library.save(&path).expect("save");
-    let library = LivePointLibrary::load(&path).expect("load");
+    library.save_v2(&path, &V2WriteOptions::default()).expect("save");
+    let library = LivePointLibrary::open(&path).expect("open");
     std::fs::remove_file(&path).ok();
 
     // Step 4: baseline measurement with online confidence.
