@@ -15,9 +15,10 @@
 //! compression ratios, merge lock waits, …) — empty when built with
 //! telemetry disabled, which is itself the no-overhead check. The
 //! telemetry document also carries a `"profiler"` section: a paired
-//! profiled/unprofiled measurement of the worker-timeline profiler's
-//! wall-clock cost on the 2-worker online stage, plus the phase
-//! attribution parsed back out of the stream it produced. Set
+//! measurement of the run stream's wall-clock cost (spans, events and
+//! worker-timeline profiles together) on the 2-worker online stage,
+//! plus the phase attribution parsed back out of the stream it
+//! produced. Set
 //! `SPECTRAL_BENCH_QUICK=1` for the CI smoke run.
 
 use std::fmt::Write as _;
@@ -25,7 +26,7 @@ use std::fmt::Write as _;
 use criterion::{BenchmarkId, Criterion, Throughput};
 use spectral_bench::fixture_benchmark;
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy, SweepRunner};
-use spectral_telemetry::JsonValue;
+use spectral_telemetry::{JsonValue, RunDir};
 use spectral_uarch::MachineConfig;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -139,13 +140,13 @@ fn median_secs(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Paired profiled/unprofiled measurement of the worker-timeline
-/// profiler: time the same 2-worker online run with and without a
-/// profile sink installed, then parse the stream the profiled runs
-/// produced for interval counts and phase attribution. Installing a
-/// sink is one-way for the process lifetime, so this must run *after*
-/// the criterion groups — the scaling numbers above are never
-/// profiled.
+/// Paired measurement of the run stream: time the same 2-worker online
+/// run with and without the stream installed (spans, events and
+/// worker-timeline profiles all write to it), then parse the stream the
+/// profiled runs produced for interval counts and phase attribution.
+/// Installing the stream is one-way for the process lifetime, so this
+/// must run *after* the criterion groups — the scaling numbers above
+/// are never profiled.
 fn profiler_overhead_json() -> String {
     if !spectral_telemetry::compiled_in() {
         return String::from("{ \"enabled\": false }");
@@ -173,16 +174,16 @@ fn profiler_overhead_json() -> String {
     // fill) don't land inside the unprofiled arm only.
     runner.run_parallel(&program, &exhaustive, threads).expect("run");
     let unprofiled_s = time_reps();
-    let profile_path =
-        std::env::temp_dir().join(format!("spectral_scaling_profile_{}.jsonl", std::process::id()));
-    if let Err(e) = spectral_telemetry::set_profile_path(&profile_path) {
-        eprintln!("could not install profile sink at {}: {e}", profile_path.display());
+    let run =
+        RunDir::new(std::env::temp_dir().join(format!("spectral_scaling_{}", std::process::id())));
+    if let Err(e) = run.start() {
+        eprintln!("could not start the run stream in {}: {e}", run.root().display());
         return String::from("{ \"enabled\": false }");
     }
     let profiled_s = time_reps();
-    spectral_telemetry::flush_profile();
-    let text = std::fs::read_to_string(&profile_path).unwrap_or_default();
-    let _ = std::fs::remove_file(&profile_path);
+    spectral_telemetry::flush_stream();
+    let text = std::fs::read_to_string(run.stream()).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(run.root());
 
     // Attribution from the stream the profiled arm just produced: total
     // intervals recorded and per-phase share of recorded busy time.

@@ -36,6 +36,9 @@ static TLM_MERGES: Counter = Counter::new("core.run.merges");
 static TLM_LOCK_WAIT_NS: Counter = Counter::new("core.run.lock_wait_ns");
 static TLM_EARLY_STOP_POINT: Gauge = Gauge::new("core.run.early_stop_point");
 
+/// Live-points each worker decodes ahead of the one it simulates.
+const PREFETCH_DEPTH: usize = 4;
+
 /// A convergence-trajectory sample: `(points, mean, half_width)`.
 pub(crate) type Sample = (u64, f64, f64);
 
@@ -106,8 +109,9 @@ pub(crate) fn drive<O: Observe>(
     let threads = threads.clamp(1, limit.max(1));
     let seq = spectral_telemetry::next_run_seq();
     let _profile = spectral_telemetry::run_scope(seq, O::KIND.as_str(), threads);
+    // Chunks start one merge stride long and shrink as the run nears
+    // its target.
     let stride = policy.merge_stride.max(1);
-    let chunk = if policy.chunk > 0 { policy.chunk } else { stride };
     let d = Driver {
         obs,
         library,
@@ -117,7 +121,7 @@ pub(crate) fn drive<O: Observe>(
         seq,
         // A serial run applies the stop rule after every point.
         batch: if threads == 1 { 1 } else { stride },
-        cursor: ChunkCursor::new(limit, threads, chunk),
+        cursor: ChunkCursor::new(limit, threads, stride),
         stop: AtomicBool::new(false),
         shared: Mutex::new(Shared { acc: obs.acc(), n: 0, stop_n: None, fault: None }),
     };
@@ -211,7 +215,7 @@ impl<O: Observe> Driver<'_, O> {
         let wall = Stopwatch::start();
         let mut lane = Lane {
             scratch: DecodeScratch::new(),
-            ring: PrefetchRing::new(self.policy.prefetch, worker),
+            ring: PrefetchRing::new(PREFETCH_DEPTH, worker),
             monitor: HealthMonitor::new(self.seq, kind, worker, self.policy),
             tl: WorkerTimeline::new(self.seq, kind, worker),
             busy_ns: 0,

@@ -2,15 +2,15 @@
 //! detection and merge-stride progress events.
 //!
 //! [`HealthMonitor`] bridges the statistical substrate
-//! ([`spectral_stats::AnomalyDetector`]) to the telemetry event sink
-//! ([`spectral_telemetry::ProgressEvent`] /
+//! ([`spectral_stats::AnomalyDetector`]) to the run stream's event
+//! records ([`spectral_telemetry::ProgressEvent`] /
 //! [`spectral_telemetry::AnomalyEvent`]). Each runner worker owns one
 //! monitor; anomalies are judged against the worker's own observation
 //! stream (no cross-shard synchronization on the hot path), while
 //! progress records carry both the merged estimate and the worker's own
 //! point count so the doctor can reconstruct per-shard lag.
 //!
-//! Whether a sink is subscribed is captured once at construction: an
+//! Whether anyone listens is captured once at construction: an
 //! unsubscribed monitor's [`observe`](HealthMonitor::observe) and
 //! [`progress`](HealthMonitor::progress) are a single branch per call,
 //! and with telemetry compiled out (`--no-default-features`) the whole
@@ -81,14 +81,14 @@ impl HealthMonitor {
     /// A monitor for one worker of a `run`-kind runner. `seq` is the
     /// run ordinal (one [`spectral_telemetry::next_run_seq`] allocation
     /// per run, shared by all of its workers so a consumer can separate
-    /// back-to-back runs in one sink). Subscription is sampled here,
-    /// once: the monitor is live when either the JSONL event sink
-    /// ([`spectral_telemetry::events_on`]) or the in-process run-summary
+    /// back-to-back runs in one stream). Subscription is sampled here,
+    /// once: the monitor is live when either the run stream
+    /// ([`spectral_telemetry::streaming`]) or the in-process run-summary
     /// tally ([`spectral_telemetry::run_summaries_on`], the registry's
     /// convergence-summary feed) is on.
     pub fn new(seq: u64, run: &'static str, worker: usize, policy: &RunPolicy) -> Self {
         HealthMonitor {
-            on: spectral_telemetry::events_on() || spectral_telemetry::run_summaries_on(),
+            on: spectral_telemetry::streaming() || spectral_telemetry::run_summaries_on(),
             seq,
             run,
             worker,

@@ -92,7 +92,8 @@ pub struct RunPolicy {
     /// Progress cadence K: a progress event every K points. Parallel
     /// workers also batch K points before pushing them to the shared
     /// estimate and checking the stop rule, so the lock is taken once
-    /// per K points.
+    /// per K points, and claim chunks of K points that shrink as the run
+    /// nears its confidence target.
     pub merge_stride: usize,
     /// kσ threshold for flagging a live-point's CPI as an outlier
     /// (sampling-health events only; the estimate is unaffected).
@@ -102,13 +103,6 @@ pub struct RunPolicy {
     /// processes every point (up to the cap) but still records *when*
     /// it first became eligible to stop.
     pub stop_at_target: bool,
-    /// Base chunk size for dynamic claiming, in live-points (`0` =
-    /// auto: one [`merge_stride`](Self::merge_stride)); it shrinks
-    /// adaptively as the run nears its confidence target.
-    pub chunk: usize,
-    /// Decode-ahead depth per worker, in live-points (`0` = decode on
-    /// demand).
-    pub prefetch: usize,
     /// Checkpointing, resume and interruption drills (see
     /// [`Recovery`]). Not part of the run's identity: a crashed run and
     /// its resume carry different values.
@@ -125,8 +119,6 @@ impl Default for RunPolicy {
             merge_stride: 8,
             anomaly_sigma: 3.0,
             stop_at_target: true,
-            chunk: 0,
-            prefetch: 4,
             recovery: Recovery::none(),
         }
     }
@@ -226,8 +218,8 @@ impl<'l> OnlineRunner<'l> {
     /// Run over `threads` workers (live-point independence makes this
     /// embarrassingly parallel, §6). One thread runs on the calling
     /// thread and checks the stop rule after every point; more threads
-    /// claim index chunks, decode up to [`RunPolicy::prefetch`] points
-    /// ahead, and check it every [`RunPolicy::merge_stride`] points.
+    /// claim index chunks, decode up to four points ahead, and check it
+    /// every [`RunPolicy::merge_stride`] points.
     /// Rows are replayed in index order after the join, so the estimate
     /// over a given set of points — mean, half-width, trajectory — is
     /// bit-identical at every thread count. [`RunPolicy::recovery`]

@@ -9,7 +9,7 @@
 //! whose index-ordered replay makes the estimate the same at every
 //! thread count. Steals, chunk sizes, ring occupancy and busy/idle
 //! time land in the `core.sched.*` metrics, and in per-worker
-//! `{"type":"sched"}` trace records when a trace sink is installed.
+//! `{"type":"sched"}` records while the run stream is on.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -138,7 +138,7 @@ impl<'a> WorkQueue<'a> {
         }
         TLM_CHUNKS.inc();
         TLM_CHUNK_POINTS.record(chunk.len() as u64);
-        if spectral_telemetry::tracing() {
+        if spectral_telemetry::streaming() {
             let len = Some(chunk.len() as u64);
             spectral_telemetry::trace_sched(self.worker, len, Some(self.steals), None);
         }
@@ -165,8 +165,8 @@ pub(crate) struct PrefetchRing {
     ring: VecDeque<(Arc<LivePoint>, u64)>,
     depth: usize,
     worker: usize,
-    /// Last occupancy sampled into the trace, so an idle steady state
-    /// doesn't flood the sink with identical counter records.
+    /// Last occupancy sampled into the stream, so an idle steady state
+    /// doesn't flood it with identical counter records.
     last_traced: Option<u64>,
 }
 
@@ -204,7 +204,7 @@ impl PrefetchRing {
         }
         let occupancy = self.ring.len() as u64;
         TLM_PREFETCH_OCCUPANCY.record(occupancy);
-        if spectral_telemetry::tracing() && self.last_traced != Some(occupancy) {
+        if spectral_telemetry::streaming() && self.last_traced != Some(occupancy) {
             self.last_traced = Some(occupancy);
             spectral_telemetry::trace_sched(self.worker, None, None, Some(occupancy));
         }

@@ -22,9 +22,9 @@ pub struct TrajectoryPoint {
 
 /// Convergence diagnosis of one estimated series (one `(seq, run_id,
 /// run, metric, config)` group of progress records — binaries often
-/// perform several runs into one sink, and the `seq` ordinal keeps them
+/// perform several runs into one stream, and the `seq` ordinal keeps them
 /// apart; the `run_id` additionally separates different *processes*
-/// appending to a shared sink, whose `seq` ordinals collide).
+/// appending to a shared stream, whose `seq` ordinals collide).
 #[derive(Debug, Clone)]
 pub struct SeriesDiagnosis {
     /// Process-wide run ordinal (0 for pre-`seq` streams).
@@ -96,7 +96,7 @@ pub struct ShardReport {
     pub busy_imbalance: f64,
 }
 
-/// The full diagnosis of one event stream's artifacts.
+/// The full diagnosis of one run's artifacts.
 #[derive(Debug, Clone, Default)]
 pub struct Diagnosis {
     /// Convergence per estimated series, ordered by (seq, run, metric,
@@ -330,6 +330,7 @@ mod tests {
                 progress(0, 40, 0.06, 40),
             ],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let d = analyze(&artifacts);
         let s = d.primary().expect("one series");
@@ -347,6 +348,7 @@ mod tests {
             manifest: None,
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 16, 0.4, 16)],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let s = analyze(&artifacts).series.remove(0);
         assert!(!s.converged);
@@ -362,6 +364,7 @@ mod tests {
             manifest: None,
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 32, 0.08, 32), closing],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let s = analyze(&artifacts).series.remove(0);
         assert!(s.wasted_exact, "closing overshoot makes the count exact");
@@ -379,6 +382,7 @@ mod tests {
             manifest: None,
             progress: vec![busy(0, 8, 8, 400), busy(0, 24, 12, 1_000), busy(1, 16, 12, 250)],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let shards = analyze(&artifacts).series.remove(0).shards;
         assert!((shards.imbalance - 0.0).abs() < 1e-12, "point counts balance (12/12)");
@@ -396,6 +400,7 @@ mod tests {
                 progress(1, 16, 0.3, 8),
             ],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let d = analyze(&artifacts);
         let shards = &d.primary().expect("one series").shards;
@@ -412,6 +417,7 @@ mod tests {
             manifest: None,
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 40, 0.06, 40), second],
             anomalies: Vec::new(),
+            profiles: Vec::new(),
         };
         let d = analyze(&artifacts);
         assert_eq!(d.series.len(), 2, "one series per run ordinal");
@@ -423,7 +429,7 @@ mod tests {
 
     #[test]
     fn shared_sink_processes_split_by_run_id() {
-        // Two processes appending to one events file both start at seq
+        // Two processes appending to one stream both start at seq
         // 1; only the run_id keeps their streams apart.
         let mut a = progress(0, 8, 0.5, 8);
         a.run_id = "aaaa000000000001-1".into();
@@ -431,8 +437,12 @@ mod tests {
         a2.run_id = "aaaa000000000001-1".into();
         let mut b = progress(0, 16, 0.4, 16);
         b.run_id = "bbbb000000000001-1".into();
-        let artifacts =
-            RunArtifacts { manifest: None, progress: vec![a, b, a2], anomalies: Vec::new() };
+        let artifacts = RunArtifacts {
+            manifest: None,
+            progress: vec![a, b, a2],
+            anomalies: Vec::new(),
+            profiles: Vec::new(),
+        };
         let d = analyze(&artifacts);
         assert_eq!(d.series.len(), 2, "one series per run_id despite equal seq");
         assert_eq!(d.series[0].run_id, "aaaa000000000001-1");
@@ -463,6 +473,7 @@ mod tests {
             manifest: None,
             progress: Vec::new(),
             anomalies: vec![a(1, 3.5, 10), a(2, 8.0, 10), a(3, 3.5, 99)],
+            profiles: Vec::new(),
         };
         let d = analyze(&artifacts);
         let order: Vec<u64> = d.anomalies.iter().map(|x| x.point).collect();
@@ -493,7 +504,12 @@ mod tests {
             m.points_processed = Some(points);
             m.phase("run", 1.0);
             m.set_estimate(mean, hw, true);
-            RunArtifacts { manifest: Some(m), progress: Vec::new(), anomalies: Vec::new() }
+            RunArtifacts {
+                manifest: Some(m),
+                progress: Vec::new(),
+                anomalies: Vec::new(),
+                profiles: Vec::new(),
+            }
         };
         let base = with_estimate(1.0, 0.03, 100);
         let moved = with_estimate(1.2, 0.04, 120);

@@ -1,8 +1,11 @@
-//! # spectral-doctor — sampling-health analysis over telemetry artifacts
+//! # spectral-doctor — sampling-health analysis over run directories
 //!
-//! The experiment binaries leave three artifacts behind: a run manifest
-//! (`--metrics-out`), a span trace (`--trace`), and a sampling-health
-//! event stream (`--events`). This crate turns them into a diagnosis:
+//! An experiment binary run with `--out DIR` leaves a run directory
+//! ([`RunDir`]): the run stream `run.jsonl` (spans, scheduler samples,
+//! sampling-health events and worker-timeline profiles, one record kind
+//! per `type`), the run manifest `manifest.json` and the stdout report
+//! `report.txt`. [`RunArtifacts`] reads the manifest and parses the
+//! stream in one pass, and this crate turns them into a diagnosis:
 //!
 //! * **Convergence** — the merge-stride CI trajectory per estimated
 //!   series, the stride at which the run first became eligible to stop
@@ -20,7 +23,7 @@
 //!
 //! The `spectral-doctor` binary renders the diagnosis as a text report
 //! (with a sparkline convergence curve), as machine-readable JSON
-//! (`--json`), and can convert the trace + event streams into a Chrome
+//! (`--json`), and can convert the run stream into a Chrome
 //! `trace_event` document for <https://ui.perfetto.dev> (`--perfetto`).
 //!
 //! Beyond the per-run `analyze` diagnosis, the binary grew cross-run
@@ -35,12 +38,11 @@
 //!   [`spectral_stats::MatchedPair`]; designed as a CI gate (exit code
 //!   2 on regression).
 //! * **`watch`** ([`WatchFrame`]) — a live terminal dashboard over a
-//!   growing events file or registry directory, with an optional
+//!   growing run stream or registry directory, with an optional
 //!   Prometheus-style text exposition (`--prom`).
-//! * **`profile`** ([`parse_profile`], [`analyze_profile`]) —
-//!   wall-clock attribution over the worker-timeline profile stream
-//!   (the binaries' `--profile` sink): per-worker phase shares with an
-//!   explicit idle remainder, merge-lock wait distribution, prefetch
+//! * **`profile`** ([`analyze_profile`]) — wall-clock attribution over
+//!   the stream's worker-timeline records: per-worker phase shares with
+//!   an explicit idle remainder, merge-lock wait distribution, prefetch
 //!   stall vs decode-ahead, straggler/barrier waste, a critical-path
 //!   estimate, and the profiler's own overhead.
 
@@ -55,9 +57,8 @@ mod trend;
 mod watch;
 
 use std::fmt;
-use std::path::Path;
 
-use spectral_telemetry::{JsonValue, RunManifest};
+use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
 pub use analyze::{
     analyze, diff_runs, exhausted_without_convergence, Diagnosis, RunDiff, SeriesDiagnosis,
@@ -65,9 +66,9 @@ pub use analyze::{
 };
 pub use gate::{gate, render_gate_json, render_gate_text, GateComparison, GateConfig, GateVerdict};
 pub use profile::{
-    analyze_profile, measure_record_cost_ns, parse_profile, render_profile_json,
-    render_profile_text, OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileInterval,
-    ProfileReport, ProfileRun, WaitStats, WorkerProfile, WorkerReport,
+    analyze_profile, measure_record_cost_ns, render_profile_json, render_profile_text,
+    OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileInterval, ProfileReport, ProfileRun,
+    WaitStats, WorkerProfile, WorkerReport,
 };
 pub use report::{render_json, render_text, sparkline};
 pub use trend::{render_trend_json, render_trend_text, trend, TrendPoint, TrendSeries};
@@ -92,7 +93,7 @@ impl fmt::Display for DoctorError {
 
 impl std::error::Error for DoctorError {}
 
-/// One parsed `progress` record from the event stream.
+/// One parsed `progress` record from the run stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressRecord {
     /// Microseconds since the run's first telemetry event.
@@ -136,7 +137,7 @@ pub struct ProgressRecord {
     pub overshoot: Option<u64>,
 }
 
-/// One parsed `anomaly` record from the event stream.
+/// One parsed `anomaly` record from the run stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyRecord {
     /// Microseconds since the run's first telemetry event.
@@ -179,60 +180,123 @@ impl AnomalyRecord {
     }
 }
 
-/// Everything the doctor knows about one run.
+/// Everything the doctor knows about one run: its manifest and the
+/// records of its run stream.
 #[derive(Debug, Clone, Default)]
 pub struct RunArtifacts {
-    /// The run manifest, when `--manifest` was given.
+    /// The run manifest; `None` for a run that did not finish.
     pub manifest: Option<RunManifest>,
     /// Parsed progress records, in stream order.
     pub progress: Vec<ProgressRecord>,
     /// Parsed anomaly records, in stream order.
     pub anomalies: Vec<AnomalyRecord>,
+    /// Worker-timeline profiles, one per profiled run, in first-seen
+    /// order.
+    pub profiles: Vec<ProfileRun>,
 }
 
 impl RunArtifacts {
-    /// Assemble artifacts from already-loaded text.
+    /// Parse a run stream in one pass: progress and anomaly records, and
+    /// the `profile_*` records grouped per run. Spans, scheduler samples
+    /// and unknown record kinds are skipped.
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when a non-empty event line is not valid
-    /// JSON (unknown record types are skipped, so spans may be
-    /// interleaved).
-    pub fn from_parts(
-        manifest: Option<RunManifest>,
-        events_text: &str,
-    ) -> Result<RunArtifacts, DoctorError> {
-        let (progress, anomalies) = parse_events(events_text)?;
-        Ok(RunArtifacts { manifest, progress, anomalies })
+    /// Returns a diagnostic (with its 1-based line number) when a
+    /// non-empty line is not valid JSON.
+    pub fn parse(manifest: Option<RunManifest>, stream: &str) -> Result<RunArtifacts, DoctorError> {
+        let mut out = RunArtifacts { manifest, ..RunArtifacts::default() };
+        for (lineno, line) in stream.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let doc = JsonValue::parse(line)
+                .map_err(|e| DoctorError(format!("line {}: {}", lineno + 1, e.message)))?;
+            match doc.get("type").and_then(JsonValue::as_str) {
+                Some("progress") => out.progress.push(ProgressRecord {
+                    t_us: u64_field(&doc, "t_us"),
+                    run_id: str_field(&doc, "run_id"),
+                    seq: u64_field(&doc, "seq"),
+                    run: str_field(&doc, "run"),
+                    metric: str_field(&doc, "metric"),
+                    worker: u64_field(&doc, "worker") as usize,
+                    config: doc.get("config").and_then(JsonValue::as_u64).map(|c| c as usize),
+                    n: u64_field(&doc, "n"),
+                    mean: f64_field(&doc, "mean"),
+                    half_width: f64_field(&doc, "half_width"),
+                    rel_half_width: f64_field(&doc, "rel_half_width"),
+                    target_rel_err: f64_field(&doc, "target_rel_err"),
+                    eligible: bool_field(&doc, "eligible"),
+                    rel_half_width_95: f64_field(&doc, "rel_half_width_95"),
+                    eligible_95: bool_field(&doc, "eligible_95"),
+                    shard_points: u64_field(&doc, "shard_points"),
+                    shard_busy_ns: u64_field(&doc, "shard_busy_ns"),
+                    overshoot: doc.get("overshoot").and_then(JsonValue::as_u64),
+                }),
+                Some("anomaly") => out.anomalies.push(AnomalyRecord {
+                    t_us: u64_field(&doc, "t_us"),
+                    run_id: str_field(&doc, "run_id"),
+                    seq: u64_field(&doc, "seq"),
+                    run: str_field(&doc, "run"),
+                    worker: u64_field(&doc, "worker") as usize,
+                    point: u64_field(&doc, "point"),
+                    detail_start: u64_field(&doc, "detail_start"),
+                    measure_start: u64_field(&doc, "measure_start"),
+                    kinds: doc
+                        .get("kinds")
+                        .and_then(JsonValue::as_arr)
+                        .map(|a| {
+                            a.iter().filter_map(JsonValue::as_str).map(str::to_owned).collect()
+                        })
+                        .unwrap_or_default(),
+                    cpi: f64_field(&doc, "cpi"),
+                    mean: f64_field(&doc, "mean"),
+                    std_dev: f64_field(&doc, "std_dev"),
+                    sigmas: f64_field(&doc, "sigmas"),
+                    decode_ns: u64_field(&doc, "decode_ns"),
+                    simulate_ns: u64_field(&doc, "simulate_ns"),
+                }),
+                Some(kind @ ("profile_run" | "profile_worker" | "profile_phase")) => {
+                    profile::add_record(&mut out.profiles, kind, &doc);
+                }
+                _ => {}
+            }
+        }
+        profile::close_runs(&mut out.profiles);
+        Ok(out)
     }
 
-    /// Load artifacts from disk.
+    /// Load a run directory: its stream and, when present, its manifest
+    /// (a run that died before finishing leaves none).
     ///
     /// # Errors
     ///
     /// Returns a diagnostic naming the offending file on I/O or parse
     /// failures.
-    pub fn load(
-        manifest_path: Option<&Path>,
-        events_path: &Path,
-    ) -> Result<RunArtifacts, DoctorError> {
-        let manifest = match manifest_path {
-            Some(p) => {
-                let text = std::fs::read_to_string(p).map_err(|e| {
-                    DoctorError(format!("cannot read manifest {}: {e}", p.display()))
-                })?;
-                Some(RunManifest::from_json(&text).map_err(|e| {
-                    DoctorError(format!("malformed manifest {}: {}", p.display(), e.message))
-                })?)
+    pub fn load(dir: &RunDir) -> Result<RunArtifacts, DoctorError> {
+        let path = dir.manifest();
+        let manifest = match std::fs::read_to_string(&path) {
+            Ok(text) => Some(RunManifest::from_json(&text).map_err(|e| {
+                DoctorError(format!("malformed manifest {}: {}", path.display(), e.message))
+            })?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => {
+                return Err(DoctorError(format!("cannot read manifest {}: {e}", path.display())))
             }
-            None => None,
         };
-        let events = std::fs::read_to_string(events_path).map_err(|e| {
-            DoctorError(format!("cannot read events {}: {e}", events_path.display()))
-        })?;
-        Self::from_parts(manifest, &events)
-            .map_err(|e| DoctorError(format!("{}: {e}", events_path.display())))
+        Self::parse(manifest, &read_stream(dir)?)
+            .map_err(|e| DoctorError(format!("{}: {e}", dir.stream().display())))
     }
+}
+
+/// Read a run directory's stream.
+///
+/// # Errors
+///
+/// Returns a diagnostic naming the stream when it cannot be read.
+pub fn read_stream(dir: &RunDir) -> Result<String, DoctorError> {
+    std::fs::read_to_string(dir.stream())
+        .map_err(|e| DoctorError(format!("cannot read {}: {e}", dir.stream().display())))
 }
 
 fn u64_field(doc: &JsonValue, key: &str) -> u64 {
@@ -249,68 +313,4 @@ fn bool_field(doc: &JsonValue, key: &str) -> bool {
 
 fn str_field(doc: &JsonValue, key: &str) -> String {
     doc.get(key).and_then(JsonValue::as_str).unwrap_or("").to_owned()
-}
-
-/// Parse a JSONL event stream into progress and anomaly records,
-/// skipping spans and unknown record types.
-///
-/// # Errors
-///
-/// Returns a diagnostic (with its 1-based line number) when a non-empty
-/// line is not valid JSON.
-pub fn parse_events(text: &str) -> Result<(Vec<ProgressRecord>, Vec<AnomalyRecord>), DoctorError> {
-    let mut progress = Vec::new();
-    let mut anomalies = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = JsonValue::parse(line)
-            .map_err(|e| DoctorError(format!("line {}: {}", lineno + 1, e.message)))?;
-        match doc.get("type").and_then(JsonValue::as_str) {
-            Some("progress") => progress.push(ProgressRecord {
-                t_us: u64_field(&doc, "t_us"),
-                run_id: str_field(&doc, "run_id"),
-                seq: u64_field(&doc, "seq"),
-                run: str_field(&doc, "run"),
-                metric: str_field(&doc, "metric"),
-                worker: u64_field(&doc, "worker") as usize,
-                config: doc.get("config").and_then(JsonValue::as_u64).map(|c| c as usize),
-                n: u64_field(&doc, "n"),
-                mean: f64_field(&doc, "mean"),
-                half_width: f64_field(&doc, "half_width"),
-                rel_half_width: f64_field(&doc, "rel_half_width"),
-                target_rel_err: f64_field(&doc, "target_rel_err"),
-                eligible: bool_field(&doc, "eligible"),
-                rel_half_width_95: f64_field(&doc, "rel_half_width_95"),
-                eligible_95: bool_field(&doc, "eligible_95"),
-                shard_points: u64_field(&doc, "shard_points"),
-                shard_busy_ns: u64_field(&doc, "shard_busy_ns"),
-                overshoot: doc.get("overshoot").and_then(JsonValue::as_u64),
-            }),
-            Some("anomaly") => anomalies.push(AnomalyRecord {
-                t_us: u64_field(&doc, "t_us"),
-                run_id: str_field(&doc, "run_id"),
-                seq: u64_field(&doc, "seq"),
-                run: str_field(&doc, "run"),
-                worker: u64_field(&doc, "worker") as usize,
-                point: u64_field(&doc, "point"),
-                detail_start: u64_field(&doc, "detail_start"),
-                measure_start: u64_field(&doc, "measure_start"),
-                kinds: doc
-                    .get("kinds")
-                    .and_then(JsonValue::as_arr)
-                    .map(|a| a.iter().filter_map(JsonValue::as_str).map(str::to_owned).collect())
-                    .unwrap_or_default(),
-                cpi: f64_field(&doc, "cpi"),
-                mean: f64_field(&doc, "mean"),
-                std_dev: f64_field(&doc, "std_dev"),
-                sigmas: f64_field(&doc, "sigmas"),
-                decode_ns: u64_field(&doc, "decode_ns"),
-                simulate_ns: u64_field(&doc, "simulate_ns"),
-            }),
-            _ => {}
-        }
-    }
-    Ok((progress, anomalies))
 }

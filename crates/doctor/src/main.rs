@@ -2,32 +2,28 @@
 //! regression tracking.
 //!
 //! ```text
-//! spectral-doctor analyze --events run.events.jsonl [--manifest run.json]
-//!                         [--trace run.trace.jsonl]
-//!                         [--baseline-events old.events.jsonl]
-//!                         [--baseline-manifest old.json]
+//! spectral-doctor analyze --run DIR [--baseline-run DIR]
 //!                         [--json report.json] [--perfetto trace.chrome.json]
 //!                         [--top N] [--check] [--max-imbalance PCT]
 //! spectral-doctor trend   --registry DIR [--json PATH] [--binary NAME]
 //!                         [--benchmark NAME] [--machine NAME] [--last N]
 //! spectral-doctor gate    --registry DIR [--baseline LABEL] [--candidate LABEL]
 //!                         [--max-regress PCT] [--json PATH]
-//! spectral-doctor watch   (--events PATH | --registry DIR) [--prom FILE]
+//! spectral-doctor watch   (--run DIR | --registry DIR) [--prom FILE]
 //!                         [--interval MS] [--once | --frames N]
-//! spectral-doctor profile --profile PATH [--json PATH] [--perfetto PATH]
+//! spectral-doctor profile --run DIR [--json PATH] [--perfetto PATH]
 //!                         [--record-cost-ns N]
 //! ```
 //!
-//! `analyze` prints the per-run text diagnosis to stdout (`--json` /
-//! `--perfetto` additionally write reports; `--check` exits non-zero on
-//! a run that exhausted its library without converging). Invoking the
-//! binary with bare flags and no subcommand is the pre-subcommand
-//! `analyze` spelling and keeps working.
+//! `--run DIR` names a run directory an experiment binary wrote with
+//! `--out DIR`. `analyze` prints the per-run text diagnosis to stdout
+//! (`--json` / `--perfetto` additionally write reports; `--check` exits
+//! non-zero on a run that exhausted its library without converging).
 //!
 //! `trend` renders per-benchmark/per-machine sparkline time series over
 //! a run registry; `gate` compares a baseline run-set against a
 //! candidate run-set and exits 0 on pass, 2 on regression, 1 on error —
-//! the CI contract; `watch` tails a growing events file or registry
+//! the CI contract; `watch` tails a growing run stream or registry
 //! directory, redrawing an in-place dashboard each `--interval` and
 //! optionally writing a Prometheus-style text exposition to `--prom`;
 //! for all three, `--registry` falls back to the `SPECTRAL_REGISTRY`
@@ -35,7 +31,7 @@
 //! the experiment binaries use for appending. `--help` / `-h` prints
 //! the usage summary and exits 0 for every subcommand;
 //! `profile` attributes each worker's wall-clock to scheduler/decode/
-//! simulate/merge phases from a `--profile` stream, reporting
+//! simulate/merge phases from the run stream's profile records, reporting
 //! contention, stragglers, a critical-path estimate, and the profiler's
 //! own overhead (priced at a clock-probe-measured per-record cost, or
 //! `--record-cost-ns` for reproducible output).
@@ -45,18 +41,16 @@ use std::process::ExitCode;
 
 use spectral_doctor::{
     analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate,
-    measure_record_cost_ns, parse_profile, render_gate_json, render_gate_text, render_json,
+    measure_record_cost_ns, read_stream, render_gate_json, render_gate_text, render_json,
     render_profile_json, render_profile_text, render_text, render_trend_json, render_trend_text,
-    trend, DoctorError, GateConfig, RunArtifacts, WatchFrame,
+    trend, DoctorError, EventsTail, GateConfig, RunArtifacts, WatchFrame,
 };
+use spectral_telemetry::RunDir;
 
 #[derive(Debug, Default)]
 struct AnalyzeCli {
-    events: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    baseline_events: Option<PathBuf>,
-    baseline_manifest: Option<PathBuf>,
+    run: Option<RunDir>,
+    baseline_run: Option<RunDir>,
     json: Option<PathBuf>,
     perfetto: Option<PathBuf>,
     top: usize,
@@ -64,16 +58,15 @@ struct AnalyzeCli {
     max_imbalance: Option<f64>,
 }
 
-const USAGE: &str = "spectral-doctor [analyze] --events PATH [--manifest PATH] [--trace PATH] \
-                     [--baseline-events PATH] [--baseline-manifest PATH] [--json PATH] \
+const USAGE: &str = "spectral-doctor analyze --run DIR [--baseline-run DIR] [--json PATH] \
                      [--perfetto PATH] [--top N] [--check] [--max-imbalance PCT]\n\
                      spectral-doctor trend --registry DIR [--json PATH] [--binary NAME] \
                      [--benchmark NAME] [--machine NAME] [--last N]\n\
                      spectral-doctor gate --registry DIR [--baseline LABEL] \
                      [--candidate LABEL] [--max-regress PCT] [--json PATH]\n\
-                     spectral-doctor watch (--events PATH | --registry DIR) [--prom FILE] \
+                     spectral-doctor watch (--run DIR | --registry DIR) [--prom FILE] \
                      [--interval MS] [--once | --frames N]\n\
-                     spectral-doctor profile --profile PATH [--json PATH] [--perfetto PATH] \
+                     spectral-doctor profile --run DIR [--json PATH] [--perfetto PATH] \
                      [--record-cost-ns N]";
 
 /// A flag-value iterator shared by every subcommand parser.
@@ -105,15 +98,8 @@ fn parse_analyze(argv: &[String]) -> Result<AnalyzeCli, DoctorError> {
     let mut args = Args::new(argv);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--events" => cli.events = Some(PathBuf::from(args.value("--events")?)),
-            "--manifest" => cli.manifest = Some(PathBuf::from(args.value("--manifest")?)),
-            "--trace" => cli.trace = Some(PathBuf::from(args.value("--trace")?)),
-            "--baseline-events" => {
-                cli.baseline_events = Some(PathBuf::from(args.value("--baseline-events")?));
-            }
-            "--baseline-manifest" => {
-                cli.baseline_manifest = Some(PathBuf::from(args.value("--baseline-manifest")?));
-            }
+            "--run" => cli.run = Some(RunDir::new(args.value("--run")?)),
+            "--baseline-run" => cli.baseline_run = Some(RunDir::new(args.value("--baseline-run")?)),
             "--json" => cli.json = Some(PathBuf::from(args.value("--json")?)),
             "--perfetto" => cli.perfetto = Some(PathBuf::from(args.value("--perfetto")?)),
             "--top" => cli.top = args.parsed("--top", "an integer")?,
@@ -127,17 +113,13 @@ fn parse_analyze(argv: &[String]) -> Result<AnalyzeCli, DoctorError> {
                 }
                 cli.max_imbalance = Some(pct);
             }
-            "--help" | "-h" => return Err(DoctorError::msg(format!("usage: {USAGE}"))),
             other => {
                 return Err(DoctorError::msg(format!("unknown argument {other}\nusage: {USAGE}")))
             }
         }
     }
-    if cli.events.is_none() {
-        return Err(DoctorError::msg(format!("--events is required\nusage: {USAGE}")));
-    }
-    if cli.check && cli.manifest.is_none() {
-        return Err(DoctorError::msg("--check needs --manifest (the convergence verdict)"));
+    if cli.run.is_none() {
+        return Err(DoctorError::msg(format!("--run is required\nusage: {USAGE}")));
     }
     if cli.max_imbalance.is_some() && !cli.check {
         return Err(DoctorError::msg("--max-imbalance only applies with --check"));
@@ -150,16 +132,27 @@ fn write_file(path: &PathBuf, text: &str) -> Result<(), DoctorError> {
         .map_err(|e| DoctorError::msg(format!("cannot write {}: {e}", path.display())))
 }
 
+/// Convert a run stream into a Chrome trace at `path`: spans, scheduler
+/// and convergence counters, anomaly instants and worker phase tracks.
+fn write_perfetto(path: &PathBuf, stream: &str) -> Result<(), DoctorError> {
+    let chrome = spectral_telemetry::chrome_trace(stream)
+        .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
+    write_file(path, &chrome)
+}
+
 fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
-    let events = cli.events.as_ref().expect("validated in parse_analyze");
-    let artifacts = RunArtifacts::load(cli.manifest.as_deref(), events)?;
+    let run = cli.run.as_ref().expect("validated in parse_analyze");
+    let artifacts = RunArtifacts::load(run)?;
+    if cli.check && artifacts.manifest.is_none() {
+        return Err(DoctorError::msg(format!(
+            "--check needs {} (the convergence verdict); did the run finish?",
+            run.manifest().display()
+        )));
+    }
     let diagnosis = analyze(&artifacts);
 
-    let diff = match &cli.baseline_events {
-        Some(base_events) => {
-            let baseline = RunArtifacts::load(cli.baseline_manifest.as_deref(), base_events)?;
-            Some(diff_runs(&artifacts, &baseline)?)
-        }
+    let diff = match &cli.baseline_run {
+        Some(base) => Some(diff_runs(&artifacts, &RunArtifacts::load(base)?)?),
         None => None,
     };
 
@@ -172,20 +165,7 @@ fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
         )?;
     }
     if let Some(path) = &cli.perfetto {
-        // One Chrome trace over the span trace (if given) and the event
-        // stream: spans, convergence counters, anomaly instants.
-        let mut jsonl = String::new();
-        if let Some(trace) = &cli.trace {
-            jsonl = std::fs::read_to_string(trace)
-                .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", trace.display())))?;
-        }
-        jsonl.push_str(
-            &std::fs::read_to_string(events)
-                .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", events.display())))?,
-        );
-        let chrome = spectral_telemetry::chrome_trace(&jsonl)
-            .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
-        write_file(path, &chrome)?;
+        write_perfetto(path, &read_stream(run)?)?;
     }
 
     let mut failures: Vec<String> = Vec::new();
@@ -347,7 +327,7 @@ fn gate_main(argv: &[String]) -> ExitCode {
 
 fn watch_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
-        let mut events: Option<PathBuf> = None;
+        let mut dir: Option<RunDir> = None;
         let mut registry: Option<PathBuf> = None;
         let mut prom: Option<PathBuf> = None;
         let mut interval_ms: u64 = 1_000;
@@ -355,7 +335,7 @@ fn watch_main(argv: &[String]) -> ExitCode {
         let mut args = Args::new(argv);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--events" => events = Some(PathBuf::from(args.value("--events")?)),
+                "--run" => dir = Some(RunDir::new(args.value("--run")?)),
                 "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
                 "--prom" => prom = Some(PathBuf::from(args.value("--prom")?)),
                 "--interval" => interval_ms = args.parsed("--interval", "milliseconds")?,
@@ -369,23 +349,27 @@ fn watch_main(argv: &[String]) -> ExitCode {
         // With neither source flag given, fall back to the
         // SPECTRAL_REGISTRY environment variable like trend/gate do.
         let registry =
-            if events.is_none() && registry.is_none() { registry_dir(None) } else { registry };
-        if events.is_some() == registry.is_some() {
+            if dir.is_none() && registry.is_none() { registry_dir(None) } else { registry };
+        if dir.is_some() == registry.is_some() {
             return Err(DoctorError::msg(
-                "watch needs exactly one of --events PATH or --registry DIR \
+                "watch needs exactly one of --run DIR or --registry DIR \
                  (or the SPECTRAL_REGISTRY environment variable)",
             ));
         }
         let total = frames.unwrap_or(u64::MAX);
         let in_place = total > 1;
-        // Incremental tail: each frame reads only appended bytes, and a
-        // truncated or rotated file re-seeks instead of erroring — a
-        // sink that hasn't produced the file yet is an empty frame,
-        // because watch outlives writers.
-        let mut tail = events.as_ref().map(spectral_doctor::EventsTail::new);
+        // Incremental tail over the run stream: each frame reads only
+        // appended bytes, and a truncated or rotated file re-seeks
+        // instead of erroring — a run that hasn't produced the stream
+        // yet is an empty frame, because watch outlives writers.
+        let mut tail = dir.map(|r| (EventsTail::new(r.stream()), r.stream()));
         for i in 0..total {
             let frame = match (&mut tail, &registry) {
-                (Some(tail), None) => WatchFrame::from_events_text(tail.poll()),
+                (Some((tail, path)), None) => {
+                    let artifacts = RunArtifacts::parse(None, tail.poll())
+                        .map_err(|e| DoctorError::msg(format!("{}: {e}", path.display())))?;
+                    WatchFrame::from_artifacts(&artifacts)
+                }
                 (None, Some(dir)) => {
                     let records = spectral_registry::load_records(dir)
                         .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.display())))?;
@@ -418,14 +402,14 @@ fn watch_main(argv: &[String]) -> ExitCode {
 
 fn profile_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
-        let mut profile: Option<PathBuf> = None;
+        let mut dir: Option<RunDir> = None;
         let mut json: Option<PathBuf> = None;
         let mut perfetto: Option<PathBuf> = None;
         let mut record_cost_ns: Option<u64> = None;
         let mut args = Args::new(argv);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--profile" => profile = Some(PathBuf::from(args.value("--profile")?)),
+                "--run" => dir = Some(RunDir::new(args.value("--run")?)),
                 "--json" => json = Some(PathBuf::from(args.value("--json")?)),
                 "--perfetto" => perfetto = Some(PathBuf::from(args.value("--perfetto")?)),
                 "--record-cost-ns" => {
@@ -436,16 +420,15 @@ fn profile_main(argv: &[String]) -> ExitCode {
                 }
             }
         }
-        let path =
-            profile.ok_or_else(|| DoctorError::msg(format!("--profile is required\n{USAGE}")))?;
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| DoctorError::msg(format!("cannot read {}: {e}", path.display())))?;
-        let runs = parse_profile(&text)
-            .map_err(|e| DoctorError::msg(format!("{}: {e}", path.display())))?;
+        let dir = dir.ok_or_else(|| DoctorError::msg(format!("--run is required\n{USAGE}")))?;
+        let text = read_stream(&dir)?;
+        let runs = RunArtifacts::parse(None, &text)
+            .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.stream().display())))?
+            .profiles;
         if runs.is_empty() {
             return Err(DoctorError::msg(format!(
-                "{}: no profile records (was the run started with --profile?)",
-                path.display()
+                "{}: no profile records (built without telemetry?)",
+                dir.stream().display()
             )));
         }
         let cost = record_cost_ns.unwrap_or_else(measure_record_cost_ns);
@@ -457,9 +440,7 @@ fn profile_main(argv: &[String]) -> ExitCode {
             write_file(path, &render_profile_json(&reports))?;
         }
         if let Some(out) = &perfetto {
-            let chrome = spectral_telemetry::chrome_trace(&text)
-                .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
-            write_file(out, &chrome)?;
+            write_perfetto(out, &text)?;
         }
         Ok(())
     };
@@ -486,7 +467,9 @@ fn main() -> ExitCode {
         Some("gate") => gate_main(&argv[1..]),
         Some("watch") => watch_main(&argv[1..]),
         Some("profile") => profile_main(&argv[1..]),
-        // Bare flags are the pre-subcommand `analyze` spelling.
-        _ => analyze_main(&argv),
+        _ => {
+            eprintln!("spectral-doctor: error: expected a subcommand\nusage: {USAGE}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! `doctor profile`: wall-clock attribution over a worker-timeline
-//! profile stream (the experiment binaries' `--profile` sink).
+//! `doctor profile`: wall-clock attribution over the worker-timeline
+//! records of a run stream.
 //!
-//! The stream carries three record types per run: one `profile_run`
+//! The stream carries three profile record kinds per run: one `profile_run`
 //! bracket (the run's own wall-clock), one `profile_worker` record per
 //! worker (exact per-phase `(count, ns)` aggregates over *every*
 //! recorded interval), and up to `PROFILE_RING_CAPACITY` retained
@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 
 use spectral_telemetry::{json_number, json_quote, JsonValue, ProfilePhase};
 
-use crate::{str_field, u64_field, DoctorError};
+use crate::{str_field, u64_field};
 
 /// Exact aggregate for one phase of one worker: every recorded interval
 /// counts here, even after the retained ring wraps.
@@ -104,89 +104,60 @@ pub struct ProfileRun {
     pub workers: Vec<WorkerProfile>,
 }
 
-/// Parse a profile JSONL stream into per-run structures, grouped by
-/// `(run_id, seq)` in first-seen order. Unknown record types are
-/// skipped (the stream may share a file with other sinks); a run whose
-/// `profile_run` bracket is missing (truncated stream) gets a window
-/// synthesized from its workers' envelope.
-///
-/// # Errors
-///
-/// Returns a diagnostic (with its 1-based line number) when a non-empty
-/// line is not valid JSON.
-pub fn parse_profile(text: &str) -> Result<Vec<ProfileRun>, DoctorError> {
-    let mut order: Vec<(String, u64)> = Vec::new();
-    let mut runs: BTreeMap<(String, u64), ProfileRun> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+/// Fold one `profile_*` record into its run, keyed by `(run_id, seq)`
+/// in first-seen order.
+pub(crate) fn add_record(runs: &mut Vec<ProfileRun>, kind: &str, doc: &JsonValue) {
+    let (run_id, seq) = (str_field(doc, "run_id"), u64_field(doc, "seq"));
+    let run = match runs.iter().position(|r| r.run_id == run_id && r.seq == seq) {
+        Some(i) => &mut runs[i],
+        None => {
+            let run = str_field(doc, "run");
+            runs.push(ProfileRun { run_id, seq, run, ..ProfileRun::default() });
+            runs.last_mut().expect("just pushed")
         }
-        let doc = JsonValue::parse(line)
-            .map_err(|e| DoctorError::msg(format!("line {}: {}", lineno + 1, e.message)))?;
-        let ty = doc.get("type").and_then(JsonValue::as_str);
-        if !matches!(ty, Some("profile_run" | "profile_worker" | "profile_phase")) {
-            continue;
+    };
+    let worker = u64_field(doc, "worker") as usize;
+    match kind {
+        "profile_run" => {
+            run.declared_workers = u64_field(doc, "workers") as usize;
+            run.t_us = u64_field(doc, "t_us");
+            run.dur_us = u64_field(doc, "dur_us");
         }
-        let key = (str_field(&doc, "run_id"), u64_field(&doc, "seq"));
-        if !runs.contains_key(&key) {
-            order.push(key.clone());
-        }
-        let entry = runs.entry(key.clone()).or_insert_with(|| ProfileRun {
-            run_id: key.0.clone(),
-            seq: key.1,
-            run: str_field(&doc, "run"),
-            ..ProfileRun::default()
-        });
-        match ty {
-            Some("profile_run") => {
-                entry.declared_workers = u64_field(&doc, "workers") as usize;
-                entry.t_us = u64_field(&doc, "t_us");
-                entry.dur_us = u64_field(&doc, "dur_us");
-            }
-            Some("profile_worker") => {
-                let worker = worker_entry(entry, u64_field(&doc, "worker") as usize);
-                worker.t_us = u64_field(&doc, "t_us");
-                worker.dur_us = u64_field(&doc, "dur_us");
-                worker.recorded = u64_field(&doc, "recorded");
-                worker.kept = u64_field(&doc, "kept");
-                if let Some(phases) = doc.get("phases").and_then(JsonValue::as_obj) {
-                    for (name, agg) in phases {
-                        worker.phases.insert(
-                            name.clone(),
-                            PhaseTotal {
-                                count: agg.get("count").and_then(JsonValue::as_u64).unwrap_or(0),
-                                ns: agg.get("ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                            },
-                        );
-                    }
-                }
-            }
-            Some("profile_phase") => {
-                let interval = ProfileInterval {
-                    phase: str_field(&doc, "phase"),
-                    t_us: u64_field(&doc, "t_us"),
-                    dur_us: u64_field(&doc, "dur_us"),
+        "profile_worker" => {
+            let worker = worker_entry(run, worker);
+            worker.t_us = u64_field(doc, "t_us");
+            worker.dur_us = u64_field(doc, "dur_us");
+            worker.recorded = u64_field(doc, "recorded");
+            worker.kept = u64_field(doc, "kept");
+            for (name, agg) in doc.get("phases").and_then(JsonValue::as_obj).into_iter().flatten() {
+                let total = PhaseTotal {
+                    count: agg.get("count").and_then(JsonValue::as_u64).unwrap_or(0),
+                    ns: agg.get("ns").and_then(JsonValue::as_u64).unwrap_or(0),
                 };
-                worker_entry(entry, u64_field(&doc, "worker") as usize).intervals.push(interval);
+                worker.phases.insert(name.clone(), total);
             }
-            _ => unreachable!("filtered above"),
         }
+        _ => worker_entry(run, worker).intervals.push(ProfileInterval {
+            phase: str_field(doc, "phase"),
+            t_us: u64_field(doc, "t_us"),
+            dur_us: u64_field(doc, "dur_us"),
+        }),
     }
-    let mut out: Vec<ProfileRun> = Vec::with_capacity(order.len());
-    for key in order {
-        let mut run = runs.remove(&key).expect("keyed by first-seen order");
+}
+
+/// Finish parsed runs: order each run's workers, and give a run whose
+/// `profile_run` bracket is missing (a truncated stream) the window of
+/// its workers' envelope, so attribution still has a denominator.
+pub(crate) fn close_runs(runs: &mut [ProfileRun]) {
+    for run in runs {
         run.workers.sort_by_key(|w| w.worker);
         if run.dur_us == 0 && !run.workers.is_empty() {
-            // Truncated stream: no run bracket. Use the workers'
-            // envelope so attribution still has a denominator.
             run.t_us = run.workers.iter().map(|w| w.t_us).min().unwrap_or(0);
             let end = run.workers.iter().map(|w| w.t_us + w.dur_us).max().unwrap_or(0);
             run.dur_us = end.saturating_sub(run.t_us);
             run.declared_workers = run.declared_workers.max(run.workers.len());
         }
-        out.push(run);
     }
-    Ok(out)
 }
 
 fn worker_entry(run: &mut ProfileRun, worker: usize) -> &mut WorkerProfile {
@@ -690,6 +661,11 @@ pub fn render_profile_json(reports: &[ProfileReport]) -> String {
 mod tests {
     use super::*;
 
+    /// The profiles the one stream parser finds in `text`.
+    fn profiles(text: &str) -> Result<Vec<ProfileRun>, crate::DoctorError> {
+        crate::RunArtifacts::parse(None, text).map(|a| a.profiles)
+    }
+
     const STREAM: &str = concat!(
         "{\"type\":\"profile_run\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
          \"run\":\"online\",\"workers\":2,\"t_us\":100,\"dur_us\":10000}\n",
@@ -711,13 +687,13 @@ mod tests {
         "{\"type\":\"profile_phase\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
          \"run\":\"online\",\"worker\":1,\"phase\":\"merge_wait\",\"t_us\":7000,\
          \"dur_us\":300}\n",
-        // Other sinks may share the file: skipped, not fatal.
+        // Other record kinds share the stream: skipped, not fatal.
         "{\"type\":\"span\",\"name\":\"decode\",\"t_us\":5,\"dur_us\":2}\n",
     );
 
     #[test]
     fn parses_runs_workers_and_intervals() {
-        let runs = parse_profile(STREAM).expect("valid stream");
+        let runs = profiles(STREAM).expect("valid stream");
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
         assert_eq!((run.seq, run.declared_workers, run.dur_us), (1, 2, 10_000));
@@ -730,7 +706,7 @@ mod tests {
 
     #[test]
     fn attribution_covers_the_run_wall() {
-        let runs = parse_profile(STREAM).expect("valid stream");
+        let runs = profiles(STREAM).expect("valid stream");
         let report = analyze_profile(&runs[0], 50);
         // Σ (run end − worker start): (10100−120) + (10100−130) over
         // 2 × 10000 run wall — only the spawn latency is unattributed.
@@ -748,7 +724,7 @@ mod tests {
 
     #[test]
     fn contention_stragglers_and_critical_path() {
-        let runs = parse_profile(STREAM).expect("valid stream");
+        let runs = profiles(STREAM).expect("valid stream");
         let report = analyze_profile(&runs[0], 50);
         let mw = &report.merge_wait;
         assert_eq!((mw.count, mw.total_ns), (2, 800_000));
@@ -770,7 +746,7 @@ mod tests {
         // Drop the profile_run bracket: the workers' envelope stands in.
         let body: String =
             STREAM.lines().filter(|l| !l.contains("profile_run")).collect::<Vec<_>>().join("\n");
-        let runs = parse_profile(&body).expect("valid stream");
+        let runs = profiles(&body).expect("valid stream");
         let run = &runs[0];
         assert_eq!(run.t_us, 120);
         assert_eq!(run.dur_us, (130 + 9_900) - 120);
@@ -781,7 +757,7 @@ mod tests {
 
     #[test]
     fn renders_text_and_json() {
-        let runs = parse_profile(STREAM).expect("valid stream");
+        let runs = profiles(STREAM).expect("valid stream");
         let report = analyze_profile(&runs[0], 50);
         let text = render_profile_text(&runs[0], &report);
         assert!(text.contains("profile aaaa000000000001-1 online #1"), "{text}");

@@ -1,5 +1,5 @@
 //! `doctor watch`: live run exposition — a rebuilt-per-frame snapshot
-//! of a growing events file or registry directory, rendered as an
+//! of a growing run stream or registry directory, rendered as an
 //! in-place terminal dashboard and/or a Prometheus-style text
 //! exposition.
 //!
@@ -7,11 +7,11 @@
 //! watch loop polls an [`EventsTail`] each tick — reading only the
 //! bytes appended since the last frame, and re-seeking to the start
 //! when the file shrank (truncated in place or rotated) — and rebuilds
-//! the frame from the accumulated text. Parsing is deliberately
-//! *tolerant* — a live writer's last line may be mid-append, and a
-//! dashboard that dies on a partial line is useless — unlike
-//! [`parse_events`](crate::parse_events), which reports malformed
-//! lines because it reads completed artifacts.
+//! the frame from the accumulated complete lines. A live writer's last
+//! line may be mid-append, so the tail holds it back until its newline
+//! arrives, and the frame goes through the same one-pass parser
+//! ([`RunArtifacts::parse`]) and [`analyze`](crate::analyze) as a
+//! finished run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -19,12 +19,14 @@ use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::PathBuf;
 
 use spectral_registry::RunRecord;
-use spectral_telemetry::{json_number as number, JsonValue, RunSummary};
+use spectral_telemetry::{json_number as number, RunSummary};
 
-/// An incremental tail over a growing events file: each [`poll`] reads
+use crate::RunArtifacts;
+
+/// An incremental tail over a growing run stream: each [`poll`] reads
 /// only the bytes appended since the last one and returns the
-/// accumulated contents, so a long watch doesn't re-read the whole
-/// file every frame.
+/// accumulated complete lines, so a long watch doesn't re-read the
+/// whole file every frame.
 ///
 /// The tail must outlive its writers: a file that doesn't exist yet (or
 /// vanished mid-rotation) is an empty frame, and a file that *shrank*
@@ -47,13 +49,15 @@ impl EventsTail {
     }
 
     /// Read any appended bytes and return the accumulated file
-    /// contents. Never errors: missing files reset to an empty frame,
-    /// shrunken files reset to offset 0 and re-read from the start.
+    /// contents up to the last newline (a partial last line waits for
+    /// the next poll). Never errors: missing files reset to an empty
+    /// frame, shrunken files reset to offset 0 and re-read from the
+    /// start.
     pub fn poll(&mut self) -> &str {
         let Ok(mut f) = std::fs::File::open(&self.path) else {
             self.offset = 0;
             self.text.clear();
-            return &self.text;
+            return "";
         };
         let len = f.metadata().map(|m| m.len()).unwrap_or(0);
         if len < self.offset {
@@ -69,12 +73,17 @@ impl EventsTail {
                 self.text.push_str(&String::from_utf8_lossy(&buf));
             }
         }
-        &self.text
+        complete_lines(&self.text)
     }
 }
 
-/// The live state of one estimated series, distilled from its latest
-/// progress records.
+/// `text` up to and including its last newline.
+fn complete_lines(text: &str) -> &str {
+    &text[..text.rfind('\n').map_or(0, |i| i + 1)]
+}
+
+/// The live state of one estimated series: the latest sample of its
+/// diagnosis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesState {
     /// Collision-resistant run identifier (empty for pre-`run_id`
@@ -112,95 +121,41 @@ pub struct SeriesState {
 pub struct WatchFrame {
     /// Live series, ordered by (seq, run_id, run, metric, config).
     pub series: Vec<SeriesState>,
-    /// Registry records (empty when watching an events file).
+    /// Registry records (empty when watching a run stream).
     pub runs: Vec<RunRecord>,
 }
 
-type SeriesKey = (u64, String, String, String, Option<usize>);
-
-#[derive(Default)]
-struct SeriesAccum {
-    latest: Option<SeriesState>,
-    latest_n: u64,
-    busy: BTreeMap<u64, u64>,
-    workers: BTreeMap<u64, ()>,
-}
-
 impl WatchFrame {
-    /// Build a frame from an events file's current contents. Malformed
-    /// lines (including a partial final line mid-append) are skipped.
-    pub fn from_events_text(text: &str) -> WatchFrame {
-        let mut accums: BTreeMap<SeriesKey, SeriesAccum> = BTreeMap::new();
-        let mut anomalies: BTreeMap<(String, u64, String), u64> = BTreeMap::new();
-        for line in text.lines() {
-            let Ok(doc) = JsonValue::parse(line) else { continue };
-            let str_of = |key: &str| -> String {
-                doc.get(key).and_then(JsonValue::as_str).unwrap_or("").to_owned()
-            };
-            let u64_of = |key: &str| doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-            let f64_of = |key: &str| doc.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
-            match doc.get("type").and_then(JsonValue::as_str) {
-                Some("progress") => {
-                    let key = (
-                        u64_of("seq"),
-                        str_of("run_id"),
-                        str_of("run"),
-                        str_of("metric"),
-                        doc.get("config").and_then(JsonValue::as_u64).map(|c| c as usize),
-                    );
-                    let acc = accums.entry(key.clone()).or_default();
-                    let worker = u64_of("worker");
-                    acc.workers.insert(worker, ());
-                    let busy = u64_of("shard_busy_ns");
-                    if busy > 0 {
-                        let e = acc.busy.entry(worker).or_default();
-                        *e = (*e).max(busy);
-                    }
-                    let n = u64_of("n");
-                    if acc.latest.is_none() || n >= acc.latest_n {
-                        acc.latest_n = n;
-                        acc.latest = Some(SeriesState {
-                            run_id: key.1,
-                            seq: key.0,
-                            run: key.2,
-                            metric: key.3,
-                            config: key.4,
-                            n,
-                            mean: f64_of("mean"),
-                            rel_half_width: f64_of("rel_half_width"),
-                            target_rel_err: f64_of("target_rel_err"),
-                            eligible: doc
-                                .get("eligible")
-                                .and_then(JsonValue::as_bool)
-                                .unwrap_or(false),
-                            workers: 0,
-                            busy_spread: 0.0,
-                            anomalies: 0,
-                        });
-                    }
-                }
-                Some("anomaly") => {
-                    *anomalies
-                        .entry((str_of("run_id"), u64_of("seq"), str_of("run")))
-                        .or_default() += 1;
-                }
-                _ => {}
-            }
-        }
-        let series = accums
-            .into_values()
-            .filter_map(|acc| {
-                let mut s = acc.latest?;
-                s.workers = acc.workers.len();
-                s.busy_spread = match (acc.busy.values().max(), acc.busy.values().min()) {
-                    (Some(&max), Some(&min)) if acc.busy.len() > 1 && max > 0 => {
-                        (max - min) as f64 / max as f64
-                    }
-                    _ => 0.0,
-                };
-                s.anomalies =
-                    anomalies.get(&(s.run_id.clone(), s.seq, s.run.clone())).copied().unwrap_or(0);
-                Some(s)
+    /// Build a frame from a run stream's parsed records: the latest
+    /// sample of every series [`analyze`](crate::analyze) finds, with
+    /// the anomalies of its run.
+    pub fn from_artifacts(artifacts: &RunArtifacts) -> WatchFrame {
+        let diagnosis = crate::analyze(artifacts);
+        let series = diagnosis
+            .series
+            .iter()
+            .filter_map(|s| {
+                let last = s.last()?;
+                let anomalies = diagnosis
+                    .anomalies
+                    .iter()
+                    .filter(|a| a.run_id == s.run_id && a.seq == s.seq && a.run == s.run)
+                    .count();
+                Some(SeriesState {
+                    run_id: s.run_id.clone(),
+                    seq: s.seq,
+                    run: s.run.clone(),
+                    metric: s.metric.clone(),
+                    config: s.config,
+                    n: last.n,
+                    mean: last.mean,
+                    rel_half_width: last.rel_half_width,
+                    target_rel_err: s.target_rel_err,
+                    eligible: last.eligible,
+                    workers: s.shards.workers.len(),
+                    busy_spread: s.shards.busy_imbalance,
+                    anomalies: anomalies as u64,
+                })
             })
             .collect();
         WatchFrame { series, runs: Vec::new() }
@@ -429,6 +384,13 @@ fn escape_label(v: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The frame of a stream's complete lines, as the watch loop
+    /// builds it.
+    fn frame(stream: &str) -> WatchFrame {
+        let artifacts = RunArtifacts::parse(None, complete_lines(stream)).expect("valid lines");
+        WatchFrame::from_artifacts(&artifacts)
+    }
+
     const STREAM: &str = concat!(
         "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"worker\":0,\"n\":8,\"mean\":1.52,\"rel_half_width\":0.4,\
@@ -442,13 +404,13 @@ mod tests {
         "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"worker\":0,\"n\":40,\"mean\":1.372,\"rel_half_width\":0.08,\
          \"target_rel_err\":0.1,\"eligible\":true,\"shard_points\":20,\"shard_busy_ns\":2000}\n",
-        // A partial line mid-append: tolerated, not fatal.
+        // A partial line mid-append: held back, not fatal.
         "{\"type\":\"progress\",\"run_id\":\"aaaa0000"
     );
 
     #[test]
     fn frame_distills_the_latest_state_per_series() {
-        let frame = WatchFrame::from_events_text(STREAM);
+        let frame = frame(STREAM);
         assert_eq!(frame.series.len(), 1);
         let s = &frame.series[0];
         assert_eq!(s.run_id, "aaaa000000000001-1");
@@ -464,7 +426,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
-        let frame = WatchFrame::from_events_text(STREAM);
+        let frame = frame(STREAM);
         let prom = frame.prometheus();
         assert!(
             prom.contains(

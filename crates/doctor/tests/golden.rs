@@ -1,22 +1,29 @@
-//! End-to-end golden test: run a real seeded online experiment with the
-//! event sink installed, then diagnose the artifacts through the doctor
-//! library and the `spectral-doctor` binary, goldening the `--json`
-//! report shape.
+//! End-to-end golden test: run a real seeded online experiment into a
+//! run directory, then diagnose it through the doctor library and the
+//! `spectral-doctor` binary, goldening the `--json` report shape.
 //!
-//! Everything lives in one test function: the event sink is a
-//! process-wide singleton, so sequential phases share it by
-//! re-installing the path between runs.
+//! Everything lives in one test function: the run stream is a
+//! process-wide singleton, so sequential phases share it by starting a
+//! new run directory between runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
 use spectral_doctor::{analyze, diff_runs, RunArtifacts};
-use spectral_telemetry::{JsonValue, RunManifest};
+use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 use spectral_uarch::MachineConfig;
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("spectral_doctor_{}_{name}", std::process::id()))
+}
+
+/// A fresh run directory with the run stream installed in it.
+fn start_run(name: &str) -> RunDir {
+    let dir = RunDir::new(temp_path(name));
+    let _ = std::fs::remove_dir_all(dir.root());
+    dir.start().expect("start run directory");
+    dir
 }
 
 fn write_manifest(path: &Path, est: &spectral_core::Estimate, library_points: u64) {
@@ -45,17 +52,15 @@ fn seeded_run_diagnoses_end_to_end() {
         ..RunPolicy::default()
     };
 
-    let events = temp_path("events.jsonl");
-    let manifest = temp_path("manifest.json");
-    spectral_telemetry::set_events_path(&events).expect("install event sink");
+    let run = start_run("run");
     let est = runner.run(&program, &policy).expect("online run");
-    spectral_telemetry::flush_events();
-    write_manifest(&manifest, &est, library.len() as u64);
+    spectral_telemetry::flush_stream();
+    write_manifest(&run.manifest(), &est, library.len() as u64);
     assert_eq!(est.processed(), library.len(), "stop_at_target=false is exhaustive");
     assert!(est.reached_target(), "a 50% target converges partway");
 
     // Library-level diagnosis.
-    let artifacts = RunArtifacts::load(Some(&manifest), &events).expect("load artifacts");
+    let artifacts = RunArtifacts::load(&run).expect("load artifacts");
     assert!(!artifacts.progress.is_empty(), "merge-stride progress records were emitted");
     let diagnosis = analyze(&artifacts);
     let series = diagnosis.primary().expect("one cpi series");
@@ -79,10 +84,8 @@ fn seeded_run_diagnoses_end_to_end() {
     let report = temp_path("report.json");
     let chrome = temp_path("chrome.json");
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .args(["--events"])
-        .arg(&events)
-        .arg("--manifest")
-        .arg(&manifest)
+        .args(["analyze", "--run"])
+        .arg(run.root())
         .arg("--json")
         .arg(&report)
         .arg("--perfetto")
@@ -140,13 +143,11 @@ fn seeded_run_diagnoses_end_to_end() {
         .is_some_and(|e| !e.is_empty()));
 
     // Parallel run: shard report sees every worker.
-    let par_events = temp_path("par_events.jsonl");
-    spectral_telemetry::set_events_path(&par_events).expect("re-install event sink");
+    let par_run = start_run("par_run");
     let par = runner.run_parallel(&program, &policy, 4).expect("parallel run");
-    spectral_telemetry::flush_events();
-    let par_manifest = temp_path("par_manifest.json");
-    write_manifest(&par_manifest, &par, library.len() as u64);
-    let par_artifacts = RunArtifacts::load(Some(&par_manifest), &par_events).expect("load");
+    spectral_telemetry::flush_stream();
+    write_manifest(&par_run.manifest(), &par, library.len() as u64);
+    let par_artifacts = RunArtifacts::load(&par_run).expect("load");
     let par_diag = analyze(&par_artifacts);
     assert_eq!(par_diag.series.len(), 1, "one parallel run, one series");
     let par_shards = &par_diag.primary().expect("parallel series").shards;
@@ -160,23 +161,26 @@ fn seeded_run_diagnoses_end_to_end() {
     assert_eq!(diff.points_delta, Some(0));
 
     // --check gate: an exhausted, non-converged manifest fails.
-    let bad_manifest = temp_path("bad_manifest.json");
+    let bad_run = RunDir::new(temp_path("bad_run"));
+    std::fs::create_dir_all(bad_run.root()).expect("create run directory");
+    std::fs::copy(run.stream(), bad_run.stream()).expect("copy the run stream");
     let mut m = RunManifest::new("online", "tiny", "8", 1);
     m.library_points = Some(library.len() as u64);
     m.points_processed = Some(library.len() as u64);
     m.set_estimate(est.mean(), est.half_width(), false);
-    m.write(&bad_manifest, None).expect("write manifest");
+    m.write(bad_run.manifest(), None).expect("write manifest");
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .arg("--events")
-        .arg(&events)
-        .arg("--manifest")
-        .arg(&bad_manifest)
+        .args(["analyze", "--run"])
+        .arg(bad_run.root())
         .arg("--check")
         .output()
         .expect("run spectral-doctor");
     assert!(!out.status.success(), "--check must fail an exhausted non-converged run");
 
-    for p in [events, manifest, report, chrome, par_events, par_manifest, bad_manifest] {
+    for p in [report, chrome] {
         let _ = std::fs::remove_file(p);
+    }
+    for d in [run, par_run, bad_run] {
+        let _ = std::fs::remove_dir_all(d.root());
     }
 }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use spectral_registry::{Registry, RunRecord};
-use spectral_telemetry::JsonValue;
+use spectral_telemetry::{JsonValue, RunDir};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("spectral_doctor_cli_{}_{name}", std::process::id()))
@@ -196,8 +196,9 @@ fn assert_prometheus_parses(text: &str) -> usize {
 
 #[test]
 fn watch_once_emits_parseable_prometheus_exposition() {
-    // Events-file mode: two progress strides and one anomaly.
-    let events = temp_path("watch_events.jsonl");
+    // Run-directory mode: two progress strides and one anomaly.
+    let run = RunDir::new(temp_path("watch_run"));
+    std::fs::create_dir_all(run.root()).expect("create run directory");
     let progress = |n: u64, mean: f64| {
         format!(
             "{{\"type\":\"progress\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\
@@ -212,13 +213,13 @@ fn watch_once_emits_parseable_prometheus_exposition() {
                    \"detail_start\":0,\"measure_start\":0,\"kinds\":[\"cpi_outlier\"],\
                    \"cpi\":9.0,\"mean\":1.2,\"std_dev\":0.2,\"sigmas\":6.5,\
                    \"decode_ns\":10,\"simulate_ns\":20}";
-    std::fs::write(&events, format!("{}\n{}\n{anomaly}\n", progress(20, 1.25), progress(40, 1.22)))
-        .expect("write events fixture");
+    let stream = format!("{}\n{}\n{anomaly}\n", progress(20, 1.25), progress(40, 1.22));
+    std::fs::write(run.stream(), stream).expect("write stream fixture");
 
     let prom = temp_path("watch.prom");
     let out = doctor()
-        .args(["watch", "--once", "--events"])
-        .arg(&events)
+        .args(["watch", "--once", "--run"])
+        .arg(run.root())
         .arg("--prom")
         .arg(&prom)
         .output()
@@ -249,7 +250,7 @@ fn watch_once_emits_parseable_prometheus_exposition() {
     assert!(text.contains("spectral_runs_total"), "{text}");
     assert!(assert_prometheus_parses(&text) >= 3, "{text}");
 
-    let _ = std::fs::remove_file(&events);
+    let _ = std::fs::remove_dir_all(run.root());
     let _ = std::fs::remove_file(&prom);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -300,20 +301,14 @@ fn registry_env_var_substitutes_for_the_flag() {
 #[test]
 fn analyze_surfaces_resume_lineage() {
     // A manifest carrying a `resumed_from` note renders a lineage line.
-    let manifest = temp_path("lineage.json");
-    let events = temp_path("lineage_events.jsonl");
+    let run = RunDir::new(temp_path("lineage"));
+    std::fs::create_dir_all(run.root()).expect("create run directory");
     let mut m = spectral_telemetry::RunManifest::new("online", "gcc-like", "8", 1);
     m.note("resumed_from", "out/online.ckpt");
-    m.write(&manifest, None).expect("write manifest");
-    std::fs::write(&events, "").expect("write empty events");
+    m.write(run.manifest(), None).expect("write manifest");
+    std::fs::write(run.stream(), "").expect("write empty stream");
 
-    let out = doctor()
-        .args(["analyze", "--events"])
-        .arg(&events)
-        .arg("--manifest")
-        .arg(&manifest)
-        .output()
-        .expect("run analyze");
+    let out = doctor().args(["analyze", "--run"]).arg(run.root()).output().expect("run analyze");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -321,6 +316,5 @@ fn analyze_surfaces_resume_lineage() {
         "lineage line expected: {stdout}"
     );
 
-    let _ = std::fs::remove_file(&manifest);
-    let _ = std::fs::remove_file(&events);
+    let _ = std::fs::remove_dir_all(run.root());
 }

@@ -1,21 +1,22 @@
-//! Differential test for the worker-timeline profiler: enabling the
-//! profile sink must leave a seeded 2-thread online run's estimates
-//! bit-identical, and the attribution `spectral-doctor profile`
-//! computes from the stream must cover ≥95% of run wall-clock.
+//! Differential test for the run stream: turning it on (spans,
+//! scheduler samples, sampling-health events and worker-timeline
+//! profiles together) must leave a seeded 2-thread online run's
+//! estimates bit-identical, and the attribution `spectral-doctor
+//! profile` computes from the stream must cover ≥95% of run wall-clock.
 //!
-//! Everything lives in one test function: the profile sink is a
-//! process-wide singleton and installing it is one-way, so the
-//! unprofiled arm has to run first.
+//! Everything lives in one test function: the run stream is a
+//! process-wide singleton and installing it is one-way, so the arm
+//! without it has to run first.
 
 use std::process::Command;
 
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
-use spectral_doctor::{analyze_profile, parse_profile, render_profile_text};
-use spectral_telemetry::JsonValue;
+use spectral_doctor::{analyze_profile, render_profile_text, RunArtifacts};
+use spectral_telemetry::{JsonValue, RunDir};
 use spectral_uarch::MachineConfig;
 
 #[test]
-fn profiling_is_bit_identical_and_attributes_wall_clock() {
+fn run_stream_is_bit_identical_and_attributes_wall_clock() {
     let program = spectral_workloads::tiny().build();
     // Enough points that the run's fixed costs (thread spawn, join,
     // the deterministic replay) stay well under the 5% unattributed
@@ -28,35 +29,42 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     // index-ordered replay — so two runs compare bit for bit.
     let policy = RunPolicy { target_rel_err: 1e-12, stop_at_target: false, ..RunPolicy::default() };
 
-    assert!(!spectral_telemetry::profiling(), "no profile sink installed yet");
+    assert!(!spectral_telemetry::streaming(), "no run stream installed yet");
     let unprofiled = runner.run_parallel(&program, &policy, 2).expect("unprofiled run");
 
-    let profile =
-        std::env::temp_dir().join(format!("spectral_doctor_diff_{}.jsonl", std::process::id()));
-    spectral_telemetry::set_profile_path(&profile).expect("install profile sink");
-    assert!(spectral_telemetry::profiling(), "sink installed");
+    let dir = RunDir::new(
+        std::env::temp_dir().join(format!("spectral_doctor_diff_{}", std::process::id())),
+    );
+    dir.start().expect("install the run stream");
+    assert!(spectral_telemetry::streaming(), "run stream installed");
     let profiled = runner.run_parallel(&program, &policy, 2).expect("profiled run");
-    spectral_telemetry::flush_profile();
+    spectral_telemetry::flush_stream();
 
-    // The differential: recording phase intervals must not perturb the
-    // estimate in any bit.
+    // The differential: writing spans, events and phase intervals must
+    // not perturb the estimate in any bit.
     assert_eq!(profiled.processed(), unprofiled.processed());
     assert_eq!(
         profiled.mean().to_bits(),
         unprofiled.mean().to_bits(),
-        "profiling changed the estimate: {} vs {}",
+        "the run stream changed the estimate: {} vs {}",
         profiled.mean(),
         unprofiled.mean()
     );
     assert_eq!(
         profiled.half_width().to_bits(),
         unprofiled.half_width().to_bits(),
-        "profiling changed the half-width"
+        "the run stream changed the half-width"
     );
 
+    // Every record kind of the run is in the one stream.
+    let text = std::fs::read_to_string(dir.stream()).expect("read run stream");
+    for kind in ["span", "sched", "progress", "profile_run", "profile_worker", "profile_phase"] {
+        let tag = format!("{{\"type\":\"{kind}\"");
+        assert!(text.lines().any(|l| l.starts_with(&tag)), "no {kind} record in the stream");
+    }
+
     // Attribution through the doctor library.
-    let text = std::fs::read_to_string(&profile).expect("read profile stream");
-    let runs = parse_profile(&text).expect("parse profile stream");
+    let runs = RunArtifacts::parse(None, &text).expect("parse run stream").profiles;
     assert_eq!(runs.len(), 1, "exactly the profiled run is in the stream");
     let run = &runs[0];
     assert_eq!(run.run, "online");
@@ -88,8 +96,8 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     let json_path =
         std::env::temp_dir().join(format!("spectral_doctor_diff_{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .args(["profile", "--profile"])
-        .arg(&profile)
+        .args(["profile", "--run"])
+        .arg(dir.root())
         .arg("--json")
         .arg(&json_path)
         .output()
@@ -106,6 +114,6 @@ fn profiling_is_bit_identical_and_attributes_wall_clock() {
     let att = cli_runs[0].get("attributed_pct").and_then(JsonValue::as_f64).expect("attributed");
     assert!(att >= 95.0, "CLI reports {att:.1}% attributed");
 
-    let _ = std::fs::remove_file(&profile);
+    let _ = std::fs::remove_dir_all(dir.root());
     let _ = std::fs::remove_file(&json_path);
 }

@@ -34,7 +34,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("ablation");
+    let mut report = Report::default();
     let mut manifest = args.manifest("ablation", &benchmarks.join(","));
 
     report.line("== Ablation 1: wrong-path modeling (complete detailed runs) ==\n");
@@ -62,11 +62,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
 
     report.line("== Ablation 2: L2 record stream policy (checkpointed-warming bias) ==\n");
     let t = Timer::start();
-    let policy = args.sched_policy(RunPolicy {
-        target_rel_err: 1e-12,
-        trajectory_stride: 0,
-        ..RunPolicy::default()
-    });
+    let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
     let mut points = 0u64;
     let mut rows = Vec::new();
     for case in &cases {
@@ -106,6 +102,5 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     report.line("bias vs full warming on identical windows; the filtered default is exact when");
     report.line("the simulated L1s equal the library maxima (DESIGN.md decision #6).");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

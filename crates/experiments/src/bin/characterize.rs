@@ -22,7 +22,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let n_windows = args.window_count(120);
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("characterize");
+    let mut report = Report::default();
     let mut manifest = args.manifest("characterize", &benchmarks.join(","));
 
     report.line("== Synthetic suite characterization (8-way baseline) ==\n");
@@ -78,6 +78,5 @@ fn run(args: Args) -> Result<(), ExpError> {
     report.line("window CV drives sample size (n ≈ (3·cv/0.03)²) — the paper's Table 2 runtime");
     report.line("spread (1 s … 12 min per benchmark) is exactly this variation.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

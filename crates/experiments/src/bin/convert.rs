@@ -26,7 +26,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let Some(input) = &args.library else {
         return Err(ExpError::msg("convert needs --library PATH (and optionally --save-library)"));
     };
-    let mut report = Report::new("convert");
+    let mut report = Report::default();
 
     // Metadata-only open: header + footer for v2, a re-framing (no
     // record decompressed) for v1.
@@ -46,13 +46,13 @@ fn run(args: Args) -> Result<(), ExpError> {
         spectral_experiments::fmt_secs(t.secs()),
     ));
     report.line(format!("  content hash crc32:{:08x}", header.content_hash));
+    let mut manifest = args.manifest("convert", &header.benchmark);
+    manifest.phase("read_header", t.secs());
 
     let Some(output) = &args.save_library else {
-        report.finish(&args)?;
-        return Ok(());
+        return args.finish(&report, &mut manifest);
     };
 
-    let mut manifest = args.manifest("convert", &header.benchmark);
     let t = Timer::start();
     let library = LivePointLibrary::open(input).context("cannot open library", input)?;
     manifest.phase("open_library", t.secs());
@@ -90,6 +90,5 @@ fn run(args: Args) -> Result<(), ExpError> {
 
     stamp_library(&mut manifest, &converted);
     manifest.points_processed = Some(converted.len() as u64);
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

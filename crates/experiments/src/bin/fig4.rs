@@ -30,7 +30,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let seeds = args.seed_count(3);
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("fig4");
+    let mut report = Report::default();
     let mut manifest = args.manifest("fig4", &benchmarks.join(","));
 
     report.line("== Figure 4: AW-MRRL additional CPI bias vs full warming (8-way) ==");
@@ -168,6 +168,5 @@ fn run(args: Args) -> Result<(), ExpError> {
     report.line(format!("  unstitched      : avg {avg_un:.2}%  worst {worst_un:.2}%"));
     report.line("the accuracy-vs-warming Pareto: less warming -> more bias, as the paper argues.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

@@ -24,7 +24,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("fig5");
+    let mut report = Report::default();
     let mut manifest = args.manifest("fig5", &benchmarks.join(","));
 
     report.line("== Figure 5: restricted live-state additional CPI bias (8-way) ==");
@@ -37,11 +37,7 @@ fn run(args: Args) -> Result<(), ExpError> {
 
     // Exhaustive policy: process every live-point so the comparison is
     // matched (same windows, zero sampling noise).
-    let policy = args.sched_policy(RunPolicy {
-        target_rel_err: 1e-12,
-        trajectory_stride: 0,
-        ..RunPolicy::default()
-    });
+    let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
 
     let t = Timer::start();
     let mut points = 0u64;
@@ -106,6 +102,5 @@ fn run(args: Args) -> Result<(), ExpError> {
     report
         .line(format!("summary (paper: 0.1% avg / 3.3% worst): avg {avg:.3}%  worst {worst:.3}%"));
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

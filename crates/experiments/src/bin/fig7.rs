@@ -27,7 +27,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("fig7");
+    let mut report = Report::default();
     let mut manifest = args.manifest("fig7", &benchmarks.join(","));
 
     report.line("== Figure 7: live-point size breakdown (uncompressed DER) ==");
@@ -152,6 +152,5 @@ fn run(args: Args) -> Result<(), ExpError> {
         conventional_acc as f64 / acc.total().max(1) as f64
     ));
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

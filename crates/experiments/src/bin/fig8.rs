@@ -50,7 +50,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     };
     let design = SystematicDesign::paper_8way();
     let windows = design.windows(case.len, n_points, 88);
-    let mut report = Report::new("fig8");
+    let mut report = Report::default();
     let mut manifest = args.manifest("fig8", case.name());
 
     report.line("== Figure 8: checkpoint size & processing time vs max cache size ==");
@@ -174,6 +174,5 @@ fn run(args: Args) -> Result<(), ExpError> {
     report.line("       (crossover position depends on the workload's warming spans);");
     report.line("       LP load stays 1-2 orders of magnitude below AW per-window warming.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

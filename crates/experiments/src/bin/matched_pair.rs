@@ -29,7 +29,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let library_cap = args.window_count(400);
     let threads = args.thread_count();
     let base = MachineConfig::eight_way();
-    let mut report = Report::new("matched_pair");
+    let mut report = Report::default();
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     let mut manifest = args.manifest("matched_pair", &benchmarks.join(","));
 
@@ -63,7 +63,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     report.line("== Matched-pair comparison (paper SS6.2): sample-size reduction ==");
     report.line(format!("benchmarks={} library cap={}\n", cases.len(), library_cap));
 
-    let policy = args.sched_policy(RunPolicy::default());
+    let policy = RunPolicy::default();
     let mut all_factors: Vec<f64> = Vec::new();
     let mut rows = Vec::new();
     let mut pairs_total = 0u64;
@@ -128,6 +128,5 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     ));
     report.line("largest factors on no-effect changes, as the paper observes.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

@@ -23,7 +23,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let case = &cases[0];
     let machine = MachineConfig::eight_way();
     let library_cap = args.window_count(400);
-    let mut report = Report::new("online");
+    let mut report = Report::default();
     let mut manifest = args.manifest("online", case.name());
     manifest.seed = Some(CreationConfig::for_machine(&machine).seed);
     args.stamp_recovery(&mut manifest);
@@ -87,13 +87,13 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     // estimator push sequence and lands on bit-identical estimates.
     let t = Timer::start();
     let target = args.target_rel_err(RunPolicy::default().target_rel_err);
-    let policy = args.sched_policy(RunPolicy {
+    let policy = RunPolicy {
         target_rel_err: target,
         stop_at_target: false,
         trajectory_stride: 20,
         recovery: args.recovery(),
         ..RunPolicy::default()
-    });
+    };
     let estimate = runner.run_parallel(&case.program, &policy, args.thread_count())?;
     manifest.phase("run_exhaustive", t.secs());
     let reference = complete_detailed(&machine, &case.program);
@@ -149,11 +149,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         let t = Timer::start();
         let est = runner.run_parallel(
             &case.program,
-            &args.sched_policy(RunPolicy {
-                target_rel_err: 1e-12,
-                trajectory_stride: 0,
-                ..RunPolicy::default()
-            }),
+            &RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() },
             threads,
         )?;
         report.line(format!(
@@ -168,6 +164,5 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     report.line("shape: CI tightens as points accumulate; estimates are unbiased at any cut;");
     report.line("parallel runs return the same estimate faster (independence, SS6).");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

@@ -33,7 +33,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("stratified");
+    let mut report = Report::default();
     let mut manifest = args.manifest("stratified", &benchmarks.join(","));
     args.stamp_recovery(&mut manifest);
     let cells: Vec<String> =
@@ -43,13 +43,10 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     report.line("== Stratified vs uniform estimation (position-band strata) ==");
     report.line(format!("benchmarks={} library cap={}\n", cases.len(), library_cap));
 
-    let exhaustive = args.sched_policy(RunPolicy {
-        target_rel_err: 1e-12,
-        trajectory_stride: 0,
-        ..RunPolicy::default()
-    });
+    let exhaustive =
+        RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
     // Early termination at the paper's ±3% target.
-    let target = args.sched_policy(RunPolicy::default());
+    let target = RunPolicy::default();
     let leg = |bench: &str, name: &str, policy: &RunPolicy| RunPolicy {
         recovery: args.cell_recovery(&format!("{bench}.{name}")),
         ..policy.clone()
@@ -105,6 +102,5 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     report.line("shape: same means; stratified intervals no wider, usually tighter on phased");
     report.line("benchmarks — fewer live-points for the same confidence.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

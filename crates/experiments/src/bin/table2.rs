@@ -33,7 +33,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = spectral_experiments::load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("table2");
+    let mut report = Report::default();
     let mut manifest = args.manifest("table2", &benchmarks.join(","));
 
     report.line(format!(
@@ -80,11 +80,7 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         // 3. Live-point run to +-3% @ 99.7% (or library exhaustion).
         let runner = OnlineRunner::new(&library, machine.clone());
         let t = Timer::start();
-        let estimate = runner.run_parallel(
-            &case.program,
-            &args.sched_policy(RunPolicy::default()),
-            threads,
-        )?;
+        let estimate = runner.run_parallel(&case.program, &RunPolicy::default(), threads)?;
         let t_lp = t.secs();
         manifest.phase(format!("run_live_points.{}", case.name()), t_lp);
         points += estimate.processed() as u64;
@@ -231,6 +227,5 @@ fn run(mut args: Args) -> Result<(), ExpError> {
         " and grow with --scale: live-point time is O(sample), every other method is O(benchmark))",
     );
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

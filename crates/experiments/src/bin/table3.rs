@@ -28,7 +28,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let threads = args.thread_count();
     let cases = load_cases(&args)?;
     let benchmarks: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let mut report = Report::new("table3");
+    let mut report = Report::default();
     let mut manifest = args.manifest("table3", &benchmarks.join(","));
 
     report.line("== Table 3: summary of warming methods (8-way) ==");
@@ -44,11 +44,7 @@ fn run(args: Args) -> Result<(), ExpError> {
     let mut lib_bytes = 0u64;
     let mut points = 0u64;
 
-    let policy = args.sched_policy(RunPolicy {
-        target_rel_err: 1e-12,
-        trajectory_stride: 0,
-        ..RunPolicy::default()
-    });
+    let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
 
     let t_all = Timer::start();
     for case in &cases {
@@ -179,6 +175,5 @@ fn run(args: Args) -> Result<(), ExpError> {
     report
         .line("live-points +0.0% — identical to full warming, the paper's central accuracy claim.");
 
-    report.finish(&args)?;
-    args.finish_run(&mut manifest)
+    args.finish(&report, &mut manifest)
 }

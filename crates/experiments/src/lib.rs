@@ -30,9 +30,6 @@
 //!   when writing v2 (default on)
 //! * `--decode-cache N` — decoded-point LRU cache capacity in points
 //!   (0 disables; default 256, also via `SPECTRAL_DECODE_CACHE`)
-//! * `--chunk N` — dynamic-scheduler chunk size for parallel runs
-//!   (0 = auto: the merge stride)
-//! * `--prefetch N` — decode-ahead prefetch-ring depth per worker
 //! * `--target PCT` — early-termination relative-error target in
 //!   percent, where the binary estimates one (default: the paper's 3)
 //! * `--checkpoint PATH` — periodically write a crash-safe run
@@ -45,26 +42,18 @@
 //!   (`matched_pair`, `stratified`) treat PATH as a prefix with one
 //!   sidecar per run; binaries without a resumable run loop reject the
 //!   recovery flags instead of silently restarting.
-//! * `--metrics-out PATH` — write a JSON run manifest (with the full
-//!   metrics snapshot embedded) on exit
-//! * `--trace PATH` — append JSONL span events to PATH as the run
-//!   executes (also enabled by the `TELEMETRY` env var)
-//! * `--events PATH` — append JSONL sampling-health events (merge-stride
-//!   convergence progress, per-point anomalies) to PATH; also enabled by
-//!   the `TELEMETRY_EVENTS` env var. Feed the stream to
-//!   `spectral-doctor` afterwards.
-//! * `--profile PATH` — write JSONL worker-timeline profile records
-//!   (per-worker phase intervals and aggregates, plus a run bracket)
-//!   to PATH; also enabled by the `SPECTRAL_PROFILE` env var. Feed the
-//!   stream to `spectral-doctor profile` for wall-clock attribution.
+//! * `--out DIR` — leave the run in DIR: `run.jsonl` streams every span,
+//!   scheduler sample, sampling-health event and worker-timeline profile
+//!   record as the run executes; on exit `report.txt` receives the stdout
+//!   report and `manifest.json` the run manifest with the full metrics
+//!   snapshot embedded. A reused DIR is cleared of an earlier run's
+//!   files first. Feed DIR to `spectral-doctor analyze|profile|watch
+//!   --run DIR`.
 //! * `--registry DIR` — append one distilled run record (run id, code
 //!   version, throughput, final estimate, convergence summaries) to the
 //!   cross-run registry at DIR on exit; also enabled by the
 //!   `SPECTRAL_REGISTRY` env var. Query the registry with
 //!   `spectral-doctor trend` / `gate` / `watch`.
-//! * `--report-out PATH` — copy the report (tables and lines) to a
-//!   text file
-//! * `--report-json PATH` — write the report as structured JSON
 //!
 //! Binaries exit non-zero with a one-line `binary: error: …`
 //! diagnostic on malformed arguments or I/O faults.
@@ -73,12 +62,11 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use spectral_isa::Program;
-use spectral_telemetry::RunManifest;
+use spectral_telemetry::{RunDir, RunManifest};
 use spectral_workloads::{dynamic_length, suite, Benchmark};
 
 /// An experiment-binary failure: a one-line diagnostic for stderr.
@@ -133,6 +121,8 @@ pub fn run_main(
     match Args::try_parse().and_then(body) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
+            // Keep what the run streamed before it failed.
+            spectral_telemetry::flush_stream();
             eprintln!("{binary}: error: {e}");
             std::process::ExitCode::FAILURE
         }
@@ -140,7 +130,7 @@ pub fn run_main(
 }
 
 /// Parsed common command-line options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Explicit benchmark names (`--benchmarks`).
     pub benchmarks: Option<Vec<String>>,
@@ -171,10 +161,6 @@ pub struct Args {
     pub dict: Option<bool>,
     /// Decoded-point LRU cache capacity (`--decode-cache`; 0 disables).
     pub decode_cache: Option<usize>,
-    /// Dynamic-scheduler chunk size (`--chunk`; 0 = auto).
-    pub chunk: Option<usize>,
-    /// Decode-ahead prefetch-ring depth (`--prefetch`).
-    pub prefetch: Option<usize>,
     /// Relative-error target in percent (`--target`).
     pub target: Option<f64>,
     /// Checkpoint sidecar path for crash-safe runs (`--checkpoint`).
@@ -184,68 +170,25 @@ pub struct Args {
     pub checkpoint_every: Option<u64>,
     /// Checkpoint file to resume an interrupted run from (`--resume`).
     pub resume: Option<PathBuf>,
-    /// Run-manifest output path (`--metrics-out`).
-    pub metrics_out: Option<PathBuf>,
-    /// JSONL span-trace output path (`--trace`).
-    pub trace: Option<PathBuf>,
-    /// JSONL sampling-health event output path (`--events`).
-    pub events: Option<PathBuf>,
-    /// JSONL worker-timeline profile output path (`--profile`).
-    pub profile: Option<PathBuf>,
+    /// Run directory for the stream, report and manifest (`--out`).
+    pub out: Option<PathBuf>,
     /// Cross-run registry directory (`--registry`).
     pub registry: Option<PathBuf>,
-    /// Text report copy (`--report-out`).
-    pub report_out: Option<PathBuf>,
-    /// JSON report output (`--report-json`).
-    pub report_json: Option<PathBuf>,
 }
 
 impl Args {
-    fn empty() -> Args {
-        Args {
-            benchmarks: None,
-            limit: None,
-            quick: false,
-            windows: None,
-            seeds: None,
-            scale: None,
-            machine: None,
-            threads: None,
-            library: None,
-            save_library: None,
-            block: None,
-            dict: None,
-            decode_cache: None,
-            chunk: None,
-            prefetch: None,
-            target: None,
-            checkpoint: None,
-            checkpoint_every: None,
-            resume: None,
-            metrics_out: None,
-            trace: None,
-            events: None,
-            profile: None,
-            registry: None,
-            report_out: None,
-            report_json: None,
-        }
-    }
-
     /// Parse from `std::env::args`.
     ///
     /// # Errors
     ///
     /// Returns a usage diagnostic on unknown flags, missing values, or
-    /// malformed integers. Also installs the span-trace sink when
-    /// `--trace` (or the `TELEMETRY` env var) is present, the
-    /// sampling-health event sink when `--events` (or the
-    /// `TELEMETRY_EVENTS` env var) is present, the worker-timeline
-    /// profile sink when `--profile` (or the `SPECTRAL_PROFILE` env
-    /// var) is present, and the in-process
-    /// run-summary tally when `--registry` (or the `SPECTRAL_REGISTRY`
-    /// env var) is present — the registry record distills convergence
-    /// from the tally, which works without any JSONL sink.
+    /// malformed integers, and an I/O diagnostic when the `--out`
+    /// directory cannot be started. Starts the run directory (which
+    /// installs the run stream) when `--out` is present, and turns on
+    /// the in-process run-summary tally when `--registry` (or the
+    /// `SPECTRAL_REGISTRY` env var) is present — the registry record
+    /// distills convergence from the tally, which works without a run
+    /// stream.
     pub fn try_parse() -> Result<Args, ExpError> {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let args = Self::try_parse_from(&argv)?;
@@ -255,36 +198,8 @@ impl Args {
         if args.registry_dir().is_some() {
             spectral_telemetry::enable_run_summaries();
         }
-        match &args.trace {
-            Some(path) => {
-                spectral_telemetry::set_trace_path(path).context("cannot open trace file", path)?;
-            }
-            None => {
-                spectral_telemetry::trace_from_env()
-                    .map_err(|e| ExpError::msg(format!("cannot open TELEMETRY trace file: {e}")))?;
-            }
-        }
-        match &args.events {
-            Some(path) => {
-                spectral_telemetry::set_events_path(path)
-                    .context("cannot open events file", path)?;
-            }
-            None => {
-                spectral_telemetry::events_from_env().map_err(|e| {
-                    ExpError::msg(format!("cannot open TELEMETRY_EVENTS file: {e}"))
-                })?;
-            }
-        }
-        match &args.profile {
-            Some(path) => {
-                spectral_telemetry::set_profile_path(path)
-                    .context("cannot open profile file", path)?;
-            }
-            None => {
-                spectral_telemetry::profile_from_env().map_err(|e| {
-                    ExpError::msg(format!("cannot open SPECTRAL_PROFILE file: {e}"))
-                })?;
-            }
+        if let Some(dir) = &args.out {
+            RunDir::new(dir).start().context("cannot start run directory", dir)?;
         }
         Ok(args)
     }
@@ -297,7 +212,7 @@ impl Args {
     /// Returns a usage diagnostic on unknown flags, missing values, or
     /// malformed integers.
     pub fn try_parse_from(argv: &[String]) -> Result<Args, ExpError> {
-        let mut args = Args::empty();
+        let mut args = Args::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
             let mut value = |what: &str| -> Result<&String, ExpError> {
@@ -343,8 +258,6 @@ impl Args {
                 "--decode-cache" => {
                     args.decode_cache = Some(int("--decode-cache", value("--decode-cache")?)?)
                 }
-                "--chunk" => args.chunk = Some(int("--chunk", value("--chunk")?)?),
-                "--prefetch" => args.prefetch = Some(int("--prefetch", value("--prefetch")?)?),
                 "--target" => {
                     let v = value("--target")?;
                     let pct: f64 = v.parse().map_err(|_| {
@@ -364,21 +277,14 @@ impl Args {
                     args.checkpoint_every = Some(v);
                 }
                 "--resume" => args.resume = Some(PathBuf::from(value("--resume")?)),
-                "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-                "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
-                "--events" => args.events = Some(PathBuf::from(value("--events")?)),
-                "--profile" => args.profile = Some(PathBuf::from(value("--profile")?)),
+                "--out" => args.out = Some(PathBuf::from(value("--out")?)),
                 "--registry" => args.registry = Some(PathBuf::from(value("--registry")?)),
-                "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
-                "--report-json" => args.report_json = Some(PathBuf::from(value("--report-json")?)),
                 other => {
                     return Err(ExpError(format!(
                         "unknown argument {other} (flags: --benchmarks --limit --quick \
                          --windows --seeds --scale --machine --threads --library \
-                         --save-library --block --dict --decode-cache \
-                         --chunk --prefetch --target --checkpoint --checkpoint-every \
-                         --resume --metrics-out --trace --events \
-                         --profile --registry --report-out --report-json)"
+                         --save-library --block --dict --decode-cache --target \
+                         --checkpoint --checkpoint-every --resume --out --registry)"
                     )))
                 }
             }
@@ -492,19 +398,6 @@ impl Args {
         }
         Ok(())
     }
-
-    /// Apply the scheduler knobs (`--chunk`, `--prefetch`) to a run
-    /// policy, leaving the policy's defaults in place when the flags
-    /// were not given.
-    pub fn sched_policy(&self, mut policy: spectral_core::RunPolicy) -> spectral_core::RunPolicy {
-        if let Some(c) = self.chunk {
-            policy.chunk = c;
-        }
-        if let Some(p) = self.prefetch {
-            policy.prefetch = p;
-        }
-        policy
-    }
 }
 
 /// Run `cell`'s sidecar under the recovery prefix `base`:
@@ -579,12 +472,6 @@ impl Args {
         if let Some(s) = self.seeds {
             m.note("seeds", s.to_string());
         }
-        if let Some(c) = self.chunk {
-            m.note("chunk", c.to_string());
-        }
-        if let Some(p) = self.prefetch {
-            m.note("prefetch", p.to_string());
-        }
         if let Some(c) = self.decode_cache {
             m.note("decode_cache", c.to_string());
         }
@@ -602,19 +489,19 @@ impl Args {
     }
 
     /// Finish a run: stamp a collision-resistant `run_id` into the
-    /// manifest, embed the metrics snapshot and write the manifest to
-    /// `--metrics-out` (when given), append a distilled record (with
-    /// the stored manifest artifact and the convergence summaries
-    /// drained from the in-process tally) to the cross-run registry
-    /// (when `--registry` / `SPECTRAL_REGISTRY` names one), and flush
-    /// the span trace, sampling-health event stream, and worker-timeline
-    /// profile stream.
+    /// manifest and flush the run stream; write `report.txt`, then
+    /// `manifest.json` with the metrics snapshot embedded, into the
+    /// `--out` directory (so a manifest there marks a finished run); and
+    /// append a distilled record (with the stored manifest artifact and
+    /// the convergence summaries drained from the in-process tally) to
+    /// the cross-run registry when `--registry` / `SPECTRAL_REGISTRY`
+    /// names one.
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic when the manifest cannot be written or the
-    /// registry cannot be appended to.
-    pub fn finish_run(&self, manifest: &mut RunManifest) -> Result<(), ExpError> {
+    /// Returns a diagnostic when the report or manifest cannot be
+    /// written or the registry cannot be appended to.
+    pub fn finish(&self, report: &Report, manifest: &mut RunManifest) -> Result<(), ExpError> {
         if manifest.run_id.is_none() {
             // Seeded from the manifest content so two binaries started
             // in the same instant still derive distinct ids; the seq
@@ -624,31 +511,33 @@ impl Args {
                 spectral_telemetry::next_run_seq(),
             ));
         }
+        spectral_telemetry::flush_stream();
         let registry_dir = self.registry_dir();
-        if self.metrics_out.is_some() || registry_dir.is_some() {
-            let snapshot = spectral_telemetry::snapshot();
-            if let Some(path) = &self.metrics_out {
-                manifest.write(path, Some(&snapshot)).context("cannot write manifest", path)?;
-            }
-            if let Some(dir) = registry_dir {
-                let registry = spectral_registry::Registry::open(&dir)
-                    .context("cannot open registry", &dir)?;
-                let summaries = spectral_telemetry::take_run_summaries();
-                let mut record = spectral_registry::RunRecord::from_manifest(manifest, summaries);
-                record.cache_hits = snapshot.counter("core.lib.cache_hits");
-                record.cache_misses = snapshot.counter("core.lib.cache_misses");
-                record.cache_evictions = snapshot.counter("core.lib.cache_evictions");
-                record.manifest_path = Some(
-                    registry
-                        .store_artifact("json", manifest.to_json_with_metrics(&snapshot).as_bytes())
-                        .context("cannot store manifest artifact in", &dir)?,
-                );
-                registry.append(&record).context("cannot append to registry", &dir)?;
-            }
+        if self.out.is_none() && registry_dir.is_none() {
+            return Ok(());
         }
-        spectral_telemetry::flush_trace();
-        spectral_telemetry::flush_events();
-        spectral_telemetry::flush_profile();
+        let snapshot = spectral_telemetry::snapshot();
+        if let Some(out) = self.out.as_ref().map(RunDir::new) {
+            let path = out.report();
+            std::fs::write(&path, report.text()).context("cannot write report", &path)?;
+            let path = out.manifest();
+            manifest.write(&path, Some(&snapshot)).context("cannot write manifest", &path)?;
+        }
+        if let Some(dir) = registry_dir {
+            let registry =
+                spectral_registry::Registry::open(&dir).context("cannot open registry", &dir)?;
+            let summaries = spectral_telemetry::take_run_summaries();
+            let mut record = spectral_registry::RunRecord::from_manifest(manifest, summaries);
+            record.cache_hits = snapshot.counter("core.lib.cache_hits");
+            record.cache_misses = snapshot.counter("core.lib.cache_misses");
+            record.cache_evictions = snapshot.counter("core.lib.cache_evictions");
+            record.manifest_path = Some(
+                registry
+                    .store_artifact("json", manifest.to_json_with_metrics(&snapshot).as_bytes())
+                    .context("cannot store manifest artifact in", &dir)?,
+            );
+            registry.append(&record).context("cannot append to registry", &dir)?;
+        }
         Ok(())
     }
 }
@@ -800,49 +689,21 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render a fixed-width text table to stdout.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    println!("{}", render_table(headers, rows));
-}
-
-/// One item of a [`Report`].
-#[derive(Debug, Clone)]
-pub enum ReportItem {
-    /// A free-form text line.
-    Line(String),
-    /// A titled table.
-    Table {
-        /// Table caption ("" for none).
-        title: String,
-        /// Column headers.
-        headers: Vec<String>,
-        /// Row cells (ragged rows are padded in text rendering).
-        rows: Vec<Vec<String>>,
-    },
-}
-
-/// Buffered experiment output: every line and table is echoed to
-/// stdout as it is added (preserving interactive behavior) and kept so
-/// [`finish`](Report::finish) can also write the whole report to a
-/// text file (`--report-out`) and/or structured JSON (`--report-json`)
-/// — the shared emission path for all experiment binaries.
-#[derive(Debug)]
+/// The stdout report of an experiment binary: every line and table is
+/// printed as it is added and kept, so [`Args::finish`] can copy the
+/// whole report into the run directory's `report.txt`.
+#[derive(Debug, Default)]
 pub struct Report {
-    binary: String,
-    items: Vec<ReportItem>,
+    text: String,
 }
 
 impl Report {
-    /// Start a report for `binary`.
-    pub fn new(binary: impl Into<String>) -> Report {
-        Report { binary: binary.into(), items: Vec::new() }
-    }
-
     /// Emit a text line (echoed to stdout immediately).
     pub fn line(&mut self, text: impl Into<String>) {
         let text = text.into();
         println!("{text}");
-        self.items.push(ReportItem::Line(text));
+        self.text.push_str(&text);
+        self.text.push('\n');
     }
 
     /// Emit a blank separator line.
@@ -855,98 +716,14 @@ impl Report {
     pub fn table(&mut self, title: impl Into<String>, headers: &[&str], rows: Vec<Vec<String>>) {
         let title = title.into();
         if !title.is_empty() {
-            println!("{title}");
+            self.line(title);
         }
-        println!("{}", render_table(headers, &rows));
-        self.items.push(ReportItem::Table {
-            title,
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
+        self.line(render_table(headers, &rows));
     }
 
-    /// The report rendered as plain text (what stdout saw).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for item in &self.items {
-            match item {
-                ReportItem::Line(l) => {
-                    out.push_str(l);
-                    out.push('\n');
-                }
-                ReportItem::Table { title, headers, rows } => {
-                    if !title.is_empty() {
-                        out.push_str(title);
-                        out.push('\n');
-                    }
-                    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
-                    out.push_str(&render_table(&headers, rows));
-                    out.push('\n');
-                }
-            }
-        }
-        out
-    }
-
-    /// The report as structured JSON.
-    pub fn to_json(&self) -> String {
-        let q = spectral_telemetry::json_quote;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"binary\": {},\n", q(&self.binary)));
-        out.push_str("  \"items\": [");
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match item {
-                ReportItem::Line(l) => {
-                    out.push_str(&format!("\n    {{\"type\": \"line\", \"text\": {}}}", q(l)));
-                }
-                ReportItem::Table { title, headers, rows } => {
-                    let hs: Vec<String> = headers.iter().map(|h| q(h)).collect();
-                    out.push_str(&format!(
-                        "\n    {{\"type\": \"table\", \"title\": {}, \"headers\": [{}], \"rows\": [",
-                        q(title),
-                        hs.join(", ")
-                    ));
-                    for (j, row) in rows.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let cells: Vec<String> = row.iter().map(|c| q(c)).collect();
-                        out.push_str(&format!("\n      [{}]", cells.join(", ")));
-                    }
-                    if !rows.is_empty() {
-                        out.push_str("\n    ");
-                    }
-                    out.push_str("]}");
-                }
-            }
-        }
-        if !self.items.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
-    }
-
-    /// Write the report to the `--report-out` / `--report-json` targets
-    /// selected by `args` (stdout already received everything).
-    ///
-    /// # Errors
-    ///
-    /// Returns a diagnostic naming the unwritable path.
-    pub fn finish(&self, args: &Args) -> Result<(), ExpError> {
-        if let Some(path) = &args.report_out {
-            let mut f = std::fs::File::create(path).context("cannot write report", path)?;
-            f.write_all(self.to_text().as_bytes()).context("cannot write report", path)?;
-        }
-        if let Some(path) = &args.report_json {
-            let mut f = std::fs::File::create(path).context("cannot write report", path)?;
-            f.write_all(self.to_json().as_bytes()).context("cannot write report", path)?;
-            f.write_all(b"\n").context("cannot write report", path)?;
-        }
-        Ok(())
+    /// The report as printed to stdout.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 }
 
@@ -1056,10 +833,6 @@ mod tests {
             "off",
             "--decode-cache",
             "512",
-            "--chunk",
-            "16",
-            "--prefetch",
-            "8",
             "--target",
             "10",
             "--checkpoint",
@@ -1068,18 +841,8 @@ mod tests {
             "32",
             "--resume",
             "r.ckpt",
-            "--metrics-out",
-            "m.json",
-            "--trace",
-            "t.jsonl",
-            "--events",
-            "e.jsonl",
-            "--profile",
-            "p.jsonl",
-            "--report-out",
-            "r.txt",
-            "--report-json",
-            "r.json",
+            "--out",
+            "run-dir",
             "--registry",
             "reg-dir",
         ]))
@@ -1100,10 +863,6 @@ mod tests {
         let opts = a.v2_options();
         assert_eq!(opts.block_points, 32);
         assert!(!opts.dict);
-        assert_eq!(a.chunk, Some(16));
-        assert_eq!(a.prefetch, Some(8));
-        let p = a.sched_policy(spectral_core::RunPolicy::default());
-        assert_eq!((p.chunk, p.prefetch), (16, 8));
         assert_eq!(a.target, Some(10.0));
         assert!((a.target_rel_err(0.03) - 0.10).abs() < 1e-12);
         assert_eq!(a.checkpoint.as_deref(), Some(std::path::Path::new("c.ckpt")));
@@ -1112,12 +871,7 @@ mod tests {
         let recovery = a.recovery();
         assert!(recovery.is_active());
         assert!(a.reject_recovery_flags("fig4").is_err());
-        assert_eq!(a.metrics_out.as_deref(), Some(std::path::Path::new("m.json")));
-        assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
-        assert_eq!(a.events.as_deref(), Some(std::path::Path::new("e.jsonl")));
-        assert_eq!(a.profile.as_deref(), Some(std::path::Path::new("p.jsonl")));
-        assert_eq!(a.report_out.as_deref(), Some(std::path::Path::new("r.txt")));
-        assert_eq!(a.report_json.as_deref(), Some(std::path::Path::new("r.json")));
+        assert_eq!(a.out.as_deref(), Some(std::path::Path::new("run-dir")));
         assert_eq!(a.registry.as_deref(), Some(std::path::Path::new("reg-dir")));
         assert!(a.machine_config().is_ok());
     }
@@ -1129,10 +883,8 @@ mod tests {
         assert!(e.to_string().contains("abc"), "{e}");
         let e = Args::try_parse_from(&argv(&["--windows"])).unwrap_err();
         assert!(e.to_string().contains("needs a value"), "{e}");
-        let e = Args::try_parse_from(&argv(&["--chunk", "x"])).unwrap_err();
-        assert!(e.to_string().contains("--chunk"), "{e}");
-        let e = Args::try_parse_from(&argv(&["--prefetch", "-1"])).unwrap_err();
-        assert!(e.to_string().contains("--prefetch"), "{e}");
+        let e = Args::try_parse_from(&argv(&["--out"])).unwrap_err();
+        assert!(e.to_string().contains("needs a value"), "{e}");
         let e = Args::try_parse_from(&argv(&["--bogus"])).unwrap_err();
         assert!(e.to_string().contains("unknown argument --bogus"), "{e}");
         let e = Args::try_parse_from(&argv(&["--dict", "maybe"])).unwrap_err();
@@ -1147,10 +899,9 @@ mod tests {
         assert!(e.to_string().contains("--checkpoint-every"), "{e}");
         let e = Args::try_parse_from(&argv(&["--resume"])).unwrap_err();
         assert!(e.to_string().contains("needs a value"), "{e}");
-        assert!(Args::empty().reject_recovery_flags("fig4").is_ok());
+        assert!(Args::default().reject_recovery_flags("fig4").is_ok());
         assert!(Args::try_parse_from(&argv(&["--target", "nan"])).is_err());
-        let mut a = Args::empty();
-        a.machine = Some("32".into());
+        let a = Args { machine: Some("32".into()), ..Args::default() };
         assert!(a.machine_config().is_err());
     }
 
@@ -1167,18 +918,13 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_parseable() {
-        let mut r = Report::new("unit-test");
+    fn report_text_is_what_stdout_saw() {
+        let mut r = Report::default();
         r.line("header \"quoted\" line");
         r.table("caption", &["x", "y"], vec![vec!["1".to_owned(), "2".into()]]);
-        let v = spectral_telemetry::JsonValue::parse(&r.to_json()).expect("valid JSON");
-        assert_eq!(v.get("binary").and_then(|b| b.as_str()), Some("unit-test"));
-        let items = v.get("items").and_then(|i| i.as_arr()).expect("items array");
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].get("type").and_then(|t| t.as_str()), Some("line"));
-        assert_eq!(items[1].get("type").and_then(|t| t.as_str()), Some("table"));
-        assert_eq!(items[1].get("title").and_then(|t| t.as_str()), Some("caption"));
-        assert!(r.to_text().contains("caption\n"));
+        r.blank();
+        r.table("", &["z"], Vec::new());
+        assert_eq!(r.text(), "header \"quoted\" line\ncaption\nx  y\n-  -\n1  2\n\nz\n-\n");
     }
 
     #[test]
@@ -1188,7 +934,7 @@ mod tests {
         let program = spectral_workloads::tiny().build();
         let cfg = CreationConfig::for_machine(&MachineConfig::eight_way()).with_sample_size(4);
         let library = LivePointLibrary::create(&program, &cfg).unwrap();
-        let mut m = Args::empty().manifest("unit", "tiny");
+        let mut m = Args::default().manifest("unit", "tiny");
         stamp_library(&mut m, &library);
         assert_eq!(m.library_format, Some(2));
         assert_eq!(m.library_points, Some(library.len() as u64));
@@ -1196,10 +942,7 @@ mod tests {
 
     #[test]
     fn manifest_carries_arg_notes() {
-        let mut a = Args::empty();
-        a.quick = true;
-        a.scale = Some(6);
-        a.threads = Some(2);
+        let a = Args { quick: true, scale: Some(6), threads: Some(2), ..Args::default() };
         let m = a.manifest("unit", "tiny");
         let json = m.to_json();
         let v = spectral_telemetry::JsonValue::parse(&json).expect("valid JSON");

@@ -14,6 +14,7 @@ use std::process::{Command, Output};
 
 use spectral_core::{LivePointLibrary, RunCheckpoint};
 use spectral_registry::Registry;
+use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("spectral_crash_{}_{name}", std::process::id()));
@@ -150,13 +151,48 @@ fn kill_between_fsync_and_rename_never_leaves_a_torn_container_or_manifest() {
     LivePointLibrary::open(&lib).expect("rerun leaves a complete container");
 
     // Run manifest: same protocol, same guarantee.
-    let manifest = dir.join("run.json");
+    let run = RunDir::new(dir.join("run"));
     let out = online(
-        &["--metrics-out", manifest.to_str().unwrap()],
+        &["--out", run.root().to_str().unwrap()],
         &[("SPECTRAL_FAULT_KILL", "telemetry.manifest.write.rename:1")],
     );
     assert!(!out.status.success());
-    assert!(!manifest.exists(), "no torn manifest at the destination");
+    assert!(!run.manifest().exists(), "no torn manifest at the destination");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn killed_run_in_a_reused_out_dir_leaves_no_older_manifest() {
+    // A finished run leaves its stream, report and manifest.
+    let dir = temp_dir("reused_out");
+    let run = RunDir::new(dir.join("run"));
+    let out_arg = ["--out", run.root().to_str().unwrap()];
+    let first = online(&out_arg, &[]);
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let report = std::fs::read_to_string(run.report()).expect("report.txt written");
+    assert_eq!(report, String::from_utf8_lossy(&first.stdout), "report.txt is the stdout");
+    let manifest = std::fs::read_to_string(run.manifest()).expect("manifest.json written");
+    RunManifest::from_json(&manifest).expect("manifest parses");
+    // Every event record carries its process's run-id token.
+    let run_token = |stream: &str| -> String {
+        stream
+            .lines()
+            .filter_map(|l| JsonValue::parse(l).ok()?.get("run_id")?.as_str().map(str::to_owned))
+            .next()
+            .expect("the stream carries event records")[..16]
+            .to_owned()
+    };
+    let first_token = run_token(&std::fs::read_to_string(run.stream()).expect("stream written"));
+
+    // A second run into the same directory dies before its manifest
+    // lands: the first run's manifest must not survive beside the new
+    // stream.
+    let killed = online(&out_arg, &[("SPECTRAL_FAULT_KILL", "telemetry.manifest.write.rename:1")]);
+    assert!(!killed.status.success(), "kill must abort the process");
+    assert!(!run.manifest().exists(), "no manifest of the earlier run is left behind");
+    let stream = std::fs::read_to_string(run.stream()).expect("new stream");
+    assert_ne!(run_token(&stream), first_token, "the killed run's own records");
+    assert!(!stream.contains(&first_token), "the earlier run's records were truncated away");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

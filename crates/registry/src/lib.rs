@@ -1,7 +1,7 @@
 //! # spectral-registry — the cross-run telemetry registry
 //!
 //! Every other observability artifact in this workspace is *per-run*:
-//! a manifest, an events file, a `BENCH_*.json`. Nothing connects runs
+//! a run directory, a `BENCH_*.json`. Nothing connects runs
 //! across invocations, so there is no perf trajectory and no way to ask
 //! "did this commit make `online` slower?". This crate is that
 //! connective tissue: an **append-only, on-disk run registry** that

@@ -1,7 +1,8 @@
-//! Sampling-health event stream: structured JSONL records of a run's
-//! *statistical* health, complementing the mechanical span trace.
+//! Sampling-health events: structured JSONL records of a run's
+//! *statistical* health, written to the run stream beside the
+//! mechanical span records.
 //!
-//! Two record types share one sink:
+//! Two record kinds carry it:
 //!
 //! ```json
 //! {"type":"progress","run_id":"9f2a41c07d3be581-1","seq":1,"run":"online",
@@ -18,7 +19,7 @@
 //! ## Run identity
 //!
 //! `seq` is a process-wide run ordinal (from [`next_run_seq`]): one
-//! binary often performs several runs back to back into the same sink,
+//! binary often performs several runs back to back into the same stream,
 //! and the ordinal is what lets a consumer separate their record
 //! streams. The ordinal alone is **not** collision-resistant — two
 //! separate processes both start at `seq = 1`, so merged logs (or a
@@ -43,22 +44,20 @@
 //!   the point's library index and window provenance, and the running
 //!   estimate it deviated from.
 //!
-//! The sink is installed by [`set_events_path`] (the experiment
-//! binaries' `--events` flag) or the `TELEMETRY_EVENTS` environment
-//! variable. When no sink is installed, [`events_on`] is a single
-//! relaxed atomic load and the emitters return immediately; when the
-//! crate is built without the `enabled` feature, everything here is an
-//! inlined no-op.
+//! While the run stream is off ([`streaming`](crate::streaming) is a
+//! single relaxed atomic load) the emitters return immediately; when
+//! the crate is built without the `enabled` feature, everything here is
+//! an inlined no-op.
 //!
 //! ## In-process run summaries
 //!
-//! Independent of the JSONL sink, [`enable_run_summaries`] turns on an
+//! Independent of the run stream, [`enable_run_summaries`] turns on an
 //! in-process tally that distills the progress/anomaly stream into one
 //! [`RunSummary`] per `(seq, run, metric, config)` series — final n /
 //! mean / CI, the first point count at which the run became eligible to
 //! stop, the exact overshoot, anomaly count, and per-shard spread.
 //! `spectral-registry` uses this to persist a convergence summary
-//! without requiring an events file on disk.
+//! without requiring a run stream on disk.
 
 /// FNV-1a 64-bit hash — the repo's standard cheap content hash for
 /// identifiers (collision resistance adequate for run labeling, not
@@ -151,7 +150,7 @@ pub struct ProgressEvent<'a> {
 }
 
 impl ProgressEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run stream (no-op when it is off).
     pub fn emit(&self) {
         imp::emit_progress(self);
     }
@@ -190,7 +189,7 @@ pub struct AnomalyEvent<'a> {
 }
 
 impl AnomalyEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run stream (no-op when it is off).
     pub fn emit(&self) {
         imp::emit_anomaly(self);
     }
@@ -208,7 +207,7 @@ pub struct CheckpointEvent<'a> {
 }
 
 impl CheckpointEvent<'_> {
-    /// Append this record to the event sink (no-op when unsubscribed).
+    /// Append this record to the run stream (no-op when it is off).
     pub fn emit(&self) {
         imp::emit_checkpoint(self);
     }
@@ -273,17 +272,13 @@ impl RunSummary {
 #[cfg(feature = "enabled")]
 mod imp {
     use std::collections::BTreeMap;
-    use std::fs::File;
-    use std::io::{BufWriter, Write};
-    use std::path::Path;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
 
     use super::{AnomalyEvent, ProgressEvent, RunSummary};
     use crate::json::number;
+    use crate::sink::{streaming, write};
 
-    static EVENTS_ON: AtomicBool = AtomicBool::new(false);
-    static EVENTS_SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
     static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
     static TALLY_ON: AtomicBool = AtomicBool::new(false);
 
@@ -305,45 +300,10 @@ mod imp {
         RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Whether a sampling-health event sink is installed.
-    #[inline]
-    pub fn events_on() -> bool {
-        EVENTS_ON.load(Ordering::Relaxed)
-    }
-
-    /// Install (or replace) the JSONL event sink at `path`.
-    pub fn set_events_path(path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        *EVENTS_SINK.lock().expect("event sink lock") = Some(BufWriter::new(file));
-        EVENTS_ON.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Install the event sink from the `TELEMETRY_EVENTS` environment
-    /// variable (a file path) if set; returns whether events are now on.
-    pub fn events_from_env() -> std::io::Result<bool> {
-        if events_on() {
-            return Ok(true);
-        }
-        match std::env::var_os("TELEMETRY_EVENTS") {
-            Some(path) if !path.is_empty() => {
-                set_events_path(path)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Flush buffered events to the sink.
-    pub fn flush_events() {
-        if let Some(w) = EVENTS_SINK.lock().expect("event sink lock").as_mut() {
-            let _ = w.flush();
-        }
-    }
-
     /// Turn on the in-process run-summary tally. Runners check this (in
-    /// addition to [`events_on`]) when deciding whether to observe
-    /// sampling health, so summaries work without a JSONL sink.
+    /// addition to [`streaming`](crate::streaming)) when deciding
+    /// whether to observe sampling health, so summaries work without a
+    /// run stream.
     pub fn enable_run_summaries() {
         let mut guard = TALLY.lock().expect("tally lock");
         if guard.is_none() {
@@ -431,29 +391,23 @@ mod imp {
         *tally.anomalies.entry((e.seq, e.run.to_owned())).or_insert(0) += 1;
     }
 
-    fn write_line(line: &str) {
-        if let Some(w) = EVENTS_SINK.lock().expect("event sink lock").as_mut() {
-            let _ = writeln!(w, "{line}");
-        }
-    }
-
     pub(super) fn emit_progress(e: &ProgressEvent<'_>) {
         if run_summaries_on() {
             tally_progress(e);
         }
-        if !events_on() {
+        if !streaming() {
             return;
         }
         let config = match e.config {
             Some(c) => c.to_string(),
             None => "null".to_owned(),
         };
-        write_line(&format!(
+        write(format_args!(
             "{{\"type\":\"progress\",\"run_id\":{},\"seq\":{},\"run\":{},\"metric\":{},\
              \"t_us\":{},\"worker\":{},\"config\":{config},\"n\":{},\"mean\":{},\
              \"half_width\":{},\"rel_half_width\":{},\"target_rel_err\":{},\"eligible\":{},\
              \"rel_half_width_95\":{},\"eligible_95\":{},\"shard_points\":{},\
-             \"shard_busy_ns\":{},\"overshoot\":{}}}",
+             \"shard_busy_ns\":{},\"overshoot\":{}}}\n",
             crate::json::quote(&super::run_id(e.seq)),
             e.seq,
             crate::json::quote(e.run),
@@ -478,15 +432,15 @@ mod imp {
         if run_summaries_on() {
             tally_anomaly(e);
         }
-        if !events_on() {
+        if !streaming() {
             return;
         }
         let kinds: Vec<String> = e.kinds.iter().map(|k| crate::json::quote(k)).collect();
-        write_line(&format!(
+        write(format_args!(
             "{{\"type\":\"anomaly\",\"run_id\":{},\"seq\":{},\"run\":{},\"t_us\":{},\
              \"worker\":{},\"point\":{},\"detail_start\":{},\"measure_start\":{},\
              \"kinds\":[{}],\"cpi\":{},\"mean\":{},\"std_dev\":{},\"sigmas\":{},\
-             \"decode_ns\":{},\"simulate_ns\":{}}}",
+             \"decode_ns\":{},\"simulate_ns\":{}}}\n",
             crate::json::quote(&super::run_id(e.seq)),
             e.seq,
             crate::json::quote(e.run),
@@ -506,11 +460,11 @@ mod imp {
     }
 
     pub(super) fn emit_checkpoint(e: &super::CheckpointEvent<'_>) {
-        if !events_on() {
+        if !streaming() {
             return;
         }
-        write_line(&format!(
-            "{{\"type\":\"checkpoint\",\"t_us\":{},\"path\":{},\"points\":{}}}",
+        write(format_args!(
+            "{{\"type\":\"checkpoint\",\"t_us\":{},\"path\":{},\"points\":{}}}\n",
             crate::span::now_us(),
             crate::json::quote(e.path),
             e.points,
@@ -520,28 +474,7 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use std::path::Path;
-
     use super::{AnomalyEvent, ProgressEvent, RunSummary};
-
-    /// Always false (telemetry compiled out).
-    #[inline(always)]
-    pub fn events_on() -> bool {
-        false
-    }
-
-    /// No-op (telemetry compiled out).
-    pub fn set_events_path(_path: impl AsRef<Path>) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    /// Always `Ok(false)`.
-    pub fn events_from_env() -> std::io::Result<bool> {
-        Ok(false)
-    }
-
-    /// No-op.
-    pub fn flush_events() {}
 
     /// Always 0 (telemetry compiled out; no events carry it anywhere).
     #[inline(always)]
@@ -573,10 +506,7 @@ mod imp {
     pub(super) fn emit_checkpoint(_e: &super::CheckpointEvent<'_>) {}
 }
 
-pub use imp::{
-    enable_run_summaries, events_from_env, events_on, flush_events, next_run_seq, run_summaries_on,
-    set_events_path, take_run_summaries,
-};
+pub use imp::{enable_run_summaries, next_run_seq, run_summaries_on, take_run_summaries};
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
@@ -606,10 +536,10 @@ mod tests {
 
     #[test]
     fn events_round_trip_as_json_lines() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("spectral_events_test_{}.jsonl", std::process::id()));
-        set_events_path(&path).expect("temp event sink");
-        assert!(events_on());
+        let _lock = crate::sink::test_lock();
+        let dir = crate::sink::test_dir("events");
+        dir.start().expect("temp run stream");
+        assert!(crate::streaming());
 
         sample_progress().emit();
         ProgressEvent { config: Some(2), metric: "delta_cpi", ..sample_progress() }.emit();
@@ -631,9 +561,9 @@ mod tests {
         .emit();
         // Non-finite CI fields must degrade to valid JSON numbers.
         ProgressEvent { rel_half_width: f64::INFINITY, mean: f64::NAN, ..sample_progress() }.emit();
-        flush_events();
+        crate::flush_stream();
 
-        let text = std::fs::read_to_string(&path).expect("read events back");
+        let text = std::fs::read_to_string(dir.stream()).expect("read events back");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         let docs: Vec<JsonValue> =
@@ -658,7 +588,7 @@ mod tests {
         assert_eq!(docs[3].get("rel_half_width").and_then(JsonValue::as_f64), Some(0.0));
         assert_eq!(docs[3].get("mean").and_then(JsonValue::as_f64), Some(0.0));
 
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
@@ -675,6 +605,7 @@ mod tests {
 
     #[test]
     fn run_summary_tally_distills_the_progress_stream() {
+        let _lock = crate::sink::test_lock();
         enable_run_summaries();
         assert!(run_summaries_on());
         let _ = take_run_summaries(); // start from a clean tally

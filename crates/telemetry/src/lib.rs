@@ -3,7 +3,7 @@
 //! The paper's headline claims are throughput numbers: live-point
 //! processing rate, checkpoint bytes, warming cost, CPI confidence
 //! trajectories. This crate gives every run an auditable account of
-//! where time and bytes go, in three layers:
+//! where time and bytes go:
 //!
 //! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — process-wide,
 //!   lock-free, sharded over cache-line-padded atomic cells so
@@ -13,37 +13,37 @@
 //!   [`MetricsSnapshot`].
 //! * **Spans** ([`span`]) — RAII wall-clock timing with a thread-local
 //!   depth stack. Every span aggregates into per-name totals (visible in
-//!   snapshots); when a trace sink is installed ([`set_trace_path`] or
-//!   the `TELEMETRY` environment variable) each span close also appends
-//!   one JSONL event to the sink.
+//!   snapshots) and, while the run stream is on, appends one record to
+//!   it.
 //! * **Run manifests** ([`RunManifest`]) — a structured record of one
 //!   run: binary, benchmark, machine, thread count, library id/hash,
 //!   seed, per-phase wall-clock, points processed, and the final
 //!   estimate ± half-width, serialized to JSON (with the full metrics
 //!   snapshot embedded) for `BENCH_*.json`-style comparison.
 //! * **Sampling-health events** ([`ProgressEvent`], [`AnomalyEvent`]) —
-//!   a JSONL stream of the run's *statistical* health: merge-stride
-//!   convergence records (running mean, CI half-width, early-termination
-//!   eligibility, per-shard lag) and per-point anomaly records. The sink
-//!   is installed by [`set_events_path`] (the `--events` flag) or the
-//!   `TELEMETRY_EVENTS` environment variable; `spectral-doctor` ingests
-//!   the stream. [`chrome_trace`] converts span/event JSONL into a
-//!   Chrome `trace_event` document for <https://ui.perfetto.dev>.
+//!   the run's *statistical* health: merge-stride convergence records
+//!   (running mean, CI half-width, early-termination eligibility,
+//!   per-shard lag) and per-point anomaly records.
 //! * **Worker-timeline profiles** ([`WorkerTimeline`], [`run_scope`]) —
 //!   per-worker rings of phase intervals (claim / prefetch-wait /
 //!   decode / simulate / merge-wait / merge / idle) attributing every
-//!   worker's wall-clock. The sink is installed by [`set_profile_path`]
-//!   (the `--profile` flag) or the `SPECTRAL_PROFILE` environment
-//!   variable; `spectral-doctor profile` computes the attribution,
-//!   contention, and straggler analyses.
+//!   worker's wall-clock.
+//! * **The run stream** ([`RunDir`], [`streaming`]) — one JSONL sink
+//!   that spans, scheduler samples, events and profiles all write to,
+//!   one record kind per `type` field on one timebase. An experiment
+//!   run's `--out DIR` holds it as `run.jsonl` beside `manifest.json`
+//!   and `report.txt`; `spectral-doctor` reads it with one parser, and
+//!   [`chrome_trace`] converts it into a Chrome `trace_event` document
+//!   for <https://ui.perfetto.dev>.
 //!
 //! ## Zero cost when disabled
 //!
 //! Everything is behind the `enabled` feature (on by default). Built
 //! with `--no-default-features`, every metric and span operation is an
 //! inlined empty function on unit types: instrumented hot paths carry
-//! no atomics, no clock reads, and no branches. The manifest and JSON
-//! layers remain available in both modes (they are never hot).
+//! no atomics, no clock reads, and no branches. The manifest, JSON and
+//! run-directory layers remain available in both modes (they are never
+//! hot).
 //!
 //! ## Naming scheme
 //!
@@ -62,12 +62,12 @@ mod manifest;
 mod metrics;
 mod perfetto;
 mod profile;
+mod sink;
 mod span;
 
 pub use events::{
-    derive_run_id, enable_run_summaries, events_from_env, events_on, flush_events, fnv1a64,
-    next_run_seq, process_token, run_id, run_summaries_on, set_events_path, take_run_summaries,
-    AnomalyEvent, CheckpointEvent, ProgressEvent, RunSummary,
+    derive_run_id, enable_run_summaries, fnv1a64, next_run_seq, process_token, run_id,
+    run_summaries_on, take_run_summaries, AnomalyEvent, CheckpointEvent, ProgressEvent, RunSummary,
 };
 pub use json::{number as json_number, quote as json_quote, JsonError, JsonValue};
 pub use manifest::{EstimateSummary, Phase, RunManifest, MANIFEST_VERSION};
@@ -77,10 +77,10 @@ pub use metrics::{
 };
 pub use perfetto::chrome_trace;
 pub use profile::{
-    flush_profile, profile_from_env, profiling, run_scope, set_profile_path, PhaseGuard,
-    ProfilePhase, RunScope, WorkerTimeline, PROFILE_RING_CAPACITY,
+    run_scope, PhaseGuard, ProfilePhase, RunScope, WorkerTimeline, PROFILE_RING_CAPACITY,
 };
-pub use span::{flush_trace, set_trace_path, span, trace_from_env, trace_sched, tracing, Span};
+pub use sink::{flush_stream, streaming, RunDir};
+pub use span::{span, trace_sched, Span};
 
 /// Whether telemetry was compiled in (the `enabled` feature).
 pub const fn compiled_in() -> bool {

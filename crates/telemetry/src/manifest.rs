@@ -5,8 +5,8 @@
 //! how long each phase took, how many points were processed, and the
 //! final estimate ± half-width. [`RunManifest::write`] serializes it to
 //! JSON with the full metrics snapshot embedded, giving every run an
-//! auditable artifact (`--metrics-out`) that diffs cleanly against
-//! `BENCH_*.json` baselines.
+//! auditable artifact (`manifest.json` in an experiment binary's
+//! `--out DIR`) that diffs cleanly against `BENCH_*.json` baselines.
 
 use std::path::Path;
 

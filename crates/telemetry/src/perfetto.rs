@@ -1,6 +1,5 @@
-//! Perfetto / Chrome `trace_event` export: convert the JSONL span trace
-//! (and, when interleaved, sampling-health events) into a JSON document
-//! that opens directly in <https://ui.perfetto.dev> or
+//! Perfetto / Chrome `trace_event` export: convert a run stream into a
+//! JSON document that opens directly in <https://ui.perfetto.dev> or
 //! `chrome://tracing`.
 //!
 //! Mapping:
@@ -33,7 +32,7 @@ use std::fmt::Write as _;
 
 use crate::json::{quote, JsonError, JsonValue};
 
-/// Convert one JSONL trace/event stream into a Chrome `trace_event`
+/// Convert one JSONL run stream into a Chrome `trace_event`
 /// JSON document (the `{"traceEvents": [...]}` object form).
 ///
 /// Lines that are not JSON objects or carry an unknown `type` are

@@ -1,5 +1,5 @@
-//! Worker-timeline profiler: per-worker rings of phase intervals with a
-//! dedicated JSONL sink.
+//! Worker-timeline profiler: per-worker rings of phase intervals,
+//! written to the run stream.
 //!
 //! The paper's value proposition is wall-clock, so every second a
 //! runner worker spends *not* simulating (claiming chunks, decoding,
@@ -19,16 +19,17 @@
 //!
 //! Recording is designed to stay out of the measured path:
 //!
-//! * When no sink is installed ([`profiling`] is false — a single
-//!   relaxed load) every [`WorkerTimeline`] operation is an inert
-//!   branch: no clock reads, no allocation, no locks.
+//! * While the run stream is off ([`streaming`](crate::streaming) is
+//!   false — a single relaxed load) every [`WorkerTimeline`] operation
+//!   is an inert branch: no clock reads, no allocation, no locks.
 //! * When on, intervals land in a **per-worker ring** owned by the
 //!   worker itself ([`WorkerTimeline`]) — no cross-thread
 //!   synchronization per interval. Exact per-phase aggregates
 //!   `(count, total_ns)` are kept for *every* recorded interval; the
 //!   ring additionally retains the most recent
 //!   [`PROFILE_RING_CAPACITY`] intervals for fine-grained timeline
-//!   rendering. The sink lock is taken once, when the timeline drops.
+//!   rendering. The stream lock is taken once, when the timeline
+//!   drops.
 //! * Wherever the runner has already measured a duration (decode and
 //!   simulate times feed the health layer anyway), the timeline reuses
 //!   it via [`WorkerTimeline::note`] instead of reading the clock
@@ -36,11 +37,10 @@
 //!   merge-wait, merge) pay for their own RAII guard
 //!   ([`WorkerTimeline::enter`]).
 //!
-//! The sink is installed by [`set_profile_path`] (the experiment
-//! binaries' `--profile` flag) or the `SPECTRAL_PROFILE` environment
-//! variable. `spectral-doctor profile` ingests the stream and computes
-//! wall-clock attribution, contention and straggler analyses, and the
-//! profiler's own overhead estimate (`recorded × per-record cost`).
+//! `spectral-doctor profile` reads these records from the run stream
+//! and computes wall-clock attribution, contention and straggler
+//! analyses, and the profiler's own overhead estimate (`recorded ×
+//! per-record cost`).
 
 /// The phases a runner worker's wall-clock is attributed to.
 ///
@@ -115,60 +115,10 @@ pub const PROFILE_RING_CAPACITY: usize = 4096;
 mod imp {
     use std::collections::VecDeque;
     use std::fmt::Write as _;
-    use std::fs::File;
-    use std::io::{BufWriter, Write};
-    use std::path::Path;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
     use std::time::Instant;
 
     use super::{ProfilePhase, PROFILE_RING_CAPACITY};
-
-    static PROFILE_ON: AtomicBool = AtomicBool::new(false);
-    static PROFILE_SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
-
-    /// Whether a profile sink is installed.
-    #[inline]
-    pub fn profiling() -> bool {
-        PROFILE_ON.load(Ordering::Relaxed)
-    }
-
-    /// Install (or replace) the JSONL profile sink at `path`.
-    pub fn set_profile_path(path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        *PROFILE_SINK.lock().expect("profile sink lock") = Some(BufWriter::new(file));
-        PROFILE_ON.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Install the profile sink from the `SPECTRAL_PROFILE` environment
-    /// variable (a file path) if set; returns whether profiling is now
-    /// on.
-    pub fn profile_from_env() -> std::io::Result<bool> {
-        if profiling() {
-            return Ok(true);
-        }
-        match std::env::var_os("SPECTRAL_PROFILE") {
-            Some(path) if !path.is_empty() => {
-                set_profile_path(path)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Flush buffered profile records to the sink.
-    pub fn flush_profile() {
-        if let Some(w) = PROFILE_SINK.lock().expect("profile sink lock").as_mut() {
-            let _ = w.flush();
-        }
-    }
-
-    fn write_lines(lines: &str) {
-        if let Some(w) = PROFILE_SINK.lock().expect("profile sink lock").as_mut() {
-            let _ = w.write_all(lines.as_bytes());
-        }
-    }
+    use crate::sink::{streaming, write};
 
     /// One run's wall-clock bracket: emits a `profile_run` record
     /// covering the whole run (serial body or parallel region +
@@ -185,9 +135,9 @@ mod imp {
     }
 
     /// Open the run-level profile bracket for run ordinal `seq` of kind
-    /// `run` over `workers` workers. Inert when no sink is installed.
+    /// `run` over `workers` workers. Inert while the run stream is off.
     pub fn run_scope(seq: u64, run: &'static str, workers: usize) -> RunScope {
-        let on = profiling();
+        let on = streaming();
         RunScope {
             on,
             seq,
@@ -205,7 +155,7 @@ mod imp {
                 return;
             }
             let dur_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            write_lines(&format!(
+            write(format_args!(
                 "{{\"type\":\"profile_run\",\"run_id\":{},\"seq\":{},\"run\":{},\
                  \"workers\":{},\"t_us\":{},\"dur_us\":{dur_us}}}\n",
                 crate::json::quote(&crate::events::run_id(self.seq)),
@@ -238,10 +188,10 @@ mod imp {
 
     impl WorkerTimeline {
         /// A timeline for worker `worker` of run ordinal `seq`, kind
-        /// `run`. Samples [`profiling`] once: when no sink is installed
-        /// every later operation is a dead branch.
+        /// `run`. Samples [`streaming`](crate::streaming) once: while
+        /// the run stream is off every later operation is a dead branch.
         pub fn new(seq: u64, run: &'static str, worker: usize) -> Self {
-            let on = profiling();
+            let on = streaming();
             WorkerTimeline {
                 on,
                 seq,
@@ -354,7 +304,7 @@ mod imp {
                     dur_ns / 1000,
                 );
             }
-            write_lines(&out);
+            write(format_args!("{out}"));
         }
     }
 
@@ -392,28 +342,7 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use std::path::Path;
-
     use super::ProfilePhase;
-
-    /// Always false (telemetry compiled out).
-    #[inline(always)]
-    pub fn profiling() -> bool {
-        false
-    }
-
-    /// No-op (telemetry compiled out).
-    pub fn set_profile_path(_path: impl AsRef<Path>) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    /// Always `Ok(false)`.
-    pub fn profile_from_env() -> std::io::Result<bool> {
-        Ok(false)
-    }
-
-    /// No-op.
-    pub fn flush_profile() {}
 
     /// Disabled-build run bracket: zero-sized, drop does nothing.
     #[derive(Debug)]
@@ -471,10 +400,7 @@ mod imp {
     }
 }
 
-pub use imp::{
-    flush_profile, profile_from_env, profiling, run_scope, set_profile_path, PhaseGuard, RunScope,
-    WorkerTimeline,
-};
+pub use imp::{run_scope, PhaseGuard, RunScope, WorkerTimeline};
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
@@ -483,10 +409,10 @@ mod tests {
 
     #[test]
     fn timeline_records_through_the_sink() {
-        let path = std::env::temp_dir()
-            .join(format!("spectral_profile_test_{}.jsonl", std::process::id()));
-        set_profile_path(&path).expect("temp profile sink");
-        assert!(profiling());
+        let _lock = crate::sink::test_lock();
+        let dir = crate::sink::test_dir("profile");
+        dir.start().expect("temp run stream");
+        assert!(crate::streaming());
         {
             let _run = run_scope(7, "online", 2);
             let mut tl = WorkerTimeline::new(7, "online", 1);
@@ -500,9 +426,9 @@ mod tests {
             }
             let _claim = tl.enter(ProfilePhase::Claim);
         }
-        flush_profile();
-        let text = std::fs::read_to_string(&path).expect("profile file");
-        let _ = std::fs::remove_file(&path);
+        crate::flush_stream();
+        let text = std::fs::read_to_string(dir.stream()).expect("profile file");
+        let _ = std::fs::remove_dir_all(dir.root());
         let records: Vec<JsonValue> =
             text.lines().map(|l| JsonValue::parse(l).expect("valid JSONL")).collect();
         // Worker drops before the run scope: worker + phases, then run.

@@ -1,32 +1,28 @@
-//! RAII span timing with a thread-local depth stack and an optional
-//! JSONL structured-event sink.
+//! RAII span timing with a thread-local depth stack.
 //!
 //! Every closed span aggregates `(count, total_ns)` under its name —
-//! surfaced in [`MetricsSnapshot`](crate::MetricsSnapshot) — and, when a
-//! trace sink is installed, appends one JSON line:
+//! surfaced in [`MetricsSnapshot`](crate::MetricsSnapshot) — and, when
+//! the run stream is on ([`streaming`](crate::streaming)), appends one
+//! JSON line to it:
 //!
 //! ```json
 //! {"type":"span","name":"run.online","tid":2,"depth":1,"t_us":1234,"dur_us":56}
 //! ```
 //!
 //! `t_us` is the span-open offset from the first telemetry event in the
-//! process; `tid` is a small per-thread ordinal. The sink is enabled by
-//! [`set_trace_path`] (the experiment binaries' `--trace` flag) or the
-//! `TELEMETRY` environment variable holding a path.
+//! process; `tid` is a small per-thread ordinal.
 
 #[cfg(feature = "enabled")]
 mod imp {
     use std::cell::Cell;
     use std::collections::BTreeMap;
-    use std::fs::File;
-    use std::io::{BufWriter, Write};
-    use std::path::Path;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::fmt::Write as _;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Mutex, OnceLock};
     use std::time::Instant;
 
-    static TRACE_ON: AtomicBool = AtomicBool::new(false);
-    static TRACE_SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
+    use crate::sink::{streaming, write};
+
     static AGGREGATES: Mutex<BTreeMap<&'static str, (u64, u64)>> = Mutex::new(BTreeMap::new());
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
@@ -41,46 +37,9 @@ mod imp {
     }
 
     /// Microseconds since the first telemetry event in the process —
-    /// the shared timebase of the span trace and the sampling-health
-    /// event stream.
+    /// the one timebase of every run-stream record.
     pub(crate) fn now_us() -> u64 {
         u64::try_from(epoch().elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Whether a JSONL trace sink is installed.
-    #[inline]
-    pub fn tracing() -> bool {
-        TRACE_ON.load(Ordering::Relaxed)
-    }
-
-    /// Install (or replace) the JSONL trace sink at `path`.
-    pub fn set_trace_path(path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = File::create(path)?;
-        *TRACE_SINK.lock().expect("trace sink lock") = Some(BufWriter::new(file));
-        TRACE_ON.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Install the trace sink from the `TELEMETRY` environment variable
-    /// (a file path) if set; returns whether tracing is now on.
-    pub fn trace_from_env() -> std::io::Result<bool> {
-        if tracing() {
-            return Ok(true);
-        }
-        match std::env::var_os("TELEMETRY") {
-            Some(path) if !path.is_empty() => {
-                set_trace_path(path)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    /// Flush buffered trace events to the sink.
-    pub fn flush_trace() {
-        if let Some(w) = TRACE_SINK.lock().expect("trace sink lock").as_mut() {
-            let _ = w.flush();
-        }
     }
 
     /// An open span; closes (and records) on drop.
@@ -115,56 +74,50 @@ mod imp {
                 e.0 += 1;
                 e.1 = e.1.wrapping_add(ns);
             }
-            if tracing() {
-                if let Some(w) = TRACE_SINK.lock().expect("trace sink lock").as_mut() {
-                    let tid = TID.with(|t| *t);
-                    let _ = writeln!(
-                        w,
-                        "{{\"type\":\"span\",\"name\":{},\"tid\":{tid},\"depth\":{},\
-                         \"t_us\":{},\"dur_us\":{}}}",
-                        crate::json::quote(self.name),
-                        self.depth,
-                        self.open_us,
-                        ns / 1000,
-                    );
-                }
+            if streaming() {
+                let tid = TID.with(|t| *t);
+                write(format_args!(
+                    "{{\"type\":\"span\",\"name\":{},\"tid\":{tid},\"depth\":{},\
+                     \"t_us\":{},\"dur_us\":{}}}\n",
+                    crate::json::quote(self.name),
+                    self.depth,
+                    self.open_us,
+                    ns / 1000,
+                ));
             }
         }
     }
 
-    /// Append one scheduler sample to the trace sink:
+    /// Append one scheduler sample to the run stream:
     ///
     /// ```json
     /// {"type":"sched","t_us":1234,"worker":3,"chunk_points":16,"steals":2}
     /// ```
     ///
     /// Only the `Some` quantities are written. No-op (a single relaxed
-    /// load) when no trace sink is installed — call sites may also gate
-    /// on [`tracing`] to skip argument construction. The perfetto
-    /// exporter turns these into per-worker counter tracks.
+    /// load) when the stream is off — call sites may also gate on
+    /// [`streaming`](crate::streaming) to skip argument construction.
+    /// The perfetto exporter turns these into per-worker counter tracks.
     pub fn trace_sched(
         worker: usize,
         chunk_points: Option<u64>,
         steals: Option<u64>,
         prefetch_occupancy: Option<u64>,
     ) {
-        if !tracing() {
+        if !streaming() {
             return;
         }
         let mut line = format!("{{\"type\":\"sched\",\"t_us\":{},\"worker\":{worker}", now_us());
-        if let Some(v) = chunk_points {
-            line.push_str(&format!(",\"chunk_points\":{v}"));
+        for (key, value) in [
+            ("chunk_points", chunk_points),
+            ("steals", steals),
+            ("prefetch_occupancy", prefetch_occupancy),
+        ] {
+            if let Some(v) = value {
+                let _ = write!(line, ",\"{key}\":{v}");
+            }
         }
-        if let Some(v) = steals {
-            line.push_str(&format!(",\"steals\":{v}"));
-        }
-        if let Some(v) = prefetch_occupancy {
-            line.push_str(&format!(",\"prefetch_occupancy\":{v}"));
-        }
-        line.push('}');
-        if let Some(w) = TRACE_SINK.lock().expect("trace sink lock").as_mut() {
-            let _ = writeln!(w, "{line}");
-        }
+        write(format_args!("{line}}}\n"));
     }
 
     /// Span aggregates as `(name, count, total_ns)` rows.
@@ -184,8 +137,6 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use std::path::Path;
-
     /// Disabled-build span: zero-sized, drop does nothing.
     #[derive(Debug)]
     pub struct Span;
@@ -195,25 +146,6 @@ mod imp {
     pub fn span(_name: &'static str) -> Span {
         Span
     }
-
-    /// Always false.
-    #[inline(always)]
-    pub fn tracing() -> bool {
-        false
-    }
-
-    /// No-op (telemetry compiled out).
-    pub fn set_trace_path(_path: impl AsRef<Path>) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    /// Always `Ok(false)`.
-    pub fn trace_from_env() -> std::io::Result<bool> {
-        Ok(false)
-    }
-
-    /// No-op.
-    pub fn flush_trace() {}
 
     /// No-op (telemetry compiled out).
     #[inline(always)]
@@ -226,7 +158,7 @@ mod imp {
     }
 }
 
-pub use imp::{flush_trace, set_trace_path, span, trace_from_env, trace_sched, tracing, Span};
+pub use imp::{span, trace_sched, Span};
 
 #[cfg(feature = "enabled")]
 pub(crate) use imp::{aggregates, now_us, reset_aggregates};
@@ -237,6 +169,7 @@ mod tests {
 
     #[test]
     fn spans_aggregate_and_nest() {
+        let _lock = crate::sink::test_lock();
         {
             let _outer = span("test.span.outer");
             let _inner = span("test.span.inner");

@@ -5,44 +5,43 @@
 //!
 //! ```text
 //! cargo run --release --example design_space [benchmark-name] [--threads T]
-//!     [--metrics-out PATH] [--trace PATH]
+//!     [--out DIR]
 //! ```
 //!
 //! One live-point library answers every design question in a single
 //! pass: [`SweepRunner`] decompresses and DER-decodes each record once,
 //! simulates it under the baseline and every candidate, and — because
 //! all configurations see exactly the same points — yields matched-pair
-//! comparisons against the baseline by construction. `--metrics-out`
-//! writes a run manifest; `--trace` appends span events as JSONL.
+//! comparisons against the baseline by construction. `--out DIR`
+//! streams the run's spans and events to `DIR/run.jsonl` and writes its
+//! manifest to `DIR/manifest.json`.
 
 use std::error::Error;
 use std::time::Instant;
 
 use spectral::core::{CreationConfig, LivePointLibrary, RunPolicy, SweepRunner};
-use spectral::telemetry::{self, RunManifest};
+use spectral::telemetry::{self, RunDir, RunManifest};
 use spectral::uarch::{FuPools, MachineConfig};
 use spectral::workloads::by_name;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut name = "gcc-like".to_owned();
     let mut threads: Option<usize> = None;
-    let mut metrics_out: Option<String> = None;
+    let mut out: Option<RunDir> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threads" => {
                 threads = Some(it.next().ok_or("--threads needs a value")?.parse()?);
             }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
-            }
-            "--trace" => {
-                telemetry::set_trace_path(it.next().ok_or("--trace needs a path")?)?;
+            "--out" => {
+                let dir = RunDir::new(it.next().ok_or("--out needs a directory")?);
+                dir.start()?;
+                out = Some(dir);
             }
             _ => name = a,
         }
     }
-    telemetry::trace_from_env()?;
     let threads = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
 
@@ -132,10 +131,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("every candidate was measured on the same decoded points — matched pairs by");
     println!("construction, and each record's decompress+decode cost paid once (§6.2).");
 
-    if let Some(path) = metrics_out {
-        manifest.write(&path, Some(&telemetry::snapshot()))?;
-        println!("run manifest written to {path}");
+    if let Some(dir) = out {
+        telemetry::flush_stream();
+        manifest.write(dir.manifest(), Some(&telemetry::snapshot()))?;
+        println!("run stream and manifest written to {}", dir.root().display());
     }
-    telemetry::flush_trace();
     Ok(())
 }

@@ -11,14 +11,15 @@
 //! enough to spot gross performance regressions. To show that, the
 //! monitor also runs a deliberately mis-configured machine and flags it.
 //!
-//! The run also demonstrates the sampling-health event stream: it
-//! installs an `--events`-style sink, and afterwards replays the
-//! `progress` and `anomaly` records a live dashboard (or
+//! The run also demonstrates the run stream: it starts a run directory
+//! the way an experiment binary's `--out DIR` does, and afterwards
+//! replays the `progress` and `anomaly` records a live dashboard (or
 //! `spectral-doctor`) would consume.
 
 use std::error::Error;
 
 use spectral::core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
+use spectral::telemetry::RunDir;
 use spectral::uarch::MachineConfig;
 use spectral::workloads::by_name;
 
@@ -32,10 +33,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     let config = CreationConfig::for_machine(&machine).with_sample_size(400);
     let library = LivePointLibrary::create(&program, &config)?;
 
-    // Install a sampling-health event sink: every merge stride appends
-    // a JSONL progress record, every outlier point an anomaly record.
-    let events_path = std::env::temp_dir().join("online_monitor_events.jsonl");
-    spectral::telemetry::set_events_path(&events_path)?;
+    // Start a run directory: every merge stride appends a JSONL
+    // progress record to its stream, every outlier point an anomaly
+    // record (beside the spans and worker-timeline profiles).
+    let run = RunDir::new(std::env::temp_dir().join("online_monitor_run"));
+    run.start()?;
 
     // Fine-grained trajectory = the "online monitor" feed.
     let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 25, ..RunPolicy::default() };
@@ -69,13 +71,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     );
 
-    // Replay the event stream the runs just emitted — the same feed a
-    // live dashboard would tail, and what `spectral-doctor` diagnoses.
-    spectral::telemetry::flush_events();
-    let text = std::fs::read_to_string(&events_path)?;
-    let (progress, anomalies): (Vec<&str>, Vec<&str>) =
-        text.lines().filter(|l| !l.is_empty()).partition(|l| l.contains("\"type\":\"progress\""));
-    println!("\nsampling-health event stream ({}):", events_path.display());
+    // Replay the events the runs just streamed — the same feed a live
+    // dashboard would tail, and what `spectral-doctor` diagnoses.
+    spectral::telemetry::flush_stream();
+    let text = std::fs::read_to_string(run.stream())?;
+    let progress: Vec<&str> =
+        text.lines().filter(|l| l.starts_with("{\"type\":\"progress\"")).collect();
+    let anomalies: Vec<&str> =
+        text.lines().filter(|l| l.starts_with("{\"type\":\"anomaly\"")).collect();
+    println!("\nsampling-health events in the run stream ({}):", run.stream().display());
     println!("  {} progress records, {} anomaly records", progress.len(), anomalies.len());
     for line in progress.iter().take(3) {
         println!("  {line}");
@@ -83,7 +87,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(line) = anomalies.first() {
         println!("  {line}");
     }
-    println!("  diagnose with: spectral-doctor analyze --events {}", events_path.display());
-    println!("  watch live   : spectral-doctor watch --events {} --once", events_path.display());
+    println!("  diagnose with: spectral-doctor analyze --run {}", run.root().display());
+    println!("  watch live   : spectral-doctor watch --run {} --once", run.root().display());
     Ok(())
 }

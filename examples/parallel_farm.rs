@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --example parallel_farm [benchmark-name] [--threads T]
-//!     [--chunk N] [--prefetch N] [--metrics-out PATH] [--trace PATH]
+//!     [--out DIR]
 //! ```
 //!
 //! The same shuffled library is processed serially and with 2–8 worker
@@ -14,48 +14,38 @@
 //! bit-identical to the serial pass while wall-clock drops on
 //! multi-core hosts. Library creation itself runs on the pipelined
 //! multi-core path and stays byte-identical to a serial build.
-//! `--chunk`/`--prefetch` tune the scheduler's chunk size and
-//! decode-ahead depth; `--metrics-out` writes a run manifest (phases,
-//! points, estimate, embedded metrics snapshot — including the
-//! `core.sched.*` steal/occupancy metrics); `--trace` appends span
-//! events as JSONL.
+//! `--out DIR` streams the runs' spans, scheduler samples, events and
+//! worker-timeline profiles to `DIR/run.jsonl` and writes a run
+//! manifest (phases, points, estimate, embedded metrics snapshot —
+//! including the `core.sched.*` steal/occupancy metrics) to
+//! `DIR/manifest.json`.
 
 use std::error::Error;
 use std::time::Instant;
 
 use spectral::core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
-use spectral::telemetry::{self, RunManifest};
+use spectral::telemetry::{self, RunDir, RunManifest};
 use spectral::uarch::MachineConfig;
 use spectral::workloads::by_name;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut name = "bzip2-like".to_owned();
     let mut threads: Option<usize> = None;
-    let mut chunk: Option<usize> = None;
-    let mut prefetch: Option<usize> = None;
-    let mut metrics_out: Option<String> = None;
+    let mut out: Option<RunDir> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threads" => {
                 threads = Some(it.next().ok_or("--threads needs a value")?.parse()?);
             }
-            "--chunk" => {
-                chunk = Some(it.next().ok_or("--chunk needs a value")?.parse()?);
-            }
-            "--prefetch" => {
-                prefetch = Some(it.next().ok_or("--prefetch needs a value")?.parse()?);
-            }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
-            }
-            "--trace" => {
-                telemetry::set_trace_path(it.next().ok_or("--trace needs a path")?)?;
+            "--out" => {
+                let dir = RunDir::new(it.next().ok_or("--out needs a directory")?);
+                dir.start()?;
+                out = Some(dir);
             }
             _ => name = a,
         }
     }
-    telemetry::trace_from_env()?;
     // When SPECTRAL_REGISTRY names a registry, tally convergence
     // summaries in-process so the appended record carries them.
     let registry = spectral::registry::Registry::from_env()?;
@@ -84,14 +74,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("host exposes {cores} core(s) — wall-clock speedups need more than one.\n");
     let runner = OnlineRunner::new(&library, machine);
     // Exhaustive policy: identical work in every configuration.
-    let mut policy =
-        RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
-    if let Some(c) = chunk {
-        policy.chunk = c;
-    }
-    if let Some(p) = prefetch {
-        policy.prefetch = p;
-    }
+    let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
 
     let t = Instant::now();
     let serial = runner.run(&program, &policy)?;
@@ -140,9 +123,10 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     manifest.run_id =
         Some(telemetry::derive_run_id(&manifest.to_json(), telemetry::next_run_seq()));
-    if let Some(path) = metrics_out {
-        manifest.write(&path, Some(&telemetry::snapshot()))?;
-        println!("run manifest written to {path}");
+    telemetry::flush_stream();
+    if let Some(dir) = out {
+        manifest.write(dir.manifest(), Some(&telemetry::snapshot()))?;
+        println!("run stream and manifest written to {}", dir.root().display());
     }
     if let Some(registry) = registry {
         let summaries = telemetry::take_run_summaries();
@@ -150,6 +134,5 @@ fn main() -> Result<(), Box<dyn Error>> {
         registry.append(&record)?;
         println!("run record appended to {}", registry.dir().display());
     }
-    telemetry::flush_trace();
     Ok(())
 }
