@@ -19,10 +19,13 @@
 //! same library, where the second pass should hit the cache on every
 //! point.
 //!
-//! Writes `BENCH_library.json` at the workspace root; the CI perf-smoke
-//! gate checks the open/read speedups against the committed baseline
-//! (>20% regression fails) and the dictionary bytes/point against v1.
-//! Set `SPECTRAL_BENCH_QUICK=1` for the CI smoke run.
+//! Writes `BENCH_library.json` at the workspace root, with the mode
+//! (`quick`) and the host's core count. The CI perf-smoke gate holds v2
+//! to a 2 ms open budget and to 5× v1's cold read rate, and checks the
+//! open speedup over v1 and v2's own cold open+get rate against the
+//! committed baseline (>20% regression fails), plus the dictionary
+//! bytes/point against v1. Set `SPECTRAL_BENCH_QUICK=1` for the CI
+//! smoke run.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -208,7 +211,9 @@ fn emit_json(c: &Criterion, fx: &Fixture, hits: u64, misses: u64) -> String {
     let v2_warm = median("library_read/v2_warm_get");
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
 
+    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"host_parallelism\": {host},");
     let _ = writeln!(json, "  \"quick\": {},", quick());
     let _ = writeln!(json, "  \"points\": {},", fx.points);
     let _ = writeln!(json, "  \"v1_open_ms\": {:.4},", v1_open * 1e3);

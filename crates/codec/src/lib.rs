@@ -12,7 +12,8 @@
 //! * [`lzss`] — an LZ77-family byte compressor standing in for gzip
 //!   (documented substitution; ratios on tag/predictor state are in the
 //!   same ~4–6:1 band the paper reports for gzip),
-//! * [`crc32`] — IEEE CRC-32 integrity checks for container frames,
+//! * [`crc32`] — IEEE CRC-32 (slicing-by-8) integrity checks for container
+//!   frames,
 //! * [`Container`] — library format v1, the shuffled single-stream file
 //!   recommended in §6.1 ("stored in a single compressed file to
 //!   maximize I/O performance"), which libraries now read as legacy

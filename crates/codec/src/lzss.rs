@@ -5,9 +5,17 @@
 //! so this module implements an LZ77-family compressor with:
 //!
 //! * a 64 KiB sliding window, 3-byte minimum / 258-byte maximum matches,
-//! * hash-head/prev chain match finding (bounded chain depth),
+//! * hash-head/prev chain match finding (bounded chain depth), greedy:
+//!   the longest candidate wins, the nearest of equal lengths,
 //! * a token format of flag bytes (8 tokens each), literal bytes, and
 //!   3-byte `(offset, length)` back-references.
+//!
+//! Plain and dictionary-primed compression run one match loop, which
+//! extends a candidate eight bytes per step (the first differing byte
+//! is the lowest set byte of the XOR of two little-endian words) and
+//! skips a candidate that cannot beat the best match so far. Its tokens
+//! are those of a byte-at-a-time matcher, which `tests/proptests.rs`
+//! keeps as the reference.
 //!
 //! The format is self-contained: `decompress(compress(x)) == x` for all
 //! byte strings (property-tested), and incompressible input expands by
@@ -63,6 +71,17 @@ impl CompressScratch {
         self.prev.clear();
         self.prev.resize(data_len.max(1), usize::MAX);
     }
+
+    /// Put position `j` at the head of its hash chain, returning the
+    /// chain it now leads (`usize::MAX` when empty).
+    #[inline]
+    fn insert(&mut self, buf: &[u8], j: usize) -> usize {
+        let h = hash3(buf, j);
+        let next = self.head[h];
+        self.prev[j] = next;
+        self.head[h] = j;
+        next
+    }
 }
 
 /// Compress `data`.
@@ -78,93 +97,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// Output is byte-identical to [`compress`] — the scratch only recycles
 /// allocations, never state (it is fully reset per call).
 pub fn compress_with(scratch: &mut CompressScratch, data: &[u8]) -> Vec<u8> {
-    let sw = Stopwatch::start();
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-
-    scratch.reset(data.len());
-    let (head, prev) = (&mut scratch.head, &mut scratch.prev);
-
-    let mut i = 0;
-    // Token accumulation: one flag byte per 8 tokens.
-    let mut flag_pos = usize::MAX;
-    let mut flag_bit = 8;
-
-    macro_rules! begin_token {
-        ($is_match:expr) => {
-            if flag_bit == 8 {
-                flag_pos = out.len();
-                out.push(0);
-                flag_bit = 0;
-            }
-            if $is_match {
-                out[flag_pos] |= 1 << flag_bit;
-            }
-            flag_bit += 1;
-        };
-    }
-
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            let mut cand = head[h];
-            let mut depth = 0;
-            while cand != usize::MAX && depth < CHAIN_DEPTH {
-                if i - cand > WINDOW {
-                    break;
-                }
-                // Extend match.
-                let max = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0;
-                while l < max && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_off = i - cand;
-                    if l == max {
-                        break;
-                    }
-                }
-                cand = prev[cand];
-                depth += 1;
-            }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i;
-        }
-
-        if best_len >= MIN_MATCH {
-            begin_token!(true);
-            let off = (best_off - 1) as u16;
-            out.extend_from_slice(&off.to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            // Index the skipped positions so later matches can find them.
-            let end = i + best_len;
-            let mut j = i + 1;
-            while j < end && j + MIN_MATCH <= data.len() {
-                let h = hash3(data, j);
-                prev[j] = head[h];
-                head[h] = j;
-                j += 1;
-            }
-            i = end;
-        } else {
-            begin_token!(false);
-            out.push(data[i]);
-            i += 1;
-        }
-    }
-    COMPRESS_CALLS.inc();
-    COMPRESS_IN_BYTES.add(data.len() as u64);
-    COMPRESS_OUT_BYTES.add(out.len() as u64);
-    COMPRESS_NS.add(sw.ns());
-    if !out.is_empty() {
-        RATIO_PCT.record((data.len() as u64 * 100) / out.len() as u64);
-    }
-    out
+    compress_with_dict(scratch, &[], data)
 }
 
 /// Compress `data` against a shared dictionary: the match window is
@@ -176,101 +109,23 @@ pub fn compress_with(scratch: &mut CompressScratch, data: &[u8]) -> Vec<u8> {
 /// With an empty dictionary the output is byte-identical to
 /// [`compress_with`].
 pub fn compress_with_dict(scratch: &mut CompressScratch, dict: &[u8], data: &[u8]) -> Vec<u8> {
-    if dict.is_empty() {
-        return compress_with(scratch, data);
-    }
     let sw = Stopwatch::start();
-    // Conceptually compress `dict ++ data`, emitting tokens only for the
-    // `data` suffix. Dictionary positions are indexed into the match
-    // chains up front; the decoder seeds its output window with the same
-    // dictionary bytes, so offsets resolve identically on both sides.
-    let mut concat = std::mem::take(&mut scratch.concat);
-    concat.clear();
-    concat.reserve(dict.len() + data.len());
-    concat.extend_from_slice(dict);
-    concat.extend_from_slice(data);
-
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-
-    scratch.reset(concat.len());
-    let (head, prev) = (&mut scratch.head, &mut scratch.prev);
-    let dict_index_end = dict.len().min(concat.len().saturating_sub(MIN_MATCH - 1));
-    for (j, chain) in prev.iter_mut().enumerate().take(dict_index_end) {
-        let h = hash3(&concat, j);
-        *chain = head[h];
-        head[h] = j;
-    }
-
-    let mut i = dict.len();
-    let mut flag_pos = usize::MAX;
-    let mut flag_bit = 8;
-
-    macro_rules! begin_token {
-        ($is_match:expr) => {
-            if flag_bit == 8 {
-                flag_pos = out.len();
-                out.push(0);
-                flag_bit = 0;
-            }
-            if $is_match {
-                out[flag_pos] |= 1 << flag_bit;
-            }
-            flag_bit += 1;
-        };
-    }
-
-    while i < concat.len() {
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        if i + MIN_MATCH <= concat.len() {
-            let h = hash3(&concat, i);
-            let mut cand = head[h];
-            let mut depth = 0;
-            while cand != usize::MAX && depth < CHAIN_DEPTH {
-                if i - cand > WINDOW {
-                    break;
-                }
-                let max = (concat.len() - i).min(MAX_MATCH);
-                let mut l = 0;
-                while l < max && concat[cand + l] == concat[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_off = i - cand;
-                    if l == max {
-                        break;
-                    }
-                }
-                cand = prev[cand];
-                depth += 1;
-            }
-            prev[i] = head[h];
-            head[h] = i;
-        }
-
-        if best_len >= MIN_MATCH {
-            begin_token!(true);
-            let off = (best_off - 1) as u16;
-            out.extend_from_slice(&off.to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            let end = i + best_len;
-            let mut j = i + 1;
-            while j < end && j + MIN_MATCH <= concat.len() {
-                let h = hash3(&concat, j);
-                prev[j] = head[h];
-                head[h] = j;
-                j += 1;
-            }
-            i = end;
-        } else {
-            begin_token!(false);
-            out.push(concat[i]);
-            i += 1;
-        }
-    }
-    scratch.concat = concat;
+    let out = if dict.is_empty() {
+        compress_window(scratch, data, 0)
+    } else {
+        // Conceptually compress `dict ++ data`, emitting tokens only for
+        // the `data` suffix. The decoder seeds its output window with the
+        // same dictionary bytes, so offsets resolve identically on both
+        // sides.
+        let mut concat = std::mem::take(&mut scratch.concat);
+        concat.clear();
+        concat.reserve(dict.len() + data.len());
+        concat.extend_from_slice(dict);
+        concat.extend_from_slice(data);
+        let out = compress_window(scratch, &concat, dict.len());
+        scratch.concat = concat;
+        out
+    };
     COMPRESS_CALLS.inc();
     COMPRESS_IN_BYTES.add(data.len() as u64);
     COMPRESS_OUT_BYTES.add(out.len() as u64);
@@ -279,6 +134,89 @@ pub fn compress_with_dict(scratch: &mut CompressScratch, dict: &[u8], data: &[u8
         RATIO_PCT.record((data.len() as u64 * 100) / out.len() as u64);
     }
     out
+}
+
+/// The one match loop: code `buf[start..]`, with `buf[..start]` (the
+/// dictionary) indexed into the match chains up front so
+/// back-references may reach into it. Matches are greedy: the longest
+/// candidate on the hash chain wins, and of equal lengths the nearest.
+fn compress_window(scratch: &mut CompressScratch, buf: &[u8], start: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity((buf.len() - start) / 2 + 16);
+    out.extend_from_slice(&((buf.len() - start) as u64).to_le_bytes());
+
+    scratch.reset(buf.len());
+    // Index every dictionary position that starts a full 3-byte hash.
+    for j in 0..start.min(buf.len().saturating_sub(MIN_MATCH - 1)) {
+        scratch.insert(buf, j);
+    }
+
+    let mut i = start;
+    // Token accumulation: one flag byte per 8 tokens.
+    let mut flag_pos = 0;
+    let mut flag_bit = 8;
+    while i < buf.len() {
+        let mut best_len = 0usize;
+        let mut best_off = 0usize;
+        if i + MIN_MATCH <= buf.len() {
+            let max = (buf.len() - i).min(MAX_MATCH);
+            let mut cand = scratch.insert(buf, i);
+            let mut depth = 0;
+            while cand != usize::MAX && depth < CHAIN_DEPTH && i - cand <= WINDOW {
+                // A candidate that differs at `best_len` cannot be longer.
+                if buf[cand + best_len] == buf[i + best_len] {
+                    let l = match_len(&buf[cand..cand + max], &buf[i..i + max]);
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - cand;
+                        if l == max {
+                            break;
+                        }
+                    }
+                }
+                cand = scratch.prev[cand];
+                depth += 1;
+            }
+        }
+
+        if flag_bit == 8 {
+            flag_pos = out.len();
+            out.push(0);
+            flag_bit = 0;
+        }
+        if best_len >= MIN_MATCH {
+            out[flag_pos] |= 1 << flag_bit;
+            out.extend_from_slice(&((best_off - 1) as u16).to_le_bytes());
+            out.push((best_len - MIN_MATCH) as u8);
+            // Index the skipped positions so later matches can find them.
+            let end = i + best_len;
+            for j in i + 1..end.min(buf.len() + 1 - MIN_MATCH) {
+                scratch.insert(buf, j);
+            }
+            i = end;
+        } else {
+            out.push(buf[i]);
+            i += 1;
+        }
+        flag_bit += 1;
+    }
+    out
+}
+
+/// Length of the common prefix of `a` and `b` (equal lengths), eight
+/// bytes per step: the first differing byte of a step is the lowest
+/// set byte of the XOR of its little-endian words.
+#[inline]
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(y.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
 }
 
 /// Decompress data produced by [`compress`].

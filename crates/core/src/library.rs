@@ -66,17 +66,26 @@ static TLM_DICT_BUILD_NS: Counter = Counter::new("core.lib.dict_build_ns");
 /// Mixed into the creation seed to derive the creation shuffle.
 const CREATION_SHUFFLE_SALT: u64 = 0x0F1E_2D3C;
 
-/// DER-encode and LZSS-compress one live-point, feeding the per-record
-/// telemetry — the single compression site of both creation paths. The
-/// caller keeps one [`CompressScratch`] per thread so the match-finder
-/// tables are allocated once, not per record.
-///
-/// [`CompressScratch`]: lzss::CompressScratch
-fn compress_record(scratch: &mut lzss::CompressScratch, lp: &LivePoint) -> Vec<u8> {
+/// DER-encode one live-point, feeding the per-record telemetry: the
+/// whole of a creation worker's job when the target file has
+/// dictionaries, whose records are compressed once, in the stitch.
+fn encode_record(lp: &LivePoint) -> Vec<u8> {
     let sw = Stopwatch::start();
     let der = encode_livepoint(lp);
     TLM_ENCODE_NS.add(sw.ns());
     TLM_DER_BYTES.record(der.len() as u64);
+    der
+}
+
+/// DER-encode and plain-LZSS-compress one live-point, feeding the
+/// per-record telemetry: the creation worker's job for in-memory and
+/// dictionary-less targets. The caller keeps one [`CompressScratch`]
+/// per thread so the match-finder tables are allocated once, not per
+/// record.
+///
+/// [`CompressScratch`]: lzss::CompressScratch
+fn compress_record(scratch: &mut lzss::CompressScratch, lp: &LivePoint) -> Vec<u8> {
+    let der = encode_record(lp);
     let sw = Stopwatch::start();
     let bytes = lzss::compress_with(scratch, &der);
     TLM_COMPRESS_NS.add(sw.ns());
@@ -160,6 +169,47 @@ struct PagedSource {
 }
 
 impl PagedSource {
+    /// Open a v2 image over `source`: header, metadata and footer
+    /// index only; no record is read. Returns the index and the
+    /// decompressed metadata DER.
+    fn open(source: Source, file_len: u64) -> Result<(Self, Vec<u8>), CoreError> {
+        if file_len < (paged::V2_HEADER_LEN + paged::V2_TRAILER_LEN) as u64 {
+            return Err(CodecError::Truncated.into());
+        }
+        let mut buf = Vec::new();
+        let header = paged::parse_v2_header(source.bytes_at(0, paged::V2_HEADER_LEN, &mut buf)?)?;
+        let meta_end = paged::V2_HEADER_LEN as u64 + u64::from(header.meta_len);
+        if meta_end + paged::V2_TRAILER_LEN as u64 > file_len {
+            return Err(CodecError::Truncated.into());
+        }
+        let meta_bytes =
+            source.bytes_at(paged::V2_HEADER_LEN as u64, header.meta_len as usize, &mut buf)?;
+        let meta_der = paged::decode_v2_meta(&header, meta_bytes)?;
+        let tail = source.bytes_at(
+            file_len - paged::V2_TRAILER_LEN as u64,
+            paged::V2_TRAILER_LEN,
+            &mut buf,
+        )?;
+        let trailer = paged::parse_v2_trailer(tail, file_len)?;
+        if trailer.footer_offset < meta_end {
+            return Err(CodecError::BadFooter.into());
+        }
+        let footer =
+            source.bytes_at(trailer.footer_offset, trailer.footer_len as usize, &mut buf)?;
+        let (blocks, records) = paged::parse_v2_footer(footer, &trailer, meta_end)?;
+        let record_bytes = records.iter().map(|r| u64::from(r.len)).sum();
+        let dicts = blocks.iter().map(|_| Mutex::new(None)).collect();
+        let paged = PagedSource {
+            source,
+            blocks,
+            records,
+            stored_hash: trailer.content_hash,
+            record_bytes,
+            dicts,
+        };
+        Ok((paged, meta_der))
+    }
+
     /// The compressed body of stored record `stored`. A file record is
     /// read into `buf` and CRC-checked on every read. An in-memory
     /// record is borrowed unchecked: every in-memory image had its
@@ -207,6 +257,36 @@ impl PagedSource {
             return Err(CodecError::CrcMismatch { frame: block }.into());
         }
         Ok(dict)
+    }
+
+    /// Fill `scratch.der` with the decompressed DER image of stored
+    /// record `stored`, through its block's shared dictionary when it
+    /// has one.
+    fn decompress_into(&self, stored: usize, scratch: &mut DecodeScratch) -> Result<(), CoreError> {
+        let comp = self.read_record(stored, &mut scratch.comp)?;
+        match self.dict(self.records[stored].block as usize)? {
+            None => lzss::decompress_into(comp, &mut scratch.der)?,
+            Some(dict) => lzss::decompress_into_with_dict(&dict, comp, &mut scratch.der)?,
+        }
+        Ok(())
+    }
+
+    /// The DER image of stored record `stored`: decompressed into
+    /// `scratch.der` from an LZSS image, or read as it is from a DER
+    /// spool.
+    fn der<'a>(
+        &'a self,
+        stored: usize,
+        coding: RecordCoding,
+        scratch: &'a mut DecodeScratch,
+    ) -> Result<&'a [u8], CoreError> {
+        match coding {
+            RecordCoding::Lzss => {
+                self.decompress_into(stored, scratch)?;
+                Ok(&scratch.der)
+            }
+            RecordCoding::Der => self.read_record(stored, &mut scratch.comp),
+        }
     }
 
     /// The decompressed shared dictionary for `block`, or `None` for a
@@ -370,7 +450,7 @@ impl LivePointLibrary {
         check_windows(windows)?;
         let _span = spectral_telemetry::span("create.library");
         let mut records = Vec::with_capacity(windows.len());
-        spool_pipelined(program, cfg, windows, threads, |rec| {
+        spool_pipelined(program, cfg, windows, threads, RecordCoding::Lzss, |rec| {
             records.push(rec);
             Ok(())
         })?;
@@ -397,13 +477,22 @@ impl LivePointLibrary {
     }
 
     /// Create a library directly on disk as a v2 paged container:
-    /// records stream to a spool file as the warming walk produces them
-    /// (nothing is held in memory), then a stitch pass raw-copies the
-    /// record bodies into shuffled order and writes the footer index —
-    /// for a dictionary-less target this performs **zero**
-    /// decompression. The processing order, decoded points, and (for
-    /// `dict: false`) the content hash are identical to
-    /// [`create_parallel`](Self::create_parallel) with the same seed.
+    /// records stream to a spool file (`<path>.spool`) as the warming
+    /// walk produces them, then a stitch pass writes them in shuffled
+    /// order to `path` through a temp sibling, fsync and rename.
+    ///
+    /// With dictionaries (`opts.dict`, the default) the `threads`
+    /// workers only DER-encode, the spool holds DER images (about 3.5×
+    /// the size of compressed records), and the stitch compresses each
+    /// record exactly once, against its block's dictionary, on
+    /// `threads` workers. The file equals what
+    /// [`save_v2`](Self::save_v2) writes for
+    /// [`create_parallel`](Self::create_parallel)'s library with the
+    /// same seed and options, byte for byte. Without dictionaries the
+    /// workers compress and the stitch raw-copies the record bodies,
+    /// decompressing nothing; the content hash then equals
+    /// `create_parallel`'s. Either way at most O(`threads`) records
+    /// or blocks are held in memory.
     ///
     /// Returns the finished library, opened paged from `path`.
     ///
@@ -454,9 +543,11 @@ impl LivePointLibrary {
     }
 
     /// Phase 1 (spool): stream records in window order into a
-    /// dictionary-less v2 file. Phase 2 (stitch): open the spool paged,
-    /// shuffle, and re-save to `path` — a raw copy for dictionary-less
-    /// targets.
+    /// dictionary-less v2 file — DER images when the target has
+    /// dictionaries, plain-LZSS records otherwise. Phase 2 (stitch):
+    /// read the spool back through its paged index, apply the creation
+    /// shuffle, and write `path`: dictionary blocks compressed on
+    /// `threads` workers, or a raw copy of the plain records.
     fn spool_and_stitch(
         program: &Program,
         cfg: &CreationConfig,
@@ -467,16 +558,32 @@ impl LivePointLibrary {
         opts: &V2WriteOptions,
     ) -> Result<Self, CoreError> {
         let meta = encode_meta_der(program.name(), cfg.scope, &cfg.max_hierarchy);
+        let coding = if opts.dict { RecordCoding::Der } else { RecordCoding::Lzss };
         let mut w = paged::PagedWriter::new(BufWriter::new(File::create(spool)?), &meta)?;
-        spool_pipelined(program, cfg, windows, threads, |rec| w.push_record(&rec))?;
+        spool_pipelined(program, cfg, windows, threads, coding, |rec| w.push_record(&rec))?;
         if w.is_empty() {
             return Err(CoreError::BenchmarkTooShort);
         }
         w.finish()?;
 
-        let mut spooled = Self::open(spool)?;
-        spooled.shuffle(cfg.seed ^ CREATION_SHUFFLE_SALT);
-        spooled.save_v2(path, opts)?;
+        // Not a `LivePointLibrary`: DER records would not decode.
+        let file = File::open(spool)?;
+        let len = file.metadata()?.len();
+        let (spooled, _) = PagedSource::open(Source::File(file), len)?;
+        let mut order: Vec<u32> = (0..spooled.records.len() as u32).collect();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(cfg.seed ^ CREATION_SHUFFLE_SALT));
+        save_image(path, &meta, |w| match coding {
+            RecordCoding::Der => {
+                write_dict_blocks(w, &spooled, &order, RecordCoding::Der, opts, threads)
+            }
+            RecordCoding::Lzss => {
+                let mut buf = Vec::new();
+                for &stored in &order {
+                    w.push_record(spooled.read_record(stored as usize, &mut buf)?)?;
+                }
+                Ok(())
+            }
+        })?;
         drop(spooled);
         Self::open(path)
     }
@@ -540,25 +647,17 @@ impl LivePointLibrary {
     }
 
     /// Fill `scratch.der` with the decompressed DER image of record
-    /// `index` (processing order), through its block's shared
-    /// dictionary when it has one.
+    /// `index` (processing order).
     fn decompress_record_into(
         &self,
         index: usize,
         scratch: &mut DecodeScratch,
     ) -> Result<(), CoreError> {
-        let p = &self.paged;
         let stored = *self
             .order
             .get(index)
-            .ok_or(CoreError::IndexOutOfRange { index, len: self.order.len() })?
-            as usize;
-        let comp = p.read_record(stored, &mut scratch.comp)?;
-        match p.dict(p.records[stored].block as usize)? {
-            None => lzss::decompress_into(comp, &mut scratch.der)?,
-            Some(dict) => lzss::decompress_into_with_dict(&dict, comp, &mut scratch.der)?,
-        }
-        Ok(())
+            .ok_or(CoreError::IndexOutOfRange { index, len: self.order.len() })?;
+        self.paged.decompress_into(stored as usize, scratch)
     }
 
     /// Iterate decoded live-points in (shuffled) processing order.
@@ -705,7 +804,9 @@ impl LivePointLibrary {
     /// Propagates read faults from the library's image.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CoreError> {
         let mut image = Vec::new();
-        self.write_v2(&mut image, &V2WriteOptions { dict: false, ..V2WriteOptions::default() })?;
+        let mut w = paged::PagedWriter::new(&mut image, &self.meta_der())?;
+        self.for_each_plain_record(|rec| Ok(w.push_record(rec)?))?;
+        w.finish()?;
         Ok(image)
     }
 
@@ -746,9 +847,12 @@ impl LivePointLibrary {
     /// Save to a file as a v2 paged container, returning the writer's
     /// size summary. Without dictionaries this is a pure re-framing of
     /// the plain-compressed records (no decompression for
-    /// dictionary-less libraries); with dictionaries each block of
-    /// [`V2WriteOptions::block_points`] records is recompressed against
-    /// a dictionary sampled from the block's own records.
+    /// dictionary-less libraries). With dictionaries every record is
+    /// decompressed to its DER image once and handed, a block of
+    /// [`V2WriteOptions::block_points`] records at a time, to the
+    /// dictionary block writer that streamed creation uses too: it
+    /// samples the block's dictionary from the block's own records and
+    /// compresses each record once against it.
     ///
     /// The container streams into a temp sibling and is fsynced and
     /// renamed into place only after a complete, CRC-consistent write
@@ -784,78 +888,13 @@ impl LivePointLibrary {
         path: impl AsRef<Path>,
         opts: &V2WriteOptions,
     ) -> Result<paged::V2Summary, CoreError> {
-        let path = path.as_ref();
-        spectral_faultd::probe("library.v2.save")?;
-        let tmp = tmp_sibling(path);
-        let written = File::create(&tmp)
-            .map_err(CoreError::from)
-            .and_then(|f| self.write_v2(BufWriter::new(f), opts));
-        publish("library.v2.save", &tmp, path, written)
-    }
-
-    /// Stream the library as a v2 container into `out` — the body of
-    /// [`save_v2`](Self::save_v2) and [`to_bytes`](Self::to_bytes).
-    fn write_v2<W: Write>(
-        &self,
-        out: W,
-        opts: &V2WriteOptions,
-    ) -> Result<paged::V2Summary, CoreError> {
-        let mut w = paged::PagedWriter::new(out, &self.meta_der())?;
-        if !opts.dict {
-            self.for_each_plain_record(|rec| Ok(w.push_record(rec)?))?;
-        } else {
-            let n = self.len();
-            let block_points = opts.block_points.max(1);
-            let mut dec = DecodeScratch::new();
-            let mut scratch = lzss::CompressScratch::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + block_points).min(n);
-                let sw = Stopwatch::start();
-                let dict = self.sample_dict(start, end, opts, &mut dec)?;
-                let dict_comp = if dict.is_empty() { Vec::new() } else { lzss::compress(&dict) };
-                TLM_DICT_BUILD_NS.add(sw.ns());
-                w.begin_block(&dict_comp)?;
-                for i in start..end {
-                    self.decompress_record_into(i, &mut dec)?;
-                    w.push_record(&lzss::compress_with_dict(&mut scratch, &dict, &dec.der))?;
-                }
-                start = end;
+        save_image(path.as_ref(), &self.meta_der(), |w| {
+            if opts.dict {
+                write_dict_blocks(w, &self.paged, &self.order, RecordCoding::Lzss, opts, 1)
+            } else {
+                self.for_each_plain_record(|rec| Ok(w.push_record(rec)?))
             }
-        }
-        Ok(w.finish()?)
-    }
-
-    /// Build a shared dictionary for records `[start, end)` by
-    /// concatenating prefixes of up to [`V2WriteOptions::dict_samples`]
-    /// evenly-spaced records, capped at [`V2WriteOptions::dict_cap`]
-    /// bytes. Live-point DER images within a benchmark share heavy
-    /// structure (same hierarchy geometry, overlapping warm sets), so
-    /// even a small sample primes the LZSS window well.
-    fn sample_dict(
-        &self,
-        start: usize,
-        end: usize,
-        opts: &V2WriteOptions,
-        dec: &mut DecodeScratch,
-    ) -> Result<Vec<u8>, CoreError> {
-        let span = end - start;
-        if span == 0 || opts.dict_cap == 0 || opts.dict_samples == 0 {
-            return Ok(Vec::new());
-        }
-        let samples = opts.dict_samples.min(span);
-        let per = (opts.dict_cap / samples).max(1);
-        let mut dict = Vec::with_capacity(opts.dict_cap.min(per * samples));
-        for k in 0..samples {
-            let i = start + k * span / samples;
-            self.decompress_record_into(i, dec)?;
-            dict.extend_from_slice(&dec.der[..per.min(dec.der.len())]);
-            if dict.len() >= opts.dict_cap {
-                dict.truncate(opts.dict_cap);
-                break;
-            }
-        }
-        Ok(dict)
+        })
     }
 
     /// Open a library file of either format. v2 files open paged — only
@@ -891,47 +930,14 @@ impl LivePointLibrary {
     /// only; no record is read or decompressed.
     fn open_paged(source: Source, file_len: u64) -> Result<Self, CoreError> {
         let sw = Stopwatch::start();
-        if file_len < (paged::V2_HEADER_LEN + paged::V2_TRAILER_LEN) as u64 {
-            return Err(CodecError::Truncated.into());
-        }
-        let mut buf = Vec::new();
-        let header = paged::parse_v2_header(source.bytes_at(0, paged::V2_HEADER_LEN, &mut buf)?)?;
-        let meta_end = paged::V2_HEADER_LEN as u64 + u64::from(header.meta_len);
-        if meta_end + paged::V2_TRAILER_LEN as u64 > file_len {
-            return Err(CodecError::Truncated.into());
-        }
-        let meta_bytes =
-            source.bytes_at(paged::V2_HEADER_LEN as u64, header.meta_len as usize, &mut buf)?;
-        let meta_der = paged::decode_v2_meta(&header, meta_bytes)?;
+        let (paged, meta_der) = PagedSource::open(source, file_len)?;
         let (benchmark, scope, max_hierarchy) = parse_meta_der(&meta_der)?;
-        let tail = source.bytes_at(
-            file_len - paged::V2_TRAILER_LEN as u64,
-            paged::V2_TRAILER_LEN,
-            &mut buf,
-        )?;
-        let trailer = paged::parse_v2_trailer(tail, file_len)?;
-        if trailer.footer_offset < meta_end {
-            return Err(CodecError::BadFooter.into());
-        }
-        let footer =
-            source.bytes_at(trailer.footer_offset, trailer.footer_len as usize, &mut buf)?;
-        let (blocks, records) = paged::parse_v2_footer(footer, &trailer, meta_end)?;
-        let record_bytes = records.iter().map(|r| u64::from(r.len)).sum();
-        let dicts = blocks.iter().map(|_| Mutex::new(None)).collect();
-        let order = (0..records.len() as u32).collect();
         let lib = LivePointLibrary {
             benchmark,
             scope,
             max_hierarchy,
-            paged: Arc::new(PagedSource {
-                source,
-                blocks,
-                records,
-                stored_hash: trailer.content_hash,
-                record_bytes,
-                dicts,
-            }),
-            order,
+            order: (0..paged.records.len() as u32).collect(),
+            paged: Arc::new(paged),
             cache_hash: OnceLock::new(),
         };
         TLM_OPEN_NS.add(sw.ns());
@@ -1182,6 +1188,116 @@ fn publish<T>(
     Ok(value)
 }
 
+/// Write a v2 container to `path` durably: a [`paged::PagedWriter`]
+/// over a temp sibling, filled by `fill`, finished, then published by
+/// [`publish`] under fault site `library.v2.save`.
+fn save_image(
+    path: &Path,
+    meta_der: &[u8],
+    fill: impl FnOnce(&mut paged::PagedWriter<BufWriter<File>>) -> Result<(), CoreError>,
+) -> Result<paged::V2Summary, CoreError> {
+    spectral_faultd::probe("library.v2.save")?;
+    let tmp = tmp_sibling(path);
+    let written = File::create(&tmp).map_err(CoreError::from).and_then(|f| {
+        let mut w = paged::PagedWriter::new(BufWriter::new(f), meta_der)?;
+        fill(&mut w)?;
+        Ok(w.finish()?)
+    });
+    publish("library.v2.save", &tmp, path, written)
+}
+
+/// How the records of a paged image are coded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecordCoding {
+    /// LZSS streams, plain or primed by their block's dictionary: a
+    /// library image.
+    Lzss,
+    /// Uncompressed DER images: a creation spool bound for a file with
+    /// dictionaries.
+    Der,
+}
+
+/// One dictionary block, compressed: its plain-LZSS dictionary (empty
+/// for none) and its records compressed against the dictionary.
+struct DictBlock {
+    dict: Vec<u8>,
+    records: Vec<Vec<u8>>,
+}
+
+/// The dictionary block writer: append records `order[0..]` of `src`
+/// (stored indices, in processing order) to `w` as blocks of
+/// [`V2WriteOptions::block_points`] records, each compressed once
+/// against a dictionary sampled from its own records. Blocks are
+/// compressed on `threads` workers and written in block order.
+fn write_dict_blocks<W: Write + Send>(
+    w: &mut paged::PagedWriter<W>,
+    src: &PagedSource,
+    order: &[u32],
+    coding: RecordCoding,
+    opts: &V2WriteOptions,
+    threads: usize,
+) -> Result<(), CoreError> {
+    let per = opts.block_points.max(1);
+    ordered_pipeline(
+        threads,
+        2 * threads,
+        |emit| {
+            for block in order.chunks(per) {
+                if !emit(block) {
+                    break;
+                }
+            }
+        },
+        || (DecodeScratch::new(), lzss::CompressScratch::new()),
+        |(dec, lz), block| compress_dict_block(src, block, coding, opts, dec, lz),
+        |block: DictBlock| {
+            w.begin_block(&block.dict)?;
+            for rec in &block.records {
+                w.push_record(rec)?;
+            }
+            Ok(())
+        },
+    )
+}
+
+/// Compress the stored records `block` of `src` as one dictionary
+/// block. The dictionary concatenates prefixes of up to
+/// [`V2WriteOptions::dict_samples`] evenly-spaced records of the block,
+/// capped at [`V2WriteOptions::dict_cap`] bytes: live-point DER images
+/// within a benchmark share heavy structure (same hierarchy geometry,
+/// overlapping warm sets), so even a small sample primes the LZSS
+/// window well.
+fn compress_dict_block(
+    src: &PagedSource,
+    block: &[u32],
+    coding: RecordCoding,
+    opts: &V2WriteOptions,
+    dec: &mut DecodeScratch,
+    lz: &mut lzss::CompressScratch,
+) -> Result<DictBlock, CoreError> {
+    let sw = Stopwatch::start();
+    let mut dict = Vec::new();
+    if opts.dict_cap > 0 && opts.dict_samples > 0 {
+        let samples = opts.dict_samples.min(block.len());
+        let per = (opts.dict_cap / samples).max(1);
+        for k in 0..samples {
+            let der = src.der(block[k * block.len() / samples] as usize, coding, dec)?;
+            dict.extend_from_slice(&der[..per.min(der.len())]);
+            if dict.len() >= opts.dict_cap {
+                dict.truncate(opts.dict_cap);
+                break;
+            }
+        }
+    }
+    let dict_comp = if dict.is_empty() { Vec::new() } else { lzss::compress_with(lz, &dict) };
+    TLM_DICT_BUILD_NS.add(sw.ns());
+    let mut records = Vec::with_capacity(block.len());
+    for &stored in block {
+        records.push(lzss::compress_with_dict(lz, &dict, src.der(stored as usize, coding, dec)?));
+    }
+    Ok(DictBlock { dict: dict_comp, records })
+}
+
 /// DER-encode the library metadata payload.
 fn encode_meta_der(benchmark: &str, scope: StateScope, h: &HierarchyConfig) -> Vec<u8> {
     let mut meta = DerWriter::new();
@@ -1204,12 +1320,13 @@ fn parse_meta_der(meta: &[u8]) -> Result<(String, StateScope, HierarchyConfig), 
 
 /// Run the sequential functional-warming walk over `windows`, handing
 /// each completed window's [`LivePoint`] to `sink` in window order.
-/// Stops early when the benchmark halts before the remaining windows.
+/// Stops early when the benchmark halts before the remaining windows,
+/// or when `sink` returns `false`.
 fn walk_windows(
     program: &Program,
     cfg: &CreationConfig,
     windows: &[WindowSpec],
-    mut sink: impl FnMut(usize, LivePoint),
+    mut sink: impl FnMut(LivePoint) -> bool,
 ) {
     let mut warmers = CreationWarmers::new(cfg);
     let mut emu = Emulator::new(program);
@@ -1248,91 +1365,155 @@ fn walk_windows(
         };
         TLM_SNAPSHOT_NS.add(sw.ns());
         TLM_WINDOWS.inc();
-        sink(
-            i,
-            LivePoint {
-                benchmark: program.name().to_owned(),
-                window: *w,
-                scope: cfg.scope,
-                live_state,
-                warm,
-                max_hierarchy: cfg.max_hierarchy,
-            },
-        );
+        let more = sink(LivePoint {
+            benchmark: program.name().to_owned(),
+            window: *w,
+            scope: cfg.scope,
+            live_state,
+            warm,
+            max_hierarchy: cfg.max_hierarchy,
+        });
+        if !more {
+            break;
+        }
     }
 }
 
+/// Records the warming walk may run ahead of the spool writer beyond the
+/// `2 × threads` that keep its encode workers fed. The walk is the
+/// creation's critical path, and its workers and writer wake once per
+/// record: the slack lets the walk run on while one of them waits for a
+/// CPU, where a bound of `2 × threads` stalls it at each such wait. A
+/// queued gcc-like live-point holds about 150 KB, so the slack costs at
+/// most about 10 MB.
+const WALK_SLACK: usize = 64;
+
 /// The creation pipeline behind both creation paths: run the warming
-/// walk over `windows` and hand each compressed record to `sink` in
-/// window order. `threads <= 1` encodes inline; otherwise the walk
-/// feeds `threads` encode/compress workers, and a writer thread drains
-/// their output through a reorder buffer, so only O(threads) records
-/// are in flight beyond what the sink keeps. Returns the first sink
-/// fault, after which no record reaches the sink.
+/// walk over `windows` and hand each record to `sink` in window order —
+/// a DER image for [`RecordCoding::Der`], a plain-LZSS record
+/// otherwise. `threads <= 1` encodes inline; otherwise the walk feeds
+/// `threads` encode workers through [`ordered_pipeline`], so at most
+/// `2 × threads +` [`WALK_SLACK`] records are in flight beyond what the
+/// sink keeps. Returns the first sink fault, after which no record
+/// reaches the sink and the walk stops.
 fn spool_pipelined(
     program: &Program,
     cfg: &CreationConfig,
     windows: &[WindowSpec],
     threads: usize,
-    mut sink: impl FnMut(Vec<u8>) -> std::io::Result<()> + Send,
+    coding: RecordCoding,
+    sink: impl FnMut(Vec<u8>) -> std::io::Result<()> + Send,
 ) -> std::io::Result<()> {
+    ordered_pipeline(
+        threads,
+        2 * threads + WALK_SLACK,
+        |emit| walk_windows(program, cfg, windows, emit),
+        lzss::CompressScratch::new,
+        |scratch, lp| {
+            Ok(match coding {
+                RecordCoding::Der => encode_record(&lp),
+                RecordCoding::Lzss => compress_record(scratch, &lp),
+            })
+        },
+        sink,
+    )
+}
+
+/// Map the items `produce` emits through `work` on `threads` workers,
+/// each with its own `scratch()`, and hand the results to `sink` in
+/// emission order, on a writer thread that reorders them. The producer
+/// runs on the calling thread and takes one of `window` credits per
+/// item, which the writer returns once the item is sunk: at most that
+/// many items are queued, being worked on, or waiting to be written.
+/// Returns the first fault of `work` or `sink` in emission order; from
+/// then on nothing more reaches the sink and `emit` returns `false`, so
+/// the producer can stop. A panic in `work` is carried to the writer
+/// and resumed on the calling thread.
+/// `threads <= 1` runs everything inline on the calling thread.
+fn ordered_pipeline<I: Send, O: Send, S, E: Send>(
+    threads: usize,
+    window: usize,
+    produce: impl FnOnce(&mut dyn FnMut(I) -> bool),
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, I) -> Result<O, E> + Sync,
+    mut sink: impl FnMut(O) -> Result<(), E> + Send,
+) -> Result<(), E> {
+    use std::sync::mpsc;
+    let mut result = Ok(());
     if threads <= 1 {
-        let mut scratch = lzss::CompressScratch::new();
-        let mut written = Ok(());
-        walk_windows(program, cfg, windows, |_, lp| {
-            if written.is_ok() {
-                written = sink(compress_record(&mut scratch, &lp));
+        let mut s = scratch();
+        produce(&mut |item| {
+            if result.is_ok() {
+                result = work(&mut s, item).and_then(&mut sink);
             }
+            result.is_ok()
         });
-        return written;
+        return result;
     }
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, LivePoint)>();
-    let (otx, orx) = std::sync::mpsc::channel::<(usize, Vec<u8>)>();
+    let window = window.max(1);
+    let (credit_tx, credits) = mpsc::sync_channel::<()>(window);
+    for _ in 0..window {
+        credit_tx.send(()).expect("the credit channel holds every credit");
+    }
+    let (tx, rx) = mpsc::channel::<(usize, I)>();
+    let (otx, orx) = mpsc::channel::<(usize, std::thread::Result<Result<O, E>>)>();
     let rx = Mutex::new(rx);
-    let aborted = std::sync::atomic::AtomicBool::new(false);
+    let stopped = &std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let otx = otx.clone();
-            let rx = &rx;
+            let (rx, otx, scratch, work) = (&rx, otx.clone(), &scratch, &work);
             scope.spawn(move || {
-                let mut scratch = lzss::CompressScratch::new();
+                let mut s = scratch();
                 loop {
-                    // Take the receiver lock only to pull the next job;
-                    // encoding runs unlocked.
-                    let job = rx.lock().expect("receiver lock").recv();
-                    let Ok((i, lp)) = job else { break };
-                    let bytes = compress_record(&mut scratch, &lp);
-                    if otx.send((i, bytes)).is_err() {
+                    // Take the queue lock only to pull the next item;
+                    // the work runs unlocked.
+                    let job = rx.lock().expect("job queue lock").recv();
+                    let Ok((seq, item)) = job else { break };
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        work(&mut s, item)
+                    }));
+                    if otx.send((seq, out)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(otx);
-        let aborted = &aborted;
         let writer = scope.spawn(move || {
-            let mut pending: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+            let mut pending = BTreeMap::new();
             let mut next = 0usize;
-            for (i, bytes) in orx.iter() {
-                pending.insert(i, bytes);
-                while let Some(bytes) = pending.remove(&next) {
-                    if let Err(e) = sink(bytes) {
-                        aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                        return Err(e);
+            for (seq, out) in orx {
+                pending.insert(seq, out);
+                while let Some(out) = pending.remove(&next) {
+                    let sunk = out
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                        .and_then(&mut sink);
+                    if sunk.is_err() {
+                        stopped.store(true, std::sync::atomic::Ordering::Relaxed);
+                        return sunk;
                     }
                     next += 1;
+                    // Never blocks: only `window` credits exist.
+                    let _ = credit_tx.send(());
                 }
             }
             Ok(())
         });
-        walk_windows(program, cfg, windows, |i, lp| {
-            if !aborted.load(std::sync::atomic::Ordering::Relaxed) {
-                let _ = tx.send((i, lp));
-            }
+        // A failed writer raises `stopped`, and a panicked one drops the
+        // credit sender, so `recv` fails once its credits are spent:
+        // either way `emit` reports the stop.
+        let mut seq = 0;
+        produce(&mut |item| {
+            let sent = !stopped.load(std::sync::atomic::Ordering::Relaxed)
+                && credits.recv().is_ok()
+                && tx.send((seq, item)).is_ok();
+            seq += 1;
+            sent
         });
         drop(tx);
-        writer.join().expect("creation writer thread")
-    })
+        result = writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    });
+    result
 }
 
 /// Iterator over a library's decoded live-points; created by
@@ -1696,6 +1877,73 @@ mod tests {
             full.total_compressed_bytes()
         );
         assert_eq!(restricted.scope(), StateScope::Restricted);
+    }
+
+    #[test]
+    fn a_sink_fault_comes_back_from_the_pipelined_walk() {
+        // A sink error at record k on two threads returns that error:
+        // the walk stops instead of blocking on a full queue, and no
+        // record after the fault reaches the sink. Run on a watchdog
+        // thread so a blocked pipeline fails instead of hanging.
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let p = tiny().build();
+            let cfg = small_cfg();
+            let windows = design_windows(&p, &cfg);
+            for coding in [RecordCoding::Lzss, RecordCoding::Der] {
+                for k in [1, 3] {
+                    let mut sunk = 0;
+                    let err = spool_pipelined(&p, &cfg, &windows, 2, coding, |_| {
+                        sunk += 1;
+                        if sunk == k {
+                            Err(std::io::Error::other("sink full"))
+                        } else {
+                            Ok(())
+                        }
+                    })
+                    .unwrap_err();
+                    assert_eq!(err.to_string(), "sink full");
+                    assert_eq!(sunk, k, "{coding:?}: no record after the fault");
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the pipeline returned the sink fault");
+    }
+
+    #[test]
+    fn ordered_pipeline_keeps_order_and_bounds_what_is_in_flight() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (threads, window) = (2, 4);
+        let sunk = AtomicUsize::new(0);
+        let (mut got, mut in_flight) = (Vec::new(), 0);
+        ordered_pipeline(
+            threads,
+            window,
+            |emit| {
+                for i in 0..64usize {
+                    assert!(emit(i));
+                    in_flight = in_flight.max(i + 1 - sunk.load(Ordering::SeqCst));
+                }
+            },
+            || (),
+            |_, i| {
+                // Every 16th item is slow, so later items finish first.
+                if i % 16 == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                Ok::<_, ()>(i)
+            },
+            |i| {
+                got.push(i);
+                sunk.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(got, (0..64).collect::<Vec<_>>(), "results arrive in emission order");
+        assert!(in_flight <= window, "{in_flight} items in flight");
     }
 
     #[test]

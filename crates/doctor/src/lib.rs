@@ -180,6 +180,18 @@ impl AnomalyRecord {
     }
 }
 
+/// One parsed `checkpoint` record: a checkpointing run made its
+/// crash-recovery snapshot durable.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckpointRecord {
+    /// Microseconds since the run's first telemetry event.
+    pub t_us: u64,
+    /// The checkpoint file that was atomically replaced.
+    pub path: String,
+    /// Live-points recorded in the checkpoint.
+    pub points: u64,
+}
+
 /// Everything the doctor knows about one run: its manifest and the
 /// records of its run stream.
 #[derive(Debug, Clone, Default)]
@@ -190,14 +202,16 @@ pub struct RunArtifacts {
     pub progress: Vec<ProgressRecord>,
     /// Parsed anomaly records, in stream order.
     pub anomalies: Vec<AnomalyRecord>,
+    /// Parsed checkpoint records, in stream order.
+    pub checkpoints: Vec<CheckpointRecord>,
     /// Worker-timeline profiles, one per profiled run, in first-seen
     /// order.
     pub profiles: Vec<ProfileRun>,
 }
 
 impl RunArtifacts {
-    /// Parse a run stream in one pass: progress and anomaly records, and
-    /// the `profile_*` records grouped per run. Spans, scheduler samples
+    /// Parse a run stream in one pass: progress, anomaly and checkpoint
+    /// records, and the `profile_*` records grouped per run. Spans, scheduler samples
     /// and unknown record kinds are skipped.
     ///
     /// # Errors
@@ -255,6 +269,11 @@ impl RunArtifacts {
                     sigmas: f64_field(&doc, "sigmas"),
                     decode_ns: u64_field(&doc, "decode_ns"),
                     simulate_ns: u64_field(&doc, "simulate_ns"),
+                }),
+                Some("checkpoint") => out.checkpoints.push(CheckpointRecord {
+                    t_us: u64_field(&doc, "t_us"),
+                    path: str_field(&doc, "path"),
+                    points: u64_field(&doc, "points"),
                 }),
                 Some(kind @ ("profile_run" | "profile_worker" | "profile_phase")) => {
                     profile::add_record(&mut out.profiles, kind, &doc);

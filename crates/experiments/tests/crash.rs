@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use spectral_core::{LivePointLibrary, RunCheckpoint};
+use spectral_doctor::RunArtifacts;
 use spectral_registry::Registry;
 use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
@@ -193,6 +194,44 @@ fn killed_run_in_a_reused_out_dir_leaves_no_older_manifest() {
     let stream = std::fs::read_to_string(run.stream()).expect("new stream");
     assert_ne!(run_token(&stream), first_token, "the killed run's own records");
     assert!(!stream.contains(&first_token), "the earlier run's records were truncated away");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn killed_checkpointing_run_keeps_its_run_stream() {
+    // The run stream is buffered, but every checkpoint and progress
+    // record flushes it. Each checkpoint save probes its write site
+    // twice (the retry, then the atomic write), so a kill at the 21st
+    // probe lands in the 11th save: the run keeps the records of the
+    // ten checkpoints it made durable and the progress among them.
+    let dir = temp_dir("killed_stream");
+    let run = RunDir::new(dir.join("run"));
+    let ckpt = dir.join("online.ckpt");
+    let killed = Command::new(env!("CARGO_BIN_EXE_online"))
+        .args(["--quick", "--windows", "200", "--threads", "2", "--out"])
+        .arg(run.root())
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .args(["--checkpoint-every", "3"])
+        .env("SPECTRAL_FAULT_KILL", "core.ckpt.write:21")
+        .output()
+        .expect("spawn online");
+    assert!(!killed.status.success(), "kill must abort the process");
+    let stream = std::fs::read_to_string(run.stream()).expect("the stream exists");
+    // Records the run wrote after its last flush may be torn; every
+    // complete line must parse.
+    let complete = &stream[..stream.rfind('\n').map_or(0, |i| i + 1)];
+    let artifacts = RunArtifacts::parse(None, complete).expect("the kept stream parses");
+    let checkpoints = &artifacts.checkpoints;
+    assert!(checkpoints.len() >= 4, "{} checkpoint records kept", checkpoints.len());
+    let last = checkpoints.last().expect("checkpoints");
+    let snapshot = RunCheckpoint::load(&ckpt).expect("the last durable checkpoint");
+    assert_eq!(last.points, snapshot.len() as u64, "the last record names the file's snapshot");
+    assert!(
+        artifacts.progress.iter().any(|p| p.t_us <= last.t_us),
+        "progress before the last checkpoint is kept ({} records)",
+        artifacts.progress.len()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

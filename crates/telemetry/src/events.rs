@@ -44,6 +44,10 @@
 //!   the point's library index and window provenance, and the running
 //!   estimate it deviated from.
 //!
+//! Progress records, like the checkpoint records of checkpointing
+//! runs, are flushed to the stream file as they are written, so a run
+//! killed mid-way keeps every one it emitted.
+//!
 //! While the run stream is off ([`streaming`](crate::streaming) is a
 //! single relaxed atomic load) the emitters return immediately; when
 //! the crate is built without the `enabled` feature, everything here is
@@ -277,7 +281,7 @@ mod imp {
 
     use super::{AnomalyEvent, ProgressEvent, RunSummary};
     use crate::json::number;
-    use crate::sink::{streaming, write};
+    use crate::sink::{streaming, write, write_flushed};
 
     static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
     static TALLY_ON: AtomicBool = AtomicBool::new(false);
@@ -402,7 +406,9 @@ mod imp {
             Some(c) => c.to_string(),
             None => "null".to_owned(),
         };
-        write(format_args!(
+        // Flushed, like checkpoint records: a killed run keeps its
+        // progress up to its last merge stride.
+        write_flushed(format_args!(
             "{{\"type\":\"progress\",\"run_id\":{},\"seq\":{},\"run\":{},\"metric\":{},\
              \"t_us\":{},\"worker\":{},\"config\":{config},\"n\":{},\"mean\":{},\
              \"half_width\":{},\"rel_half_width\":{},\"target_rel_err\":{},\"eligible\":{},\
@@ -463,7 +469,7 @@ mod imp {
         if !streaming() {
             return;
         }
-        write(format_args!(
+        write_flushed(format_args!(
             "{{\"type\":\"checkpoint\",\"t_us\":{},\"path\":{},\"points\":{}}}\n",
             crate::span::now_us(),
             crate::json::quote(e.path),

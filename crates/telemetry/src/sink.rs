@@ -9,6 +9,10 @@
 //! process). Readers skip kinds they do not know, so one stream serves
 //! `spectral-doctor analyze`, `profile` and `watch` alike.
 //!
+//! The sink is buffered; progress and checkpoint records flush it, so
+//! a killed run's stream ends at its last one, and everything else is
+//! flushed when the run finishes ([`flush_stream`]).
+//!
 //! [`RunDir::start`] installs the sink. Until then [`streaming`] is
 //! false (a single relaxed load) and every emitter returns at once;
 //! built without the `enabled` feature, it is always false.
@@ -104,6 +108,15 @@ mod imp {
         }
     }
 
+    /// [`write`], then flush everything buffered to the file: for the
+    /// progress and checkpoint records a killed run must not lose.
+    pub(crate) fn write_flushed(lines: std::fmt::Arguments<'_>) {
+        if let Some(w) = SINK.lock().expect("run stream lock").as_mut() {
+            let _ = w.write_fmt(lines);
+            let _ = w.flush();
+        }
+    }
+
     /// Flush buffered records to the run stream.
     pub fn flush_stream() {
         if let Some(w) = SINK.lock().expect("run stream lock").as_mut() {
@@ -129,7 +142,7 @@ mod imp {
 pub use imp::{flush_stream, streaming};
 
 #[cfg(feature = "enabled")]
-pub(crate) use imp::write;
+pub(crate) use imp::{write, write_flushed};
 
 /// Serializes the unit tests that install the sink, emit records or
 /// drain the run-summary tally: all of them share process-wide state.

@@ -20,6 +20,7 @@
 
 mod common;
 
+use spectral_codec::crc32;
 use spectral_core::{
     simulate_live_point, CreationConfig, LivePointLibrary, MatchedRunner, OnlineRunner, RunPolicy,
     StratifiedRunner, SweepRunner, V2WriteOptions,
@@ -76,9 +77,18 @@ const GOLDEN_RUN_VARIANCE_BITS: u64 = 0x3FC3_97E7_F208_43C1;
 const GOLDEN_RUN_PROCESSED: usize = 24;
 const GOLDEN_SWEEP_MEAN_BITS: [u64; 3] =
     [0x3FE0_DD2F_1A9F_BE77, 0x3FE2_3078_263A_B597, 0x3FE2_06D3_A06D_3A07];
+/// CRC32 of the whole file `save_v2` writes for the fixture with
+/// [`dict_opts`]: six four-point dictionary blocks.
+const GOLDEN_DICT_IMAGE_CRC: u32 = 0xBA48_1ADC;
 
 fn print_mode() -> bool {
     std::env::var_os("SPECTRAL_DIFF_PRINT").is_some()
+}
+
+/// Dictionary blocks of four points: the 24-point fixture fills six,
+/// each with its own sampled dictionary.
+fn dict_opts() -> V2WriteOptions {
+    V2WriteOptions { block_points: 4, ..V2WriteOptions::default() }
 }
 
 #[test]
@@ -347,6 +357,48 @@ fn dict_round_trip_restores_the_canonical_image() {
     let paged = LivePointLibrary::open(&path).expect("open v2");
     assert_eq!(paged.to_bytes().expect("back to v1"), v1, "v1→v2→v1 bytes drifted");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn dict_image_is_bit_identical() {
+    // Every byte of a dictionary save is pinned: the sampled
+    // dictionaries, every record compressed against its block's
+    // dictionary, the footer and the trailer.
+    let (_, library) = setup();
+    let path = std::env::temp_dir().join(format!("spectral_diff_v2g_{}.splp", std::process::id()));
+    library.save_v2(&path, &dict_opts()).expect("save v2 dict");
+    let crc = crc32::checksum(&std::fs::read(&path).expect("read image"));
+    let blocks = LivePointLibrary::open_header(&path).expect("header").blocks;
+    std::fs::remove_file(&path).ok();
+    if print_mode() {
+        println!("const GOLDEN_DICT_IMAGE_CRC: u32 = 0x{crc:08X};");
+        return;
+    }
+    assert_eq!(blocks, 6);
+    assert_eq!(crc, GOLDEN_DICT_IMAGE_CRC, "dictionary image bytes changed");
+}
+
+#[test]
+fn streamed_creation_writes_the_dict_image_at_any_thread_count() {
+    // Creation streamed to a file compresses each record once, against
+    // its block's dictionary, on the creation's worker threads; the
+    // file must equal the in-memory library's dictionary save byte for
+    // byte, whatever the worker count.
+    let program = tiny().build();
+    let cfg = CreationConfig::for_machine(&MachineConfig::eight_way()).with_sample_size(POINTS);
+    for threads in [1usize, 2, 4] {
+        let path = std::env::temp_dir()
+            .join(format!("spectral_diff_v2c{threads}_{}.splp", std::process::id()));
+        let lib =
+            LivePointLibrary::create_parallel_to_path(&program, &cfg, threads, &path, &dict_opts())
+                .expect("streamed creation");
+        let crc = crc32::checksum(&std::fs::read(&path).expect("read image"));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(lib.len(), POINTS as usize, "x{threads}");
+        if !print_mode() {
+            assert_eq!(crc, GOLDEN_DICT_IMAGE_CRC, "x{threads}: streamed image drifted");
+        }
+    }
 }
 
 #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use spectral::cache::{Cache, CacheConfig, CacheHierarchy, Csr, Eviction, HierarchyConfig, Mtr};
+use spectral::codec::{crc32, lzss};
 use spectral::isa::{Emulator, ProgramBuilder, Reg};
 use spectral::stats::OnlineEstimator;
 use spectral::uarch::{DetailedSim, MachineConfig};
@@ -106,6 +107,131 @@ impl RefLru {
         let pos = set.iter().position(|l| l.0 == block);
         pos.map(|p| set.remove(p)).is_some()
     }
+}
+
+/// CRC-32 one byte per step from a table built at run time: the
+/// reference the slicing-by-8 checksum must agree with.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| (0..8).fold(i, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 }))
+        .collect();
+    !data.iter().fold(!0u32, |c, &b| table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8))
+}
+
+/// The LZSS encoder one byte at a time: the same 64 KiB window,
+/// 3..=258-byte matches, 15-bit hash of three bytes and 32-deep chains,
+/// with match extension by a byte loop. `compress_with_dict` must emit
+/// exactly these tokens.
+fn lzss_reference(dict: &[u8], data: &[u8]) -> Vec<u8> {
+    const WINDOW: usize = 1 << 16;
+    const MIN_MATCH: usize = 3;
+    const MAX_MATCH: usize = 258;
+    const HASH_BITS: u32 = 15;
+    const CHAIN_DEPTH: usize = 32;
+    let buf: Vec<u8> = dict.iter().chain(data).copied().collect();
+    let hash = |i: usize| {
+        let h = buf[i] as u32 | (buf[i + 1] as u32) << 8 | (buf[i + 2] as u32) << 16;
+        (h.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    };
+    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut prev = vec![usize::MAX; buf.len().max(1)];
+    let mut j = 0;
+    while j < dict.len() && j + MIN_MATCH <= buf.len() {
+        prev[j] = head[hash(j)];
+        head[hash(j)] = j;
+        j += 1;
+    }
+    let mut out = (data.len() as u64).to_le_bytes().to_vec();
+    let (mut flag_pos, mut flag_bit) = (0, 8);
+    let mut i = dict.len();
+    while i < buf.len() {
+        let (mut best_len, mut best_off) = (0, 0);
+        if i + MIN_MATCH <= buf.len() {
+            let h = hash(i);
+            let mut cand = head[h];
+            let mut depth = 0;
+            while cand != usize::MAX && depth < CHAIN_DEPTH && i - cand <= WINDOW {
+                let max = (buf.len() - i).min(MAX_MATCH);
+                let mut l = 0;
+                while l < max && buf[cand + l] == buf[i + l] {
+                    l += 1;
+                }
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - cand;
+                    if l == max {
+                        break;
+                    }
+                }
+                cand = prev[cand];
+                depth += 1;
+            }
+            prev[i] = head[h];
+            head[h] = i;
+        }
+        if flag_bit == 8 {
+            flag_pos = out.len();
+            out.push(0);
+            flag_bit = 0;
+        }
+        if best_len >= MIN_MATCH {
+            out[flag_pos] |= 1 << flag_bit;
+            out.extend_from_slice(&((best_off - 1) as u16).to_le_bytes());
+            out.push((best_len - MIN_MATCH) as u8);
+            let mut j = i + 1;
+            while j < i + best_len && j + MIN_MATCH <= buf.len() {
+                prev[j] = head[hash(j)];
+                head[hash(j)] = j;
+                j += 1;
+            }
+            i += best_len;
+        } else {
+            out.push(buf[i]);
+            i += 1;
+        }
+        flag_bit += 1;
+    }
+    out
+}
+
+/// Bytes with long repeats: each `(kind, a, b)` piece appends random
+/// literals, a copy of 250..=265 earlier bytes (so matches reach and
+/// pass the 258-byte maximum, overlapping their source when `b` is
+/// small), or a run of one byte.
+fn repetitive_bytes(pieces: &[(u8, u16, u16)], seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut out: Vec<u8> = Vec::new();
+    for &(kind, a, b) in pieces {
+        match kind % 3 {
+            0 => out.extend((0..a % 40).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 5) as u8
+            })),
+            1 if !out.is_empty() => {
+                let back = b as usize % out.len() + 1;
+                for _ in 0..250 + a as usize % 16 {
+                    out.push(out[out.len() - back]);
+                }
+            }
+            _ => out.extend(std::iter::repeat_n(b as u8, a as usize % 600)),
+        }
+    }
+    out
+}
+
+/// Incompressible filler from a xorshift stream.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
 }
 
 proptest! {
@@ -305,5 +431,72 @@ proptest! {
         prop_assert_eq!(left.count(), all.count());
         prop_assert!((left.mean() - all.mean()).abs() < 1e-9);
         prop_assert!((left.variance() - all.variance()).abs() < 1e-6);
+    }
+
+    /// Slicing-by-8 CRC-32, one-shot and fed in three pieces at random
+    /// split points, equals the bytewise reference.
+    #[test]
+    fn crc32_slicing_matches_bytewise(
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+        a in 0usize..300,
+        b in 0usize..300,
+    ) {
+        let want = crc32_bytewise(&data);
+        prop_assert_eq!(crc32::checksum(&data), want);
+        let (a, b) = (a.min(data.len()), b.min(data.len()));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut h = crc32::Hasher::new();
+        h.update(&data[..lo]);
+        h.update(&data[lo..hi]);
+        h.update(&data[hi..]);
+        prop_assert_eq!(h.finalize(), want);
+    }
+
+    /// The word-at-a-time matcher emits the reference's tokens, plain
+    /// and against a dictionary, on repetitive input whose matches reach
+    /// the 258-byte maximum.
+    #[test]
+    fn lzss_matches_byte_at_a_time_reference(
+        pieces in proptest::collection::vec((0u8..3, any::<u16>(), any::<u16>()), 0..24),
+        dict_len in 0usize..700,
+        seed in any::<u64>(),
+    ) {
+        let bytes = repetitive_bytes(&pieces, seed);
+        let cut = dict_len.min(bytes.len());
+        let (dict, data) = bytes.split_at(cut);
+        let mut scratch = lzss::CompressScratch::new();
+        prop_assert_eq!(lzss::compress_with(&mut scratch, &bytes), lzss_reference(&[], &bytes));
+        prop_assert_eq!(
+            lzss::compress_with_dict(&mut scratch, dict, data),
+            lzss_reference(dict, data)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// At the edge of the 64 KiB window: a block repeated at a distance
+    /// just inside or just past it, in the data or reaching back into
+    /// the dictionary, codes as the reference codes it.
+    #[test]
+    fn lzss_matches_reference_at_the_window_edge(
+        block in 3usize..300,
+        slack in 0usize..16,
+        in_dict in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let distance = (1 << 16) - 8 + slack;
+        let head = noise(block, seed);
+        let mut bytes = head.clone();
+        bytes.extend(noise(distance - block, !seed));
+        bytes.extend_from_slice(&head);
+        let cut = if in_dict { distance } else { 0 };
+        let (dict, data) = bytes.split_at(cut);
+        let mut scratch = lzss::CompressScratch::new();
+        prop_assert_eq!(
+            lzss::compress_with_dict(&mut scratch, dict, data),
+            lzss_reference(dict, data)
+        );
     }
 }
