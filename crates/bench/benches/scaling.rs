@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use criterion::{BenchmarkId, Criterion, Throughput};
 use spectral_bench::fixture_benchmark;
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy, SweepRunner};
-use spectral_telemetry::{JsonValue, RunDir};
+use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 use spectral_uarch::MachineConfig;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -241,10 +241,12 @@ fn emit_telemetry_json(throughput: &str, profiler: &str) -> String {
     json
 }
 
-/// Append one `kind: "bench"` record per measured (stage, workers) cell
-/// to the cross-run registry when `SPECTRAL_REGISTRY` names one, so the
+/// Index one run directory per measured (stage, workers) cell in the
+/// cross-run registry when `SPECTRAL_REGISTRY` names one, so the
 /// scaling trajectory is queryable with `spectral-doctor trend`
-/// alongside the experiment runs.
+/// alongside the experiment runs. Each directory holds a `scaling`
+/// manifest (the cell's points and one `run` phase of its median time)
+/// and an empty stream.
 fn append_registry_records(c: &Criterion) {
     let registry = match spectral_registry::Registry::from_env() {
         Ok(Some(r)) => r,
@@ -256,10 +258,9 @@ fn append_registry_records(c: &Criterion) {
     };
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for r in c.results() {
-        let rate = match r.throughput {
-            Some(Throughput::Elements(n)) => n as f64 / r.median_s,
-            Some(Throughput::Bytes(n)) => n as f64 / r.median_s,
-            None => 1.0 / r.median_s,
+        let points = match r.throughput {
+            Some(Throughput::Elements(n) | Throughput::Bytes(n)) => n,
+            None => 1,
         };
         // Ids are "<stage>/<workers>"; the stage becomes the benchmark
         // label so each (stage, workers) cell forms its own trend
@@ -268,20 +269,23 @@ fn append_registry_records(c: &Criterion) {
             Some((s, w)) => (s.to_owned(), w.parse().unwrap_or(0)),
             None => (r.id.clone(), 0),
         };
-        let mut record =
-            spectral_registry::RunRecord::new("bench", "scaling", stage, "8-wide", workers);
-        record.run_id =
-            spectral_telemetry::derive_run_id(&r.id, spectral_telemetry::next_run_seq());
-        record.points_processed = Some(POINTS);
-        record.run_secs = Some(r.median_s);
-        record.run_rate = Some(rate);
-        record.notes.push(("host_parallelism".to_owned(), host.to_string()));
-        if let Err(e) = registry.append(&record) {
-            eprintln!("could not append bench record to registry: {e}");
+        let run_id = spectral_telemetry::derive_run_id(&r.id, spectral_telemetry::next_run_seq());
+        let mut manifest = RunManifest::new("scaling", stage, "8-wide", workers);
+        manifest.run_id = Some(run_id.clone());
+        manifest.points_processed = Some(points);
+        manifest.phase("run", r.median_s);
+        manifest.note("host_parallelism", host.to_string());
+        let run = registry.new_run(&run_id);
+        let indexed = std::fs::create_dir_all(run.root())
+            .and_then(|()| std::fs::write(run.stream(), ""))
+            .and_then(|()| manifest.write(run.manifest(), None))
+            .and_then(|()| registry.append(&registry.entry(run_id, &run)?));
+        if let Err(e) = indexed {
+            eprintln!("could not index bench run in the registry: {e}");
             return;
         }
     }
-    println!("appended {} bench records to {}", c.results().len(), registry.dir().display());
+    println!("indexed {} bench runs in {}", c.results().len(), registry.dir().display());
 }
 
 fn main() {

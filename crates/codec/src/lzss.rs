@@ -65,11 +65,17 @@ impl CompressScratch {
         Self::default()
     }
 
+    /// Empty the hash chains for a `data_len`-byte buffer. Only `head`
+    /// is refilled: the match loop reads `prev[c]` only for positions
+    /// `c` it inserted in the same call (every chain starts at a `head`
+    /// entry written this call), so stale `prev` links from an earlier
+    /// call are never followed and `prev` just grows.
     fn reset(&mut self, data_len: usize) {
         self.head.clear();
         self.head.resize(1 << HASH_BITS, usize::MAX);
-        self.prev.clear();
-        self.prev.resize(data_len.max(1), usize::MAX);
+        if self.prev.len() < data_len {
+            self.prev.resize(data_len, usize::MAX);
+        }
     }
 
     /// Put position `j` at the head of its hash chain, returning the
@@ -94,8 +100,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Compress `data`, reusing `scratch`'s match-finder buffers.
 ///
-/// Output is byte-identical to [`compress`] — the scratch only recycles
-/// allocations, never state (it is fully reset per call).
+/// Output is byte-identical to [`compress`]: the scratch recycles
+/// allocations, and no state it carries over from an earlier call is
+/// ever read (the hash heads are reset per call, and the chain links
+/// followed are only those this call wrote).
 pub fn compress_with(scratch: &mut CompressScratch, data: &[u8]) -> Vec<u8> {
     compress_with_dict(scratch, &[], data)
 }

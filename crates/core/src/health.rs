@@ -82,13 +82,11 @@ impl HealthMonitor {
     /// run ordinal (one [`spectral_telemetry::next_run_seq`] allocation
     /// per run, shared by all of its workers so a consumer can separate
     /// back-to-back runs in one stream). Subscription is sampled here,
-    /// once: the monitor is live when either the run stream
-    /// ([`spectral_telemetry::streaming`]) or the in-process run-summary
-    /// tally ([`spectral_telemetry::run_summaries_on`], the registry's
-    /// convergence-summary feed) is on.
+    /// once: the monitor is live when the run stream
+    /// ([`spectral_telemetry::streaming`]) is on.
     pub fn new(seq: u64, run: &'static str, worker: usize, policy: &RunPolicy) -> Self {
         HealthMonitor {
-            on: spectral_telemetry::streaming() || spectral_telemetry::run_summaries_on(),
+            on: spectral_telemetry::streaming(),
             seq,
             run,
             worker,

@@ -210,23 +210,4 @@ mod tests {
         assert!(strat.reached_target());
         assert!(strat.processed() < lib.len());
     }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn stratified_runs_emit_progress_events() {
-        spectral_telemetry::enable_run_summaries();
-        let (p, lib) = setup();
-        let runner = StratifiedRunner::new(&lib, MachineConfig::eight_way(), 2);
-        let est = runner.run_parallel(&p, &RunPolicy::default(), 2).unwrap();
-        // Other tests' runs may land in the tally too; ours is the
-        // stratified series whose closing record carries its final n.
-        let summaries = spectral_telemetry::take_run_summaries();
-        assert!(
-            summaries.iter().any(|s| s.run == "stratified"
-                && s.metric == "cpi"
-                && s.n == est.processed() as u64),
-            "no stratified progress series ending at n = {} in {summaries:?}",
-            est.processed()
-        );
-    }
 }

@@ -331,7 +331,7 @@ mod tests {
             ],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let d = analyze(&artifacts);
         let s = d.primary().expect("one series");
@@ -350,7 +350,7 @@ mod tests {
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 16, 0.4, 16)],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let s = analyze(&artifacts).series.remove(0);
         assert!(!s.converged);
@@ -367,7 +367,7 @@ mod tests {
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 32, 0.08, 32), closing],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let s = analyze(&artifacts).series.remove(0);
         assert!(s.wasted_exact, "closing overshoot makes the count exact");
@@ -386,7 +386,7 @@ mod tests {
             progress: vec![busy(0, 8, 8, 400), busy(0, 24, 12, 1_000), busy(1, 16, 12, 250)],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let shards = analyze(&artifacts).series.remove(0).shards;
         assert!((shards.imbalance - 0.0).abs() < 1e-12, "point counts balance (12/12)");
@@ -405,7 +405,7 @@ mod tests {
             ],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let d = analyze(&artifacts);
         let shards = &d.primary().expect("one series").shards;
@@ -423,7 +423,7 @@ mod tests {
             progress: vec![progress(0, 8, 0.5, 8), progress(0, 40, 0.06, 40), second],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let d = analyze(&artifacts);
         assert_eq!(d.series.len(), 2, "one series per run ordinal");
@@ -448,7 +448,7 @@ mod tests {
             progress: vec![a, b, a2],
             anomalies: Vec::new(),
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let d = analyze(&artifacts);
         assert_eq!(d.series.len(), 2, "one series per run_id despite equal seq");
@@ -481,7 +481,7 @@ mod tests {
             progress: Vec::new(),
             anomalies: vec![a(1, 3.5, 10), a(2, 8.0, 10), a(3, 3.5, 99)],
             profiles: Vec::new(),
-            checkpoints: Vec::new(),
+            ..RunArtifacts::default()
         };
         let d = analyze(&artifacts);
         let order: Vec<u64> = d.anomalies.iter().map(|x| x.point).collect();
@@ -517,7 +517,7 @@ mod tests {
                 progress: Vec::new(),
                 anomalies: Vec::new(),
                 profiles: Vec::new(),
-                checkpoints: Vec::new(),
+                ..RunArtifacts::default()
             }
         };
         let base = with_estimate(1.0, 0.03, 100);

@@ -4,28 +4,29 @@
 //!
 //! The baseline and candidate selectors pick run-sets out of the
 //! registry (by `code_version` label or `run_id` prefix). Runs pair up
-//! within each `(kind, binary, benchmark, machine, threads)` tuple in
-//! append order — CI invokes the same seeded experiment once per side,
-//! so the i-th baseline run and the i-th candidate run measured the
-//! same work. The per-pair run-rate ratios feed a
+//! within each `(binary, benchmark, machine, threads)` tuple in append
+//! order — CI invokes the same seeded experiment once per side, so the
+//! i-th baseline run and the i-th candidate run measured the same work.
+//! The per-pair run-rate ratios feed a
 //! [`MatchedPair`](spectral_stats::MatchedPair), and the verdict fails
 //! when the mean relative rate change drops below `-max_regress`
 //! percent, or when a pair's final estimate moved by more than the
 //! combined CI half-width `sqrt(hw_b² + hw_c²)` (the statistical result
-//! itself changed, not just its speed).
+//! itself changed, not just its speed) — the test
+//! [`diff_runs`](crate::diff_runs) applies to any two runs.
 //!
 //! `MatchedPair::significant` keeps its n ≥ 30 floor for paper-scale
 //! comparisons; CI run-sets are tiny (often one pair per tuple), so the
 //! gate reports the relative-change *interval* alongside the point
 //! estimate instead of a significance bit.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use spectral_registry::RunRecord;
 use spectral_stats::{Confidence, MatchedPair};
 use spectral_telemetry::{json_number as number, json_quote as quote};
 
-use crate::DoctorError;
+use crate::{diff_runs, DoctorError, RegistryRun, TupleKey};
 
 /// What to compare and how strict to be.
 #[derive(Debug, Clone)]
@@ -53,12 +54,10 @@ impl Default for GateConfig {
     }
 }
 
-/// The verdict for one `(kind, binary, benchmark, machine, threads)`
-/// tuple present in both run-sets.
+/// The verdict for one `(binary, benchmark, machine, threads)` tuple
+/// present in both run-sets.
 #[derive(Debug, Clone)]
 pub struct GateComparison {
-    /// Record kind (`run` / `bench`).
-    pub kind: String,
     /// Emitting binary.
     pub binary: String,
     /// Benchmark / workload identifier.
@@ -90,10 +89,7 @@ pub struct GateComparison {
 impl GateComparison {
     /// One-line tuple label for reports.
     pub fn label(&self) -> String {
-        format!(
-            "{} {}/{} on {} t{}",
-            self.kind, self.binary, self.benchmark, self.machine, self.threads
-        )
+        format!("{}/{} on {} t{}", self.binary, self.benchmark, self.machine, self.threads)
     }
 
     /// Whether this tuple passes the gate.
@@ -120,48 +116,41 @@ impl GateVerdict {
     }
 }
 
-fn matches(r: &RunRecord, selector: &str) -> bool {
-    r.code_version == selector || (!r.run_id.is_empty() && r.run_id.starts_with(selector))
-}
-
-type TupleKey = (String, String, String, String, usize);
-
-fn key(r: &RunRecord) -> TupleKey {
-    (r.kind.clone(), r.binary.clone(), r.benchmark.clone(), r.machine.clone(), r.threads)
-}
-
-fn select<'a>(
-    records: &'a [RunRecord],
-    selector: &str,
-) -> std::collections::BTreeMap<TupleKey, Vec<&'a RunRecord>> {
-    let mut sets: std::collections::BTreeMap<TupleKey, Vec<&RunRecord>> =
-        std::collections::BTreeMap::new();
-    for r in records.iter().filter(|r| matches(r, selector)) {
-        sets.entry(key(r)).or_default().push(r);
+fn select<'a>(runs: &'a [RegistryRun], selector: &str) -> BTreeMap<TupleKey, Vec<&'a RegistryRun>> {
+    let mut sets: BTreeMap<TupleKey, Vec<&RegistryRun>> = BTreeMap::new();
+    for r in runs {
+        let e = r.entry();
+        if e.code_version == selector || (!e.run_id.is_empty() && e.run_id.starts_with(selector)) {
+            sets.entry(r.key()).or_default().push(r);
+        }
     }
     sets
 }
 
+fn tuple_label(k: &TupleKey) -> String {
+    format!("{}/{} on {} t{}", k.0, k.1, k.2, k.3)
+}
+
 /// Compare the `cfg.baseline` run-set against the `cfg.candidate`
-/// run-set over `records`.
+/// run-set over the indexed `runs`.
 ///
 /// # Errors
 ///
-/// Returns a diagnostic when either selector matches no records — an
+/// Returns a diagnostic when either selector matches no runs — an
 /// empty side means the CI pipeline is miswired, which must not read as
 /// a pass.
-pub fn gate(records: &[RunRecord], cfg: &GateConfig) -> Result<GateVerdict, DoctorError> {
-    let base_sets = select(records, &cfg.baseline);
-    let cand_sets = select(records, &cfg.candidate);
+pub fn gate(runs: &[RegistryRun], cfg: &GateConfig) -> Result<GateVerdict, DoctorError> {
+    let base_sets = select(runs, &cfg.baseline);
+    let cand_sets = select(runs, &cfg.candidate);
     if base_sets.is_empty() {
         return Err(DoctorError::msg(format!(
-            "baseline selector '{}' matches no registry records",
+            "baseline selector '{}' matches no registry runs",
             cfg.baseline
         )));
     }
     if cand_sets.is_empty() {
         return Err(DoctorError::msg(format!(
-            "candidate selector '{}' matches no registry records",
+            "candidate selector '{}' matches no registry runs",
             cfg.candidate
         )));
     }
@@ -171,7 +160,7 @@ pub fn gate(records: &[RunRecord], cfg: &GateConfig) -> Result<GateVerdict, Doct
     let mut failures = Vec::new();
     for (k, base_runs) in &base_sets {
         let Some(cand_runs) = cand_sets.get(k) else {
-            unpaired.push(format!("{} {}/{} on {} t{} (baseline only)", k.0, k.1, k.2, k.3, k.4));
+            unpaired.push(format!("{} (baseline only)", tuple_label(k)));
             continue;
         };
         let mut rates = MatchedPair::new();
@@ -179,29 +168,27 @@ pub fn gate(records: &[RunRecord], cfg: &GateConfig) -> Result<GateVerdict, Doct
         let mut drifted_pairs = 0u64;
         let mut worst_drift_ratio = 0.0f64;
         for (b, c) in base_runs.iter().zip(cand_runs.iter()) {
-            if let (Some(br), Some(cr)) = (b.run_rate, c.run_rate) {
+            if let (Some(br), Some(cr)) = (b.run_rate(), c.run_rate()) {
                 rates.push(br, cr);
                 pairs += 1;
             }
-            if let (Some(be), Some(ce)) = (&b.estimate, &c.estimate) {
-                let combined =
-                    (be.half_width * be.half_width + ce.half_width * ce.half_width).sqrt();
-                let delta = (ce.mean - be.mean).abs();
-                if combined > 0.0 {
-                    worst_drift_ratio = worst_drift_ratio.max(delta / combined);
+            // A pair without estimates on both sides has no drift to test.
+            if let Ok(diff) = diff_runs(c.artifacts(), b.artifacts()) {
+                if diff.combined_half_width > 0.0 {
+                    worst_drift_ratio =
+                        worst_drift_ratio.max(diff.mean_delta.abs() / diff.combined_half_width);
                 }
-                if delta > combined {
+                if diff.significant {
                     drifted_pairs += 1;
                 }
             }
         }
         let rate_change = rates.relative_change();
         let cmp = GateComparison {
-            kind: k.0.clone(),
-            binary: k.1.clone(),
-            benchmark: k.2.clone(),
-            machine: k.3.clone(),
-            threads: k.4,
+            binary: k.0.clone(),
+            benchmark: k.1.clone(),
+            machine: k.2.clone(),
+            threads: k.3,
             pairs,
             baseline_rate: rates.base().mean(),
             candidate_rate: rates.experiment().mean(),
@@ -229,12 +216,12 @@ pub fn gate(records: &[RunRecord], cfg: &GateConfig) -> Result<GateVerdict, Doct
         comparisons.push(cmp);
     }
     for k in cand_sets.keys().filter(|k| !base_sets.contains_key(*k)) {
-        unpaired.push(format!("{} {}/{} on {} t{} (candidate only)", k.0, k.1, k.2, k.3, k.4));
+        unpaired.push(format!("{} (candidate only)", tuple_label(k)));
     }
     if comparisons.is_empty() {
         return Err(DoctorError::msg(
-            "baseline and candidate run-sets share no (kind, binary, benchmark, machine, \
-             threads) tuple — nothing to compare",
+            "baseline and candidate run-sets share no (binary, benchmark, machine, threads) \
+             tuple — nothing to compare",
         ));
     }
     Ok(GateVerdict { comparisons, unpaired, failures })
@@ -298,11 +285,10 @@ pub fn render_gate_json(verdict: &GateVerdict, cfg: &GateConfig) -> String {
         let (lo, hi) = c.rate_change_interval;
         let _ = write!(
             out,
-            "{{\"kind\":{},\"binary\":{},\"benchmark\":{},\"machine\":{},\"threads\":{},\
-             \"pairs\":{},\"baseline_rate\":{},\"candidate_rate\":{},\"rate_change\":{},\
+            "{{\"binary\":{},\"benchmark\":{},\"machine\":{},\"threads\":{},\"pairs\":{},\
+             \"baseline_rate\":{},\"candidate_rate\":{},\"rate_change\":{},\
              \"rate_change_interval\":[{},{}],\"rate_regressed\":{},\"drifted_pairs\":{},\
              \"worst_drift_ratio\":{}}}",
-            quote(&c.kind),
             quote(&c.binary),
             quote(&c.benchmark),
             quote(&c.machine),
@@ -339,22 +325,12 @@ pub fn render_gate_json(verdict: &GateVerdict, cfg: &GateConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectral_telemetry::EstimateSummary;
+    use crate::test_support::{manifest, registry_run};
 
-    fn record(version: &str, binary: &str, rate: f64, mean: f64, hw: f64) -> RunRecord {
-        let mut r = RunRecord::new("run", binary, "gcc-like", "8-wide", 4);
-        r.code_version = version.into();
-        r.run_id = format!("{:016x}-1", rate as u64);
-        r.points_processed = Some(500);
-        r.run_secs = Some(500.0 / rate);
-        r.run_rate = Some(rate);
-        r.estimate = Some(EstimateSummary {
-            mean,
-            half_width: hw,
-            relative_half_width: hw / mean,
-            reached_target: true,
-        });
-        r
+    fn record(version: &str, binary: &str, rate: f64, mean: f64, hw: f64) -> RegistryRun {
+        let mut m = manifest(binary, 1000, 1000.0 / rate, mean, hw);
+        m.run_id = Some(format!("{:016x}-1", rate as u64));
+        registry_run(version, 0, m, "")
     }
 
     #[test]
@@ -406,9 +382,9 @@ mod tests {
     #[test]
     fn selectors_also_match_run_id_prefixes() {
         let mut base = record("dev", "online", 2_000.0, 1.4, 0.05);
-        base.run_id = "aaaa000000000001-1".into();
+        base.entry.run_id = "aaaa000000000001-1".into();
         let mut cand = record("dev", "online", 2_000.0, 1.4, 0.05);
-        cand.run_id = "bbbb000000000001-1".into();
+        cand.entry.run_id = "bbbb000000000001-1".into();
         let cfg = GateConfig {
             baseline: "aaaa".into(),
             candidate: "bbbb".into(),

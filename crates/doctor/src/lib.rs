@@ -28,11 +28,14 @@
 //!
 //! Beyond the per-run `analyze` diagnosis, the binary grew cross-run
 //! subcommands over the [`spectral-registry`](spectral_registry)
-//! run registry:
+//! run registry, an index of run directories. [`load_registry`] loads
+//! each indexed run's manifest, and [`RegistryRun::load_stream`] its
+//! stream where a view needs it, so every figure they show comes from
+//! the run's manifest and from [`analyze`]:
 //!
 //! * **`trend`** ([`trend`]) — per-benchmark/per-machine time series of
 //!   run rate, points-to-convergence, and CI half-width across
-//!   registry records, rendered as sparklines or JSON.
+//!   indexed runs, rendered as sparklines or JSON.
 //! * **`gate`** ([`gate`]) — a statistical regression verdict between a
 //!   baseline run-set and a candidate run-set, built on
 //!   [`spectral_stats::MatchedPair`]; designed as a CI gate (exit code
@@ -56,8 +59,11 @@ mod report;
 mod trend;
 mod watch;
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 
+use spectral_registry::{IndexEntry, Registry};
 use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
 pub use analyze::{
@@ -72,7 +78,7 @@ pub use profile::{
 };
 pub use report::{render_json, render_text, sparkline};
 pub use trend::{render_trend_json, render_trend_text, trend, TrendPoint, TrendSeries};
-pub use watch::{EventsTail, SeriesState, WatchFrame};
+pub use watch::{load_latest_streams, EventsTail, SeriesState, WatchFrame};
 
 /// A doctor failure: a one-line diagnostic for stderr.
 #[derive(Debug)]
@@ -207,6 +213,9 @@ pub struct RunArtifacts {
     /// Worker-timeline profiles, one per profiled run, in first-seen
     /// order.
     pub profiles: Vec<ProfileRun>,
+    /// The counters of the manifest's embedded metrics snapshot (empty
+    /// without one).
+    pub counters: BTreeMap<String, u64>,
 }
 
 impl RunArtifacts {
@@ -219,9 +228,20 @@ impl RunArtifacts {
     /// Returns a diagnostic (with its 1-based line number) when a
     /// non-empty line is not valid JSON.
     pub fn parse(manifest: Option<RunManifest>, stream: &str) -> Result<RunArtifacts, DoctorError> {
+        Self::parse_kinds(manifest, stream, |_| true)
+    }
+
+    /// [`parse`](Self::parse), except that a line whose leading `type`
+    /// (the sink writes it first) `keep` rejects is skipped unparsed.
+    fn parse_kinds(
+        manifest: Option<RunManifest>,
+        stream: &str,
+        keep: fn(&str) -> bool,
+    ) -> Result<RunArtifacts, DoctorError> {
         let mut out = RunArtifacts { manifest, ..RunArtifacts::default() };
         for (lineno, line) in stream.lines().enumerate() {
-            if line.trim().is_empty() {
+            let kind = line.strip_prefix("{\"type\":\"").and_then(|rest| rest.split('"').next());
+            if line.trim().is_empty() || kind.is_some_and(|kind| !keep(kind)) {
                 continue;
             }
             let doc = JsonValue::parse(line)
@@ -293,19 +313,151 @@ impl RunArtifacts {
     /// Returns a diagnostic naming the offending file on I/O or parse
     /// failures.
     pub fn load(dir: &RunDir) -> Result<RunArtifacts, DoctorError> {
+        let mut artifacts = Self::load_manifest(dir)?;
+        artifacts.load_stream(dir, |_| true)?;
+        Ok(artifacts)
+    }
+
+    /// Load a run directory's manifest and the counters of its metrics
+    /// snapshot, but not its stream.
+    fn load_manifest(dir: &RunDir) -> Result<RunArtifacts, DoctorError> {
         let path = dir.manifest();
-        let manifest = match std::fs::read_to_string(&path) {
-            Ok(text) => Some(RunManifest::from_json(&text).map_err(|e| {
-                DoctorError(format!("malformed manifest {}: {}", path.display(), e.message))
-            })?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Self::default()),
             Err(e) => {
                 return Err(DoctorError(format!("cannot read manifest {}: {e}", path.display())))
             }
         };
-        Self::parse(manifest, &read_stream(dir)?)
-            .map_err(|e| DoctorError(format!("{}: {e}", dir.stream().display())))
+        let malformed = |e: spectral_telemetry::JsonError| {
+            DoctorError(format!("malformed manifest {}: {}", path.display(), e.message))
+        };
+        let doc = JsonValue::parse(&text).map_err(malformed)?;
+        let counters = doc
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(JsonValue::as_obj)
+            .map(|c| c.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect())
+            .unwrap_or_default();
+        let manifest = Some(RunManifest::from_value(&doc).map_err(malformed)?);
+        Ok(RunArtifacts { manifest, counters, ..Self::default() })
     }
+
+    /// Parse `dir`'s stream records of the kinds `keep` accepts into
+    /// these artifacts, in place of any records parsed before.
+    fn load_stream(&mut self, dir: &RunDir, keep: fn(&str) -> bool) -> Result<(), DoctorError> {
+        let parsed = Self::parse_kinds(self.manifest.take(), &read_stream(dir)?, keep)
+            .map_err(|e| DoctorError(format!("{}: {e}", dir.stream().display())))?;
+        *self = RunArtifacts { counters: std::mem::take(&mut self.counters), ..parsed };
+        Ok(())
+    }
+}
+
+/// The `(binary, benchmark, machine, threads)` tuple that trend series,
+/// gate comparisons and watch rows group runs by.
+pub(crate) type TupleKey = (String, String, String, usize);
+
+/// One run of a registry: its index line and its run directory's
+/// manifest, loaded by [`load_registry`], and its stream once
+/// [`load_stream`](Self::load_stream) has read it.
+#[derive(Debug, Clone)]
+pub struct RegistryRun {
+    entry: IndexEntry,
+    dir: RunDir,
+    artifacts: RunArtifacts,
+}
+
+impl RegistryRun {
+    /// The run's index line.
+    pub fn entry(&self) -> &IndexEntry {
+        &self.entry
+    }
+
+    /// The run directory's manifest, and its stream's records once
+    /// [`load_stream`](Self::load_stream) has read them.
+    pub fn artifacts(&self) -> &RunArtifacts {
+        &self.artifacts
+    }
+
+    /// Read the run's stream, which [`load_registry`] leaves unread,
+    /// parsing only the records [`analyze`] reads (no spans, scheduler
+    /// samples or profiles).
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic naming the stream when it cannot be read or parsed.
+    pub fn load_stream(&mut self) -> Result<(), DoctorError> {
+        self.artifacts
+            .load_stream(&self.dir, |k| matches!(k, "progress" | "anomaly" | "checkpoint"))
+    }
+
+    /// The run's manifest: an index line is appended only once it is
+    /// durable, and [`load_registry`] admits no run without one.
+    pub fn manifest(&self) -> &RunManifest {
+        self.artifacts.manifest.as_ref().expect("a registry run has a manifest")
+    }
+
+    /// Throughput: points processed per second of the phases named
+    /// `run*` (of all phases when none is), so library-creation cost
+    /// does not pollute the trajectory.
+    pub fn run_rate(&self) -> Option<f64> {
+        let m = self.manifest();
+        let run_secs: f64 =
+            m.phases.iter().filter(|p| p.name.starts_with("run")).map(|p| p.secs).sum();
+        let secs = if run_secs > 0.0 { run_secs } else { m.phases.iter().map(|p| p.secs).sum() };
+        (secs > 0.0).then_some(m.points_processed? as f64 / secs)
+    }
+
+    /// Points the primary series of [`analyze`] needed to first become
+    /// eligible to stop; the processed count for a run whose stream
+    /// shows no eligible sample (or has not been read).
+    pub fn points_to_convergence(&self) -> Option<u64> {
+        let diagnosis = analyze(&self.artifacts);
+        let first = diagnosis.primary().and_then(|s| s.first_eligible.map(|i| s.trajectory[i].n));
+        first.or(self.manifest().points_processed)
+    }
+
+    /// A counter of the manifest's metrics snapshot.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.artifacts.counters.get(name).copied()
+    }
+
+    pub(crate) fn key(&self) -> TupleKey {
+        let m = self.manifest();
+        (m.binary.clone(), m.benchmark.clone(), m.machine.clone(), m.threads)
+    }
+}
+
+/// Load every run the registry at `dir` indexes, in append order, with
+/// its manifest but not its stream.
+///
+/// # Errors
+///
+/// A diagnostic on a bad index or manifest, and one naming the line
+/// whose run directory holds no manifest or another run's (it was
+/// removed, or reused by a later run).
+pub fn load_registry(dir: &Path) -> Result<Vec<RegistryRun>, DoctorError> {
+    let fail = |e: &dyn fmt::Display| DoctorError(format!("{}: {e}", dir.display()));
+    let registry = Registry::open(dir).map_err(|e| fail(&e))?;
+    let entries = registry.load().map_err(|e| fail(&e))?;
+    entries
+        .into_iter()
+        .map(|entry| {
+            let run = registry.run_dir(&entry);
+            let artifacts = RunArtifacts::load_manifest(&run).map_err(|e| fail(&e))?;
+            let holds = artifacts.manifest.as_ref().map(|m| m.run_id.clone().unwrap_or_default());
+            if holds.as_deref() != Some(entry.run_id.as_str()) {
+                let holds =
+                    holds.map_or("no manifest".into(), |id| format!("the manifest of run {id}"));
+                return Err(fail(&format!(
+                    "the index line of run {} names {}, which holds {holds}",
+                    entry.run_id,
+                    run.root().display()
+                )));
+            }
+            Ok(RegistryRun { entry, dir: run, artifacts })
+        })
+        .collect()
 }
 
 /// Read a run directory's stream.
@@ -332,4 +484,55 @@ fn bool_field(doc: &JsonValue, key: &str) -> bool {
 
 fn str_field(doc: &JsonValue, key: &str) -> String {
     doc.get(key).and_then(JsonValue::as_str).unwrap_or("").to_owned()
+}
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// A finished `binary` run on gcc-like: `points` processed in one
+    /// `run` phase of `secs`, with a final estimate `mean ± hw`.
+    pub fn manifest(binary: &str, points: u64, secs: f64, mean: f64, hw: f64) -> RunManifest {
+        let mut m = RunManifest::new(binary, "gcc-like", "8-wide", 4);
+        m.points_processed = Some(points);
+        m.phase("run", secs);
+        m.set_estimate(mean, hw, true);
+        m
+    }
+
+    /// A registry run indexed under `code_version` at `unix_ms`, whose
+    /// run directory holds `manifest` and `stream`.
+    pub fn registry_run(
+        code_version: &str,
+        unix_ms: u64,
+        manifest: RunManifest,
+        stream: &str,
+    ) -> RegistryRun {
+        let mut entry = IndexEntry::new(manifest.run_id.clone().unwrap_or_default(), "runs/r");
+        entry.code_version = code_version.to_owned();
+        entry.unix_ms = unix_ms;
+        let artifacts = RunArtifacts::parse(Some(manifest), stream).expect("valid stream");
+        RegistryRun { entry, dir: RunDir::new("runs/r"), artifacts }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_support::registry_run;
+    use spectral_telemetry::RunManifest;
+
+    #[test]
+    fn run_rate_prefers_run_phases_then_falls_back_to_all_phases() {
+        let mut m = RunManifest::new("online", "gcc-like", "8-wide", 4);
+        m.points_processed = Some(100);
+        m.phase("create_library", 3.0).phase("run_serial", 0.5).phase("run_parallel", 1.5);
+        // Library creation is not throughput: 100 points over 2 s of run*.
+        assert_eq!(registry_run("v", 0, m, "").run_rate(), Some(50.0));
+
+        let mut m = RunManifest::new("online", "gcc-like", "8-wide", 4);
+        m.points_processed = Some(100);
+        m.phase("create_library", 3.0).phase("analyze", 1.0);
+        // No run* phase: 100 points over all 4 s.
+        assert_eq!(registry_run("v", 0, m, "").run_rate(), Some(25.0));
+    }
 }

@@ -21,7 +21,9 @@
 //! non-zero on a run that exhausted its library without converging).
 //!
 //! `trend` renders per-benchmark/per-machine sparkline time series over
-//! a run registry; `gate` compares a baseline run-set against a
+//! the runs a registry indexes, each read from its run directory (so
+//! `analyze --run <registry>/runs/<id>` works on any of them too);
+//! `gate` compares a baseline run-set against a
 //! candidate run-set and exits 0 on pass, 2 on regression, 1 on error —
 //! the CI contract; `watch` tails a growing run stream or registry
 //! directory, redrawing an in-place dashboard each `--interval` and
@@ -40,11 +42,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spectral_doctor::{
-    analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate,
-    measure_record_cost_ns, read_stream, render_gate_json, render_gate_text, render_json,
-    render_profile_json, render_profile_text, render_text, render_trend_json, render_trend_text,
-    trend, DoctorError, EventsTail, GateConfig, RunArtifacts, WatchFrame,
+    analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate, load_latest_streams,
+    load_registry, measure_record_cost_ns, read_stream, render_gate_json, render_gate_text,
+    render_json, render_profile_json, render_profile_text, render_text, render_trend_json,
+    render_trend_text, trend, DoctorError, EventsTail, GateConfig, RegistryRun, RunArtifacts,
+    WatchFrame,
 };
+use spectral_registry::registry_dir;
 use spectral_telemetry::RunDir;
 
 #[derive(Debug, Default)]
@@ -212,23 +216,11 @@ fn analyze_main(argv: &[String]) -> ExitCode {
     }
 }
 
-/// The effective registry directory: `--registry` when given, else the
-/// `SPECTRAL_REGISTRY` environment variable (when non-empty) — the same
-/// fallback the experiment binaries use when appending.
-fn registry_dir(cli: Option<&PathBuf>) -> Option<PathBuf> {
-    cli.cloned().or_else(|| {
-        std::env::var_os(spectral_registry::REGISTRY_ENV)
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    })
-}
-
-fn load_registry(cli: Option<&PathBuf>) -> Result<Vec<spectral_registry::RunRecord>, DoctorError> {
-    let dir = registry_dir(cli).ok_or_else(|| {
+fn registry_runs(cli: Option<&PathBuf>) -> Result<Vec<RegistryRun>, DoctorError> {
+    let dir = registry_dir(cli.map(PathBuf::as_path)).ok_or_else(|| {
         DoctorError::msg(format!("--registry is required (or set SPECTRAL_REGISTRY)\n{USAGE}"))
     })?;
-    spectral_registry::load_records(&dir)
-        .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.display())))
+    load_registry(&dir)
 }
 
 fn trend_main(argv: &[String]) -> ExitCode {
@@ -251,13 +243,15 @@ fn trend_main(argv: &[String]) -> ExitCode {
                 }
             }
         }
-        let mut records = load_registry(registry.as_ref())?;
-        records.retain(|r| {
-            binary.as_ref().is_none_or(|b| &r.binary == b)
-                && benchmark.as_ref().is_none_or(|b| &r.benchmark == b)
-                && machine.as_ref().is_none_or(|m| &r.machine == m)
+        let mut runs = registry_runs(registry.as_ref())?;
+        runs.retain(|r| {
+            let m = r.manifest();
+            binary.as_ref().is_none_or(|b| &m.binary == b)
+                && benchmark.as_ref().is_none_or(|b| &m.benchmark == b)
+                && machine.as_ref().is_none_or(|name| &m.machine == name)
         });
-        let mut series = trend(&records);
+        runs.iter_mut().try_for_each(RegistryRun::load_stream)?;
+        let mut series = trend(&runs);
         if let Some(n) = last {
             for s in &mut series {
                 let drop = s.points.len().saturating_sub(n);
@@ -305,8 +299,7 @@ fn gate_main(argv: &[String]) -> ExitCode {
                 }
             }
         }
-        let records = load_registry(registry.as_ref())?;
-        let verdict = gate(&records, &cfg)?;
+        let verdict = gate(&registry_runs(registry.as_ref())?, &cfg)?;
         print!("{}", render_gate_text(&verdict, &cfg));
         if let Some(path) = &json {
             write_file(path, &render_gate_json(&verdict, &cfg))?;
@@ -371,9 +364,9 @@ fn watch_main(argv: &[String]) -> ExitCode {
                     WatchFrame::from_artifacts(&artifacts)
                 }
                 (None, Some(dir)) => {
-                    let records = spectral_registry::load_records(dir)
-                        .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.display())))?;
-                    WatchFrame::from_records(records)
+                    let mut runs = load_registry(dir)?;
+                    load_latest_streams(&mut runs)?;
+                    WatchFrame::from_registry(runs)
                 }
                 _ => unreachable!("validated above"),
             };

@@ -4,10 +4,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use spectral_registry::RunRecord;
 use spectral_telemetry::{json_number as number, json_quote as quote};
 
 use crate::report::sparkline;
+use crate::RegistryRun;
 
 /// One run's contribution to a trend series.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,13 +16,13 @@ pub struct TrendPoint {
     pub unix_ms: u64,
     /// The run's collision-resistant identifier.
     pub run_id: String,
-    /// Code-version label the run was recorded under.
+    /// Code-version label the run was indexed under.
     pub code_version: String,
-    /// Throughput, points per second of run-phase wall-clock.
+    /// Throughput, points per second of run-phase wall-clock
+    /// ([`RegistryRun::run_rate`]).
     pub run_rate: Option<f64>,
     /// Points the primary series needed to first become eligible to
-    /// stop (from the distilled convergence summary; falls back to the
-    /// processed-point count for runs without one).
+    /// stop ([`RegistryRun::points_to_convergence`]).
     pub points_to_convergence: Option<u64>,
     /// Final estimate CI half-width.
     pub ci_half_width: Option<f64>,
@@ -31,10 +31,10 @@ pub struct TrendPoint {
 }
 
 /// The trajectory of one `(binary, benchmark, machine, threads)` tuple
-/// across registry records, in append order.
+/// across indexed runs, in append order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendSeries {
-    /// Emitting binary.
+    /// Emitting binary (`scaling` for bench cells).
     pub binary: String,
     /// Benchmark / workload identifier.
     pub benchmark: String,
@@ -42,54 +42,37 @@ pub struct TrendSeries {
     pub machine: String,
     /// Worker thread count.
     pub threads: usize,
-    /// Record kind (`run` / `bench`).
-    pub kind: String,
     /// Per-run samples, sorted by wall-clock (append order breaks ties).
     pub points: Vec<TrendPoint>,
 }
 
-fn trend_point(r: &RunRecord) -> TrendPoint {
-    // The primary series is the first convergence summary (single-config
-    // runs have exactly one; sweeps put the baseline first).
-    let primary = r.convergence.first();
+fn trend_point(r: &RegistryRun) -> TrendPoint {
+    let estimate = r.manifest().estimate.as_ref();
     TrendPoint {
-        unix_ms: r.unix_ms,
-        run_id: r.run_id.clone(),
-        code_version: r.code_version.clone(),
-        run_rate: r.run_rate,
-        points_to_convergence: primary
-            .and_then(|s| s.first_eligible_n)
-            .or_else(|| primary.map(|s| s.n))
-            .or(r.points_processed),
-        ci_half_width: r.estimate.as_ref().map(|e| e.half_width),
-        converged: r.estimate.as_ref().map(|e| e.reached_target),
+        unix_ms: r.entry().unix_ms,
+        run_id: r.entry().run_id.clone(),
+        code_version: r.entry().code_version.clone(),
+        run_rate: r.run_rate(),
+        points_to_convergence: r.points_to_convergence(),
+        ci_half_width: estimate.map(|e| e.half_width),
+        converged: estimate.map(|e| e.reached_target),
     }
 }
 
-/// Group registry records into per-`(kind, binary, benchmark, machine,
-/// threads)` trend series. Records stay in append order within a series
-/// (then stable-sorted by wall clock, so backfilled registries still
-/// render chronologically).
-pub fn trend(records: &[RunRecord]) -> Vec<TrendSeries> {
-    type Key = (String, String, String, String, usize);
-    let mut groups: BTreeMap<Key, Vec<TrendPoint>> = BTreeMap::new();
-    for r in records {
-        groups
-            .entry((
-                r.kind.clone(),
-                r.binary.clone(),
-                r.benchmark.clone(),
-                r.machine.clone(),
-                r.threads,
-            ))
-            .or_default()
-            .push(trend_point(r));
+/// Group indexed runs into per-`(binary, benchmark, machine, threads)`
+/// trend series. Runs stay in append order within a series (then
+/// stable-sorted by wall clock, so backfilled registries still render
+/// chronologically).
+pub fn trend(runs: &[RegistryRun]) -> Vec<TrendSeries> {
+    let mut groups: BTreeMap<crate::TupleKey, Vec<TrendPoint>> = BTreeMap::new();
+    for r in runs {
+        groups.entry(r.key()).or_default().push(trend_point(r));
     }
     groups
         .into_iter()
-        .map(|((kind, binary, benchmark, machine, threads), mut points)| {
+        .map(|((binary, benchmark, machine, threads), mut points)| {
             points.sort_by_key(|p| p.unix_ms);
-            TrendSeries { binary, benchmark, machine, threads, kind, points }
+            TrendSeries { binary, benchmark, machine, threads, points }
         })
         .collect()
 }
@@ -116,14 +99,13 @@ fn metric_line(out: &mut String, label: &str, values: &[Option<f64>], unit: &str
 pub fn render_trend_text(series: &[TrendSeries]) -> String {
     let mut out = String::new();
     if series.is_empty() {
-        let _ = writeln!(out, "trend: no matching records in the registry");
+        let _ = writeln!(out, "trend: no matching runs in the registry");
         return out;
     }
     for s in series {
         let _ = writeln!(
             out,
-            "trend: {} {} / {} on {} with {} threads — {} run{}",
-            s.kind,
+            "trend: {} / {} on {} with {} threads — {} run{}",
             s.binary,
             s.benchmark,
             s.machine,
@@ -156,9 +138,7 @@ pub fn render_trend_json(series: &[TrendSeries]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"kind\":{},\"binary\":{},\"benchmark\":{},\"machine\":{},\"threads\":{},\
-             \"points\":[",
-            quote(&s.kind),
+            "{{\"binary\":{},\"benchmark\":{},\"machine\":{},\"threads\":{},\"points\":[",
             quote(&s.binary),
             quote(&s.benchmark),
             quote(&s.machine),
@@ -191,32 +171,23 @@ pub fn render_trend_json(series: &[TrendSeries]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spectral_telemetry::EstimateSummary;
+    use crate::test_support::{manifest, registry_run};
 
-    fn record(binary: &str, unix_ms: u64, rate: f64, hw: f64) -> RunRecord {
-        let mut r = RunRecord::new("run", binary, "gcc-like", "8-wide", 4);
-        r.run_id = format!("aaaa000000000001-{unix_ms}");
-        r.unix_ms = unix_ms;
-        r.points_processed = Some(500);
-        r.run_rate = Some(rate);
-        r.estimate = Some(EstimateSummary {
-            mean: 1.4,
-            half_width: hw,
-            relative_half_width: hw / 1.4,
-            reached_target: true,
-        });
-        r
+    /// An online run of `points` in 0.5 s of run phase (rate
+    /// `2 × points`) with CI half-width `hw`.
+    fn run(binary: &str, unix_ms: u64, points: u64, hw: f64) -> RegistryRun {
+        registry_run("dev", unix_ms, manifest(binary, points, 0.5, 1.4, hw), "")
     }
 
     #[test]
     fn records_group_and_sort_chronologically() {
         // Deliberately interleaved and out of wall-clock order.
-        let records = vec![
-            record("online", 2_000, 2_400.0, 0.02),
-            record("matched", 1_500, 900.0, 0.01),
-            record("online", 1_000, 1_200.0, 0.05),
+        let runs = vec![
+            run("online", 2_000, 1_200, 0.02),
+            run("matched", 1_500, 450, 0.01),
+            run("online", 1_000, 600, 0.05),
         ];
-        let series = trend(&records);
+        let series = trend(&runs);
         assert_eq!(series.len(), 2);
         let online = series.iter().find(|s| s.binary == "online").expect("online series");
         assert_eq!(online.points.len(), 2);
@@ -231,43 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn convergence_cost_prefers_the_distilled_summary() {
-        let mut r = record("online", 1_000, 1_200.0, 0.05);
-        r.convergence = vec![spectral_telemetry::RunSummary {
-            run_id: r.run_id.clone(),
-            seq: 1,
-            run: "online".into(),
-            metric: "cpi".into(),
-            config: None,
-            n: 40,
-            mean: 1.4,
-            half_width: 0.05,
-            rel_half_width: 0.036,
-            target_rel_err: 0.05,
-            eligible: true,
-            first_eligible_n: Some(36),
-            overshoot: 4,
-            anomalies: 0,
-            workers: 4,
-            min_shard_points: 8,
-            max_shard_points: 12,
-            min_shard_busy_ns: 0,
-            max_shard_busy_ns: 0,
-        }];
-        let series = trend(&[r]);
-        assert_eq!(series[0].points[0].points_to_convergence, Some(36));
-        // Without a summary, fall back to processed points.
-        let bare = record("online", 1_000, 1_200.0, 0.05);
+    fn convergence_cost_reads_the_analyzed_stream() {
+        // The primary series first becomes eligible at n = 36.
+        let progress = |n: u64, eligible: bool| {
+            format!(
+                "{{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+                 \"run\":\"online\",\"metric\":\"cpi\",\"worker\":0,\"n\":{n},\
+                 \"eligible\":{eligible}}}\n"
+            )
+        };
+        let stream = [progress(24, false), progress(36, true), progress(40, true)].concat();
+        let r = registry_run("dev", 1_000, manifest("online", 500, 0.5, 1.4, 0.05), &stream);
+        assert_eq!(trend(&[r])[0].points[0].points_to_convergence, Some(36));
+        // Without an eligible sample, fall back to processed points.
+        let bare = run("online", 1_000, 500, 0.05);
         assert_eq!(trend(&[bare])[0].points[0].points_to_convergence, Some(500));
     }
 
     #[test]
     fn json_rendering_is_parseable() {
         use spectral_telemetry::JsonValue;
-        let series = trend(&[
-            record("online", 1_000, 1_200.0, 0.05),
-            record("online", 2_000, 2_400.0, 0.02),
-        ]);
+        let series = trend(&[run("online", 1_000, 600, 0.05), run("online", 2_000, 1_200, 0.02)]);
         let doc = JsonValue::parse(&render_trend_json(&series)).expect("valid JSON");
         let arr = doc.get("series").and_then(JsonValue::as_arr).expect("series array");
         assert_eq!(arr.len(), 1);

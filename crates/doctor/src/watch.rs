@@ -3,9 +3,11 @@
 //! in-place terminal dashboard and/or a Prometheus-style text
 //! exposition.
 //!
-//! A frame is a pure function of the artifact's current contents: the
-//! watch loop polls an [`EventsTail`] each tick — reading only the
-//! bytes appended since the last frame, and re-seeking to the start
+//! A frame is a pure function of the artifact's current contents. Over
+//! a registry it is rebuilt from the indexed run directories each tick;
+//! over a run stream the watch loop polls an [`EventsTail`] each tick —
+//! reading only the bytes appended since the last frame, and re-seeking
+//! to the start
 //! when the file shrank (truncated in place or rotated) — and rebuilds
 //! the frame from the accumulated complete lines. A live writer's last
 //! line may be mid-append, so the tail holds it back until its newline
@@ -18,10 +20,9 @@ use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::PathBuf;
 
-use spectral_registry::RunRecord;
-use spectral_telemetry::{json_number as number, RunSummary};
+use spectral_telemetry::json_number as number;
 
-use crate::RunArtifacts;
+use crate::{DoctorError, RegistryRun, RunArtifacts};
 
 /// An incremental tail over a growing run stream: each [`poll`] reads
 /// only the bytes appended since the last one and returns the
@@ -121,8 +122,8 @@ pub struct SeriesState {
 pub struct WatchFrame {
     /// Live series, ordered by (seq, run_id, run, metric, config).
     pub series: Vec<SeriesState>,
-    /// Registry records (empty when watching a run stream).
-    pub runs: Vec<RunRecord>,
+    /// Indexed runs (empty when watching a run stream).
+    pub runs: Vec<RegistryRun>,
 }
 
 impl WatchFrame {
@@ -130,58 +131,16 @@ impl WatchFrame {
     /// sample of every series [`analyze`](crate::analyze) finds, with
     /// the anomalies of its run.
     pub fn from_artifacts(artifacts: &RunArtifacts) -> WatchFrame {
-        let diagnosis = crate::analyze(artifacts);
-        let series = diagnosis
-            .series
-            .iter()
-            .filter_map(|s| {
-                let last = s.last()?;
-                let anomalies = diagnosis
-                    .anomalies
-                    .iter()
-                    .filter(|a| a.run_id == s.run_id && a.seq == s.seq && a.run == s.run)
-                    .count();
-                Some(SeriesState {
-                    run_id: s.run_id.clone(),
-                    seq: s.seq,
-                    run: s.run.clone(),
-                    metric: s.metric.clone(),
-                    config: s.config,
-                    n: last.n,
-                    mean: last.mean,
-                    rel_half_width: last.rel_half_width,
-                    target_rel_err: s.target_rel_err,
-                    eligible: last.eligible,
-                    workers: s.shards.workers.len(),
-                    busy_spread: s.shards.busy_imbalance,
-                    anomalies: anomalies as u64,
-                })
-            })
-            .collect();
-        WatchFrame { series, runs: Vec::new() }
+        WatchFrame { series: series_states(artifacts), runs: Vec::new() }
     }
 
-    /// Build a frame from registry records: the run list verbatim, plus
-    /// series derived from the latest record per `(kind, binary,
-    /// benchmark, machine, threads)` tuple's convergence summaries.
-    pub fn from_records(runs: Vec<RunRecord>) -> WatchFrame {
-        type TupleKey = (String, String, String, String, usize);
-        let mut latest: BTreeMap<TupleKey, &RunRecord> = BTreeMap::new();
-        for r in &runs {
-            latest.insert(
-                (
-                    r.kind.clone(),
-                    r.binary.clone(),
-                    r.benchmark.clone(),
-                    r.machine.clone(),
-                    r.threads,
-                ),
-                r,
-            );
-        }
-        let series =
-            latest.values().flat_map(|r| r.convergence.iter().map(summary_state)).collect();
-        WatchFrame { series, runs }
+    /// Build a frame from a registry's runs: the run list verbatim, plus
+    /// the series of the latest run per `(binary, benchmark, machine,
+    /// threads)` tuple, as [`from_artifacts`](Self::from_artifacts)
+    /// finds them in its stream (read by [`load_latest_streams`]).
+    pub fn from_registry(runs: Vec<RegistryRun>) -> WatchFrame {
+        let series = latest(&runs).into_iter().flat_map(|i| series_states(runs[i].artifacts()));
+        WatchFrame { series: series.collect(), runs }
     }
 
     /// Render the in-place dashboard body (no ANSI control codes — the
@@ -190,7 +149,7 @@ impl WatchFrame {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "spectral-doctor watch — {} series, {} run record{}",
+            "spectral-doctor watch — {} series, {} indexed run{}",
             self.series.len(),
             self.runs.len(),
             if self.runs.len() == 1 { "" } else { "s" }
@@ -221,26 +180,22 @@ impl WatchFrame {
         }
         for r in &self.runs[tail..] {
             // Decode-cache effectiveness, when the run sampled it.
-            let cache = match (r.cache_hits, r.cache_misses) {
+            let cache = match (r.counter(CACHE_HITS), r.counter(CACHE_MISSES)) {
                 (Some(h), Some(m)) if h + m > 0 => {
                     format!(
                         " cache={:.0}% hit ({h}h/{m}m/{}e)",
                         h as f64 * 100.0 / (h + m) as f64,
-                        r.cache_evictions.unwrap_or(0)
+                        r.counter(CACHE_EVICTIONS).unwrap_or(0)
                     )
                 }
                 _ => String::new(),
             };
+            let (binary, benchmark, machine, threads) = r.key();
             let _ = writeln!(
                 out,
-                "  {} {}/{} on {} t{} [{}] rate={}{cache}",
-                r.kind,
-                r.binary,
-                r.benchmark,
-                r.machine,
-                r.threads,
-                r.code_version,
-                r.run_rate.map_or("n/a".to_owned(), |v| format!("{v:.0} pts/s")),
+                "  {binary}/{benchmark} on {machine} t{threads} [{}] rate={}{cache}",
+                r.entry().code_version,
+                r.run_rate().map_or("n/a".to_owned(), |v| format!("{v:.0} pts/s")),
             );
         }
         out
@@ -304,52 +259,51 @@ impl WatchFrame {
             "Anomalous live-points observed in the series' run.",
             rows(&|s| s.anomalies.to_string()),
         );
-        let run_labels = |r: &RunRecord| {
+        let run_labels = |r: &RegistryRun| {
+            let (binary, benchmark, machine, threads) = r.key();
             format!(
-                "run_id=\"{}\",kind=\"{}\",binary=\"{}\",benchmark=\"{}\",\
-                 machine=\"{}\",threads=\"{}\",code_version=\"{}\"",
-                escape_label(&r.run_id),
-                escape_label(&r.kind),
-                escape_label(&r.binary),
-                escape_label(&r.benchmark),
-                escape_label(&r.machine),
-                r.threads,
-                escape_label(&r.code_version),
+                "run_id=\"{}\",binary=\"{}\",benchmark=\"{}\",machine=\"{}\",\
+                 threads=\"{threads}\",code_version=\"{}\"",
+                escape_label(&r.entry().run_id),
+                escape_label(&binary),
+                escape_label(&benchmark),
+                escape_label(&machine),
+                escape_label(&r.entry().code_version),
             )
         };
-        let run_rows = |f: &dyn Fn(&RunRecord) -> Option<String>| -> Vec<(String, String)> {
+        let run_rows = |f: &dyn Fn(&RegistryRun) -> Option<String>| -> Vec<(String, String)> {
             self.runs.iter().filter_map(|r| Some((run_labels(r), f(r)?))).collect()
         };
         gauge(
             "spectral_run_rate",
             "Run throughput in points per second.",
-            run_rows(&|r| r.run_rate.map(number)),
+            run_rows(&|r| r.run_rate().map(number)),
         );
         gauge(
             "spectral_cache_hits",
             "Decoded-point cache hits over the run (core.lib.cache_hits).",
-            run_rows(&|r| r.cache_hits.map(|v| v.to_string())),
+            run_rows(&|r| r.counter(CACHE_HITS).map(|v| v.to_string())),
         );
         gauge(
             "spectral_cache_misses",
             "Decoded-point cache misses over the run (core.lib.cache_misses).",
-            run_rows(&|r| r.cache_misses.map(|v| v.to_string())),
+            run_rows(&|r| r.counter(CACHE_MISSES).map(|v| v.to_string())),
         );
         gauge(
             "spectral_cache_evictions",
             "Decoded-point cache evictions over the run (core.lib.cache_evictions).",
-            run_rows(&|r| r.cache_evictions.map(|v| v.to_string())),
+            run_rows(&|r| r.counter(CACHE_EVICTIONS).map(|v| v.to_string())),
         );
         gauge(
             "spectral_cache_hit_ratio",
             "Decoded-point cache hits over hits plus misses.",
-            run_rows(&|r| match (r.cache_hits?, r.cache_misses?) {
+            run_rows(&|r| match (r.counter(CACHE_HITS)?, r.counter(CACHE_MISSES)?) {
                 (0, 0) => None,
                 (h, m) => Some(number(h as f64 / (h + m) as f64)),
             }),
         );
         if !self.runs.is_empty() {
-            let _ = writeln!(out, "# HELP spectral_runs_total Registry records seen.");
+            let _ = writeln!(out, "# HELP spectral_runs_total Indexed runs seen.");
             let _ = writeln!(out, "# TYPE spectral_runs_total gauge");
             let _ = writeln!(out, "spectral_runs_total {}", self.runs.len());
         }
@@ -357,22 +311,60 @@ impl WatchFrame {
     }
 }
 
-fn summary_state(s: &RunSummary) -> SeriesState {
-    SeriesState {
-        run_id: s.run_id.clone(),
-        seq: s.seq,
-        run: s.run.clone(),
-        metric: s.metric.clone(),
-        config: s.config,
-        n: s.n,
-        mean: s.mean,
-        rel_half_width: s.rel_half_width,
-        target_rel_err: s.target_rel_err,
-        eligible: s.eligible,
-        workers: s.workers,
-        busy_spread: s.busy_spread(),
-        anomalies: s.anomalies,
+/// Read the streams of the latest run per tuple, the only runs whose
+/// series a registry frame shows.
+///
+/// # Errors
+///
+/// A diagnostic naming a stream that cannot be read or parsed.
+pub fn load_latest_streams(runs: &mut [RegistryRun]) -> Result<(), DoctorError> {
+    latest(runs).into_iter().try_for_each(|i| runs[i].load_stream())
+}
+
+/// The index of the latest run of each tuple, in tuple order.
+fn latest(runs: &[RegistryRun]) -> Vec<usize> {
+    let mut latest = BTreeMap::new();
+    for (i, r) in runs.iter().enumerate() {
+        latest.insert(r.key(), i);
     }
+    latest.into_values().collect()
+}
+
+const CACHE_HITS: &str = "core.lib.cache_hits";
+const CACHE_MISSES: &str = "core.lib.cache_misses";
+const CACHE_EVICTIONS: &str = "core.lib.cache_evictions";
+
+/// The latest sample of every series [`analyze`](crate::analyze) finds
+/// in `artifacts`, with the anomalies of its run.
+fn series_states(artifacts: &RunArtifacts) -> Vec<SeriesState> {
+    let diagnosis = crate::analyze(artifacts);
+    diagnosis
+        .series
+        .iter()
+        .filter_map(|s| {
+            let last = s.last()?;
+            let anomalies = diagnosis
+                .anomalies
+                .iter()
+                .filter(|a| a.run_id == s.run_id && a.seq == s.seq && a.run == s.run)
+                .count();
+            Some(SeriesState {
+                run_id: s.run_id.clone(),
+                seq: s.seq,
+                run: s.run.clone(),
+                metric: s.metric.clone(),
+                config: s.config,
+                n: last.n,
+                mean: last.mean,
+                rel_half_width: last.rel_half_width,
+                target_rel_err: s.target_rel_err,
+                eligible: last.eligible,
+                workers: s.shards.workers.len(),
+                busy_spread: s.shards.busy_imbalance,
+                anomalies: anomalies as u64,
+            })
+        })
+        .collect()
 }
 
 /// Escape a Prometheus label value (backslash, quote, newline).
@@ -476,36 +468,26 @@ mod tests {
 
     #[test]
     fn registry_frames_surface_runs_and_convergence() {
-        let mut r = RunRecord::new("run", "online", "gcc-like", "8-wide", 4);
-        r.run_id = "aaaa000000000001-1".into();
-        r.run_rate = Some(2_000.0);
-        r.cache_hits = Some(750);
-        r.cache_misses = Some(250);
-        r.cache_evictions = Some(10);
-        r.convergence = vec![RunSummary {
-            run_id: r.run_id.clone(),
-            seq: 1,
-            run: "online".into(),
-            metric: "cpi".into(),
-            config: None,
-            n: 40,
-            mean: 1.372,
-            half_width: 0.041,
-            rel_half_width: 0.0299,
-            target_rel_err: 0.03,
-            eligible: true,
-            first_eligible_n: Some(36),
-            overshoot: 4,
-            anomalies: 2,
-            workers: 4,
-            min_shard_points: 8,
-            max_shard_points: 12,
-            min_shard_busy_ns: 600,
-            max_shard_busy_ns: 2_000,
-        }];
-        let frame = WatchFrame::from_records(vec![r]);
+        use crate::test_support::{manifest, registry_run};
+        // Two workers whose busy times spread (2000 - 600) / 2000.
+        let progress = |worker: u64, n: u64, busy: u64| {
+            format!(
+                "{{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+                 \"run\":\"online\",\"metric\":\"cpi\",\"worker\":{worker},\"n\":{n},\
+                 \"mean\":1.372,\"rel_half_width\":0.0299,\"target_rel_err\":0.03,\
+                 \"eligible\":true,\"shard_points\":{n},\"shard_busy_ns\":{busy}}}\n"
+            )
+        };
+        let stream = [progress(0, 20, 2_000), progress(1, 40, 600)].concat();
+        let mut r =
+            registry_run("dev", 1_000, manifest("online", 1_000, 0.5, 1.372, 0.041), &stream);
+        r.entry.run_id = "aaaa000000000001-1".into();
+        for (name, v) in [(CACHE_HITS, 750), (CACHE_MISSES, 250), (CACHE_EVICTIONS, 10)] {
+            r.artifacts.counters.insert(name.to_owned(), v);
+        }
+        let frame = WatchFrame::from_registry(vec![r]);
         assert_eq!(frame.series.len(), 1);
-        assert_eq!(frame.series[0].workers, 4);
+        assert_eq!(frame.series[0].workers, 2);
         assert!((frame.series[0].busy_spread - 0.7).abs() < 1e-12);
         let prom = frame.prometheus();
         assert!(prom.contains("spectral_run_rate{"), "{prom}");

@@ -3,41 +3,69 @@
 //! candidate run-sets into exit codes CI can branch on, and `watch
 //! --once --prom` emits a parseable Prometheus text exposition.
 //!
-//! Records are synthesized through the `spectral-registry` API with
-//! controlled run rates, so regression verdicts are deterministic; the
-//! companion test in `crates/experiments/tests/registry.rs` covers the
-//! same registry populated by real experiment invocations.
+//! Runs are synthesized as run directories with controlled run rates,
+//! indexed through the `spectral-registry` API, so regression verdicts
+//! are deterministic; the companion test in
+//! `crates/experiments/tests/registry.rs` covers the same registry
+//! populated by real experiment invocations.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use spectral_registry::{Registry, RunRecord};
-use spectral_telemetry::{JsonValue, RunDir};
+use spectral_registry::Registry;
+use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("spectral_doctor_cli_{}_{name}", std::process::id()))
 }
 
-/// One synthetic online-run record with a controlled throughput.
-fn record(code_version: &str, seq: u64, rate: f64, unix_ms: u64) -> RunRecord {
-    let mut r = RunRecord::new("run", "online", "gcc-like", "8-wide", 4);
-    r.run_id = format!("{:016x}-{seq}", 0xfeed_0000_0000_0000u64 | seq);
-    r.code_version = code_version.to_owned();
-    r.seed = Some(42);
-    r.unix_ms = unix_ms;
-    r.points_processed = Some(1000);
-    r.run_secs = Some(1000.0 / rate);
-    r.run_rate = Some(rate);
-    r
+/// One synthetic online run with a controlled throughput: 1000 points
+/// in one `run` phase of `1000 / rate` seconds, indexed under
+/// `code_version` at `unix_ms`.
+struct Run {
+    code_version: &'static str,
+    seq: u64,
+    rate: f64,
+    unix_ms: u64,
 }
 
-fn build_registry(dir: &PathBuf, records: &[RunRecord]) -> Registry {
+fn record(code_version: &'static str, seq: u64, rate: f64, unix_ms: u64) -> Run {
+    Run { code_version, seq, rate, unix_ms }
+}
+
+/// A fresh registry at `dir` holding `runs`, each in its own run
+/// directory under `runs/`.
+fn build_registry(dir: &PathBuf, runs: &[Run]) -> Registry {
     let _ = std::fs::remove_dir_all(dir);
     let registry = Registry::open(dir).expect("open registry");
-    for r in records {
-        registry.append(r).expect("append record");
+    for r in runs {
+        let run_id = format!("{:016x}-{}", 0xfeed_0000_0000_0000u64 | r.seq, r.seq);
+        let mut m = RunManifest::new("online", "gcc-like", "8-wide", 4);
+        m.run_id = Some(run_id.clone());
+        m.seed = Some(42);
+        m.points_processed = Some(1000);
+        m.phase("run", 1000.0 / r.rate);
+        let run = registry.new_run(&run_id);
+        std::fs::create_dir_all(run.root()).expect("create run directory");
+        m.write(run.manifest(), None).expect("write manifest");
+        std::fs::write(run.stream(), "").expect("write stream");
+        let mut entry = registry.entry(run_id, &run).expect("index entry");
+        entry.code_version = r.code_version.to_owned();
+        entry.unix_ms = r.unix_ms;
+        registry.append(&entry).expect("append index line");
     }
     registry
+}
+
+/// A run stream whose primary series first becomes eligible at `n`
+/// points.
+fn eligible_stream(run_id: &str, n: u64) -> String {
+    format!(
+        "{{\"type\":\"progress\",\"run_id\":\"{run_id}\",\"seq\":1,\"run\":\"online\",\
+         \"metric\":\"cpi\",\"t_us\":100,\"worker\":0,\"n\":{n},\"mean\":1.2,\
+         \"half_width\":0.03,\"rel_half_width\":0.025,\"target_rel_err\":0.03,\
+         \"eligible\":true,\"shard_points\":{n},\"shard_busy_ns\":900}}\n"
+    )
 }
 
 fn doctor() -> Command {
@@ -118,7 +146,7 @@ fn gate_exit_codes_track_the_regression_verdict() {
 #[test]
 fn trend_renders_a_multi_point_trajectory() {
     let dir = temp_path("trend");
-    build_registry(
+    let registry = build_registry(
         &dir,
         &[
             record("v1", 1, 1800.0, 1_000),
@@ -126,6 +154,10 @@ fn trend_renders_a_multi_point_trajectory() {
             record("v3", 3, 2100.0, 3_000),
         ],
     );
+    // The latest run's stream shows when it converged.
+    let latest = registry.load().expect("index loads").remove(2);
+    std::fs::write(registry.run_dir(&latest).stream(), eligible_stream(&latest.run_id, 36))
+        .expect("write stream");
     let out = doctor().arg("trend").arg("--registry").arg(&dir).output().expect("run trend");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -151,6 +183,11 @@ fn trend_renders_a_multi_point_trajectory() {
     let rates: Vec<f64> =
         points.iter().filter_map(|p| p.get("run_rate").and_then(JsonValue::as_f64)).collect();
     assert_eq!(rates, vec![1800.0, 1900.0, 2100.0], "chronological order");
+    let converged: Vec<u64> = points
+        .iter()
+        .filter_map(|p| p.get("points_to_convergence").and_then(JsonValue::as_u64))
+        .collect();
+    assert_eq!(converged, vec![1000, 1000, 36], "read from each run's stream");
 
     // --last trims to the most recent points.
     let out = doctor()
@@ -234,9 +271,16 @@ fn watch_once_emits_parseable_prometheus_exposition() {
     assert!(text.contains("spectral_anomalies"), "{text}");
     assert!(assert_prometheus_parses(&text) >= 5, "several samples expected:\n{text}");
 
-    // Registry mode: run records surface as spectral_run_rate samples.
+    // Registry mode: indexed runs surface as spectral_run_rate samples.
     let dir = temp_path("watch_registry");
-    build_registry(&dir, &[record("v1", 1, 2000.0, 1_000), record("v2", 2, 2100.0, 2_000)]);
+    let registry =
+        build_registry(&dir, &[record("v1", 1, 2000.0, 1_000), record("v2", 2, 2100.0, 2_000)]);
+    // Series come from the latest run's stream; an older run's stream
+    // is not read at all, so not even a garbled one fails the frame.
+    let entries = registry.load().expect("index loads");
+    std::fs::write(registry.run_dir(&entries[0]).stream(), "not json\n").expect("garble");
+    std::fs::write(registry.run_dir(&entries[1]).stream(), eligible_stream(&entries[1].run_id, 36))
+        .expect("write stream");
     let out = doctor()
         .args(["watch", "--once", "--registry"])
         .arg(&dir)
@@ -249,6 +293,7 @@ fn watch_once_emits_parseable_prometheus_exposition() {
     assert!(text.contains("spectral_run_rate"), "{text}");
     assert!(text.contains("spectral_runs_total"), "{text}");
     assert!(assert_prometheus_parses(&text) >= 3, "{text}");
+    assert!(text.contains(&format!("spectral_progress_points{{run_id=\"{}\"", entries[1].run_id)));
 
     let _ = std::fs::remove_dir_all(run.root());
     let _ = std::fs::remove_file(&prom);

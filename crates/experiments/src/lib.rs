@@ -49,11 +49,13 @@
 //!   snapshot embedded. A reused DIR is cleared of an earlier run's
 //!   files first. Feed DIR to `spectral-doctor analyze|profile|watch
 //!   --run DIR`.
-//! * `--registry DIR` — append one distilled run record (run id, code
-//!   version, throughput, final estimate, convergence summaries) to the
-//!   cross-run registry at DIR on exit; also enabled by the
-//!   `SPECTRAL_REGISTRY` env var. Query the registry with
-//!   `spectral-doctor trend` / `gate` / `watch`.
+//! * `--registry DIR` — index the run in the cross-run registry at DIR:
+//!   without `--out` the run directory is `DIR/runs/<id>`, and on exit,
+//!   once its manifest is written, one line naming the run id, code
+//!   version and run directory is appended to `DIR/index.jsonl`; also
+//!   enabled by the `SPECTRAL_REGISTRY` env var. Query the registry with
+//!   `spectral-doctor trend` / `gate` / `watch`, and any of its runs
+//!   with `spectral-doctor analyze --run`.
 //!
 //! Binaries exit non-zero with a one-line `binary: error: …`
 //! diagnostic on malformed arguments or I/O faults.
@@ -170,7 +172,9 @@ pub struct Args {
     pub checkpoint_every: Option<u64>,
     /// Checkpoint file to resume an interrupted run from (`--resume`).
     pub resume: Option<PathBuf>,
-    /// Run directory for the stream, report and manifest (`--out`).
+    /// Run directory for the stream, report and manifest (`--out`; a
+    /// registry's `runs/<id>` when [`Args::try_parse`] finds a registry
+    /// but no `--out`).
     pub out: Option<PathBuf>,
     /// Cross-run registry directory (`--registry`).
     pub registry: Option<PathBuf>,
@@ -182,21 +186,26 @@ impl Args {
     /// # Errors
     ///
     /// Returns a usage diagnostic on unknown flags, missing values, or
-    /// malformed integers, and an I/O diagnostic when the `--out`
-    /// directory cannot be started. Starts the run directory (which
-    /// installs the run stream) when `--out` is present, and turns on
-    /// the in-process run-summary tally when `--registry` (or the
-    /// `SPECTRAL_REGISTRY` env var) is present — the registry record
-    /// distills convergence from the tally, which works without a run
-    /// stream.
+    /// malformed integers, and an I/O diagnostic when the registry or
+    /// the run directory cannot be started. A run that names a registry
+    /// (`--registry` or `SPECTRAL_REGISTRY`) gets its run directory from
+    /// [`Registry::run_dir_for`](spectral_registry::Registry::run_dir_for):
+    /// `runs/<id>` under the registry without `--out`, and an error when
+    /// an index line already names the `--out` directory. The run
+    /// directory is started, which installs the run stream.
     pub fn try_parse() -> Result<Args, ExpError> {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let args = Self::try_parse_from(&argv)?;
+        let mut args = Self::try_parse_from(&argv)?;
         if let Some(capacity) = args.decode_cache {
             spectral_core::set_decode_cache_capacity(capacity);
         }
-        if args.registry_dir().is_some() {
-            spectral_telemetry::enable_run_summaries();
+        if let Some(dir) = args.registry_dir() {
+            let registry =
+                spectral_registry::Registry::open(&dir).context("cannot open registry", &dir)?;
+            let run = registry
+                .run_dir_for(args.out.as_deref())
+                .context("cannot start a run in registry", &dir)?;
+            args.out = Some(run.root().to_path_buf());
         }
         if let Some(dir) = &args.out {
             RunDir::new(dir).start().context("cannot start run directory", dir)?;
@@ -372,9 +381,9 @@ impl Args {
     }
 
     /// Stamp resume lineage into a run manifest: when `--resume` named
-    /// a checkpoint, a `resumed_from` note records it so the manifest,
-    /// the registry record, and `doctor analyze` can distinguish
-    /// resumed runs from uninterrupted ones.
+    /// a checkpoint, a `resumed_from` note records it so the manifest
+    /// and `doctor analyze` can distinguish resumed runs from
+    /// uninterrupted ones.
     pub fn stamp_recovery(&self, manifest: &mut RunManifest) {
         if let Some(ckpt) = &self.resume {
             manifest.note("resumed_from", ckpt.display().to_string());
@@ -481,21 +490,15 @@ impl Args {
     /// The effective registry directory: `--registry` when given, else
     /// the `SPECTRAL_REGISTRY` environment variable (when non-empty).
     pub fn registry_dir(&self) -> Option<PathBuf> {
-        self.registry.clone().or_else(|| {
-            std::env::var_os(spectral_registry::REGISTRY_ENV)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        })
+        spectral_registry::registry_dir(self.registry.as_deref())
     }
 
     /// Finish a run: stamp a collision-resistant `run_id` into the
     /// manifest and flush the run stream; write `report.txt`, then
-    /// `manifest.json` with the metrics snapshot embedded, into the
-    /// `--out` directory (so a manifest there marks a finished run); and
-    /// append a distilled record (with the stored manifest artifact and
-    /// the convergence summaries drained from the in-process tally) to
-    /// the cross-run registry when `--registry` / `SPECTRAL_REGISTRY`
-    /// names one.
+    /// `manifest.json` with the metrics snapshot embedded, into the run
+    /// directory (so a manifest there marks a finished run); then, when
+    /// `--registry` / `SPECTRAL_REGISTRY` names a registry, append the
+    /// run's index line.
     ///
     /// # Errors
     ///
@@ -512,39 +515,27 @@ impl Args {
             ));
         }
         spectral_telemetry::flush_stream();
-        let registry_dir = self.registry_dir();
-        if self.out.is_none() && registry_dir.is_none() {
-            return Ok(());
-        }
-        let snapshot = spectral_telemetry::snapshot();
-        if let Some(out) = self.out.as_ref().map(RunDir::new) {
-            let path = out.report();
-            std::fs::write(&path, report.text()).context("cannot write report", &path)?;
-            let path = out.manifest();
-            manifest.write(&path, Some(&snapshot)).context("cannot write manifest", &path)?;
-        }
-        if let Some(dir) = registry_dir {
+        let Some(run) = self.out.as_ref().map(RunDir::new) else { return Ok(()) };
+        let path = run.report();
+        std::fs::write(&path, report.text()).context("cannot write report", &path)?;
+        let path = run.manifest();
+        manifest
+            .write(&path, Some(&spectral_telemetry::snapshot()))
+            .context("cannot write manifest", &path)?;
+        if let Some(dir) = self.registry_dir() {
             let registry =
                 spectral_registry::Registry::open(&dir).context("cannot open registry", &dir)?;
-            let summaries = spectral_telemetry::take_run_summaries();
-            let mut record = spectral_registry::RunRecord::from_manifest(manifest, summaries);
-            record.cache_hits = snapshot.counter("core.lib.cache_hits");
-            record.cache_misses = snapshot.counter("core.lib.cache_misses");
-            record.cache_evictions = snapshot.counter("core.lib.cache_evictions");
-            record.manifest_path = Some(
-                registry
-                    .store_artifact("json", manifest.to_json_with_metrics(&snapshot).as_bytes())
-                    .context("cannot store manifest artifact in", &dir)?,
-            );
-            registry.append(&record).context("cannot append to registry", &dir)?;
+            let run_id = manifest.run_id.clone().unwrap_or_default();
+            let entry =
+                registry.entry(run_id, &run).context("cannot locate run directory", run.root())?;
+            registry.append(&entry).context("cannot append to registry", &dir)?;
         }
         Ok(())
     }
 }
 
 /// Record a library's identity in a run manifest: content hash,
-/// container format version, and point count — what the registry
-/// distills into `library_id` / `library_format`.
+/// container format version, and point count.
 pub fn stamp_library(manifest: &mut RunManifest, library: &spectral_core::LivePointLibrary) {
     manifest.library_id = Some(format!("crc32:{:08x}", library.content_hash()));
     manifest.library_format = Some(u64::from(library.format_version()));

@@ -14,7 +14,7 @@ use std::process::{Command, Output};
 
 use spectral_core::{LivePointLibrary, RunCheckpoint};
 use spectral_doctor::RunArtifacts;
-use spectral_registry::Registry;
+use spectral_registry::{IndexEntry, Registry};
 use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -77,10 +77,17 @@ fn killed_checkpointing_run_resumes_to_the_same_estimate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The manifest of an indexed run.
+fn indexed_manifest(registry: &Registry, entry: &IndexEntry) -> RunManifest {
+    let path = registry.run_dir(entry).manifest();
+    RunManifest::from_json(&std::fs::read_to_string(&path).expect("manifest readable"))
+        .expect("manifest parses")
+}
+
 #[test]
 fn kill_around_registry_append_leaves_zero_or_one_committed_records() {
-    // Kill *before* the index append: no record. Kill *after* the
-    // durable append: exactly one record. Both leave a loadable index.
+    // Kill *before* the index append: no index line. Kill *after* the
+    // durable append: exactly one. Both leave a loadable index.
     for (site, expected) in [("registry.append", 0usize), ("registry.append.post", 1)] {
         let dir = temp_dir(&format!("reg_{expected}"));
         let out = online(
@@ -89,20 +96,20 @@ fn kill_around_registry_append_leaves_zero_or_one_committed_records() {
         );
         assert!(!out.status.success(), "kill at {site} must abort");
         let registry = Registry::open(&dir).expect("registry dir intact");
-        let records = registry.load().expect("index never torn");
-        assert_eq!(records.len(), expected, "kill at {site}");
-        // Any committed record's manifest artifact must be complete.
-        for r in &records {
-            let rel = r.manifest_path.as_ref().expect("artifact stored before index append");
-            let bytes = registry.read_artifact(rel).expect("artifact readable");
-            assert!(bytes.starts_with(b"{"), "artifact is the manifest JSON");
+        let entries = registry.load().expect("index never torn");
+        assert_eq!(entries.len(), expected, "kill at {site}");
+        // The killed run's directory is there either way, and an indexed
+        // run's manifest is complete and carries the index line's id.
+        assert_eq!(std::fs::read_dir(dir.join("runs")).expect("runs/").count(), 1);
+        for e in &entries {
+            assert_eq!(indexed_manifest(&registry, e).run_id.as_deref(), Some(e.run_id.as_str()));
         }
 
         // The next clean run appends over whatever the crash left.
         let out = online(&["--registry", dir.to_str().unwrap()], &[]);
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let records = registry.load().expect("index loads after recovery append");
-        assert_eq!(records.len(), expected + 1);
+        let entries = registry.load().expect("index loads after recovery append");
+        assert_eq!(entries.len(), expected + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -121,15 +128,15 @@ fn short_write_tears_only_the_index_tail_and_heals_on_next_append() {
     assert!(stderr.contains("injected fault"), "diagnostic names the injection: {stderr}");
 
     let registry = Registry::open(&dir).unwrap();
-    let records = registry.load().expect("torn tail is dropped, not fatal");
-    assert_eq!(records.len(), 0, "the partial record is not surfaced");
+    let entries = registry.load().expect("torn tail is dropped, not fatal");
+    assert_eq!(entries.len(), 0, "the partial line is not surfaced");
 
-    // A clean append repairs the tail; the new record is intact.
+    // A clean append repairs the tail; the new line is intact.
     let out = online(&["--registry", dir.to_str().unwrap()], &[]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let records = registry.load().unwrap();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].binary, "online");
+    let entries = registry.load().unwrap();
+    assert_eq!(entries.len(), 1);
+    assert_eq!(indexed_manifest(&registry, &entries[0]).binary, "online");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -52,16 +52,6 @@
 //! single relaxed atomic load) the emitters return immediately; when
 //! the crate is built without the `enabled` feature, everything here is
 //! an inlined no-op.
-//!
-//! ## In-process run summaries
-//!
-//! Independent of the run stream, [`enable_run_summaries`] turns on an
-//! in-process tally that distills the progress/anomaly stream into one
-//! [`RunSummary`] per `(seq, run, metric, config)` series — final n /
-//! mean / CI, the first point count at which the run became eligible to
-//! stop, the exact overshoot, anomaly count, and per-shard spread.
-//! `spectral-registry` uses this to persist a convergence summary
-//! without requiring a run stream on disk.
 
 /// FNV-1a 64-bit hash — the repo's standard cheap content hash for
 /// identifiers (collision resistance adequate for run labeling, not
@@ -217,86 +207,15 @@ impl CheckpointEvent<'_> {
     }
 }
 
-/// The distilled convergence summary of one run series, produced by the
-/// in-process tally (see [`enable_run_summaries`] /
-/// [`take_run_summaries`]). Plain data in both build modes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunSummary {
-    /// Collision-resistant run id (`"{token:016x}-{seq}"`).
-    pub run_id: String,
-    /// Process-wide run ordinal.
-    pub seq: u64,
-    /// Run kind: `online`, `matched`, or `sweep`.
-    pub run: String,
-    /// Estimated metric: `cpi` or `delta_cpi`.
-    pub metric: String,
-    /// Sweep configuration index; `None` for single-config runs.
-    pub config: Option<usize>,
-    /// Points merged at the final observed stride.
-    pub n: u64,
-    /// Final running mean.
-    pub mean: f64,
-    /// Final CI half-width at the policy confidence.
-    pub half_width: f64,
-    /// Final relative error at the policy confidence.
-    pub rel_half_width: f64,
-    /// The policy's relative-error target ε.
-    pub target_rel_err: f64,
-    /// Whether the final stride met the early-termination rule.
-    pub eligible: bool,
-    /// Point count at which the run first became eligible to stop.
-    pub first_eligible_n: Option<u64>,
-    /// Exact early-termination overshoot reported on the closing record.
-    pub overshoot: u64,
-    /// Number of anomaly records attributed to this run.
-    pub anomalies: u64,
-    /// Distinct workers that reported progress.
-    pub workers: usize,
-    /// Smallest per-shard point count at the final stride.
-    pub min_shard_points: u64,
-    /// Largest per-shard point count at the final stride.
-    pub max_shard_points: u64,
-    /// Smallest per-shard cumulative busy time (ns).
-    pub min_shard_busy_ns: u64,
-    /// Largest per-shard cumulative busy time (ns).
-    pub max_shard_busy_ns: u64,
-}
-
-impl RunSummary {
-    /// Busy-time spread across shards: `(max - min) / max`, the same
-    /// imbalance figure `spectral-doctor` reports. Zero for serial runs.
-    pub fn busy_spread(&self) -> f64 {
-        if self.max_shard_busy_ns == 0 {
-            return 0.0;
-        }
-        (self.max_shard_busy_ns - self.min_shard_busy_ns) as f64 / self.max_shard_busy_ns as f64
-    }
-}
-
 #[cfg(feature = "enabled")]
 mod imp {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    use super::{AnomalyEvent, ProgressEvent, RunSummary};
+    use super::{AnomalyEvent, ProgressEvent};
     use crate::json::number;
     use crate::sink::{streaming, write, write_flushed};
 
     static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
-    static TALLY_ON: AtomicBool = AtomicBool::new(false);
-
-    type TallyKey = (u64, String, String, Option<usize>);
-    #[derive(Default)]
-    struct Tally {
-        series: BTreeMap<TallyKey, SeriesTally>,
-        anomalies: BTreeMap<(u64, String), u64>,
-    }
-    struct SeriesTally {
-        last: RunSummary,
-        shards: BTreeMap<usize, (u64, u64)>,
-    }
-    static TALLY: Mutex<Option<Tally>> = Mutex::new(None);
 
     /// Allocate the next process-wide run ordinal (1, 2, …). Runners
     /// call this once per run and stamp every event they emit with it.
@@ -304,101 +223,7 @@ mod imp {
         RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Turn on the in-process run-summary tally. Runners check this (in
-    /// addition to [`streaming`](crate::streaming)) when deciding
-    /// whether to observe sampling health, so summaries work without a
-    /// run stream.
-    pub fn enable_run_summaries() {
-        let mut guard = TALLY.lock().expect("tally lock");
-        if guard.is_none() {
-            *guard = Some(Tally::default());
-        }
-        TALLY_ON.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the in-process run-summary tally is on.
-    #[inline]
-    pub fn run_summaries_on() -> bool {
-        TALLY_ON.load(Ordering::Relaxed)
-    }
-
-    /// Drain the tally: one [`RunSummary`] per observed
-    /// `(seq, run, metric, config)` series, ordered by that key. The
-    /// tally restarts empty (summaries are per-drain, so back-to-back
-    /// runs in one process don't bleed into each other's records).
-    pub fn take_run_summaries() -> Vec<RunSummary> {
-        let mut guard = TALLY.lock().expect("tally lock");
-        let Some(tally) = guard.as_mut() else {
-            return Vec::new();
-        };
-        let series = std::mem::take(&mut tally.series);
-        let anomalies = std::mem::take(&mut tally.anomalies);
-        series
-            .into_values()
-            .map(|s| {
-                let mut out = s.last;
-                out.workers = s.shards.len();
-                out.min_shard_points = s.shards.values().map(|v| v.0).min().unwrap_or(0);
-                out.max_shard_points = s.shards.values().map(|v| v.0).max().unwrap_or(0);
-                out.min_shard_busy_ns = s.shards.values().map(|v| v.1).min().unwrap_or(0);
-                out.max_shard_busy_ns = s.shards.values().map(|v| v.1).max().unwrap_or(0);
-                out.anomalies = anomalies.get(&(out.seq, out.run.clone())).copied().unwrap_or(0);
-                out
-            })
-            .collect()
-    }
-
-    fn tally_progress(e: &ProgressEvent<'_>) {
-        let mut guard = TALLY.lock().expect("tally lock");
-        let Some(tally) = guard.as_mut() else {
-            return;
-        };
-        let key = (e.seq, e.run.to_owned(), e.metric.to_owned(), e.config);
-        let entry = tally.series.entry(key).or_insert_with(|| SeriesTally {
-            last: RunSummary {
-                run_id: super::run_id(e.seq),
-                seq: e.seq,
-                run: e.run.to_owned(),
-                metric: e.metric.to_owned(),
-                config: e.config,
-                ..RunSummary::default()
-            },
-            shards: BTreeMap::new(),
-        });
-        // Records race in from all workers; the one with the largest
-        // merged count is the freshest view of the global estimate.
-        if e.n >= entry.last.n {
-            entry.last.n = e.n;
-            entry.last.mean = e.mean;
-            entry.last.half_width = e.half_width;
-            entry.last.rel_half_width = e.rel_half_width;
-            entry.last.target_rel_err = e.target_rel_err;
-            entry.last.eligible = e.eligible;
-        }
-        if e.eligible {
-            match entry.last.first_eligible_n {
-                Some(n) if n <= e.n => {}
-                _ => entry.last.first_eligible_n = Some(e.n),
-            }
-        }
-        entry.last.overshoot = entry.last.overshoot.max(e.overshoot);
-        let shard = entry.shards.entry(e.worker).or_insert((0, 0));
-        shard.0 = shard.0.max(e.shard_points);
-        shard.1 = shard.1.max(e.shard_busy_ns);
-    }
-
-    fn tally_anomaly(e: &AnomalyEvent<'_>) {
-        let mut guard = TALLY.lock().expect("tally lock");
-        let Some(tally) = guard.as_mut() else {
-            return;
-        };
-        *tally.anomalies.entry((e.seq, e.run.to_owned())).or_insert(0) += 1;
-    }
-
     pub(super) fn emit_progress(e: &ProgressEvent<'_>) {
-        if run_summaries_on() {
-            tally_progress(e);
-        }
         if !streaming() {
             return;
         }
@@ -435,9 +260,6 @@ mod imp {
     }
 
     pub(super) fn emit_anomaly(e: &AnomalyEvent<'_>) {
-        if run_summaries_on() {
-            tally_anomaly(e);
-        }
         if !streaming() {
             return;
         }
@@ -480,26 +302,12 @@ mod imp {
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use super::{AnomalyEvent, ProgressEvent, RunSummary};
+    use super::{AnomalyEvent, ProgressEvent};
 
     /// Always 0 (telemetry compiled out; no events carry it anywhere).
     #[inline(always)]
     pub fn next_run_seq() -> u64 {
         0
-    }
-
-    /// No-op (telemetry compiled out).
-    pub fn enable_run_summaries() {}
-
-    /// Always false (telemetry compiled out).
-    #[inline(always)]
-    pub fn run_summaries_on() -> bool {
-        false
-    }
-
-    /// Always empty (telemetry compiled out).
-    pub fn take_run_summaries() -> Vec<RunSummary> {
-        Vec::new()
     }
 
     #[inline(always)]
@@ -512,7 +320,7 @@ mod imp {
     pub(super) fn emit_checkpoint(_e: &super::CheckpointEvent<'_>) {}
 }
 
-pub use imp::{enable_run_summaries, next_run_seq, run_summaries_on, take_run_summaries};
+pub use imp::next_run_seq;
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
@@ -607,84 +415,6 @@ mod tests {
         let b = derive_run_id("config-b", 1);
         assert_ne!(a, b);
         assert!(a.ends_with("-1") && b.ends_with("-1"));
-    }
-
-    #[test]
-    fn run_summary_tally_distills_the_progress_stream() {
-        let _lock = crate::sink::test_lock();
-        enable_run_summaries();
-        assert!(run_summaries_on());
-        let _ = take_run_summaries(); // start from a clean tally
-
-        // Two workers of seq 91 interleave; worker 1 lags.
-        ProgressEvent {
-            seq: 91,
-            worker: 0,
-            n: 8,
-            eligible: false,
-            shard_points: 8,
-            shard_busy_ns: 1_000,
-            ..sample_progress()
-        }
-        .emit();
-        ProgressEvent {
-            seq: 91,
-            worker: 1,
-            n: 12,
-            eligible: false,
-            shard_points: 4,
-            shard_busy_ns: 600,
-            ..sample_progress()
-        }
-        .emit();
-        ProgressEvent {
-            seq: 91,
-            worker: 0,
-            n: 20,
-            mean: 1.5,
-            eligible: true,
-            shard_points: 14,
-            shard_busy_ns: 2_000,
-            overshoot: 6,
-            ..sample_progress()
-        }
-        .emit();
-        // A second series (different config) and one anomaly.
-        ProgressEvent { seq: 91, config: Some(1), n: 5, ..sample_progress() }.emit();
-        AnomalyEvent {
-            seq: 91,
-            run: "online",
-            worker: 0,
-            point: 3,
-            detail_start: 0,
-            measure_start: 0,
-            kinds: &["cpi_outlier"],
-            cpi: 9.0,
-            mean: 1.5,
-            std_dev: 0.1,
-            sigmas: 75.0,
-            decode_ns: 1,
-            simulate_ns: 1,
-        }
-        .emit();
-
-        let summaries = take_run_summaries();
-        assert_eq!(summaries.len(), 2);
-        let s = &summaries[0];
-        assert_eq!((s.seq, s.config), (91, None));
-        assert_eq!(s.run_id, run_id(91));
-        assert_eq!(s.n, 20);
-        assert_eq!(s.mean, 1.5);
-        assert_eq!(s.first_eligible_n, Some(20));
-        assert_eq!(s.overshoot, 6);
-        assert_eq!(s.workers, 2);
-        assert_eq!((s.min_shard_points, s.max_shard_points), (4, 14));
-        assert_eq!((s.min_shard_busy_ns, s.max_shard_busy_ns), (600, 2_000));
-        assert!((s.busy_spread() - 0.7).abs() < 1e-12);
-        assert_eq!(s.anomalies, 1);
-        assert_eq!(summaries[1].config, Some(1));
-        // Drained: the next take sees nothing.
-        assert!(take_run_summaries().is_empty());
     }
 
     #[test]

@@ -66,8 +66,8 @@ mod sink;
 mod span;
 
 pub use events::{
-    derive_run_id, enable_run_summaries, fnv1a64, next_run_seq, process_token, run_id,
-    run_summaries_on, take_run_summaries, AnomalyEvent, CheckpointEvent, ProgressEvent, RunSummary,
+    derive_run_id, fnv1a64, next_run_seq, process_token, run_id, AnomalyEvent, CheckpointEvent,
+    ProgressEvent,
 };
 pub use json::{number as json_number, quote as json_quote, JsonError, JsonValue};
 pub use manifest::{EstimateSummary, Phase, RunManifest, MANIFEST_VERSION};

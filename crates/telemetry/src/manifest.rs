@@ -217,10 +217,14 @@ impl RunManifest {
     }
 
     /// Parse a manifest back from JSON (the `metrics` section, if any,
-    /// is not reconstructed — use [`JsonValue::parse`] for tooling that
-    /// needs it).
+    /// is not reconstructed — use [`JsonValue::parse`] and
+    /// [`from_value`](Self::from_value) for tooling that needs it).
     pub fn from_json(text: &str) -> Result<RunManifest, crate::json::JsonError> {
-        let doc = JsonValue::parse(text)?;
+        Self::from_value(&JsonValue::parse(text)?)
+    }
+
+    /// Read a manifest from its parsed JSON document.
+    pub fn from_value(doc: &JsonValue) -> Result<RunManifest, crate::json::JsonError> {
         let err = |message: &str| crate::json::JsonError { offset: 0, message: message.into() };
         let str_field = |key: &str| -> Result<String, crate::json::JsonError> {
             doc.get(key)

@@ -144,8 +144,8 @@ pub use imp::{flush_stream, streaming};
 #[cfg(feature = "enabled")]
 pub(crate) use imp::{write, write_flushed};
 
-/// Serializes the unit tests that install the sink, emit records or
-/// drain the run-summary tally: all of them share process-wide state.
+/// Serializes the unit tests that install the sink or emit records:
+/// all of them share process-wide state.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

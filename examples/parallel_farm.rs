@@ -18,9 +18,12 @@
 //! worker-timeline profiles to `DIR/run.jsonl` and writes a run
 //! manifest (phases, points, estimate, embedded metrics snapshot —
 //! including the `core.sched.*` steal/occupancy metrics) to
-//! `DIR/manifest.json`.
+//! `DIR/manifest.json`. When `SPECTRAL_REGISTRY` names a registry, the
+//! run directory (the registry's `runs/<id>` without `--out`) is
+//! indexed there once its manifest is written.
 
 use std::error::Error;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use spectral::core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
@@ -31,26 +34,24 @@ use spectral::workloads::by_name;
 fn main() -> Result<(), Box<dyn Error>> {
     let mut name = "bzip2-like".to_owned();
     let mut threads: Option<usize> = None;
-    let mut out: Option<RunDir> = None;
+    let mut out: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threads" => {
                 threads = Some(it.next().ok_or("--threads needs a value")?.parse()?);
             }
-            "--out" => {
-                let dir = RunDir::new(it.next().ok_or("--out needs a directory")?);
-                dir.start()?;
-                out = Some(dir);
-            }
+            "--out" => out = Some(it.next().ok_or("--out needs a directory")?.into()),
             _ => name = a,
         }
     }
-    // When SPECTRAL_REGISTRY names a registry, tally convergence
-    // summaries in-process so the appended record carries them.
     let registry = spectral::registry::Registry::from_env()?;
-    if registry.is_some() {
-        telemetry::enable_run_summaries();
+    let out = match &registry {
+        Some(registry) => Some(registry.run_dir_for(out.as_deref())?),
+        None => out.map(RunDir::new),
+    };
+    if let Some(dir) = &out {
+        dir.start()?;
     }
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = threads.unwrap_or(cores);
@@ -121,18 +122,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\nestimates are bit-identical to the serial pass — order independence");
     println!("is what lets a cluster split one library across hosts (paper §6.1).");
 
-    manifest.run_id =
-        Some(telemetry::derive_run_id(&manifest.to_json(), telemetry::next_run_seq()));
+    let run_id = telemetry::derive_run_id(&manifest.to_json(), telemetry::next_run_seq());
+    manifest.run_id = Some(run_id.clone());
     telemetry::flush_stream();
     if let Some(dir) = out {
         manifest.write(dir.manifest(), Some(&telemetry::snapshot()))?;
         println!("run stream and manifest written to {}", dir.root().display());
-    }
-    if let Some(registry) = registry {
-        let summaries = telemetry::take_run_summaries();
-        let record = spectral::registry::RunRecord::from_manifest(&manifest, summaries);
-        registry.append(&record)?;
-        println!("run record appended to {}", registry.dir().display());
+        if let Some(registry) = registry {
+            registry.append(&registry.entry(run_id, &dir)?)?;
+            println!("run indexed in {}", registry.dir().display());
+        }
     }
     Ok(())
 }

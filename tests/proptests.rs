@@ -474,6 +474,38 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One scratch reused across a long, a short and a long input, plain
+    /// and against a dictionary, codes each exactly as a fresh scratch
+    /// and the reference do: chain links a longer earlier call left
+    /// behind are never followed.
+    #[test]
+    fn lzss_reused_scratch_matches_a_fresh_one(
+        pieces in proptest::collection::vec((0u8..3, any::<u16>(), any::<u16>()), 1..24),
+        short in 0usize..64,
+        dict_len in 0usize..700,
+        seed in any::<u64>(),
+    ) {
+        let long = repetitive_bytes(&pieces, seed);
+        let other = repetitive_bytes(&pieces, !seed);
+        let short = &other[..short.min(other.len())];
+        let mut reused = lzss::CompressScratch::new();
+        for data in [&long[..], short, &other[..]] {
+            let want = lzss_reference(&[], data);
+            prop_assert_eq!(lzss::compress_with(&mut reused, data), want.clone());
+            prop_assert_eq!(lzss::compress_with(&mut lzss::CompressScratch::new(), data), want);
+            let cut = dict_len.min(data.len());
+            let (dict, tail) = data.split_at(cut);
+            let want = lzss_reference(dict, tail);
+            prop_assert_eq!(lzss::compress_with_dict(&mut reused, dict, tail), want.clone());
+            let fresh = lzss::compress_with_dict(&mut lzss::CompressScratch::new(), dict, tail);
+            prop_assert_eq!(fresh, want);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// At the edge of the 64 KiB window: a block repeated at a distance
