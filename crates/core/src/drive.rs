@@ -215,7 +215,7 @@ impl<O: Observe> Driver<'_, O> {
         let wall = Stopwatch::start();
         let mut lane = Lane {
             scratch: DecodeScratch::new(),
-            ring: PrefetchRing::new(PREFETCH_DEPTH, worker),
+            ring: PrefetchRing::new(PREFETCH_DEPTH),
             monitor: HealthMonitor::new(self.seq, kind, worker, self.policy),
             tl: WorkerTimeline::new(self.seq, kind, worker),
             busy_ns: 0,

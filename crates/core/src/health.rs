@@ -7,8 +7,7 @@
 //! [`spectral_telemetry::AnomalyEvent`]). Each runner worker owns one
 //! monitor; anomalies are judged against the worker's own observation
 //! stream (no cross-shard synchronization on the hot path), while
-//! progress records carry both the merged estimate and the worker's own
-//! point count so the doctor can reconstruct per-shard lag.
+//! progress records carry the merged estimate.
 //!
 //! Whether anyone listens is captured once at construction: an
 //! unsubscribed monitor's [`observe`](HealthMonitor::observe) and
@@ -73,8 +72,6 @@ pub(crate) struct HealthMonitor {
     run: &'static str,
     worker: usize,
     detector: AnomalyDetector,
-    points: u64,
-    busy_ns: u64,
 }
 
 impl HealthMonitor {
@@ -91,8 +88,6 @@ impl HealthMonitor {
             run,
             worker,
             detector: AnomalyDetector::new(policy.anomaly_sigma),
-            points: 0,
-            busy_ns: 0,
         }
     }
 
@@ -102,8 +97,6 @@ impl HealthMonitor {
         if !self.on {
             return;
         }
-        self.points += 1;
-        self.busy_ns += meta.decode_ns + meta.simulate_ns;
         // Snapshot the running estimate *before* the observation is
         // folded in — the record shows what the detector compared
         // against.
@@ -180,8 +173,6 @@ impl HealthMonitor {
             eligible: floor && rel_half_width <= policy.target_rel_err,
             rel_half_width_95,
             eligible_95: floor && rel_half_width_95 <= policy.target_rel_err,
-            shard_points: self.points,
-            shard_busy_ns: self.busy_ns,
             overshoot,
         }
         .emit();

@@ -8,8 +8,7 @@
 //! [`PrefetchRing`], and log their rows per chunk in a [`ChunkLog`],
 //! whose index-ordered replay makes the estimate the same at every
 //! thread count. Steals, chunk sizes, ring occupancy and busy/idle
-//! time land in the `core.sched.*` metrics, and in per-worker
-//! `{"type":"sched"}` records while the run stream is on.
+//! time land in the `core.sched.*` metrics.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -138,10 +137,6 @@ impl<'a> WorkQueue<'a> {
         }
         TLM_CHUNKS.inc();
         TLM_CHUNK_POINTS.record(chunk.len() as u64);
-        if spectral_telemetry::streaming() {
-            let len = Some(chunk.len() as u64);
-            spectral_telemetry::trace_sched(self.worker, len, Some(self.steals), None);
-        }
         Some(chunk)
     }
 
@@ -164,22 +159,13 @@ pub(crate) fn note_worker_time(busy_ns: u64, wall_ns: u64) {
 pub(crate) struct PrefetchRing {
     ring: VecDeque<(Arc<LivePoint>, u64)>,
     depth: usize,
-    worker: usize,
-    /// Last occupancy sampled into the stream, so an idle steady state
-    /// doesn't flood it with identical counter records.
-    last_traced: Option<u64>,
 }
 
 impl PrefetchRing {
-    /// Worker `worker`'s ring, decoding up to `depth` points ahead (`0`
-    /// behaves as `1`: decode-on-demand).
-    pub fn new(depth: usize, worker: usize) -> Self {
-        PrefetchRing {
-            ring: VecDeque::with_capacity(depth.max(1)),
-            depth: depth.max(1),
-            worker,
-            last_traced: None,
-        }
+    /// A ring decoding up to `depth` points ahead (`0` behaves as `1`:
+    /// decode-on-demand).
+    pub fn new(depth: usize) -> Self {
+        PrefetchRing { ring: VecDeque::with_capacity(depth.max(1)), depth: depth.max(1) }
     }
 
     /// Top the ring up from the front of `pending` (the chunk's
@@ -202,12 +188,7 @@ impl PrefetchRing {
             stalled = false;
             self.ring.push_back(decoded);
         }
-        let occupancy = self.ring.len() as u64;
-        TLM_PREFETCH_OCCUPANCY.record(occupancy);
-        if spectral_telemetry::streaming() && self.last_traced != Some(occupancy) {
-            self.last_traced = Some(occupancy);
-            spectral_telemetry::trace_sched(self.worker, None, None, Some(occupancy));
-        }
+        TLM_PREFETCH_OCCUPANCY.record(self.ring.len() as u64);
         Ok(())
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{AnomalyRecord, DoctorError, RunArtifacts};
+use crate::{AnomalyRecord, DoctorError, ProfileRun, RunArtifacts};
 
 /// One sample of a series' merged convergence trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,8 @@ pub struct SeriesDiagnosis {
     /// Whether [`wasted_points`](Self::wasted_points) came from the
     /// runner's exact overshoot accounting rather than the trajectory.
     pub wasted_exact: bool,
-    /// Shard balance over this series' workers.
+    /// Shard balance over the workers of this series' run (empty until
+    /// they finish and write their `profile_worker` records).
     pub shards: ShardReport,
 }
 
@@ -77,21 +78,21 @@ impl SeriesDiagnosis {
     }
 }
 
-/// Per-worker point counts and busy time from the progress stream.
-#[derive(Debug, Clone, Default)]
+/// Per-worker point counts and busy time from a run's `profile_worker`
+/// records.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardReport {
-    /// `(worker, points)` rows, sorted by worker ordinal. Each worker's
-    /// count is the maximum `shard_points` it reported.
+    /// `(worker, points)` rows, sorted by worker ordinal. A worker's
+    /// points are its `simulate` count.
     pub workers: Vec<(usize, u64)>,
     /// `(max − min) / max` over worker point counts (0 with fewer than
     /// two workers).
     pub imbalance: f64,
-    /// `(worker, busy_ns)` rows, sorted by worker ordinal. Each worker's
-    /// time is the maximum `shard_busy_ns` it reported. Empty for
-    /// streams that predate busy-time accounting.
+    /// `(worker, busy_ns)` rows, sorted by worker ordinal. A worker's
+    /// busy time is its `prefetch_wait + decode + simulate` time.
     pub busy: Vec<(usize, u64)>,
     /// `(max − min) / max` over worker busy times (0 with fewer than
-    /// two busy workers). The scheduler-quality signal: point counts can
+    /// two workers). The scheduler-quality signal: point counts can
     /// balance while busy time doesn't when point costs are skewed.
     pub busy_imbalance: f64,
 }
@@ -120,26 +121,25 @@ impl Diagnosis {
     }
 }
 
-/// Shard balance over one group of progress records.
-fn shard_report(records: &[&crate::ProgressRecord]) -> ShardReport {
+/// Shard balance over one profiled run's workers.
+fn shard_report(run: &ProfileRun) -> ShardReport {
     fn spread(rows: &[(usize, u64)]) -> f64 {
         match (rows.iter().map(|&(_, n)| n).max(), rows.iter().map(|&(_, n)| n).min()) {
             (Some(max), Some(min)) if rows.len() > 1 && max > 0 => (max - min) as f64 / max as f64,
             _ => 0.0,
         }
     }
-    let mut per_worker: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut per_worker_busy: BTreeMap<usize, u64> = BTreeMap::new();
-    for p in records {
-        let e = per_worker.entry(p.worker).or_default();
-        *e = (*e).max(p.shard_points);
-        if p.shard_busy_ns > 0 {
-            let b = per_worker_busy.entry(p.worker).or_default();
-            *b = (*b).max(p.shard_busy_ns);
-        }
-    }
-    let workers: Vec<(usize, u64)> = per_worker.into_iter().collect();
-    let busy: Vec<(usize, u64)> = per_worker_busy.into_iter().collect();
+    let phase =
+        |w: &crate::WorkerProfile, name: &str| w.phases.get(name).copied().unwrap_or_default();
+    let workers: Vec<(usize, u64)> =
+        run.workers.iter().map(|w| (w.worker, phase(w, "simulate").count)).collect();
+    let busy: Vec<(usize, u64)> = run
+        .workers
+        .iter()
+        .map(|w| {
+            (w.worker, ["prefetch_wait", "decode", "simulate"].map(|p| phase(w, p).ns).iter().sum())
+        })
+        .collect();
     let imbalance = spread(&workers);
     let busy_imbalance = spread(&busy);
     ShardReport { workers, imbalance, busy, busy_imbalance }
@@ -158,7 +158,11 @@ pub fn analyze(artifacts: &RunArtifacts) -> Diagnosis {
     let series = groups
         .into_iter()
         .map(|((seq, run_id, run, metric, config), records)| {
-            let shards = shard_report(&records);
+            let shards = artifacts
+                .profiles
+                .iter()
+                .find(|p| p.run_id == run_id && p.seq == seq)
+                .map_or_else(ShardReport::default, shard_report);
             let target_rel_err = records.last().map_or(0.0, |r| r.target_rel_err);
             // Collapse to one sample per n (parallel workers race to
             // report overlapping prefixes of the merged estimate).
@@ -296,7 +300,7 @@ mod tests {
     use crate::ProgressRecord;
     use spectral_telemetry::RunManifest;
 
-    fn progress(worker: usize, n: u64, rel: f64, shard_points: u64) -> ProgressRecord {
+    fn progress(worker: usize, n: u64, rel: f64) -> ProgressRecord {
         ProgressRecord {
             t_us: n,
             run_id: String::new(),
@@ -313,8 +317,6 @@ mod tests {
             eligible: n >= 30 && rel <= 0.1,
             rel_half_width_95: rel * 0.65,
             eligible_95: n >= 30 && rel * 0.65 <= 0.1,
-            shard_points,
-            shard_busy_ns: 0,
             overshoot: None,
         }
     }
@@ -324,10 +326,10 @@ mod tests {
         let artifacts = RunArtifacts {
             manifest: None,
             progress: vec![
-                progress(0, 8, 0.5, 8),
-                progress(0, 16, 0.3, 16),
-                progress(0, 32, 0.08, 32),
-                progress(0, 40, 0.06, 40),
+                progress(0, 8, 0.5),
+                progress(0, 16, 0.3),
+                progress(0, 32, 0.08),
+                progress(0, 40, 0.06),
             ],
             anomalies: Vec::new(),
             profiles: Vec::new(),
@@ -347,7 +349,7 @@ mod tests {
     fn never_eligible_reports_no_waste() {
         let artifacts = RunArtifacts {
             manifest: None,
-            progress: vec![progress(0, 8, 0.5, 8), progress(0, 16, 0.4, 16)],
+            progress: vec![progress(0, 8, 0.5), progress(0, 16, 0.4)],
             anomalies: Vec::new(),
             profiles: Vec::new(),
             ..RunArtifacts::default()
@@ -360,11 +362,11 @@ mod tests {
 
     #[test]
     fn exact_overshoot_overrides_trajectory_waste() {
-        let mut closing = progress(0, 40, 0.06, 40);
+        let mut closing = progress(0, 40, 0.06);
         closing.overshoot = Some(3);
         let artifacts = RunArtifacts {
             manifest: None,
-            progress: vec![progress(0, 8, 0.5, 8), progress(0, 32, 0.08, 32), closing],
+            progress: vec![progress(0, 8, 0.5), progress(0, 32, 0.08), closing],
             anomalies: Vec::new(),
             profiles: Vec::new(),
             ..RunArtifacts::default()
@@ -374,20 +376,46 @@ mod tests {
         assert_eq!(s.wasted_points, 3, "not the trajectory-granular 40-32");
     }
 
+    /// A `profile_worker` record of run 1 (empty `run_id`, like the
+    /// `progress` helper's records).
+    fn worker(worker: usize, phases: &str) -> String {
+        format!(
+            "{{\"type\":\"profile_worker\",\"run_id\":\"\",\"seq\":1,\"run\":\"online\",\
+             \"worker\":{worker},\"t_us\":0,\"dur_us\":10,\"recorded\":1,\"phases\":{{{phases}}}}}\n"
+        )
+    }
+
+    #[test]
+    fn shard_imbalance_from_worker_counts() {
+        let stream = [
+            worker(0, "\"simulate\":{\"count\":10,\"ns\":900}"),
+            worker(1, "\"claim\":{\"count\":1,\"ns\":5},\"simulate\":{\"count\":8,\"ns\":900}"),
+        ]
+        .concat();
+        let mut artifacts = RunArtifacts::parse(None, &stream).expect("valid stream");
+        artifacts.progress = vec![progress(0, 8, 0.5), progress(0, 24, 0.2), progress(1, 16, 0.3)];
+        let d = analyze(&artifacts);
+        let shards = &d.primary().expect("one series").shards;
+        assert_eq!(shards.workers, vec![(0, 10), (1, 8)], "points are simulate counts");
+        assert!((shards.imbalance - 0.2).abs() < 1e-12, "(10-8)/10");
+    }
+
     #[test]
     fn busy_time_spread_is_tracked_separately() {
-        let busy = |worker: usize, n: u64, shard_points: u64, busy_ns: u64| {
-            let mut p = progress(worker, n, 0.5, shard_points);
-            p.shard_busy_ns = busy_ns;
-            p
-        };
-        let artifacts = RunArtifacts {
-            manifest: None,
-            progress: vec![busy(0, 8, 8, 400), busy(0, 24, 12, 1_000), busy(1, 16, 12, 250)],
-            anomalies: Vec::new(),
-            profiles: Vec::new(),
-            ..RunArtifacts::default()
-        };
+        // Busy time is prefetch_wait + decode + simulate; claim and
+        // merge time are not a worker's point work.
+        let stream = [
+            worker(
+                0,
+                "\"claim\":{\"count\":2,\"ns\":7000},\"prefetch_wait\":{\"count\":1,\"ns\":100},\
+                 \"decode\":{\"count\":11,\"ns\":300},\"simulate\":{\"count\":12,\"ns\":600},\
+                 \"merge\":{\"count\":1,\"ns\":9000}",
+            ),
+            worker(1, "\"simulate\":{\"count\":12,\"ns\":250}"),
+        ]
+        .concat();
+        let mut artifacts = RunArtifacts::parse(None, &stream).expect("valid stream");
+        artifacts.progress = vec![progress(0, 8, 0.5), progress(1, 24, 0.5)];
         let shards = analyze(&artifacts).series.remove(0).shards;
         assert!((shards.imbalance - 0.0).abs() < 1e-12, "point counts balance (12/12)");
         assert_eq!(shards.busy, vec![(0, 1_000), (1, 250)]);
@@ -395,32 +423,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_imbalance_from_worker_counts() {
-        let artifacts = RunArtifacts {
-            manifest: None,
-            progress: vec![
-                progress(0, 8, 0.5, 5),
-                progress(0, 24, 0.2, 10),
-                progress(1, 16, 0.3, 8),
-            ],
-            anomalies: Vec::new(),
-            profiles: Vec::new(),
-            ..RunArtifacts::default()
-        };
-        let d = analyze(&artifacts);
-        let shards = &d.primary().expect("one series").shards;
-        assert_eq!(shards.workers, vec![(0, 10), (1, 8)]);
-        assert!((shards.imbalance - 0.2).abs() < 1e-12, "(10-8)/10");
+    fn an_unfinished_run_has_no_shard_report() {
+        // Another run's workers finished; this run's have not.
+        let mut artifacts =
+            RunArtifacts::parse(None, &worker(0, "\"simulate\":{\"count\":3,\"ns\":9}"))
+                .expect("valid stream");
+        let mut running = progress(0, 8, 0.5);
+        running.seq = 2;
+        artifacts.progress = vec![running];
+        let shards = analyze(&artifacts).series.remove(0).shards;
+        assert_eq!(shards, ShardReport::default());
     }
 
     #[test]
     fn back_to_back_runs_stay_separate_series() {
-        let mut second = progress(0, 16, 0.4, 16);
+        let mut second = progress(0, 16, 0.4);
         second.seq = 2;
         second.target_rel_err = 0.5;
         let artifacts = RunArtifacts {
             manifest: None,
-            progress: vec![progress(0, 8, 0.5, 8), progress(0, 40, 0.06, 40), second],
+            progress: vec![progress(0, 8, 0.5), progress(0, 40, 0.06), second],
             anomalies: Vec::new(),
             profiles: Vec::new(),
             ..RunArtifacts::default()
@@ -437,11 +459,11 @@ mod tests {
     fn shared_sink_processes_split_by_run_id() {
         // Two processes appending to one stream both start at seq
         // 1; only the run_id keeps their streams apart.
-        let mut a = progress(0, 8, 0.5, 8);
+        let mut a = progress(0, 8, 0.5);
         a.run_id = "aaaa000000000001-1".into();
-        let mut a2 = progress(0, 40, 0.06, 40);
+        let mut a2 = progress(0, 40, 0.06);
         a2.run_id = "aaaa000000000001-1".into();
-        let mut b = progress(0, 16, 0.4, 16);
+        let mut b = progress(0, 16, 0.4);
         b.run_id = "bbbb000000000001-1".into();
         let artifacts = RunArtifacts {
             manifest: None,

@@ -1,9 +1,9 @@
 //! # spectral-doctor — sampling-health analysis over run directories
 //!
 //! An experiment binary run with `--out DIR` leaves a run directory
-//! ([`RunDir`]): the run stream `run.jsonl` (spans, scheduler samples,
-//! sampling-health events and worker-timeline profiles, one record kind
-//! per `type`), the run manifest `manifest.json` and the stdout report
+//! ([`RunDir`]): the run stream `run.jsonl` (spans, sampling-health
+//! events and worker-timeline profiles, one record kind per `type`),
+//! the run manifest `manifest.json` and the stdout report
 //! `report.txt`. [`RunArtifacts`] reads the manifest and parses the
 //! stream in one pass, and this crate turns them into a diagnosis:
 //!
@@ -14,9 +14,10 @@
 //! * **Anomaly triage** — the top-N anomalous live-points by severity,
 //!   with library index and window provenance.
 //! * **Shard balance** — per-worker point counts and busy time from
-//!   the progress stream's `shard_points` / `shard_busy_ns` fields,
-//!   and the resulting imbalances (`--check --max-imbalance PCT` gates
-//!   on the busy-time spread).
+//!   the run's `profile_worker` records, and the resulting imbalances
+//!   (`--check --max-imbalance PCT` gates on the busy-time spread). A
+//!   worker writes its record when it finishes, so a run still going
+//!   has no shard balance yet.
 //! * **Cross-run regression** — a matched-pair-style diff of two runs'
 //!   final estimates: the mean delta against the combined half-width
 //!   `sqrt(hw₁² + hw₂²)`, plus point-count and wall-clock movement.
@@ -45,9 +46,9 @@
 //!   Prometheus-style text exposition (`--prom`).
 //! * **`profile`** ([`analyze_profile`]) — wall-clock attribution over
 //!   the stream's worker-timeline records: per-worker phase shares with
-//!   an explicit idle remainder, merge-lock wait distribution, prefetch
-//!   stall vs decode-ahead, straggler/barrier waste, a critical-path
-//!   estimate, and the profiler's own overhead.
+//!   an explicit idle remainder, merge-lock waits, prefetch stall vs
+//!   decode-ahead, straggler/barrier waste, a critical-path estimate,
+//!   and the profiler's own overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,8 +74,8 @@ pub use analyze::{
 pub use gate::{gate, render_gate_json, render_gate_text, GateComparison, GateConfig, GateVerdict};
 pub use profile::{
     analyze_profile, measure_record_cost_ns, render_profile_json, render_profile_text,
-    OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileInterval, ProfileReport, ProfileRun,
-    WaitStats, WorkerProfile, WorkerReport,
+    OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileReport, ProfileRun, WaitStats,
+    WorkerProfile, WorkerReport,
 };
 pub use report::{render_json, render_text, sparkline};
 pub use trend::{render_trend_json, render_trend_text, trend, TrendPoint, TrendSeries};
@@ -133,11 +134,6 @@ pub struct ProgressRecord {
     pub rel_half_width_95: f64,
     /// The paper's ±ε@95% early-termination rule.
     pub eligible_95: bool,
-    /// The emitting worker's own processed-point count.
-    pub shard_points: u64,
-    /// The emitting worker's cumulative decode + simulate wall-clock
-    /// (0 for pre-busy-time streams).
-    pub shard_busy_ns: u64,
     /// Exact early-termination overshoot from the run's closing record
     /// (`None` for streams that predate exact accounting).
     pub overshoot: Option<u64>,
@@ -220,8 +216,9 @@ pub struct RunArtifacts {
 
 impl RunArtifacts {
     /// Parse a run stream in one pass: progress, anomaly and checkpoint
-    /// records, and the `profile_*` records grouped per run. Spans, scheduler samples
-    /// and unknown record kinds are skipped.
+    /// records, and the `profile_run`/`profile_worker` records grouped
+    /// per run. Spans and unknown record kinds are skipped, as are the
+    /// `sched` and `profile_phase` records of older streams.
     ///
     /// # Errors
     ///
@@ -263,8 +260,6 @@ impl RunArtifacts {
                     eligible: bool_field(&doc, "eligible"),
                     rel_half_width_95: f64_field(&doc, "rel_half_width_95"),
                     eligible_95: bool_field(&doc, "eligible_95"),
-                    shard_points: u64_field(&doc, "shard_points"),
-                    shard_busy_ns: u64_field(&doc, "shard_busy_ns"),
                     overshoot: doc.get("overshoot").and_then(JsonValue::as_u64),
                 }),
                 Some("anomaly") => out.anomalies.push(AnomalyRecord {
@@ -295,7 +290,7 @@ impl RunArtifacts {
                     path: str_field(&doc, "path"),
                     points: u64_field(&doc, "points"),
                 }),
-                Some(kind @ ("profile_run" | "profile_worker" | "profile_phase")) => {
+                Some(kind @ ("profile_run" | "profile_worker")) => {
                     profile::add_record(&mut out.profiles, kind, &doc);
                 }
                 _ => {}
@@ -380,15 +375,17 @@ impl RegistryRun {
     }
 
     /// Read the run's stream, which [`load_registry`] leaves unread,
-    /// parsing only the records [`analyze`] reads (no spans, scheduler
-    /// samples or profiles).
+    /// parsing only the records [`analyze`] reads: progress, anomaly
+    /// and checkpoint records, and the `profile_worker` records its
+    /// shard balance comes from.
     ///
     /// # Errors
     ///
     /// A diagnostic naming the stream when it cannot be read or parsed.
     pub fn load_stream(&mut self) -> Result<(), DoctorError> {
-        self.artifacts
-            .load_stream(&self.dir, |k| matches!(k, "progress" | "anomaly" | "checkpoint"))
+        self.artifacts.load_stream(&self.dir, |k| {
+            matches!(k, "progress" | "anomaly" | "checkpoint" | "profile_worker")
+        })
     }
 
     /// The run's manifest: an index line is appended only once it is
@@ -519,7 +516,99 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::test_support::registry_run;
+    use super::{analyze, analyze_profile, render_json, RunArtifacts};
     use spectral_telemetry::RunManifest;
+
+    /// A two-worker online run as the previous stream format wrote it:
+    /// `sched` and `profile_phase` lines, `shard_*` progress fields and
+    /// `kept` on `profile_worker`.
+    const PARENT_FORMAT: &str = concat!(
+        "{\"type\":\"span\",\"name\":\"create.library\",\"tid\":0,\"depth\":0,\"t_us\":0,\
+         \"dur_us\":404714}\n",
+        "{\"type\":\"sched\",\"t_us\":404977,\"worker\":0,\"chunk_points\":8,\"steals\":0}\n",
+        "{\"type\":\"sched\",\"t_us\":404980,\"worker\":0,\"prefetch_occupancy\":4}\n",
+        "{\"type\":\"progress\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\"run\":\"online\",\
+         \"metric\":\"cpi\",\"t_us\":413032,\"worker\":0,\"config\":null,\"n\":8,\
+         \"mean\":0.432375,\"half_width\":0.386,\"rel_half_width\":0.893,\"target_rel_err\":0.1,\
+         \"eligible\":false,\"rel_half_width_95\":0.583,\"eligible_95\":false,\
+         \"shard_points\":8,\"shard_busy_ns\":7986359,\"overshoot\":0}\n",
+        "{\"type\":\"anomaly\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\"run\":\"online\",\
+         \"t_us\":561562,\"worker\":1,\"point\":334,\"detail_start\":484063,\
+         \"measure_start\":486063,\"kinds\":[\"slow_simulate\"],\"cpi\":1.322,\"mean\":0.49,\
+         \"std_dev\":0.386,\"sigmas\":0,\"decode_ns\":53129,\"simulate_ns\":2805193}\n",
+        "{\"type\":\"progress\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\"run\":\"online\",\
+         \"metric\":\"cpi\",\"t_us\":613032,\"worker\":1,\"config\":null,\"n\":16,\
+         \"mean\":0.45,\"half_width\":0.04,\"rel_half_width\":0.089,\"target_rel_err\":0.1,\
+         \"eligible\":false,\"rel_half_width_95\":0.07,\"eligible_95\":true,\
+         \"shard_points\":8,\"shard_busy_ns\":8100000,\"overshoot\":0}\n",
+        "{\"type\":\"profile_worker\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":1,\"t_us\":405624,\"dur_us\":436306,\"recorded\":29,\
+         \"kept\":29,\"phases\":{\"claim\":{\"count\":2,\"ns\":25388},\
+         \"prefetch_wait\":{\"count\":1,\"ns\":1169369},\"decode\":{\"count\":7,\"ns\":708131},\
+         \"simulate\":{\"count\":8,\"ns\":6222500},\"merge_wait\":{\"count\":1,\"ns\":3200},\
+         \"merge\":{\"count\":1,\"ns\":180286}}}\n",
+        "{\"type\":\"profile_phase\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":1,\"phase\":\"merge_wait\",\"t_us\":613020,\"dur_us\":3}\n",
+        "{\"type\":\"progress\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\"run\":\"online\",\
+         \"metric\":\"cpi\",\"t_us\":813032,\"worker\":0,\"config\":null,\"n\":24,\
+         \"mean\":0.44,\"half_width\":0.03,\"rel_half_width\":0.068,\"target_rel_err\":0.1,\
+         \"eligible\":true,\"rel_half_width_95\":0.05,\"eligible_95\":true,\
+         \"shard_points\":16,\"shard_busy_ns\":15986359,\"overshoot\":2}\n",
+        "{\"type\":\"profile_worker\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":0,\"t_us\":404972,\"dur_us\":432149,\"recorded\":50,\
+         \"kept\":50,\"phases\":{\"claim\":{\"count\":3,\"ns\":19567},\
+         \"prefetch_wait\":{\"count\":2,\"ns\":1156379},\"decode\":{\"count\":14,\"ns\":3759420},\
+         \"simulate\":{\"count\":16,\"ns\":11070560},\"merge_wait\":{\"count\":2,\"ns\":3200},\
+         \"merge\":{\"count\":2,\"ns\":180286}}}\n",
+        "{\"type\":\"profile_phase\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":0,\"phase\":\"claim\",\"t_us\":404974,\"dur_us\":11}\n",
+        "{\"type\":\"profile_run\",\"run_id\":\"b4339851efe76864-1\",\"seq\":1,\
+         \"run\":\"online\",\"workers\":2,\"t_us\":404763,\"dur_us\":437800}\n",
+    );
+
+    /// `stream` without the record kinds and fields the profiler's
+    /// aggregates replaced.
+    fn strip_parent_format(stream: &str) -> String {
+        let drop_field = |line: String, key: &str| {
+            let tag = format!(",\"{key}\":");
+            let Some(at) = line.find(&tag) else { return line };
+            let rest = &line[at + tag.len()..];
+            let end = rest.find([',', '}']).expect("a field ends before its record");
+            format!("{}{}", &line[..at], &rest[end..])
+        };
+        stream
+            .lines()
+            .filter(|l| {
+                !l.starts_with("{\"type\":\"sched\"")
+                    && !l.starts_with("{\"type\":\"profile_phase\"")
+            })
+            .map(|l| {
+                ["shard_points", "shard_busy_ns", "kept"].into_iter().fold(l.to_owned(), drop_field)
+            })
+            .map(|l| l + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn a_parent_format_stream_reads_like_the_current_one() {
+        let stripped = strip_parent_format(PARENT_FORMAT);
+        for gone in ["sched", "profile_phase", "shard_", "kept"] {
+            assert!(!stripped.contains(gone), "{gone} left in {stripped}");
+        }
+        let parent = RunArtifacts::parse(None, PARENT_FORMAT).expect("the parent format parses");
+        let current = RunArtifacts::parse(None, &stripped).expect("the stripped copy parses");
+        let (a, b) = (analyze(&parent), analyze(&current));
+        assert_eq!(render_json(&a, None, None, 5), render_json(&b, None, None, 5));
+        let shards = &a.primary().expect("one series").shards;
+        assert_eq!(shards, &b.primary().expect("one series").shards);
+        assert_eq!(shards.workers, vec![(0, 16), (1, 8)]);
+        assert_eq!(shards.busy, vec![(0, 15_986_359), (1, 8_100_000)]);
+        assert_eq!(parent.profiles, current.profiles);
+        assert_eq!(
+            analyze_profile(&parent.profiles[0], 100),
+            analyze_profile(&current.profiles[0], 100)
+        );
+    }
 
     #[test]
     fn run_rate_prefers_run_phases_then_falls_back_to_all_phases() {

@@ -136,8 +136,9 @@ fn write_file(path: &PathBuf, text: &str) -> Result<(), DoctorError> {
         .map_err(|e| DoctorError::msg(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Convert a run stream into a Chrome trace at `path`: spans, scheduler
-/// and convergence counters, anomaly instants and worker phase tracks.
+/// Convert a run stream into a Chrome trace at `path`: spans,
+/// convergence counters, anomaly instants, and each worker's lifetime
+/// under its run bracket.
 fn write_perfetto(path: &PathBuf, stream: &str) -> Result<(), DoctorError> {
     let chrome = spectral_telemetry::chrome_trace(stream)
         .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
@@ -178,17 +179,13 @@ fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
             failures.push("library exhausted without convergence".to_owned());
         }
         if let Some(pct) = cli.max_imbalance {
-            // Busy time is the scheduler-quality signal; fall back to
-            // point counts for streams without busy accounting.
+            // Busy time is the scheduler-quality signal: point counts
+            // can balance while busy time does not.
             for s in &diagnosis.series {
-                let (spread, kind) = if s.shards.busy.len() > 1 {
-                    (s.shards.busy_imbalance, "busy-time")
-                } else {
-                    (s.shards.imbalance, "point-count")
-                };
+                let spread = s.shards.busy_imbalance;
                 if spread * 100.0 > pct {
                     failures.push(format!(
-                        "{} {} worker {kind} imbalance {:.1}% exceeds --max-imbalance {pct}%",
+                        "{} {} worker busy-time imbalance {:.1}% exceeds --max-imbalance {pct}%",
                         s.run,
                         s.metric,
                         spread * 100.0
@@ -426,8 +423,8 @@ fn profile_main(argv: &[String]) -> ExitCode {
         }
         let cost = record_cost_ns.unwrap_or_else(measure_record_cost_ns);
         let reports: Vec<_> = runs.iter().map(|r| analyze_profile(r, cost)).collect();
-        for (run, report) in runs.iter().zip(&reports) {
-            print!("{}", render_profile_text(run, report));
+        for report in &reports {
+            print!("{}", render_profile_text(report));
         }
         if let Some(path) = &json {
             write_file(path, &render_profile_json(&reports))?;

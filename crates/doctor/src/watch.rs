@@ -108,11 +108,12 @@ pub struct SeriesState {
     pub target_rel_err: f64,
     /// Early-termination eligibility at the policy confidence.
     pub eligible: bool,
-    /// Workers that have reported progress.
+    /// Workers of the series' run (0 until they finish and write their
+    /// `profile_worker` records).
     pub workers: usize,
     /// `(max − min) / max` over per-worker busy time (0 with fewer than
-    /// two busy workers).
-    pub busy_spread: f64,
+    /// two workers); `None` until the run's workers finish.
+    pub busy_spread: Option<f64>,
     /// Anomalies observed in this series' run so far.
     pub anomalies: u64,
 }
@@ -159,18 +160,20 @@ impl WatchFrame {
                 Some(c) => format!("{} {} [config {c}]", s.run, s.metric),
                 None => format!("{} {}", s.run, s.metric),
             };
+            let shards = match s.busy_spread {
+                Some(spread) => format!("workers={} busy-spread={:.0}%", s.workers, spread * 100.0),
+                None => "workers=n/a busy-spread=n/a".to_owned(),
+            };
             let _ = writeln!(
                 out,
                 "  [{label} #{seq}] n={n} mean={mean:.4} ±{rel:.2}% (target {tgt:.2}%) {state}  \
-                 workers={w} busy-spread={spread:.0}% anomalies={a}",
+                 {shards} anomalies={a}",
                 seq = s.seq,
                 n = s.n,
                 mean = s.mean,
                 rel = s.rel_half_width * 100.0,
                 tgt = s.target_rel_err * 100.0,
                 state = if s.eligible { "ELIGIBLE" } else { "running" },
-                w = s.workers,
-                spread = s.busy_spread * 100.0,
                 a = s.anomalies,
             );
         }
@@ -180,7 +183,7 @@ impl WatchFrame {
         }
         for r in &self.runs[tail..] {
             // Decode-cache effectiveness, when the run sampled it.
-            let cache = match (r.counter(CACHE_HITS), r.counter(CACHE_MISSES)) {
+            let cache = match (cache_hits(r), r.counter(CACHE_MISSES)) {
                 (Some(h), Some(m)) if h + m > 0 => {
                     format!(
                         " cache={:.0}% hit ({h}h/{m}m/{}e)",
@@ -251,8 +254,11 @@ impl WatchFrame {
         );
         gauge(
             "spectral_shard_busy_spread",
-            "(max-min)/max over per-worker busy time.",
-            rows(&|s| number(s.busy_spread)),
+            "(max-min)/max over per-worker busy time, once the run's workers finish.",
+            self.series
+                .iter()
+                .filter_map(|s| Some((series_labels(s), number(s.busy_spread?))))
+                .collect(),
         );
         gauge(
             "spectral_anomalies",
@@ -282,7 +288,7 @@ impl WatchFrame {
         gauge(
             "spectral_cache_hits",
             "Decoded-point cache hits over the run (core.lib.cache_hits).",
-            run_rows(&|r| r.counter(CACHE_HITS).map(|v| v.to_string())),
+            run_rows(&|r| cache_hits(r).map(|v| v.to_string())),
         );
         gauge(
             "spectral_cache_misses",
@@ -297,7 +303,7 @@ impl WatchFrame {
         gauge(
             "spectral_cache_hit_ratio",
             "Decoded-point cache hits over hits plus misses.",
-            run_rows(&|r| match (r.counter(CACHE_HITS)?, r.counter(CACHE_MISSES)?) {
+            run_rows(&|r| match (cache_hits(r)?, r.counter(CACHE_MISSES)?) {
                 (0, 0) => None,
                 (h, m) => Some(number(h as f64 / (h + m) as f64)),
             }),
@@ -334,6 +340,13 @@ const CACHE_HITS: &str = "core.lib.cache_hits";
 const CACHE_MISSES: &str = "core.lib.cache_misses";
 const CACHE_EVICTIONS: &str = "core.lib.cache_evictions";
 
+/// A run's decode-cache hits. A counter registers on its first
+/// increment, so a run that never hit has misses but no hits counter:
+/// that is 0 hits, not an unsampled cache.
+fn cache_hits(r: &RegistryRun) -> Option<u64> {
+    r.counter(CACHE_HITS).or_else(|| r.counter(CACHE_MISSES).map(|_| 0))
+}
+
 /// The latest sample of every series [`analyze`](crate::analyze) finds
 /// in `artifacts`, with the anomalies of its run.
 fn series_states(artifacts: &RunArtifacts) -> Vec<SeriesState> {
@@ -360,7 +373,7 @@ fn series_states(artifacts: &RunArtifacts) -> Vec<SeriesState> {
                 target_rel_err: s.target_rel_err,
                 eligible: last.eligible,
                 workers: s.shards.workers.len(),
-                busy_spread: s.shards.busy_imbalance,
+                busy_spread: (!s.shards.busy.is_empty()).then_some(s.shards.busy_imbalance),
                 anomalies: anomalies as u64,
             })
         })
@@ -386,39 +399,66 @@ mod tests {
     const STREAM: &str = concat!(
         "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"worker\":0,\"n\":8,\"mean\":1.52,\"rel_half_width\":0.4,\
-         \"target_rel_err\":0.1,\"eligible\":false,\"shard_points\":8,\"shard_busy_ns\":400}\n",
+         \"target_rel_err\":0.1,\"eligible\":false}\n",
         "{\"type\":\"span\",\"name\":\"decode\",\"t_us\":5,\"dur_us\":2}\n",
         "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"worker\":1,\"n\":16,\"mean\":1.48,\"rel_half_width\":0.2,\
-         \"target_rel_err\":0.1,\"eligible\":false,\"shard_points\":8,\"shard_busy_ns\":1000}\n",
+         \"target_rel_err\":0.1,\"eligible\":false}\n",
         "{\"type\":\"anomaly\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"worker\":0,\"point\":3}\n",
         "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"worker\":0,\"n\":40,\"mean\":1.372,\"rel_half_width\":0.08,\
-         \"target_rel_err\":0.1,\"eligible\":true,\"shard_points\":20,\"shard_busy_ns\":2000}\n",
-        // A partial line mid-append: held back, not fatal.
-        "{\"type\":\"progress\",\"run_id\":\"aaaa0000"
+         \"target_rel_err\":0.1,\"eligible\":true}\n",
     );
+
+    /// The two workers' records, written as they finish: busy time
+    /// (prefetch_wait + decode + simulate) 2000 and 1000 ns.
+    const WORKERS: &str = concat!(
+        "{\"type\":\"profile_worker\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":0,\"t_us\":1,\"dur_us\":9,\"recorded\":4,\
+         \"phases\":{\"claim\":{\"count\":1,\"ns\":50},\"decode\":{\"count\":1,\"ns\":500},\
+         \"simulate\":{\"count\":20,\"ns\":1500}}}\n",
+        "{\"type\":\"profile_worker\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+         \"run\":\"online\",\"worker\":1,\"t_us\":1,\"dur_us\":9,\"recorded\":3,\
+         \"phases\":{\"prefetch_wait\":{\"count\":1,\"ns\":200},\
+         \"simulate\":{\"count\":20,\"ns\":800}}}\n",
+    );
+
+    /// A line mid-append: held back, not fatal.
+    const PARTIAL: &str = "{\"type\":\"progress\",\"run_id\":\"aaaa0000";
 
     #[test]
     fn frame_distills_the_latest_state_per_series() {
-        let frame = frame(STREAM);
+        let frame = frame(&format!("{STREAM}{WORKERS}{PARTIAL}"));
         assert_eq!(frame.series.len(), 1);
         let s = &frame.series[0];
         assert_eq!(s.run_id, "aaaa000000000001-1");
         assert_eq!((s.n, s.eligible), (40, true));
         assert!((s.mean - 1.372).abs() < 1e-12);
         assert_eq!(s.workers, 2);
-        assert!((s.busy_spread - 0.5).abs() < 1e-12, "(2000-1000)/2000");
+        assert_eq!(s.busy_spread, Some(0.5), "(2000-1000)/2000");
         assert_eq!(s.anomalies, 1);
         let dash = frame.dashboard();
         assert!(dash.contains("ELIGIBLE"), "{dash}");
         assert!(dash.contains("n=40"), "{dash}");
+        assert!(dash.contains("workers=2 busy-spread=50%"), "{dash}");
+    }
+
+    #[test]
+    fn a_running_series_has_no_shard_balance_yet() {
+        let frame = frame(&format!("{STREAM}{PARTIAL}"));
+        let s = &frame.series[0];
+        assert_eq!((s.n, s.workers, s.busy_spread), (40, 0, None));
+        let dash = frame.dashboard();
+        assert!(dash.contains("workers=n/a busy-spread=n/a"), "{dash}");
+        let prom = frame.prometheus();
+        assert!(!prom.contains("spectral_shard_busy_spread"), "no sample, not 0: {prom}");
+        assert!(prom.contains("spectral_progress_points{"), "{prom}");
     }
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
-        let frame = frame(STREAM);
+        let frame = frame(&format!("{STREAM}{WORKERS}{PARTIAL}"));
         let prom = frame.prometheus();
         assert!(
             prom.contains(
@@ -470,15 +510,18 @@ mod tests {
     fn registry_frames_surface_runs_and_convergence() {
         use crate::test_support::{manifest, registry_run};
         // Two workers whose busy times spread (2000 - 600) / 2000.
-        let progress = |worker: u64, n: u64, busy: u64| {
+        let worker = |worker: u64, busy: u64| {
             format!(
-                "{{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
-                 \"run\":\"online\",\"metric\":\"cpi\",\"worker\":{worker},\"n\":{n},\
-                 \"mean\":1.372,\"rel_half_width\":0.0299,\"target_rel_err\":0.03,\
-                 \"eligible\":true,\"shard_points\":{n},\"shard_busy_ns\":{busy}}}\n"
+                "{{\"type\":\"profile_worker\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+                 \"run\":\"online\",\"worker\":{worker},\"t_us\":1,\"dur_us\":9,\
+                 \"recorded\":1,\"phases\":{{\"simulate\":{{\"count\":20,\"ns\":{busy}}}}}}}\n"
             )
         };
-        let stream = [progress(0, 20, 2_000), progress(1, 40, 600)].concat();
+        let progress = "{\"type\":\"progress\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+                        \"run\":\"online\",\"metric\":\"cpi\",\"worker\":1,\"n\":40,\
+                        \"mean\":1.372,\"rel_half_width\":0.0299,\"target_rel_err\":0.03,\
+                        \"eligible\":true}\n";
+        let stream = [progress.to_owned(), worker(0, 2_000), worker(1, 600)].concat();
         let mut r =
             registry_run("dev", 1_000, manifest("online", 1_000, 0.5, 1.372, 0.041), &stream);
         r.entry.run_id = "aaaa000000000001-1".into();
@@ -488,7 +531,7 @@ mod tests {
         let frame = WatchFrame::from_registry(vec![r]);
         assert_eq!(frame.series.len(), 1);
         assert_eq!(frame.series[0].workers, 2);
-        assert!((frame.series[0].busy_spread - 0.7).abs() < 1e-12);
+        assert!((frame.series[0].busy_spread.expect("both workers finished") - 0.7).abs() < 1e-12);
         let prom = frame.prometheus();
         assert!(prom.contains("spectral_run_rate{"), "{prom}");
         assert!(prom.contains("spectral_runs_total 1"), "{prom}");
@@ -508,5 +551,28 @@ mod tests {
         assert!(dash.contains("recent runs:"), "{dash}");
         assert!(dash.contains("rate=2000 pts/s"), "{dash}");
         assert!(dash.contains("cache=75% hit (750h/250m/10e)"), "{dash}");
+    }
+
+    #[test]
+    fn a_run_that_never_hit_shows_a_zero_hit_rate() {
+        use crate::test_support::{manifest, registry_run};
+        let mut r = registry_run("dev", 1_000, manifest("online", 1_000, 0.5, 1.372, 0.041), "");
+        // No `core.lib.cache_hits`: the counter never registered.
+        for (name, v) in [(CACHE_MISSES, 5538), (CACHE_EVICTIONS, 5282)] {
+            r.artifacts.counters.insert(name.to_owned(), v);
+        }
+        let frame = WatchFrame::from_registry(vec![r]);
+        let dash = frame.dashboard();
+        assert!(dash.contains("cache=0% hit (0h/5538m/5282e)"), "{dash}");
+        let prom = frame.prometheus();
+        let sample = |name: &str| {
+            prom.lines()
+                .find(|l| l.starts_with(&format!("{name}{{")))
+                .and_then(|l| l.rsplit_once(' '))
+                .map(|(_, v)| v.to_owned())
+        };
+        assert_eq!(sample("spectral_cache_hits").as_deref(), Some("0"), "{prom}");
+        assert_eq!(sample("spectral_cache_hit_ratio").as_deref(), Some("0"), "{prom}");
+        assert_eq!(sample("spectral_cache_misses").as_deref(), Some("5538"), "{prom}");
     }
 }

@@ -151,7 +151,7 @@ fn seeded_run_diagnoses_end_to_end() {
     let par_diag = analyze(&par_artifacts);
     assert_eq!(par_diag.series.len(), 1, "one parallel run, one series");
     let par_shards = &par_diag.primary().expect("parallel series").shards;
-    assert_eq!(par_shards.workers.len(), 4, "all four shards reported progress");
+    assert_eq!(par_shards.workers.len(), 4, "all four workers wrote their profile record");
     let total: u64 = par_shards.workers.iter().map(|&(_, n)| n).sum();
     assert_eq!(total, library.len() as u64, "shard points partition the library");
 

@@ -64,7 +64,7 @@ fn eligible_stream(run_id: &str, n: u64) -> String {
         "{{\"type\":\"progress\",\"run_id\":\"{run_id}\",\"seq\":1,\"run\":\"online\",\
          \"metric\":\"cpi\",\"t_us\":100,\"worker\":0,\"n\":{n},\"mean\":1.2,\
          \"half_width\":0.03,\"rel_half_width\":0.025,\"target_rel_err\":0.03,\
-         \"eligible\":true,\"shard_points\":{n},\"shard_busy_ns\":900}}\n"
+         \"eligible\":true}}\n"
     )
 }
 
@@ -242,7 +242,7 @@ fn watch_once_emits_parseable_prometheus_exposition() {
              \"run\":\"online\",\"metric\":\"cpi\",\"t_us\":100,\"worker\":0,\"config\":null,\
              \"n\":{n},\"mean\":{mean},\"half_width\":0.05,\"rel_half_width\":0.04,\
              \"target_rel_err\":0.03,\"eligible\":false,\"rel_half_width_95\":0.02,\
-             \"eligible_95\":true,\"shard_points\":{n},\"shard_busy_ns\":900,\"overshoot\":0}}"
+             \"eligible_95\":true,\"overshoot\":0}}"
         )
     };
     let anomaly = "{\"type\":\"anomaly\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\

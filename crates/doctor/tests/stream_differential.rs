@@ -1,8 +1,9 @@
 //! Differential test for the run stream: turning it on (spans,
-//! scheduler samples, sampling-health events and worker-timeline
-//! profiles together) must leave a seeded 2-thread online run's
-//! estimates bit-identical, and the attribution `spectral-doctor
-//! profile` computes from the stream must cover ≥95% of run wall-clock.
+//! sampling-health events and worker-timeline profiles together) must
+//! leave a seeded 2-thread online run's estimates bit-identical, the
+//! stream must carry exactly one per-worker timing record per worker,
+//! and the attribution `spectral-doctor profile` computes from it must
+//! cover ≥95% of run wall-clock.
 //!
 //! Everything lives in one test function: the run stream is a
 //! process-wide singleton and installing it is one-way, so the arm
@@ -11,7 +12,7 @@
 use std::process::Command;
 
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
-use spectral_doctor::{analyze_profile, render_profile_text, RunArtifacts};
+use spectral_doctor::{analyze, analyze_profile, render_profile_text, RunArtifacts};
 use spectral_telemetry::{JsonValue, RunDir};
 use spectral_uarch::MachineConfig;
 
@@ -40,8 +41,8 @@ fn run_stream_is_bit_identical_and_attributes_wall_clock() {
     let profiled = runner.run_parallel(&program, &policy, 2).expect("profiled run");
     spectral_telemetry::flush_stream();
 
-    // The differential: writing spans, events and phase intervals must
-    // not perturb the estimate in any bit.
+    // The differential: writing spans, events and profiles must not
+    // perturb the estimate in any bit.
     assert_eq!(profiled.processed(), unprofiled.processed());
     assert_eq!(
         profiled.mean().to_bits(),
@@ -56,20 +57,39 @@ fn run_stream_is_bit_identical_and_attributes_wall_clock() {
         "the run stream changed the half-width"
     );
 
-    // Every record kind of the run is in the one stream.
+    // Every record kind of the run is in the one stream, and the
+    // per-interval ones are gone.
     let text = std::fs::read_to_string(dir.stream()).expect("read run stream");
-    for kind in ["span", "sched", "progress", "profile_run", "profile_worker", "profile_phase"] {
+    let has = |kind: &str| {
         let tag = format!("{{\"type\":\"{kind}\"");
-        assert!(text.lines().any(|l| l.starts_with(&tag)), "no {kind} record in the stream");
+        text.lines().any(|l| l.starts_with(&tag))
+    };
+    for kind in ["span", "progress", "profile_run", "profile_worker"] {
+        assert!(has(kind), "no {kind} record in the stream");
     }
+    for kind in ["sched", "profile_phase"] {
+        assert!(!has(kind), "a {kind} record in the stream");
+    }
+    let worker_records =
+        text.lines().filter(|l| l.starts_with("{\"type\":\"profile_worker\"")).count();
 
     // Attribution through the doctor library.
-    let runs = RunArtifacts::parse(None, &text).expect("parse run stream").profiles;
+    let artifacts = RunArtifacts::parse(None, &text).expect("parse run stream");
+    let runs = &artifacts.profiles;
     assert_eq!(runs.len(), 1, "exactly the profiled run is in the stream");
     let run = &runs[0];
     assert_eq!(run.run, "online");
-    assert!(run.declared_workers >= 1, "run bracket declares its workers");
+    assert_eq!(run.declared_workers, 2, "run bracket declares its workers");
     assert_eq!(run.workers.len(), run.declared_workers, "every declared worker reported");
+    assert_eq!(worker_records, run.workers.len(), "one profile_worker record per worker");
+
+    // The shard balance comes from those records: its points are the
+    // processed count.
+    let diagnosis = analyze(&artifacts);
+    let shards = &diagnosis.primary().expect("one series").shards;
+    assert_eq!(shards.workers.len(), 2);
+    let points: u64 = shards.workers.iter().map(|&(_, n)| n).sum();
+    assert_eq!(points, profiled.processed() as u64, "shard points sum to the processed count");
 
     let report = analyze_profile(run, 100);
     assert!(
@@ -88,7 +108,7 @@ fn run_stream_is_bit_identical_and_attributes_wall_clock() {
         "self-estimated profiler overhead {:.3}% exceeds 3% of run wall",
         report.overhead.pct_of_wall
     );
-    let rendered = render_profile_text(run, &report);
+    let rendered = render_profile_text(&report);
     assert!(rendered.contains("aggregate attribution"), "{rendered}");
     assert!(rendered.contains("profiler overhead:"), "{rendered}");
 

@@ -43,8 +43,8 @@
 //!   sidecar per run; binaries without a resumable run loop reject the
 //!   recovery flags instead of silently restarting.
 //! * `--out DIR` — leave the run in DIR: `run.jsonl` streams every span,
-//!   scheduler sample, sampling-health event and worker-timeline profile
-//!   record as the run executes; on exit `report.txt` receives the stdout
+//!   sampling-health event and worker-timeline profile record as the
+//!   run executes; on exit `report.txt` receives the stdout
 //!   report and `manifest.json` the run manifest with the full metrics
 //!   snapshot embedded. A reused DIR is cleared of an earlier run's
 //!   files first. Feed DIR to `spectral-doctor analyze|profile|watch

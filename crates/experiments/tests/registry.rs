@@ -61,7 +61,12 @@ fn two_online_invocations_build_a_queryable_trend() {
         let run = spectral_telemetry::RunDir::new(dir.join(&r.entry().dir));
         let full = spectral_doctor::RunArtifacts::load(&run).expect("the run directory loads");
         assert!(!full.profiles.is_empty(), "an online run streams profile records");
-        assert!(r.artifacts().profiles.is_empty(), "registry views leave them unparsed");
+        let full = spectral_doctor::analyze(&full);
+        for (view, full) in diagnosis.series.iter().zip(&full.series) {
+            assert!(!view.shards.workers.is_empty(), "a finished run has a shard report");
+            assert_eq!(view.shards, full.shards, "a registry view reads the same shard balance");
+        }
+        assert_eq!(diagnosis.series.len(), full.series.len());
         assert!(r.counter("core.run.points").is_some(), "manifest embeds the metrics snapshot");
     }
 

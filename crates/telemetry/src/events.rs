@@ -9,7 +9,7 @@
 //!  "metric":"cpi","t_us":512,"worker":0,"config":null,"n":40,"mean":1.372,
 //!  "half_width":0.041,"rel_half_width":0.0299,"target_rel_err":0.03,
 //!  "eligible":true,"rel_half_width_95":0.0195,"eligible_95":true,
-//!  "shard_points":40,"shard_busy_ns":81234567,"overshoot":0}
+//!  "overshoot":0}
 //! {"type":"anomaly","run_id":"9f2a41c07d3be581-1","seq":1,"run":"online",
 //!  "t_us":498,"worker":0,"point":17,"detail_start":123000,
 //!  "measure_start":125000,"kinds":["cpi_outlier"],"cpi":2.31,"mean":1.37,
@@ -34,11 +34,10 @@
 //! * **progress** — emitted by the runners at every merge stride: the
 //!   running mean, CI half-width, relative error, early-termination
 //!   eligibility at the policy confidence *and* at the paper's ±ε@95%
-//!   rule, plus the emitting worker's own point count (`shard_points`,
-//!   the per-shard lag signal), its cumulative decode+simulate time
-//!   (`shard_busy_ns`, the per-shard load signal), and — on a run's
-//!   closing record — the exact early-termination overshoot
-//!   (`overshoot`).
+//!   rule, and — on a run's closing record — the exact
+//!   early-termination overshoot (`overshoot`). Per-worker point counts
+//!   and busy time are the profiler's (`profile_worker`), not these
+//!   records'.
 //! * **anomaly** — one record per anomalous live-point: which tests
 //!   fired (`kinds`: `cpi_outlier`, `slow_decode`, `slow_simulate`),
 //!   the point's library index and window provenance, and the running
@@ -132,11 +131,6 @@ pub struct ProgressEvent<'a> {
     pub rel_half_width_95: f64,
     /// The paper's ±ε@95% early-termination rule.
     pub eligible_95: bool,
-    /// The emitting worker's own processed-point count (per-shard lag).
-    pub shard_points: u64,
-    /// The emitting worker's cumulative decode + simulate wall-clock
-    /// (per-shard busy time, for imbalance analysis).
-    pub shard_busy_ns: u64,
     /// Exact early-termination overshoot: points processed past the
     /// count at which the run first became eligible to stop. Zero on
     /// mid-run records; the run's closing record carries the total.
@@ -237,8 +231,7 @@ mod imp {
             "{{\"type\":\"progress\",\"run_id\":{},\"seq\":{},\"run\":{},\"metric\":{},\
              \"t_us\":{},\"worker\":{},\"config\":{config},\"n\":{},\"mean\":{},\
              \"half_width\":{},\"rel_half_width\":{},\"target_rel_err\":{},\"eligible\":{},\
-             \"rel_half_width_95\":{},\"eligible_95\":{},\"shard_points\":{},\
-             \"shard_busy_ns\":{},\"overshoot\":{}}}\n",
+             \"rel_half_width_95\":{},\"eligible_95\":{},\"overshoot\":{}}}\n",
             crate::json::quote(&super::run_id(e.seq)),
             e.seq,
             crate::json::quote(e.run),
@@ -253,8 +246,6 @@ mod imp {
             e.eligible,
             number(e.rel_half_width_95),
             e.eligible_95,
-            e.shard_points,
-            e.shard_busy_ns,
             e.overshoot,
         ));
     }
@@ -342,8 +333,6 @@ mod tests {
             eligible: true,
             rel_half_width_95: 0.0195,
             eligible_95: true,
-            shard_points: 40,
-            shard_busy_ns: 81_234_567,
             overshoot: 0,
         }
     }
@@ -387,7 +376,6 @@ mod tests {
         assert_eq!(docs[0].get("run_id").and_then(JsonValue::as_str), Some(run_id(1).as_str()));
         assert_eq!(docs[0].get("n").and_then(JsonValue::as_u64), Some(40));
         assert_eq!(docs[0].get("config"), Some(&JsonValue::Null));
-        assert_eq!(docs[0].get("shard_busy_ns").and_then(JsonValue::as_u64), Some(81_234_567));
         assert_eq!(docs[0].get("overshoot").and_then(JsonValue::as_u64), Some(0));
         assert_eq!(docs[1].get("config").and_then(JsonValue::as_u64), Some(2));
         assert_eq!(docs[1].get("metric").and_then(JsonValue::as_str), Some("delta_cpi"));

@@ -22,14 +22,14 @@
 //!   snapshot embedded) for `BENCH_*.json`-style comparison.
 //! * **Sampling-health events** ([`ProgressEvent`], [`AnomalyEvent`]) —
 //!   the run's *statistical* health: merge-stride convergence records
-//!   (running mean, CI half-width, early-termination eligibility,
-//!   per-shard lag) and per-point anomaly records.
+//!   (running mean, CI half-width, early-termination eligibility) and
+//!   per-point anomaly records.
 //! * **Worker-timeline profiles** ([`WorkerTimeline`], [`run_scope`]) —
-//!   per-worker rings of phase intervals (claim / prefetch-wait /
+//!   exact per-worker, per-phase aggregates (claim / prefetch-wait /
 //!   decode / simulate / merge-wait / merge / idle) attributing every
-//!   worker's wall-clock.
+//!   worker's wall-clock: the stream's one per-worker timing channel.
 //! * **The run stream** ([`RunDir`], [`streaming`]) — one JSONL sink
-//!   that spans, scheduler samples, events and profiles all write to,
+//!   that spans, events and profiles all write to,
 //!   one record kind per `type` field on one timebase. An experiment
 //!   run's `--out DIR` holds it as `run.jsonl` beside `manifest.json`
 //!   and `report.txt`; `spectral-doctor` reads it with one parser, and
@@ -76,11 +76,9 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use perfetto::chrome_trace;
-pub use profile::{
-    run_scope, PhaseGuard, ProfilePhase, RunScope, WorkerTimeline, PROFILE_RING_CAPACITY,
-};
+pub use profile::{run_scope, PhaseGuard, ProfilePhase, RunScope, WorkerTimeline};
 pub use sink::{flush_stream, streaming, RunDir};
-pub use span::{span, trace_sched, Span};
+pub use span::{span, Span};
 
 /// Whether telemetry was compiled in (the `enabled` feature).
 pub const fn compiled_in() -> bool {

@@ -10,19 +10,11 @@
 //!   relative CI half-width and merged point count over time;
 //! * `anomaly` records become instant events (`"ph":"i"`) on the
 //!   emitting worker's track, carrying the point id and fired tests;
-//! * `sched` records (the `core.sched.*` samples: claimed chunk size,
-//!   cumulative steals, prefetch-ring occupancy) become per-worker
-//!   counter tracks (`"ph":"C"`, one track per quantity per worker,
-//!   named after the metric: `"core.sched.chunk_points w3"`), so the
-//!   dynamic scheduler's adaptive chunk shrinking and steal traffic are
-//!   visible alongside the spans they explain;
 //! * `profile_*` records (the worker-timeline profiler) become a
-//!   second process group (`pid` 2): each `profile_phase` interval is a
-//!   complete event on its worker's track, each `profile_worker`
-//!   summary is a complete event spanning the worker's lifetime, and
-//!   the `profile_run` bracket spans the whole run on its own track —
-//!   so per-worker wall-clock attribution lines up visually under the
-//!   span timeline.
+//!   second process group (`pid` 2): each `profile_worker` record is a
+//!   complete event spanning the worker's lifetime, and the
+//!   `profile_run` bracket spans the whole run on its own track — so
+//!   each worker's lifetime lines up under the span timeline.
 //!
 //! This module is a pure transformation over artifacts on disk, so it
 //! is compiled in both telemetry build modes (like the manifest and
@@ -58,8 +50,6 @@ pub fn chrome_trace(jsonl: &str) -> Result<String, JsonError> {
             Some("span") => span_event(&doc).into_iter().collect(),
             Some("progress") => progress_event(&doc).into_iter().collect(),
             Some("anomaly") => anomaly_event(&doc).into_iter().collect(),
-            Some("sched") => sched_events(&doc),
-            Some("profile_phase") => profile_phase_event(&doc).into_iter().collect(),
             Some("profile_worker") => profile_worker_event(&doc).into_iter().collect(),
             Some("profile_run") => profile_run_event(&doc).into_iter().collect(),
             _ => Vec::new(),
@@ -134,27 +124,6 @@ fn anomaly_event(doc: &JsonValue) -> Option<String> {
     ))
 }
 
-/// One counter event per quantity carried by the sched record, each on
-/// its own per-worker track named after the `core.sched.*` metric it
-/// samples (`"core.sched.chunk_points w3"`), so Perfetto charts them as
-/// separate series that cross-reference the metrics registry.
-fn sched_events(doc: &JsonValue) -> Vec<String> {
-    let worker = u64_field(doc, "worker");
-    let ts = u64_field(doc, "t_us");
-    ["chunk_points", "steals", "prefetch_occupancy"]
-        .iter()
-        .filter_map(|key| {
-            let v = doc.get(key).and_then(JsonValue::as_u64)?;
-            Some(format!(
-                "{{\"name\":{},\"cat\":\"sched\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\
-                 \"args\":{{{}:{v}}}}}",
-                quote(&format!("core.sched.{key} w{worker}")),
-                quote(key),
-            ))
-        })
-        .collect()
-}
-
 /// Profile tracks live in their own process group so worker ordinals
 /// never collide with the span trace's thread ordinals on `pid` 1.
 const PROFILE_PID: u64 = 2;
@@ -163,34 +132,18 @@ const PROFILE_PID: u64 = 2;
 /// ordinal.
 const PROFILE_RUN_TID: u64 = 1_000_000;
 
-/// One retained phase interval as a complete event on its worker's
-/// profile track.
-fn profile_phase_event(doc: &JsonValue) -> Option<String> {
-    let phase = doc.get("phase").and_then(JsonValue::as_str)?;
-    Some(format!(
-        "{{\"name\":{},\"cat\":\"profile\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":{PROFILE_PID},\"tid\":{},\"args\":{{\"worker\":{}}}}}",
-        quote(phase),
-        u64_field(doc, "t_us"),
-        u64_field(doc, "dur_us"),
-        u64_field(doc, "worker"),
-        u64_field(doc, "worker"),
-    ))
-}
-
-/// A worker's lifetime summary as a complete event under its phase
-/// intervals, carrying the interval counts.
+/// A worker's lifetime as a complete event, carrying its recorded
+/// interval count.
 fn profile_worker_event(doc: &JsonValue) -> Option<String> {
     let run = doc.get("run").and_then(JsonValue::as_str)?;
     let worker = u64_field(doc, "worker");
     Some(format!(
         "{{\"name\":{},\"cat\":\"profile\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":{PROFILE_PID},\"tid\":{worker},\"args\":{{\"recorded\":{},\"kept\":{}}}}}",
+         \"pid\":{PROFILE_PID},\"tid\":{worker},\"args\":{{\"recorded\":{}}}}}",
         quote(&format!("{run} worker {worker}")),
         u64_field(doc, "t_us"),
         u64_field(doc, "dur_us"),
         u64_field(doc, "recorded"),
-        u64_field(doc, "kept"),
     ))
 }
 
@@ -219,14 +172,12 @@ mod tests {
         "{\"type\":\"progress\",\"run\":\"online\",\"metric\":\"cpi\",\"t_us\":1300,",
         "\"worker\":0,\"config\":null,\"n\":40,\"mean\":1.3,\"half_width\":0.1,",
         "\"rel_half_width\":0.07,\"target_rel_err\":0.03,\"eligible\":false,",
-        "\"rel_half_width_95\":0.05,\"eligible_95\":false,\"shard_points\":40}\n",
+        "\"rel_half_width_95\":0.05,\"eligible_95\":false}\n",
         "{\"type\":\"anomaly\",\"run\":\"online\",\"t_us\":1400,\"worker\":1,",
         "\"point\":17,\"detail_start\":1,\"measure_start\":2,",
         "\"kinds\":[\"cpi_outlier\"],\"cpi\":2.3,\"mean\":1.3,\"std_dev\":0.2,",
         "\"sigmas\":5.0,\"decode_ns\":100,\"simulate_ns\":200}\n",
         "{\"type\":\"unknown_future_record\"}\n",
-        "{\"type\":\"sched\",\"t_us\":1500,\"worker\":3,\"chunk_points\":16,\"steals\":2}\n",
-        "{\"type\":\"sched\",\"t_us\":1600,\"worker\":0,\"prefetch_occupancy\":5}\n",
     );
 
     #[test]
@@ -234,7 +185,7 @@ mod tests {
         let chrome = chrome_trace(TRACE).expect("valid stream");
         let doc = JsonValue::parse(&chrome).expect("output is valid JSON");
         let events = doc.get("traceEvents").and_then(JsonValue::as_arr).expect("traceEvents");
-        assert_eq!(events.len(), 6, "unknown record types are skipped");
+        assert_eq!(events.len(), 3, "unknown record types are skipped");
         assert_eq!(events[0].get("ph").and_then(JsonValue::as_str), Some("X"));
         assert_eq!(events[0].get("ts").and_then(JsonValue::as_u64), Some(1234));
         assert_eq!(events[0].get("dur").and_then(JsonValue::as_u64), Some(56));
@@ -248,40 +199,13 @@ mod tests {
             events[2].get("name").and_then(JsonValue::as_str),
             Some("online anomaly: cpi_outlier")
         );
-        // Sched samples fan out into one counter event per quantity,
-        // tracked per worker.
-        assert_eq!(events[3].get("ph").and_then(JsonValue::as_str), Some("C"));
-        assert_eq!(
-            events[3].get("name").and_then(JsonValue::as_str),
-            Some("core.sched.chunk_points w3")
-        );
-        assert_eq!(
-            events[3].get("args").and_then(|a| a.get("chunk_points")).and_then(JsonValue::as_u64),
-            Some(16)
-        );
-        assert_eq!(events[4].get("name").and_then(JsonValue::as_str), Some("core.sched.steals w3"));
-        assert_eq!(
-            events[5].get("name").and_then(JsonValue::as_str),
-            Some("core.sched.prefetch_occupancy w0")
-        );
-        assert_eq!(
-            events[5]
-                .get("args")
-                .and_then(|a| a.get("prefetch_occupancy"))
-                .and_then(JsonValue::as_u64),
-            Some(5)
-        );
     }
 
     const PROFILE_TRACE: &str = concat!(
         "{\"type\":\"profile_worker\",\"run_id\":\"x-1\",\"seq\":1,\"run\":\"online\",",
-        "\"worker\":0,\"t_us\":10,\"dur_us\":5000,\"recorded\":3,\"kept\":3,",
+        "\"worker\":0,\"t_us\":10,\"dur_us\":5000,\"recorded\":3,",
         "\"phases\":{\"decode\":{\"count\":1,\"ns\":800000},",
         "\"simulate\":{\"count\":2,\"ns\":3000000}}}\n",
-        "{\"type\":\"profile_phase\",\"run_id\":\"x-1\",\"seq\":1,\"run\":\"online\",",
-        "\"worker\":0,\"phase\":\"decode\",\"t_us\":20,\"dur_us\":800}\n",
-        "{\"type\":\"profile_phase\",\"run_id\":\"x-1\",\"seq\":1,\"run\":\"online\",",
-        "\"worker\":0,\"phase\":\"simulate\",\"t_us\":900,\"dur_us\":1500}\n",
         "{\"type\":\"profile_run\",\"run_id\":\"x-1\",\"seq\":1,\"run\":\"online\",",
         "\"workers\":2,\"t_us\":0,\"dur_us\":6000}\n",
     );
@@ -291,7 +215,7 @@ mod tests {
         let chrome = chrome_trace(PROFILE_TRACE).expect("valid stream");
         let doc = JsonValue::parse(&chrome).expect("output is valid JSON");
         let events = doc.get("traceEvents").and_then(JsonValue::as_arr).expect("traceEvents");
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 2);
         for e in events {
             assert_eq!(e.get("ph").and_then(JsonValue::as_str), Some("X"));
             assert_eq!(e.get("pid").and_then(JsonValue::as_u64), Some(PROFILE_PID));
@@ -301,11 +225,10 @@ mod tests {
             events[0].get("args").and_then(|a| a.get("recorded")).and_then(JsonValue::as_u64),
             Some(3)
         );
-        assert_eq!(events[1].get("name").and_then(JsonValue::as_str), Some("decode"));
-        assert_eq!(events[1].get("tid").and_then(JsonValue::as_u64), Some(0));
-        assert_eq!(events[2].get("dur").and_then(JsonValue::as_u64), Some(1500));
-        assert_eq!(events[3].get("name").and_then(JsonValue::as_str), Some("online run"));
-        assert_eq!(events[3].get("tid").and_then(JsonValue::as_u64), Some(PROFILE_RUN_TID));
+        assert_eq!(events[0].get("tid").and_then(JsonValue::as_u64), Some(0));
+        assert_eq!(events[0].get("dur").and_then(JsonValue::as_u64), Some(5000));
+        assert_eq!(events[1].get("name").and_then(JsonValue::as_str), Some("online run"));
+        assert_eq!(events[1].get("tid").and_then(JsonValue::as_u64), Some(PROFILE_RUN_TID));
     }
 
     /// Track identity for monotonicity purposes: counter tracks are
@@ -335,22 +258,6 @@ mod tests {
             let prev = last_ts.entry(key.clone()).or_insert(i64::MIN);
             assert!(ts as i64 >= *prev, "track {key}: ts {ts} went backwards from {prev}");
             *prev = ts as i64;
-        }
-    }
-
-    #[test]
-    fn counter_tracks_carry_core_sched_names() {
-        let chrome = chrome_trace(TRACE).expect("valid stream");
-        let doc = JsonValue::parse(&chrome).expect("output is valid JSON");
-        let events = doc.get("traceEvents").and_then(JsonValue::as_arr).expect("traceEvents");
-        let sched_counters: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("cat").and_then(JsonValue::as_str) == Some("sched"))
-            .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
-            .collect();
-        assert!(!sched_counters.is_empty());
-        for name in sched_counters {
-            assert!(name.starts_with("core.sched."), "sched counter track {name}");
         }
     }
 

@@ -1,41 +1,41 @@
-//! Worker-timeline profiler: per-worker rings of phase intervals,
+//! Worker-timeline profiler: exact per-worker, per-phase aggregates,
 //! written to the run stream.
 //!
 //! The paper's value proposition is wall-clock, so every second a
 //! runner worker spends *not* simulating (claiming chunks, decoding,
 //! waiting on the merge lock, idling at the termination barrier)
-//! erodes the reproduced speedup. This module records where each
-//! worker's wall-clock went as a stream of phase intervals:
+//! erodes the reproduced speedup. This module accounts for where each
+//! worker's wall-clock went, one record per worker and one bracket per
+//! run:
 //!
 //! ```json
 //! {"type":"profile_run","run_id":"9f2a…-1","seq":1,"run":"online",
 //!  "workers":4,"t_us":120,"dur_us":81234}
 //! {"type":"profile_worker","run_id":"9f2a…-1","seq":1,"run":"online",
-//!  "worker":0,"t_us":130,"dur_us":80410,"recorded":412,"kept":412,
+//!  "worker":0,"t_us":130,"dur_us":80410,"recorded":412,
 //!  "phases":{"claim":{"count":9,"ns":4100},"decode":{"count":96,"ns":…}}}
-//! {"type":"profile_phase","run_id":"9f2a…-1","seq":1,"run":"online",
-//!  "worker":0,"phase":"simulate","t_us":1520,"dur_us":910}
 //! ```
+//!
+//! These records are the run stream's one per-worker timing channel:
+//! `spectral-doctor` derives each worker's point count (`simulate`'s
+//! count) and busy time (`prefetch_wait + decode + simulate`) from
+//! them, so a run's shard balance is known once its workers finish.
 //!
 //! Recording is designed to stay out of the measured path:
 //!
 //! * While the run stream is off ([`streaming`](crate::streaming) is
 //!   false — a single relaxed load) every [`WorkerTimeline`] operation
 //!   is an inert branch: no clock reads, no allocation, no locks.
-//! * When on, intervals land in a **per-worker ring** owned by the
-//!   worker itself ([`WorkerTimeline`]) — no cross-thread
-//!   synchronization per interval. Exact per-phase aggregates
-//!   `(count, total_ns)` are kept for *every* recorded interval; the
-//!   ring additionally retains the most recent
-//!   [`PROFILE_RING_CAPACITY`] intervals for fine-grained timeline
-//!   rendering. The stream lock is taken once, when the timeline
-//!   drops.
+//! * When on, each interval folds into `(count, total_ns)` for its
+//!   phase in the worker's own [`WorkerTimeline`] — no cross-thread
+//!   synchronization and no allocation per interval. The stream lock is
+//!   taken once, when the timeline drops.
 //! * Wherever the runner has already measured a duration (decode and
 //!   simulate times feed the health layer anyway), the timeline reuses
 //!   it via [`WorkerTimeline::note`] instead of reading the clock
 //!   again; only the phases without an existing measurement (claim,
 //!   merge-wait, merge) pay for their own RAII guard
-//!   ([`WorkerTimeline::enter`]).
+//!   ([`WorkerTimeline::enter`]), two clock reads per interval.
 //!
 //! `spectral-doctor profile` reads these records from the run stream
 //! and computes wall-clock attribution, contention and straggler
@@ -107,17 +107,12 @@ impl ProfilePhase {
     }
 }
 
-/// Most recent intervals retained per worker for timeline rendering
-/// (aggregates cover every interval regardless).
-pub const PROFILE_RING_CAPACITY: usize = 4096;
-
 #[cfg(feature = "enabled")]
 mod imp {
-    use std::collections::VecDeque;
     use std::fmt::Write as _;
     use std::time::Instant;
 
-    use super::{ProfilePhase, PROFILE_RING_CAPACITY};
+    use super::ProfilePhase;
     use crate::sink::{streaming, write};
 
     /// One run's wall-clock bracket: emits a `profile_run` record
@@ -168,9 +163,8 @@ mod imp {
     }
 
     /// One worker's timeline: exact per-phase aggregates over every
-    /// recorded interval plus a bounded ring of the most recent
-    /// intervals. Owned by the worker thread — recording never crosses
-    /// a thread boundary; serialization happens once, on drop.
+    /// recorded interval. Owned by the worker thread — recording never
+    /// crosses a thread boundary; serialization happens once, on drop.
     #[derive(Debug)]
     pub struct WorkerTimeline {
         on: bool,
@@ -182,8 +176,6 @@ mod imp {
         recorded: u64,
         /// `(count, total_ns)` per phase, indexed by `ProfilePhase::index`.
         aggregates: [(u64, u64); 7],
-        /// `(phase, t_us, dur_ns)`, most recent `PROFILE_RING_CAPACITY`.
-        ring: VecDeque<(ProfilePhase, u64, u64)>,
     }
 
     impl WorkerTimeline {
@@ -201,23 +193,6 @@ mod imp {
                 started: on.then(Instant::now),
                 recorded: 0,
                 aggregates: [(0, 0); 7],
-                ring: VecDeque::new(),
-            }
-        }
-
-        /// An inert timeline that never records (tests, non-run call
-        /// sites).
-        pub fn disabled() -> Self {
-            WorkerTimeline {
-                on: false,
-                seq: 0,
-                run: "",
-                worker: 0,
-                open_us: 0,
-                started: None,
-                recorded: 0,
-                aggregates: [(0, 0); 7],
-                ring: VecDeque::new(),
             }
         }
 
@@ -232,11 +207,6 @@ mod imp {
             let a = &mut self.aggregates[phase.index()];
             a.0 += 1;
             a.1 = a.1.wrapping_add(dur_ns);
-            if self.ring.len() == PROFILE_RING_CAPACITY {
-                self.ring.pop_front();
-            }
-            let t_us = crate::span::now_us().saturating_sub(dur_ns / 1000);
-            self.ring.push_back((phase, t_us, dur_ns));
         }
 
         /// Record an interval of `phase` that ended just now and lasted
@@ -266,19 +236,17 @@ mod imp {
                 return;
             }
             let dur_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let run_id = crate::json::quote(&crate::events::run_id(self.seq));
-            let run = crate::json::quote(self.run);
-            let mut out = String::with_capacity(256 + 96 * self.ring.len());
+            let mut out = String::with_capacity(256);
             let _ = write!(
                 out,
-                "{{\"type\":\"profile_worker\",\"run_id\":{run_id},\"seq\":{},\"run\":{run},\
-                 \"worker\":{},\"t_us\":{},\"dur_us\":{dur_us},\"recorded\":{},\"kept\":{},\
-                 \"phases\":{{",
+                "{{\"type\":\"profile_worker\",\"run_id\":{},\"seq\":{},\"run\":{},\
+                 \"worker\":{},\"t_us\":{},\"dur_us\":{dur_us},\"recorded\":{},\"phases\":{{",
+                crate::json::quote(&crate::events::run_id(self.seq)),
                 self.seq,
+                crate::json::quote(self.run),
                 self.worker,
                 self.open_us,
                 self.recorded,
-                self.ring.len(),
             );
             let mut first = true;
             for phase in ProfilePhase::ALL {
@@ -293,17 +261,6 @@ mod imp {
                 let _ = write!(out, "\"{}\":{{\"count\":{count},\"ns\":{ns}}}", phase.name());
             }
             out.push_str("}}\n");
-            for &(phase, t_us, dur_ns) in &self.ring {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"profile_phase\",\"run_id\":{run_id},\"seq\":{},\"run\":{run},\
-                     \"worker\":{},\"phase\":\"{}\",\"t_us\":{t_us},\"dur_us\":{}}}",
-                    self.seq,
-                    self.worker,
-                    phase.name(),
-                    dur_ns / 1000,
-                );
-            }
             write(format_args!("{out}"));
         }
     }
@@ -366,12 +323,6 @@ mod imp {
             WorkerTimeline
         }
 
-        /// No-op.
-        #[inline(always)]
-        pub fn disabled() -> Self {
-            WorkerTimeline
-        }
-
         /// Always false.
         #[inline(always)]
         pub fn is_on(&self) -> bool {
@@ -431,7 +382,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir.root());
         let records: Vec<JsonValue> =
             text.lines().map(|l| JsonValue::parse(l).expect("valid JSONL")).collect();
-        // Worker drops before the run scope: worker + phases, then run.
+        // Worker drops before the run scope: one worker record, then
+        // the run bracket, and no per-interval records.
+        let kinds: Vec<&str> =
+            records.iter().filter_map(|r| r.get("type").and_then(JsonValue::as_str)).collect();
+        assert_eq!(kinds, ["profile_worker", "profile_run"]);
         let worker = records
             .iter()
             .find(|r| r.get("type").and_then(JsonValue::as_str) == Some("profile_worker"))
@@ -439,7 +394,6 @@ mod tests {
         assert_eq!(worker.get("seq").and_then(JsonValue::as_u64), Some(7));
         assert_eq!(worker.get("worker").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(worker.get("recorded").and_then(JsonValue::as_u64), Some(5));
-        assert_eq!(worker.get("kept").and_then(JsonValue::as_u64), Some(5));
         let phases = worker.get("phases").expect("phase aggregates");
         let decode = phases.get("decode").expect("decode aggregate");
         assert_eq!(decode.get("count").and_then(JsonValue::as_u64), Some(1));
@@ -449,15 +403,10 @@ mod tests {
         assert!(wait_ns >= 1_000_000, "guard slept ≥1ms, got {wait_ns} ns");
         assert!(phases.get("merge").is_some(), "switch opened a merge interval");
         assert!(phases.get("claim").is_some(), "plain guard recorded on drop");
-        let intervals: Vec<&JsonValue> = records
-            .iter()
-            .filter(|r| r.get("type").and_then(JsonValue::as_str) == Some("profile_phase"))
-            .collect();
-        assert_eq!(intervals.len(), 5);
-        for i in intervals {
-            assert!(i.get("t_us").and_then(JsonValue::as_u64).is_some());
-            assert!(i.get("phase").and_then(JsonValue::as_str).is_some());
-        }
+        let simulate = phases.get("simulate").expect("simulate aggregate");
+        assert_eq!(simulate.get("count").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(simulate.get("ns").and_then(JsonValue::as_u64), Some(4_000_000));
+        assert!(phases.get("prefetch_wait").is_none(), "a phase never recorded is omitted");
         let run = records
             .iter()
             .find(|r| r.get("type").and_then(JsonValue::as_str) == Some("profile_run"))
@@ -474,17 +423,5 @@ mod tests {
             names,
             ["claim", "prefetch_wait", "decode", "simulate", "merge_wait", "merge", "idle"]
         );
-    }
-
-    #[test]
-    fn disabled_timeline_never_records() {
-        let mut tl = WorkerTimeline::disabled();
-        assert!(!tl.is_on());
-        tl.note(ProfilePhase::Decode, 10);
-        let mut g = tl.enter(ProfilePhase::Claim);
-        g.switch(ProfilePhase::Merge);
-        drop(g);
-        // Dropping an inert timeline writes nothing (no sink interaction
-        // to assert on beyond not panicking).
     }
 }

@@ -1,10 +1,10 @@
-//! The run stream: one JSONL sink for every span, scheduler sample,
-//! sampling-health event and worker-timeline profile record of a run,
-//! and the run directory that holds it.
+//! The run stream: one JSONL sink for every span, sampling-health
+//! event and worker-timeline profile record of a run, and the run
+//! directory that holds it.
 //!
 //! Each record is one line whose `type` field names its kind (`span`,
-//! `sched`, `progress`, `anomaly`, `checkpoint`, `profile_run`,
-//! `profile_worker`, `profile_phase`) and whose `t_us` sits on one
+//! `progress`, `anomaly`, `checkpoint`, `profile_run`,
+//! `profile_worker`) and whose `t_us` sits on one
 //! timebase (microseconds since the first telemetry event in the
 //! process). Readers skip kinds they do not know, so one stream serves
 //! `spectral-doctor analyze`, `profile` and `watch` alike.

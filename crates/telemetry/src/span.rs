@@ -16,7 +16,6 @@
 mod imp {
     use std::cell::Cell;
     use std::collections::BTreeMap;
-    use std::fmt::Write as _;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Mutex, OnceLock};
     use std::time::Instant;
@@ -88,38 +87,6 @@ mod imp {
         }
     }
 
-    /// Append one scheduler sample to the run stream:
-    ///
-    /// ```json
-    /// {"type":"sched","t_us":1234,"worker":3,"chunk_points":16,"steals":2}
-    /// ```
-    ///
-    /// Only the `Some` quantities are written. No-op (a single relaxed
-    /// load) when the stream is off — call sites may also gate on
-    /// [`streaming`](crate::streaming) to skip argument construction.
-    /// The perfetto exporter turns these into per-worker counter tracks.
-    pub fn trace_sched(
-        worker: usize,
-        chunk_points: Option<u64>,
-        steals: Option<u64>,
-        prefetch_occupancy: Option<u64>,
-    ) {
-        if !streaming() {
-            return;
-        }
-        let mut line = format!("{{\"type\":\"sched\",\"t_us\":{},\"worker\":{worker}", now_us());
-        for (key, value) in [
-            ("chunk_points", chunk_points),
-            ("steals", steals),
-            ("prefetch_occupancy", prefetch_occupancy),
-        ] {
-            if let Some(v) = value {
-                let _ = write!(line, ",\"{key}\":{v}");
-            }
-        }
-        write(format_args!("{line}}}\n"));
-    }
-
     /// Span aggregates as `(name, count, total_ns)` rows.
     pub(crate) fn aggregates() -> Vec<(String, u64, u64)> {
         AGGREGATES
@@ -146,19 +113,9 @@ mod imp {
     pub fn span(_name: &'static str) -> Span {
         Span
     }
-
-    /// No-op (telemetry compiled out).
-    #[inline(always)]
-    pub fn trace_sched(
-        _worker: usize,
-        _chunk_points: Option<u64>,
-        _steals: Option<u64>,
-        _prefetch_occupancy: Option<u64>,
-    ) {
-    }
 }
 
-pub use imp::{span, trace_sched, Span};
+pub use imp::{span, Span};
 
 #[cfg(feature = "enabled")]
 pub(crate) use imp::{aggregates, now_us, reset_aggregates};

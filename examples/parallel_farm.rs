@@ -14,8 +14,8 @@
 //! bit-identical to the serial pass while wall-clock drops on
 //! multi-core hosts. Library creation itself runs on the pipelined
 //! multi-core path and stays byte-identical to a serial build.
-//! `--out DIR` streams the runs' spans, scheduler samples, events and
-//! worker-timeline profiles to `DIR/run.jsonl` and writes a run
+//! `--out DIR` streams the runs' spans, events and worker-timeline
+//! profiles to `DIR/run.jsonl` and writes a run
 //! manifest (phases, points, estimate, embedded metrics snapshot —
 //! including the `core.sched.*` steal/occupancy metrics) to
 //! `DIR/manifest.json`. When `SPECTRAL_REGISTRY` names a registry, the
