@@ -1,132 +1,60 @@
-//! Per-point kernel benchmark: the hot loops the per-point overhaul
-//! targets, measured bare.
+//! Serial hot-decode run rate: points/s of a single-thread exhaustive
+//! online run over the fixture library. This is the number CI's
+//! perf-smoke job gates on: it compares `run_points_per_s` against the
+//! committed `BENCH_kernel.json` baseline and fails on >20% regression.
 //!
-//! * `emu` — functional emulator instructions/s over the pre-decoded
-//!   stream (the live-state collection and functional-warming floor),
-//! * `pipeline` — detailed out-of-order model instructions/s with the
-//!   index-based RUU wakeup (the per-window simulation floor),
-//! * `decode` — live-points decoded per second through reused scratch
-//!   buffers (`decompress_into` + DER decode, the paper's "checkpoint
-//!   processing" cost),
-//! * `run` — single-thread end-to-end online run, points/s. This is the
-//!   headline number the overhaul is gated on: CI compares it against
-//!   the committed `BENCH_kernel.json` baseline and fails on >20%
-//!   regression.
+//! Per-layer rates are the e2e benchmark's traced metrics:
+//! `isa.length_pass_ms` (emulation), `uarch.host_ns_per_inst` (timing
+//! model) and `codec.decode_us`.
 //!
 //! Besides the console report the target writes `BENCH_kernel.json` at
 //! the workspace root. Set `SPECTRAL_BENCH_QUICK=1` for the CI smoke
-//! mode (fewer samples, same measurements).
+//! mode (fewer samples, same measurement).
 
 use std::fmt::Write as _;
 
 use criterion::{Criterion, Throughput};
-use spectral_bench::{fixture_benchmark, fixture_library};
-use spectral_core::{DecodeScratch, OnlineRunner, RunPolicy};
-use spectral_isa::Emulator;
-use spectral_uarch::{DetailedSim, MachineConfig};
+use spectral_bench::{exhaustive, fixture_benchmark, fixture_library, quick};
+use spectral_core::OnlineRunner;
+use spectral_uarch::MachineConfig;
 
 const POINTS: u64 = 24;
-const EMU_INSTRS: u64 = 200_000;
-const PIPE_INSTRS: u64 = 20_000;
-
-fn quick() -> bool {
-    std::env::var_os("SPECTRAL_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
-fn samples(full: usize) -> usize {
-    if quick() {
-        5
-    } else {
-        full
-    }
-}
 
 fn bench_kernel(c: &mut Criterion) {
     let program = fixture_benchmark().build();
-    let machine = MachineConfig::eight_way();
     let library = fixture_library(&program, POINTS);
-    let points = library.len() as u64;
-
-    // Bare functional emulation over the pre-decoded instruction stream.
-    let mut group = c.benchmark_group("emu");
-    group.sample_size(samples(10)).throughput(Throughput::Elements(EMU_INSTRS));
-    group.bench_function("instrs", |b| {
-        b.iter(|| {
-            let mut emu = Emulator::new(&program);
-            emu.run_n(EMU_INSTRS, |_| {})
-        });
-    });
-    group.finish();
-
-    // Bare detailed pipeline with the index-based RUU wakeup.
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(samples(10)).throughput(Throughput::Elements(PIPE_INSTRS));
-    group.bench_function("instrs", |b| {
-        b.iter(|| {
-            let mut sim = DetailedSim::new(&machine, &program, Emulator::new(&program));
-            sim.run(PIPE_INSTRS)
-        });
-    });
-    group.finish();
-
-    // Decompress + DER decode through reused scratch buffers.
-    let mut group = c.benchmark_group("decode");
-    group.sample_size(samples(10)).throughput(Throughput::Elements(points));
-    group.bench_function("points", |b| {
-        let mut scratch = DecodeScratch::new();
-        b.iter(|| {
-            let mut committed = 0u64;
-            for i in 0..library.len() {
-                committed += library.get_with(&mut scratch, i).expect("decode").window.measure_len;
-            }
-            committed
-        });
-    });
-    group.finish();
-
-    // End-to-end single-thread online run: the gated number.
+    let runner = OnlineRunner::new(&library, MachineConfig::eight_way());
+    let exhaustive = exhaustive();
     let mut group = c.benchmark_group("run");
-    group.sample_size(samples(10)).throughput(Throughput::Elements(points));
-    let runner = OnlineRunner::new(&library, machine.clone());
-    let exhaustive =
-        RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
+    group
+        .sample_size(if quick() { 5 } else { 10 })
+        .throughput(Throughput::Elements(library.len() as u64));
     group.bench_function("1", |b| {
         b.iter(|| runner.run(&program, &exhaustive).expect("run"));
     });
     group.finish();
 }
 
-/// Render the collected results as JSON: each benchmark's median
-/// per-second rate in its declared unit (instructions or points), plus
-/// the single-thread run rate hoisted to a top-level key for the CI
-/// gate. The gated key uses the **best-observed** rate (fastest
-/// sample): interference on a shared runner only ever slows a sample,
-/// so the minimum time is the noise-robust regression signal.
+/// Render the run as JSON: its median rate under `throughput_per_s`,
+/// plus the **best-observed** rate (fastest sample) as the top-level
+/// key the CI gate reads: interference on a shared runner only ever
+/// slows a sample, so the minimum time is the noise-robust regression
+/// signal.
 fn emit_json(c: &Criterion) -> String {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut run_rate = 0.0f64;
+    let run = c.results().iter().find(|r| r.id == "run/1").expect("run/1 measured");
+    let points = match run.throughput {
+        Some(Throughput::Elements(n)) => n as f64,
+        None => 1.0,
+    };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
     let _ = writeln!(json, "  \"quick\": {},", quick());
     let _ = writeln!(json, "  \"points\": {POINTS},");
     json.push_str("  \"throughput_per_s\": {\n");
-    let mut first = true;
-    for r in c.results() {
-        let unit = match r.throughput {
-            Some(Throughput::Elements(n)) | Some(Throughput::Bytes(n)) => n as f64,
-            None => 1.0,
-        };
-        if r.id == "run/1" {
-            run_rate = unit / r.min_s;
-        }
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(json, "    \"{}\": {:.1}", r.id, unit / r.median_s);
-    }
-    json.push_str("\n  },\n");
-    let _ = writeln!(json, "  \"run_points_per_s\": {run_rate:.1}");
+    let _ = writeln!(json, "    \"run/1\": {:.1}", points / run.median_s);
+    json.push_str("  },\n");
+    let _ = writeln!(json, "  \"run_points_per_s\": {:.1}", points / run.min_s);
     json.push_str("}\n");
     json
 }

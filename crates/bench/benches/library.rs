@@ -31,14 +31,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use criterion::{black_box, Criterion, Throughput};
+use spectral_bench::{exhaustive, fixture_benchmark, fixture_library, quick};
 use spectral_codec::{paged, ContainerWriter};
-use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy, V2WriteOptions};
+use spectral_core::{LivePointLibrary, OnlineRunner, V2WriteOptions};
 use spectral_uarch::MachineConfig;
-use spectral_workloads::tiny;
-
-fn quick() -> bool {
-    std::env::var_os("SPECTRAL_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Self-merge doublings on the 24-point base: 7 → ~3072 points (the
 /// acceptance target), quick 5 → ~768.
@@ -89,10 +85,8 @@ struct Fixture {
 }
 
 fn build_fixture() -> Fixture {
-    let program = tiny().build();
-    let machine = MachineConfig::eight_way();
-    let cfg = CreationConfig::for_machine(&machine).with_sample_size(24);
-    let small = LivePointLibrary::create(&program, &cfg).expect("base library");
+    let program = fixture_benchmark().build();
+    let small = fixture_library(&program, 24);
 
     // Grow by self-merge: same records repeated (and re-shuffled), which
     // preserves the realistic per-record sizes without paying thousands
@@ -179,12 +173,11 @@ fn bench_open_and_read(c: &mut Criterion, fx: &Fixture) {
 /// second pass should find every point pre-decoded. Returns
 /// (hits, misses) deltas across the paired runs.
 fn cache_reuse(fx: &Fixture) -> (u64, u64) {
-    let machine = MachineConfig::eight_way();
     let path = temp("reuse.splp");
     fx.small.save_v2(&path, &V2WriteOptions::default()).expect("save reuse");
     let lib = LivePointLibrary::open(&path).expect("open reuse");
-    let runner = OnlineRunner::new(&lib, machine);
-    let policy = RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
+    let runner = OnlineRunner::new(&lib, MachineConfig::eight_way());
+    let policy = exhaustive();
 
     spectral_core::set_decode_cache_capacity(4096);
     spectral_core::clear_decode_cache();

@@ -1,40 +1,36 @@
-//! Worker-scaling benchmark for the parallel live-point pipeline:
-//! library creation, sharded online runs, and decode-once design-space
-//! sweeps at 1/2/4/8 workers. Worker counts exceeding the host's actual
-//! core count are skipped (with a logged note and a JSON record) —
-//! oversubscribed numbers measure scheduler interleaving, not scaling.
+//! Worker-scaling benchmark for the parallel live-point pipeline, and
+//! the run stream's cost. It answers two questions:
 //!
-//! Besides the usual console report, this target writes
-//! `BENCH_parallel.json` at the workspace root with the measured
-//! throughput (live-points per second) at each worker count, plus the
-//! host parallelism the numbers were collected under — wall-clock
-//! speedup over the 1-worker row requires a host that actually exposes
-//! multiple cores. It also writes `BENCH_telemetry.json`: the same
-//! throughput table wrapped with the full telemetry metrics snapshot
-//! accumulated over the benchmark runs (decode vs simulate time,
-//! compression ratios, merge lock waits, …) — empty when built with
-//! telemetry disabled, which is itself the no-overhead check. The
-//! telemetry document also carries a `"profiler"` section: a paired
-//! measurement of the run stream's wall-clock cost (spans, events and
-//! worker-timeline profiles together) on the 2-worker online stage,
-//! plus the phase attribution parsed back out of the stream it
-//! produced. Set
-//! `SPECTRAL_BENCH_QUICK=1` for the CI smoke run.
+//! * How do library creation, sharded online runs and decode-once
+//!   design-space sweeps scale at 1/2/4/8 workers? Worker counts
+//!   exceeding the host's actual core count are skipped (with a logged
+//!   note and a JSON record): oversubscribed numbers measure scheduler
+//!   interleaving, not scaling. The 1-worker `run` row is the ladder's
+//!   denominator.
+//! * What does the run stream cost? A paired measurement times the
+//!   2-worker online run with and without the stream (spans, events and
+//!   worker-timeline profiles together), plus the phase attribution
+//!   parsed back out of the stream it produced.
+//!
+//! Both go into one file, `BENCH_parallel.json` at the workspace root:
+//! points/s per stage and worker count, the host parallelism they were
+//! collected under (wall-clock speedup over the 1-worker row needs a
+//! host that exposes several cores), and the `"profiler"` section.
+//! With `SPECTRAL_REGISTRY` set, each (stage, workers) cell is also
+//! indexed as a run in that registry. Set `SPECTRAL_BENCH_QUICK=1` for
+//! the CI smoke run.
 
 use std::fmt::Write as _;
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use spectral_bench::fixture_benchmark;
-use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy, SweepRunner};
+use spectral_bench::{exhaustive, fixture_benchmark, fixture_library, quick};
+use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, SweepRunner};
+use spectral_isa::Program;
 use spectral_telemetry::{JsonValue, RunDir, RunManifest};
 use spectral_uarch::MachineConfig;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const POINTS: u64 = 24;
-
-fn quick() -> bool {
-    std::env::var_os("SPECTRAL_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Worker counts the host can actually run concurrently. Benchmarking
 /// more workers than cores only measures scheduler interleaving, so
@@ -53,31 +49,28 @@ fn honest_workers() -> Vec<usize> {
     run
 }
 
-fn bench_scaling(c: &mut Criterion) {
+fn bench_scaling(c: &mut Criterion, program: &Program, library: &LivePointLibrary) {
     let workers = honest_workers();
-    let program = fixture_benchmark().build();
     let machine = MachineConfig::eight_way();
     let cfg = CreationConfig::for_machine(&machine).with_sample_size(POINTS);
-    let library = LivePointLibrary::create(&program, &cfg).expect("fixture library");
     let points = library.len() as u64;
-    let exhaustive =
-        RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
+    let exhaustive = exhaustive();
 
     let mut group = c.benchmark_group("create");
     group.sample_size(10).throughput(Throughput::Elements(points));
     for &threads in &workers {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| LivePointLibrary::create_parallel(&program, &cfg, t).expect("create"));
+            b.iter(|| LivePointLibrary::create_parallel(program, &cfg, t).expect("create"));
         });
     }
     group.finish();
 
     let mut group = c.benchmark_group("run");
     group.sample_size(10).throughput(Throughput::Elements(points));
-    let runner = OnlineRunner::new(&library, machine.clone());
+    let runner = OnlineRunner::new(library, machine.clone());
     for &threads in &workers {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| runner.run_parallel(&program, &exhaustive, t).expect("run"));
+            b.iter(|| runner.run_parallel(program, &exhaustive, t).expect("run"));
         });
     }
     group.finish();
@@ -87,20 +80,21 @@ fn bench_scaling(c: &mut Criterion) {
         machine.clone().with_mem_latency(200),
         machine.clone().with_queues(64, 32),
     ];
-    let sweep = SweepRunner::new(&library, machines);
+    let sweep = SweepRunner::new(library, machines);
     let mut group = c.benchmark_group("sweep3");
     group.sample_size(10).throughput(Throughput::Elements(points));
     for &threads in &workers {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| sweep.run_parallel(&program, &exhaustive, t).expect("sweep"));
+            b.iter(|| sweep.run_parallel(program, &exhaustive, t).expect("sweep"));
         });
     }
     group.finish();
 }
 
 /// Render the collected results as a small JSON document: per-stage
-/// points-per-second at each worker count.
-fn emit_json(c: &Criterion) -> String {
+/// points-per-second at each worker count, then the `profiler`
+/// section.
+fn emit_json(c: &Criterion, profiler: &str) -> String {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let skipped: Vec<usize> = WORKERS.iter().copied().filter(|&w| w > host).collect();
     let mut json = String::from("{\n");
@@ -120,7 +114,6 @@ fn emit_json(c: &Criterion) -> String {
     for r in c.results() {
         let rate = match r.throughput {
             Some(Throughput::Elements(n)) => n as f64 / r.median_s,
-            Some(Throughput::Bytes(n)) => n as f64 / r.median_s,
             None => 1.0 / r.median_s,
         };
         if !first {
@@ -129,7 +122,7 @@ fn emit_json(c: &Criterion) -> String {
         first = false;
         let _ = write!(json, "    \"{}\": {rate:.1}", r.id);
     }
-    json.push_str("\n  }\n}\n");
+    let _ = write!(json, "\n  }},\n  \"profiler\": {profiler}\n}}\n");
     json
 }
 
@@ -147,32 +140,27 @@ fn median_secs(mut xs: Vec<f64>) -> f64 {
 /// Installing the stream is one-way for the process lifetime, so this
 /// must run *after* the criterion groups — the scaling numbers above
 /// are never profiled.
-fn profiler_overhead_json() -> String {
+fn profiler_json(program: &Program, library: &LivePointLibrary) -> String {
     if !spectral_telemetry::compiled_in() {
         return String::from("{ \"enabled\": false }");
     }
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = 2.min(host);
     let reps = if quick() { 3 } else { 7 };
-    let program = fixture_benchmark().build();
-    let machine = MachineConfig::eight_way();
-    let cfg = CreationConfig::for_machine(&machine).with_sample_size(POINTS);
-    let library = LivePointLibrary::create(&program, &cfg).expect("fixture library");
-    let exhaustive =
-        RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() };
-    let runner = OnlineRunner::new(&library, machine);
+    let exhaustive = exhaustive();
+    let runner = OnlineRunner::new(library, MachineConfig::eight_way());
     let time_reps = || {
         let mut secs = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = std::time::Instant::now();
-            runner.run_parallel(&program, &exhaustive, threads).expect("run");
+            runner.run_parallel(program, &exhaustive, threads).expect("run");
             secs.push(t0.elapsed().as_secs_f64());
         }
         median_secs(secs)
     };
     // Warm-up run so first-touch effects (page faults, decode cache
     // fill) don't land inside the unprofiled arm only.
-    runner.run_parallel(&program, &exhaustive, threads).expect("run");
+    runner.run_parallel(program, &exhaustive, threads).expect("run");
     let unprofiled_s = time_reps();
     let run =
         RunDir::new(std::env::temp_dir().join(format!("spectral_scaling_{}", std::process::id())));
@@ -227,20 +215,6 @@ fn profiler_overhead_json() -> String {
     json
 }
 
-/// Wrap the throughput table with the telemetry snapshot accumulated
-/// over the runs — where the benchmarked wall-clock actually went —
-/// plus the paired profiler-overhead measurement.
-fn emit_telemetry_json(throughput: &str, profiler: &str) -> String {
-    let snap = spectral_telemetry::snapshot();
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"telemetry_compiled_in\": {},", spectral_telemetry::compiled_in());
-    let _ = writeln!(json, "  \"throughput\": {},", throughput.trim_end());
-    let _ = writeln!(json, "  \"profiler\": {},", profiler.trim_end());
-    let _ = writeln!(json, "  \"metrics\": {}", snap.to_json());
-    json.push_str("}\n");
-    json
-}
-
 /// Index one run directory per measured (stage, workers) cell in the
 /// cross-run registry when `SPECTRAL_REGISTRY` names one, so the
 /// scaling trajectory is queryable with `spectral-doctor trend`
@@ -259,7 +233,7 @@ fn append_registry_records(c: &Criterion) {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for r in c.results() {
         let points = match r.throughput {
-            Some(Throughput::Elements(n) | Throughput::Bytes(n)) => n,
+            Some(Throughput::Elements(n)) => n,
             None => 1,
         };
         // Ids are "<stage>/<workers>"; the stage becomes the benchmark
@@ -289,20 +263,15 @@ fn append_registry_records(c: &Criterion) {
 }
 
 fn main() {
+    let program = fixture_benchmark().build();
+    let library = fixture_library(&program, POINTS);
     let mut criterion = Criterion::default();
-    bench_scaling(&mut criterion);
+    bench_scaling(&mut criterion, &program, &library);
     append_registry_records(&criterion);
-    let json = emit_json(&criterion);
+    let json = emit_json(&criterion, &profiler_json(&program, &library));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-    let profiler = profiler_overhead_json();
-    let tlm = emit_telemetry_json(&json, &profiler);
-    let tlm_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    match std::fs::write(tlm_path, &tlm) {
-        Ok(()) => println!("wrote {tlm_path}"),
-        Err(e) => eprintln!("could not write {tlm_path}: {e}"),
     }
 }

@@ -1,8 +1,10 @@
-//! CSR vs MTR ablation (DESIGN.md decision #2): recording cost,
+//! CSR vs MTR ablation (DESIGN.md §5 decision 2): recording cost,
 //! reconstruction cost, and the storage shapes behind the paper's §4.3
-//! choice of bounded Cache Set Records inside live-points.
+//! choice of bounded Cache Set Records inside live-points. No e2e
+//! metric or experiment binary measures MTR; this bench reports to the
+//! console only and is run by hand.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::Criterion;
 use spectral_cache::{Cache, CacheConfig, Csr, Mtr};
 
 fn stream(n: u64) -> Vec<(u64, bool)> {
@@ -65,5 +67,6 @@ fn bench_warmstate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_warmstate);
-criterion_main!(benches);
+fn main() {
+    bench_warmstate(&mut Criterion::default());
+}

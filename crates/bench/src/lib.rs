@@ -1,46 +1,52 @@
-//! # spectral-bench — Criterion benchmarks for the paper's cost claims
+//! # spectral-bench — the benchmarks behind CI's perf gates
 //!
-//! One bench target per quantitative claim (see DESIGN.md's experiment
-//! index for the mapping to tables/figures):
+//! Each bench target answers one question and writes at most one file:
 //!
-//! * `fig8_load` — live-point decompress+decode time as the stored
-//!   maximum cache grows (Fig 8, right),
-//! * `methods` — per-method unit costs: functional-warming rate,
-//!   detailed-simulation rate, and per-live-point processing (the
-//!   ingredients of Table 2's runtimes),
-//! * `codec` — DER and LZSS throughput (the paper's "minimal storage and
-//!   processing time overhead" claim for its encoding),
-//! * `warmstate` — CSR vs MTR record/reconstruct costs (the DESIGN.md
-//!   ablation for adaptable warm state),
-//! * `pipeline` — out-of-order timing-model throughput per workload
-//!   class,
-//! * `scaling` — parallel-pipeline worker scaling (creation, sharded
-//!   runs, decode-once sweeps at 1/2/4/8 workers, capped at the host's
-//!   core count); also emits `BENCH_parallel.json` at the workspace
-//!   root,
-//! * `kernel` — per-point kernel layers bare (functional emulation,
-//!   detailed pipeline, decode, single-thread end-to-end run); emits
-//!   `BENCH_kernel.json`, which CI's perf-smoke job gates on.
+//! * `kernel` — the serial hot-decode run rate (points/s of a
+//!   single-thread exhaustive online run); writes `BENCH_kernel.json`,
+//!   whose `run_points_per_s` CI's perf-smoke job gates on,
+//! * `library` — v1 input vs paged v2 containers: open latency, cold
+//!   and warm single-point reads, dictionary bytes/point and
+//!   decode-cache reuse; writes `BENCH_library.json`, which CI's
+//!   perf-smoke job gates on,
+//! * `scaling` — the worker ladder (creation, sharded runs and
+//!   decode-once sweeps at 1/2/4/8 workers, capped at the host's core
+//!   count) and the run stream's wall-clock cost; writes
+//!   `BENCH_parallel.json`, and indexes one run per cell in
+//!   `SPECTRAL_REGISTRY` when set (CI's registry smoke),
+//! * `warmstate` — CSR vs MTR record/reconstruct costs (DESIGN.md §5
+//!   decision 2); console only, run by hand.
+//!
+//! Per-layer costs (codec, emulation, timing model, decode) are the
+//! e2e benchmark's traced metrics, and Table 2 and Figure 8 are
+//! measured by the `table2` and `fig8` experiment binaries.
 //!
 //! This library crate only exposes shared fixtures for those targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use spectral_core::{CreationConfig, LivePointLibrary};
+use spectral_core::{CreationConfig, LivePointLibrary, RunPolicy};
 use spectral_isa::Program;
 use spectral_uarch::MachineConfig;
-use spectral_workloads::{by_name, tiny, Benchmark};
+use spectral_workloads::{tiny, Benchmark};
+
+/// Whether `SPECTRAL_BENCH_QUICK` selects the CI smoke mode (fewer
+/// samples, same measurements).
+pub fn quick() -> bool {
+    std::env::var_os("SPECTRAL_BENCH_QUICK").is_some_and(|v| v != "0" && !v.is_empty())
+}
+
+/// The policy every timed run uses: a precision target no run
+/// reaches and no trajectory, so each run processes the whole library.
+pub fn exhaustive() -> RunPolicy {
+    RunPolicy { target_rel_err: 1e-12, trajectory_stride: 0, ..RunPolicy::default() }
+}
 
 /// The benchmark used by cost benches (small enough to set up quickly,
 /// busy enough to exercise every structure).
 pub fn fixture_benchmark() -> Benchmark {
     tiny()
-}
-
-/// A memory-heavy suite benchmark for cache-sensitive benches.
-pub fn memory_benchmark() -> Benchmark {
-    by_name("mcf-like").expect("suite benchmark")
 }
 
 /// Build a small live-point library for `program` under the 8-way

@@ -42,13 +42,6 @@ impl Criterion {
         BenchmarkGroup { criterion: self, name: name.into(), sample_size: 20, throughput: None }
     }
 
-    /// Run one stand-alone benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        let mut group = self.benchmark_group(id.to_owned());
-        group.bench_function("single", f);
-        self
-    }
-
     /// All measurements completed so far.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
@@ -58,8 +51,6 @@ impl Criterion {
 /// Per-iteration throughput declaration.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
     /// Logical elements processed per iteration.
     Elements(u64),
 }
@@ -73,22 +64,11 @@ impl BenchmarkId {
     pub fn from_parameter(p: impl fmt::Display) -> Self {
         BenchmarkId(p.to_string())
     }
-
-    /// Identifier from a function name and a parameter value.
-    pub fn new(name: impl Into<String>, p: impl fmt::Display) -> Self {
-        BenchmarkId(format!("{}/{}", name.into(), p))
-    }
 }
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId(s.to_owned())
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId(s)
     }
 }
 
@@ -155,9 +135,6 @@ impl BenchmarkGroup<'_> {
             throughput: self.throughput,
         };
         let rate = match self.throughput {
-            Some(Throughput::Bytes(n)) => {
-                format!("  {:>10}/s", fmt_bytes((n as f64 / result.median_s) as u64))
-            }
             Some(Throughput::Elements(n)) => {
                 format!("  {:>10.0} elem/s", n as f64 / result.median_s)
             }
@@ -214,39 +191,6 @@ fn fmt_time(s: f64) -> String {
     } else {
         format!("{:.1} ns", s * 1e9)
     }
-}
-
-fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2} GB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.2} MB", b as f64 / (1u64 << 20) as f64)
-    } else if b >= 1 << 10 {
-        format!("{:.2} KB", b as f64 / 1024.0)
-    } else {
-        format!("{b} B")
-    }
-}
-
-/// Collect benchmark functions into a runnable group.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Generate a `main` running the given groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 //!                         [--max-regress PCT] [--json PATH]
 //! spectral-doctor watch   (--run DIR | --registry DIR) [--prom FILE]
 //!                         [--interval MS] [--once | --frames N]
-//! spectral-doctor profile --run DIR [--json PATH] [--perfetto PATH]
-//!                         [--record-cost-ns N]
+//! spectral-doctor profile --run DIR [--json PATH] [--record-cost-ns N]
 //! ```
 //!
 //! `--run DIR` names a run directory an experiment binary wrote with
@@ -70,8 +69,7 @@ const USAGE: &str = "spectral-doctor analyze --run DIR [--baseline-run DIR] [--j
                      [--candidate LABEL] [--max-regress PCT] [--json PATH]\n\
                      spectral-doctor watch (--run DIR | --registry DIR) [--prom FILE] \
                      [--interval MS] [--once | --frames N]\n\
-                     spectral-doctor profile --run DIR [--json PATH] [--perfetto PATH] \
-                     [--record-cost-ns N]";
+                     spectral-doctor profile --run DIR [--json PATH] [--record-cost-ns N]";
 
 /// A flag-value iterator shared by every subcommand parser.
 struct Args<'a> {
@@ -136,15 +134,6 @@ fn write_file(path: &PathBuf, text: &str) -> Result<(), DoctorError> {
         .map_err(|e| DoctorError::msg(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Convert a run stream into a Chrome trace at `path`: spans,
-/// convergence counters, anomaly instants, and each worker's lifetime
-/// under its run bracket.
-fn write_perfetto(path: &PathBuf, stream: &str) -> Result<(), DoctorError> {
-    let chrome = spectral_telemetry::chrome_trace(stream)
-        .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
-    write_file(path, &chrome)
-}
-
 fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
     let run = cli.run.as_ref().expect("validated in parse_analyze");
     let artifacts = RunArtifacts::load(run)?;
@@ -170,7 +159,11 @@ fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
         )?;
     }
     if let Some(path) = &cli.perfetto {
-        write_perfetto(path, &read_stream(run)?)?;
+        // A Chrome trace: spans, convergence counters, anomaly instants,
+        // and each worker's lifetime under its run bracket.
+        let chrome = spectral_telemetry::chrome_trace(&read_stream(run)?)
+            .map_err(|e| DoctorError::msg(format!("cannot convert trace: {}", e.message)))?;
+        write_file(path, &chrome)?;
     }
 
     let mut failures: Vec<String> = Vec::new();
@@ -394,14 +387,12 @@ fn profile_main(argv: &[String]) -> ExitCode {
     let run = || -> Result<(), DoctorError> {
         let mut dir: Option<RunDir> = None;
         let mut json: Option<PathBuf> = None;
-        let mut perfetto: Option<PathBuf> = None;
         let mut record_cost_ns: Option<u64> = None;
         let mut args = Args::new(argv);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--run" => dir = Some(RunDir::new(args.value("--run")?)),
                 "--json" => json = Some(PathBuf::from(args.value("--json")?)),
-                "--perfetto" => perfetto = Some(PathBuf::from(args.value("--perfetto")?)),
                 "--record-cost-ns" => {
                     record_cost_ns = Some(args.parsed("--record-cost-ns", "nanoseconds")?);
                 }
@@ -428,9 +419,6 @@ fn profile_main(argv: &[String]) -> ExitCode {
         }
         if let Some(path) = &json {
             write_file(path, &render_profile_json(&reports))?;
-        }
-        if let Some(out) = &perfetto {
-            write_perfetto(out, &text)?;
         }
         Ok(())
     };

@@ -238,8 +238,10 @@ pub struct ProfileReport {
     /// Σ per-worker end gaps, microseconds.
     pub straggler_us: u64,
     /// Run wall minus overlappable work (total busy minus the busiest
-    /// worker), microseconds, clamped at zero.
-    pub critical_path_us: u64,
+    /// worker), microseconds; `None` when that bound is not positive,
+    /// as on a run with more workers than cores, whose descheduled time
+    /// counts as busy.
+    pub critical_path_us: Option<u64>,
     /// The profiler's own cost.
     pub overhead: OverheadEstimate,
 }
@@ -364,7 +366,7 @@ pub fn analyze_profile(run: &ProfileRun, record_cost_ns: u64) -> ProfileReport {
         prefetch_stall_ns: stall_ns,
         decode_ahead_ns: ahead_ns,
         straggler_us,
-        critical_path_us: run.dur_us.saturating_sub(overlappable_us),
+        critical_path_us: run.dur_us.checked_sub(overlappable_us).filter(|&us| us > 0),
         overhead: OverheadEstimate {
             recorded: recorded_total,
             record_cost_ns,
@@ -460,11 +462,12 @@ pub fn render_profile_text(report: &ProfileReport) -> String {
         fmt_us(report.straggler_us),
         pct(report.straggler_us, report.run_wall_us * report.workers.max(1) as u64),
     );
-    let _ = writeln!(
-        out,
-        "  critical path ≥ {} (run wall minus overlappable work)",
-        fmt_us(report.critical_path_us)
-    );
+    let _ = match report.critical_path_us {
+        Some(us) => {
+            writeln!(out, "  critical path ≥ {} (run wall minus overlappable work)", fmt_us(us))
+        }
+        None => writeln!(out, "  critical path: n/a (other workers' busy time ≥ run wall)"),
+    };
     let o = &report.overhead;
     let _ = writeln!(
         out,
@@ -538,7 +541,7 @@ pub fn render_profile_json(reports: &[ProfileReport]) -> String {
                 r.prefetch_stall_ns,
                 r.decode_ahead_ns,
                 r.straggler_us,
-                r.critical_path_us,
+                r.critical_path_us.map_or_else(|| "null".to_owned(), |us| us.to_string()),
                 o.recorded,
                 o.record_cost_ns,
                 o.total_ns,
@@ -618,10 +621,39 @@ mod tests {
         assert_eq!(report.straggler_us, 180 + 70);
         // Overlappable work: 18.2 ms busy − 9.4 ms busiest = 8.8 ms;
         // 10 ms run wall − 8.8 ms = 1.2 ms of unhidden serial residue.
-        assert_eq!(report.critical_path_us, 1_200);
+        assert_eq!(report.critical_path_us, Some(1_200));
         let o = &report.overhead;
         assert_eq!((o.recorded, o.total_ns, o.max_worker_ns), (12, 600, 350));
         assert!(o.pct_of_wall < 0.01);
+    }
+
+    #[test]
+    fn critical_path_is_na_when_other_workers_fill_the_wall() {
+        // Four workers each busy for the whole 10 ms wall, as when they
+        // outnumber the cores: overlappable work (30 ms) exceeds the
+        // wall, so the bound says nothing.
+        let mut stream = String::from(
+            "{\"type\":\"profile_run\",\"run_id\":\"bbbb000000000001-5\",\"seq\":5,\
+             \"run\":\"online\",\"workers\":4,\"t_us\":0,\"dur_us\":10000}\n",
+        );
+        for worker in 0..4 {
+            stream.push_str(&format!(
+                "{{\"type\":\"profile_worker\",\"run_id\":\"bbbb000000000001-5\",\"seq\":5,\
+                 \"run\":\"online\",\"worker\":{worker},\"t_us\":0,\"dur_us\":10000,\
+                 \"recorded\":1,\"phases\":{{\"simulate\":{{\"count\":1,\"ns\":10000000}}}}}}\n"
+            ));
+        }
+        let runs = profiles(&stream).expect("valid stream");
+        let report = analyze_profile(&runs[0], 50);
+        assert_eq!(report.critical_path_us, None);
+        let text = render_profile_text(&report);
+        assert!(
+            text.contains("critical path: n/a (other workers' busy time ≥ run wall)"),
+            "{text}"
+        );
+        let json = render_profile_json(&[report]);
+        assert!(json.contains("\"critical_path_us\":null"), "{json}");
+        JsonValue::parse(json.trim()).expect("valid JSON");
     }
 
     #[test]

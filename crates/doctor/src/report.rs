@@ -113,9 +113,12 @@ fn write_anomaly_text(out: &mut String, a: &AnomalyRecord) {
         let _ =
             write!(detail, "decode {}µs simulate {}µs", a.decode_ns / 1000, a.simulate_ns / 1000);
     }
+    // One binary runs several estimates over one library, so the same
+    // point can be anomalous in several runs: name the run.
+    let run = if a.seq > 0 { format!("{} #{}", a.run, a.seq) } else { a.run.clone() };
     let _ = writeln!(
         out,
-        "  point #{:<6} worker {}  {:<28} {}  window@{}",
+        "  {run:<10} point #{:<6} worker {}  {:<28} {}  window@{}",
         a.point,
         a.worker,
         a.kinds.join("+"),
@@ -361,7 +364,38 @@ pub fn render_json(
 
 #[cfg(test)]
 mod tests {
-    use super::sparkline;
+    use super::*;
+
+    fn anomaly(seq: u64) -> AnomalyRecord {
+        AnomalyRecord {
+            t_us: 0,
+            run_id: format!("aaaa000000000001-{seq}"),
+            seq,
+            run: "online".to_owned(),
+            worker: 0,
+            point: 611,
+            detail_start: 100,
+            measure_start: 200,
+            kinds: vec!["cpi_outlier".to_owned()],
+            cpi: 1.5,
+            mean: 0.5,
+            std_dev: 0.2,
+            sigmas: 5.0,
+            decode_ns: 0,
+            simulate_ns: 0,
+        }
+    }
+
+    #[test]
+    fn anomaly_lines_name_their_run() {
+        let diagnosis =
+            Diagnosis { anomalies: vec![anomaly(1), anomaly(4)], ..Diagnosis::default() };
+        let text = render_text(&diagnosis, None, None, 3);
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains("point #611")).collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].trim_start().starts_with("online #1 "), "{text}");
+        assert!(lines[1].trim_start().starts_with("online #4 "), "{text}");
+    }
 
     #[test]
     fn sparkline_scales_to_max() {
