@@ -24,7 +24,7 @@ use crate::library::{DecodeScratch, LivePointLibrary};
 use crate::livepoint::LivePoint;
 use crate::resume::RunKind;
 use crate::resume::{config_fingerprint, policy_fingerprint, CheckpointSpec, RecoverySession};
-use crate::runner::{simulate_live_point, RunPolicy};
+use crate::runner::{simulate_warm, warm_hierarchy, RunPolicy};
 use crate::sched::{note_worker_time, ChunkCursor, ChunkLog, PrefetchRing, WorkQueue};
 
 // Simulation time and count (one per simulation), accumulator lock
@@ -267,11 +267,22 @@ impl<O: Observe> Driver<'_, O> {
         lane.ring.fill(self.library, pending, &mut lane.scratch, &mut lane.tl)?;
         let (lp, decode_ns) = lane.ring.pop().expect("ring holds the current index");
         let sw = Stopwatch::start();
-        for machine in self.obs.machines() {
+        let machines = self.obs.machines();
+        // A machine whose geometry matches the previous one's starts
+        // from a copy of that warm hierarchy instead of reconstructing it.
+        let mut shared = None;
+        for (i, machine) in machines.iter().enumerate() {
             // Fault site `core.sim.point`: simulation faults and worker
             // death (an armed kill here dies inside worker code).
             spectral_faultd::probe("core.sim.point")?;
-            row.push(simulate_live_point(&lp, self.program, machine)?.cpi());
+            let hierarchy = match shared.take() {
+                Some(hierarchy) => hierarchy,
+                None => warm_hierarchy(&lp, self.program, machine)?,
+            };
+            if machines.get(i + 1).is_some_and(|next| next.hierarchy == machine.hierarchy) {
+                shared = Some(hierarchy.clone());
+            }
+            row.push(simulate_warm(&lp, self.program, machine, hierarchy)?.cpi());
             TLM_POINTS.inc();
         }
         let simulate_ns = sw.ns();

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use spectral_cache::CacheHierarchy;
 use spectral_isa::{Emulator, Program};
 use spectral_stats::{Confidence, OnlineEstimator, MIN_SAMPLE_SIZE};
 use spectral_telemetry::{Counter, Stopwatch};
@@ -61,13 +62,35 @@ pub fn simulate_live_point(
     program: &Program,
     machine: &MachineConfig,
 ) -> Result<WindowStats, CoreError> {
+    let hierarchy = warm_hierarchy(lp, program, machine)?;
+    simulate_warm(lp, program, machine, hierarchy)
+}
+
+/// The first steps of [`simulate_live_point`]: check that `program` is
+/// the live-point's benchmark, and reconstruct its warm hierarchy at
+/// `machine`'s geometry.
+pub(crate) fn warm_hierarchy(
+    lp: &LivePoint,
+    program: &Program,
+    machine: &MachineConfig,
+) -> Result<CacheHierarchy, CoreError> {
     if lp.benchmark != program.name() {
         return Err(CoreError::BenchmarkMismatch {
             expected: lp.benchmark.clone(),
             found: program.name().to_owned(),
         });
     }
-    let hierarchy = lp.reconstruct_hierarchy(&machine.hierarchy)?;
+    lp.reconstruct_hierarchy(&machine.hierarchy)
+}
+
+/// The rest of [`simulate_live_point`], from a warm `hierarchy` that
+/// [`warm_hierarchy`] reconstructed for a machine of the same geometry.
+pub(crate) fn simulate_warm(
+    lp: &LivePoint,
+    program: &Program,
+    machine: &MachineConfig,
+    hierarchy: CacheHierarchy,
+) -> Result<WindowStats, CoreError> {
     let bpred = lp.predictor_for(&machine.bpred)?;
     let memory = lp.live_state.build_memory();
     let oracle = Emulator::from_state(program, lp.live_state.arch.clone(), memory);

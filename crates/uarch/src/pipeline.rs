@@ -136,6 +136,9 @@ pub struct DetailedSim<'p> {
     stats: WindowStats,
     fetched_insts: u64,
     issued_insts: u64,
+    /// Cycles actually stepped, as opposed to skipped.
+    #[cfg(test)]
+    stepped: u64,
 }
 
 impl<'p> DetailedSim<'p> {
@@ -199,6 +202,8 @@ impl<'p> DetailedSim<'p> {
             stats: WindowStats::default(),
             fetched_insts: 0,
             issued_insts: 0,
+            #[cfg(test)]
+            stepped: 0,
         }
     }
 
@@ -239,26 +244,25 @@ impl<'p> DetailedSim<'p> {
     /// Commit is capped at the boundary so measurement intervals contain
     /// exactly the instructions the sample design specified.
     pub fn run(&mut self, n: u64) -> WindowStats {
-        let start = self.stats;
-        let (fetched0, issued0) = (self.fetched_insts, self.issued_insts);
-        self.commit_stop = start.committed + n;
-        while self.stats.committed < self.commit_stop && !self.is_done() {
-            self.step_cycle();
-        }
-        self.commit_stop = u64::MAX;
-        let delta = self.stats.since(&start);
-        self.flush_telemetry(&delta, fetched0, issued0);
-        delta
+        self.run_until(self.stats.committed + n, Self::step_cycle)
     }
 
     /// Simulate until the program ends and the pipeline drains; returns
     /// the statistics delta.
     pub fn run_to_completion(&mut self) -> WindowStats {
+        self.run_until(u64::MAX, Self::step_cycle)
+    }
+
+    /// Call `step` until the committed count reaches `commit_stop` or the
+    /// program ends; returns the statistics delta.
+    fn run_until(&mut self, commit_stop: u64, mut step: impl FnMut(&mut Self)) -> WindowStats {
         let start = self.stats;
         let (fetched0, issued0) = (self.fetched_insts, self.issued_insts);
-        while !self.is_done() {
-            self.step_cycle();
+        self.commit_stop = commit_stop;
+        while self.stats.committed < self.commit_stop && !self.is_done() {
+            step(self);
         }
+        self.commit_stop = u64::MAX;
         let delta = self.stats.since(&start);
         self.flush_telemetry(&delta, fetched0, issued0);
         delta
@@ -278,20 +282,57 @@ impl<'p> DetailedSim<'p> {
         TLM_L2_MISSES.add(delta.l2_misses);
     }
 
+    /// Simulate one cycle, then skip the cycles that would repeat it:
+    /// when no stage changed state, nothing can change before
+    /// [`next_event`](Self::next_event), so the clock moves to the cycle
+    /// just before it. The skipped cycles still count in `stats.cycles`.
     fn step_cycle(&mut self) {
+        if !self.advance() {
+            if let Some(next) = self.next_event() {
+                self.cycle = next - 1;
+            }
+        }
+    }
+
+    /// Simulate one cycle; returns whether any stage changed state.
+    fn advance(&mut self) -> bool {
         self.cycle += 1;
+        #[cfg(test)]
+        {
+            self.stepped += 1;
+        }
         // Stage order models same-cycle flow back-to-front.
-        self.commit_stage();
+        let mut changed = self.commit_stage();
         let ports_left = self.drain_store_buffer();
-        self.writeback_stage();
-        self.issue_stage(ports_left);
-        self.fetch_stage();
+        changed |= ports_left < self.cfg.fu.mem_ports;
+        changed |= self.writeback_stage();
+        changed |= self.issue_stage(ports_left);
+        changed |= self.fetch_stage();
         self.stats.cycles = self.cycle;
+        changed
+    }
+
+    /// The earliest future cycle at which anything can change after a
+    /// cycle in which nothing did. Every action blocked in such a cycle
+    /// waits on one of these times: a completion event (an incomplete
+    /// RUU head, a recovery that restarts a stalled or halted front
+    /// end), the front end's resume cycle (mispredict refill, I-cache
+    /// miss), a busy MSHR (a load or a store-buffer drain, and behind it
+    /// a commit stalled on a full store buffer), or a busy unpipelined
+    /// unit. A squashed load or divide leaves its MSHR or unit busy with
+    /// no event, so those times are candidates beside the heap top. No
+    /// other comparison with the clock can change its outcome (a
+    /// completed head's `complete_cycle` is never in the future).
+    fn next_event(&self) -> Option<u64> {
+        let heap_top = self.events.peek().map(|&Reverse((when, _))| when);
+        let units =
+            self.mshr_busy_until.iter().chain(&self.int_muldiv_busy).chain(&self.fp_muldiv_busy);
+        units.copied().chain(heap_top).chain([self.fetch_resume]).filter(|&t| t > self.cycle).min()
     }
 
     // --- commit --------------------------------------------------------
 
-    fn commit_stage(&mut self) {
+    fn commit_stage(&mut self) -> bool {
         let mut committed = 0;
         while committed < self.cfg.width && self.stats.committed < self.commit_stop {
             let Some(head) = self.ruu.front() else { break };
@@ -340,6 +381,7 @@ impl<'p> DetailedSim<'p> {
             self.stats.committed += 1;
             committed += 1;
         }
+        committed > 0
     }
 
     // --- store buffer drain ---------------------------------------------
@@ -396,16 +438,18 @@ impl<'p> DetailedSim<'p> {
         }
     }
 
-    fn writeback_stage(&mut self) {
+    fn writeback_stage(&mut self) -> bool {
         let mut recover: Option<(u64, u64)> = None; // (resolver uid, target pc)
-                                                    // Pop due completion events instead of scanning the RUU; squash
-                                                    // purges events for squashed uids, so every event here refers to
-                                                    // a live issued entry.
+        let mut popped = false;
+        // Pop due completion events instead of scanning the RUU; squash
+        // purges events for squashed uids, so every event here refers to
+        // a live issued entry.
         while let Some(&Reverse((when, uid))) = self.events.peek() {
             if when > self.cycle {
                 break;
             }
             self.events.pop();
+            popped = true;
             let Some(idx) = self.entry_index(uid) else { continue };
             let (consumers, recover_target) = {
                 let e = &mut self.ruu[idx];
@@ -439,6 +483,7 @@ impl<'p> DetailedSim<'p> {
                 self.bpred.ras_restore(rec.ras_tos);
             }
         }
+        popped
     }
 
     fn squash_younger(&mut self, uid: u64) {
@@ -566,11 +611,12 @@ impl<'p> DetailedSim<'p> {
         }
     }
 
-    fn issue_stage(&mut self, mut mem_ports: u32) {
+    fn issue_stage(&mut self, mut mem_ports: u32) -> bool {
         // Fold newly-woken entries in and restore program order; issue
         // then walks only ready entries — the wakeup queues replace the
         // old every-cycle scan over the whole RUU.
-        if !self.woken.is_empty() {
+        let woke = !self.woken.is_empty();
+        if woke {
             self.ready.append(&mut self.woken);
             self.ready.sort_unstable();
         }
@@ -609,14 +655,16 @@ impl<'p> DetailedSim<'p> {
             }
         }
         self.ready.truncate(kept);
+        woke || issued_total > 0
     }
 
     // --- fetch / dispatch --------------------------------------------------
 
-    fn fetch_stage(&mut self) {
+    fn fetch_stage(&mut self) -> bool {
         if self.cycle < self.fetch_resume {
-            return;
+            return false;
         }
+        let before = (self.fetch_resume, self.line_ready, self.oracle_done);
         let mut fetched = 0u32;
         let mut cond_predictions = 0u32;
         let line_shift = self.cfg.hierarchy.l1i.line_shift();
@@ -704,6 +752,7 @@ impl<'p> DetailedSim<'p> {
             }
         }
         self.fetched_insts += u64::from(fetched);
+        fetched > 0 || before != (self.fetch_resume, self.line_ready, self.oracle_done)
     }
 
     /// Dispatch one correct-path instruction; updates fetch_pc along the
@@ -949,7 +998,260 @@ impl<'p> DetailedSim<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spectral_isa::ProgramBuilder;
+    use spectral_workloads::{random_program, suite};
+
+    impl DetailedSim<'_> {
+        /// The reference for the idle-cycle skip: [`run`](Self::run)
+        /// stepping every cycle.
+        fn run_stepped(&mut self, n: u64) -> WindowStats {
+            self.run_until(self.stats.committed + n, |sim| {
+                sim.advance();
+            })
+        }
+    }
+
+    /// `run` lengths that cross every kind of boundary: one and a few
+    /// instructions, and windows long enough to finish a short program.
+    const WINDOWS: [u64; 4] = [1_000, 1, 7, 1 << 40];
+
+    /// The paper's two machines, and 8-way variants that move the
+    /// skip's wake-up times: slower memory, no wrong-path fetch, and
+    /// smaller queues.
+    fn machines() -> [MachineConfig; 5] {
+        let eight = MachineConfig::eight_way();
+        [
+            eight.clone(),
+            eight.clone().with_mem_latency(200),
+            MachineConfig::sixteen_way(),
+            eight.clone().without_wrong_path(),
+            eight.with_queues(64, 32),
+        ]
+    }
+
+    /// Simulate `p` on `cfg` in `run` calls of `lens` instructions, once
+    /// with the idle-cycle skip and once stepping every cycle, and assert
+    /// that every interval's statistics agree. Returns the skip's totals
+    /// and the number of cycles it stepped.
+    fn skip_matches_stepped(cfg: &MachineConfig, p: &Program, lens: &[u64]) -> (WindowStats, u64) {
+        let mut skip = DetailedSim::new(cfg, p, Emulator::new(p));
+        let mut stepped = DetailedSim::new(cfg, p, Emulator::new(p));
+        for &n in lens {
+            let (got, want) = (skip.run(n), stepped.run_stepped(n));
+            assert_eq!(got, want, "{} on {}: run({n})", p.name(), cfg.name);
+        }
+        assert_eq!(stepped.stepped, stepped.stats.cycles, "the reference steps every cycle");
+        (skip.stats, skip.stepped)
+    }
+
+    /// [`skip_matches_stepped`] over [`WINDOWS`] on `cfg`, asserting
+    /// that the skip stepped under `max_share` of the cycles (a rule
+    /// that misses a wake-up source steps through its waits instead);
+    /// returns the statistics.
+    fn skip_jumps(cfg: &MachineConfig, p: &Program, max_share: f64) -> WindowStats {
+        let (stats, stepped) = skip_matches_stepped(cfg, p, &WINDOWS);
+        let cycles = stats.cycles;
+        assert!((stepped as f64) < max_share * cycles as f64, "stepped {stepped} of {cycles}");
+        stats
+    }
+
+    /// An LCG-parity branch in a loop: about half its outcomes mispredict.
+    fn unpredictable_branches(iters: i64) -> Program {
+        let mut b = ProgramBuilder::new("lcg-branch");
+        b.li(Reg::R1, 0);
+        b.li(Reg::R2, iters);
+        b.li(Reg::R29, 12345);
+        let top = b.label();
+        b.li(Reg::R9, 0x5851_F42D_4C95_7F2D_u64 as i64);
+        b.mul(Reg::R29, Reg::R29, Reg::R9);
+        b.addi(Reg::R29, Reg::R29, 0x14057B7E);
+        b.shri(Reg::R4, Reg::R29, 33);
+        b.andi(Reg::R4, Reg::R4, 1);
+        let skip = b.new_label();
+        b.bne(Reg::R4, Reg::R0, skip);
+        b.addi(Reg::R5, Reg::R5, 1);
+        b.xori(Reg::R6, Reg::R5, 0x2A);
+        b.bind(skip);
+        b.addi(Reg::R1, Reg::R1, 1);
+        b.blt(Reg::R1, Reg::R2, top);
+        b.halt();
+        b.build()
+    }
+
+    /// `count` iterations of `body` (given the loop's base register `r1`,
+    /// which advances by `stride` bytes each iteration) over a fresh
+    /// data area.
+    fn strided_loop(count: i64, stride: i64, body: impl Fn(&mut ProgramBuilder)) -> Program {
+        let mut b = ProgramBuilder::new("strided");
+        let base = b.alloc_data((count * stride / 8 + 8) as u64);
+        b.li(Reg::R1, base as i64);
+        b.li(Reg::R2, 0);
+        b.li(Reg::R3, count);
+        let top = b.label();
+        body(&mut b);
+        b.addi(Reg::R1, Reg::R1, stride);
+        b.addi(Reg::R2, Reg::R2, 1);
+        b.blt(Reg::R2, Reg::R3, top);
+        b.halt();
+        b.build()
+    }
+
+    #[test]
+    fn skip_wakes_on_a_memory_miss_completing() {
+        // A chase through fresh lines: each load waits on the one before
+        // it, which misses to memory.
+        let mut b = ProgramBuilder::new("chase");
+        let nodes = 600u64;
+        let base = b.alloc_data(nodes * 4);
+        for i in 0..nodes {
+            b.init_word(base + i * 32, base + (i + 1) * 32);
+        }
+        b.li(Reg::R1, base as i64);
+        b.li(Reg::R2, 0);
+        b.li(Reg::R3, nodes as i64 - 1);
+        let top = b.label();
+        b.load(Reg::R1, Reg::R1, 0);
+        b.addi(Reg::R2, Reg::R2, 1);
+        b.blt(Reg::R2, Reg::R3, top);
+        b.halt();
+        let stats = skip_jumps(&MachineConfig::eight_way(), &b.build(), 0.25);
+        assert!(stats.l2_misses >= 100, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_on_mispredict_refill() {
+        let stats = skip_jumps(&MachineConfig::eight_way(), &unpredictable_branches(2_000), 0.85);
+        assert!(stats.mispredicts > 300, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_on_an_icache_fill() {
+        // Straight-line code through cold instruction lines.
+        let mut b = ProgramBuilder::new("straight");
+        for i in 0..4_000 {
+            b.addi(Reg::from_index(1 + i % 8), Reg::R0, i as i64);
+        }
+        b.halt();
+        let stats = skip_jumps(&MachineConfig::eight_way(), &b.build(), 0.25);
+        assert!(stats.l1i_misses >= 400, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_a_full_store_buffer_on_an_mshr_release() {
+        // Stores to fresh lines: each drain misses and holds the one MSHR,
+        // so commit stalls on the two-entry store buffer.
+        let mut cfg = MachineConfig::eight_way();
+        (cfg.store_buffer, cfg.mshrs) = (2, 1);
+        let stats = skip_jumps(
+            &cfg,
+            &strided_loop(1_000, 64, |b| {
+                b.store(Reg::R1, Reg::R2, 0);
+            }),
+            0.25,
+        );
+        assert!(stats.l1d_misses >= 900, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_a_load_on_an_mshr_release() {
+        // Independent misses through one MSHR: ready loads wait on it.
+        let mut cfg = MachineConfig::eight_way();
+        cfg.mshrs = 1;
+        let stats = skip_jumps(
+            &cfg,
+            &strided_loop(300, 64, |b| {
+                b.load(Reg::R4, Reg::R1, 0);
+                b.load(Reg::R5, Reg::R1, 32);
+            }),
+            0.25,
+        );
+        assert!(stats.l1d_misses >= 500, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_a_divide_on_the_divider_release() {
+        // A divide on each side of an unpredictable branch, one divider,
+        // and a miss per iteration: a wrong-path divide squashed at
+        // recovery keeps the divider busy with no completion event, so
+        // its release is the only wake-up before the miss returns.
+        let mut cfg = MachineConfig::eight_way();
+        cfg.fu.int_muldiv = 1;
+        let stats = skip_jumps(
+            &cfg,
+            &strided_loop(400, 64, |b| {
+                b.load(Reg::R20, Reg::R1, 0);
+                b.li(Reg::R9, 0x5851_F42D_4C95_7F2D_u64 as i64);
+                b.mul(Reg::R29, Reg::R29, Reg::R9);
+                b.addi(Reg::R29, Reg::R29, 0x14057B7E);
+                b.shri(Reg::R4, Reg::R29, 33);
+                b.andi(Reg::R4, Reg::R4, 1);
+                let skip = b.new_label();
+                b.bne(Reg::R4, Reg::R0, skip);
+                b.div(Reg::R5, Reg::R3, Reg::R2);
+                b.bind(skip);
+                b.div(Reg::R6, Reg::R3, Reg::R2);
+            }),
+            0.75,
+        );
+        assert!(stats.mispredicts > 50 && stats.l2_misses > 50, "{stats:?}");
+    }
+
+    #[test]
+    fn skip_wakes_a_stalled_front_end_on_recovery() {
+        // Without wrong-path fetch the front end idles from each
+        // mispredict until the branch resolves.
+        let cfg = MachineConfig::eight_way().without_wrong_path();
+        let stats = skip_jumps(&cfg, &unpredictable_branches(2_000), 0.85);
+        assert!(stats.mispredicts > 300 && stats.wrong_path_fetched == 0, "{stats:?}");
+    }
+
+    /// Every suite benchmark on every machine of [`machines`], in `run`
+    /// calls of `lens` instructions from the program's start.
+    fn suite_matches_stepped(lens: &[u64]) {
+        for bench in suite() {
+            let p = bench.build();
+            for cfg in machines() {
+                skip_matches_stepped(&cfg, &p, lens);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_matches_stepped_across_the_suite() {
+        suite_matches_stepped(&[4_000, 6_000, 1, 7, 1_000]);
+    }
+
+    /// The same at fifty times the length; run in release with
+    /// `cargo test --release -p spectral-uarch -- --ignored`.
+    #[test]
+    #[ignore = "about 20 s in release"]
+    fn skip_matches_stepped_across_the_suite_at_length() {
+        suite_matches_stepped(&[200_000, 300_000, 1, 7, 50_000]);
+    }
+
+    #[test]
+    fn random_programs_reach_wrong_path_fetch() {
+        let stats = skip_jumps(&MachineConfig::eight_way(), &random_program(3, 24, 40), 1.0);
+        assert!(stats.mispredicts > 0 && stats.wrong_path_fetched > 0, "{stats:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The skip is exact on random programs with unlearnable
+        /// branches, calls, indirect jumps, divides and memory traffic.
+        #[test]
+        fn skip_matches_stepped_on_random_programs(
+            seed in any::<u64>(),
+            ops in 1usize..24,
+            trips in 1u64..30,
+            machine in 0usize..5,
+        ) {
+            let p = random_program(seed, ops, trips);
+            skip_matches_stepped(&machines()[machine], &p, &WINDOWS);
+        }
+    }
 
     fn counted_loop(n: i64) -> Program {
         let mut b = ProgramBuilder::new("loop");
@@ -1029,25 +1331,7 @@ mod tests {
     fn mispredicts_generate_wrong_path_work() {
         // Data-dependent branches (LCG parity) are hard to predict;
         // wrong-path instructions must appear.
-        let mut b = ProgramBuilder::new("br");
-        b.li(Reg::R1, 0);
-        b.li(Reg::R2, 3000);
-        b.li(Reg::R29, 12345);
-        let top = b.label();
-        b.li(Reg::R9, 0x5851_F42D_4C95_7F2D_u64 as i64);
-        b.mul(Reg::R29, Reg::R29, Reg::R9);
-        b.addi(Reg::R29, Reg::R29, 0x14057B7E);
-        b.shri(Reg::R4, Reg::R29, 33);
-        b.andi(Reg::R4, Reg::R4, 1);
-        let skip = b.new_label();
-        b.bne(Reg::R4, Reg::R0, skip);
-        b.addi(Reg::R5, Reg::R5, 1);
-        b.xori(Reg::R6, Reg::R5, 0x2A);
-        b.bind(skip);
-        b.addi(Reg::R1, Reg::R1, 1);
-        b.blt(Reg::R1, Reg::R2, top);
-        b.halt();
-        let p = b.build();
+        let p = unpredictable_branches(3000);
         let cfg = MachineConfig::eight_way();
         let mut sim = DetailedSim::new(&cfg, &p, Emulator::new(&p));
         let stats = sim.run_to_completion();

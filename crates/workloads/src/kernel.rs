@@ -168,7 +168,7 @@ pub fn emit_call_targets(b: &mut ProgramBuilder) -> Label {
 
 /// Advance the shared LCG in `r29` (same constants as C++11's
 /// `std::minstd`-style 64-bit mix; full-period odd multiplier).
-fn lcg_step(b: &mut ProgramBuilder) {
+pub(crate) fn lcg_step(b: &mut ProgramBuilder) {
     b.li(Reg::R9, 0x5851_F42D_4C95_7F2D_u64 as i64);
     b.mul(Reg::R29, Reg::R29, Reg::R9);
     b.addi(Reg::R29, Reg::R29, 0x1405_7B7E_F767_814F_u64 as i64 & 0x7FFF_FFFF);

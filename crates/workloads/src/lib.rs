@@ -22,6 +22,11 @@
 //! experiment needs — is feasible; every paper comparison is ratio- or
 //! shape-based, so the scaling preserves the conclusions.
 //!
+//! [`random_program`] generates small seeded programs for differential
+//! tests of the timing model: their unlearnable branches, calls and
+//! indirect jumps reach mispredict recovery, the return-address stack
+//! and wrong-path fetch.
+//!
 //! ## Example
 //!
 //! ```
@@ -39,9 +44,11 @@
 
 mod bench;
 mod kernel;
+mod random;
 
 pub use bench::{by_name, suite, tiny, Benchmark, Schedule};
 pub use kernel::{emit_call_targets, EmitCtx, Kernel, Predictability};
+pub use random::random_program;
 
 use spectral_isa::{Emulator, Program};
 

@@ -7,6 +7,7 @@ use spectral::codec::{crc32, lzss};
 use spectral::isa::{Emulator, ProgramBuilder, Reg};
 use spectral::stats::OnlineEstimator;
 use spectral::uarch::{DetailedSim, MachineConfig};
+use spectral::workloads::random_program;
 
 /// A tiny random-but-valid program: arithmetic, memory traffic over a
 /// small buffer, and a bounded loop.
@@ -49,6 +50,14 @@ fn arb_program() -> impl Strategy<Value = spectral::isa::Program> {
             b.halt();
             b.build()
         })
+}
+
+/// A seeded program from the workloads generator: unlearnable
+/// branches, calls and returns, indirect jumps, divides and memory
+/// traffic, which reach mispredict recovery and wrong-path fetch.
+fn arb_control_program() -> impl Strategy<Value = spectral::isa::Program> {
+    (any::<u64>(), 1usize..24, 1u64..20)
+        .prop_map(|(seed, ops, trips)| random_program(seed, ops, trips))
 }
 
 /// A true-LRU cache kept as one MRU-first `Vec` per set: the reference
@@ -273,28 +282,32 @@ proptest! {
 
     /// The timing model must commit exactly the functional stream.
     #[test]
-    fn timing_commits_functional_stream(program in arb_program()) {
-        let mut emu = Emulator::new(&program);
-        let mut n = 0u64;
-        while emu.step().is_some() {
-            n += 1;
+    fn timing_commits_functional_stream(loop_program in arb_program(), control in arb_control_program()) {
+        for program in [loop_program, control] {
+            let mut emu = Emulator::new(&program);
+            let mut n = 0u64;
+            while emu.step().is_some() {
+                n += 1;
+            }
+            let cfg = MachineConfig::eight_way();
+            let stats = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
+            prop_assert_eq!(stats.committed, n);
+            // CPI must be sane: bounded below by 1/width and above by the
+            // worst serialized latency.
+            prop_assert!(stats.cpi() >= 1.0 / cfg.width as f64);
+            prop_assert!(stats.cpi() < 400.0);
         }
-        let cfg = MachineConfig::eight_way();
-        let stats = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
-        prop_assert_eq!(stats.committed, n);
-        // CPI must be sane: bounded below by 1/width and above by the
-        // worst serialized latency.
-        prop_assert!(stats.cpi() >= 1.0 / cfg.width as f64);
-        prop_assert!(stats.cpi() < 400.0);
     }
 
     /// Detailed simulation is deterministic.
     #[test]
-    fn timing_is_deterministic(program in arb_program()) {
+    fn timing_is_deterministic(loop_program in arb_program(), control in arb_control_program()) {
         let cfg = MachineConfig::eight_way();
-        let a = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
-        let b = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
-        prop_assert_eq!(a, b);
+        for program in [loop_program, control] {
+            let a = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
+            let b = DetailedSim::new(&cfg, &program, Emulator::new(&program)).run_to_completion();
+            prop_assert_eq!(a, b);
+        }
     }
 
     /// CSR reconstruction equals direct simulation for arbitrary streams
