@@ -22,7 +22,7 @@
 //! at most 12.5% plus a constant.
 
 use crate::error::CodecError;
-use spectral_telemetry::{Counter, Histogram, Stopwatch};
+use spectral_telemetry::{Counter, Stopwatch};
 
 static COMPRESS_CALLS: Counter = Counter::new("codec.lzss.compress_calls");
 static COMPRESS_IN_BYTES: Counter = Counter::new("codec.lzss.compress_in_bytes");
@@ -31,9 +31,6 @@ static COMPRESS_NS: Counter = Counter::new("codec.lzss.compress_ns");
 static DECOMPRESS_CALLS: Counter = Counter::new("codec.lzss.decompress_calls");
 static DECOMPRESS_OUT_BYTES: Counter = Counter::new("codec.lzss.decompress_out_bytes");
 static DECOMPRESS_NS: Counter = Counter::new("codec.lzss.decompress_ns");
-// Compression ratio in percent (uncompressed*100/compressed), log2-bucketed:
-// bucket [256,512) ⇒ between 2.56:1 and 5.12:1, the paper's gzip band.
-static RATIO_PCT: Histogram = Histogram::new("codec.lzss.ratio_pct");
 
 const WINDOW: usize = 1 << 16;
 const MIN_MATCH: usize = 3;
@@ -138,9 +135,6 @@ pub fn compress_with_dict(scratch: &mut CompressScratch, dict: &[u8], data: &[u8
     COMPRESS_IN_BYTES.add(data.len() as u64);
     COMPRESS_OUT_BYTES.add(out.len() as u64);
     COMPRESS_NS.add(sw.ns());
-    if !out.is_empty() {
-        RATIO_PCT.record((data.len() as u64 * 100) / out.len() as u64);
-    }
     out
 }
 

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use spectral_isa::Program;
-use spectral_telemetry::{Counter, Gauge, ProfilePhase, Stopwatch, WorkerTimeline};
+use spectral_telemetry::{Counter, ProfilePhase, Stopwatch, WorkerTimeline};
 use spectral_uarch::MachineConfig;
 
 use crate::error::CoreError;
@@ -27,14 +27,12 @@ use crate::resume::{config_fingerprint, policy_fingerprint, CheckpointSpec, Reco
 use crate::runner::{simulate_warm, warm_hierarchy, RunPolicy};
 use crate::sched::{note_worker_time, ChunkCursor, ChunkLog, PrefetchRing, WorkQueue};
 
-// Simulation time and count (one per simulation), accumulator lock
-// traffic, and where early termination landed. No-ops without the
-// `telemetry` feature.
+// Simulation time and count (one per simulation) and accumulator lock
+// traffic. No-ops without the `telemetry` feature.
 static TLM_POINTS: Counter = Counter::new("core.run.points");
 static TLM_SIMULATE_NS: Counter = Counter::new("core.run.simulate_ns");
 static TLM_MERGES: Counter = Counter::new("core.run.merges");
 static TLM_LOCK_WAIT_NS: Counter = Counter::new("core.run.lock_wait_ns");
-static TLM_EARLY_STOP_POINT: Gauge = Gauge::new("core.run.early_stop_point");
 
 /// Live-points each worker decodes ahead of the one it simulates.
 const PREFETCH_DEPTH: usize = 4;
@@ -244,7 +242,6 @@ impl<O: Observe> Driver<'_, O> {
         if !batch.is_empty() {
             self.flush(&mut batch, &mut lane);
         }
-        queue.finish();
         note_worker_time(lane.busy_ns, wall.ns());
         (log, lane.monitor)
     }
@@ -325,7 +322,6 @@ impl<O: Observe> Driver<'_, O> {
         }
         if done && s.stop_n.is_none() {
             s.stop_n = Some(s.n);
-            TLM_EARLY_STOP_POINT.set(s.n as i64);
         }
         if done && policy.stop_at_target {
             self.stop.store(true, Relaxed);

@@ -31,7 +31,7 @@ use spectral_codec::{
 };
 use spectral_isa::{Emulator, Program};
 use spectral_stats::{SampleDesign, SystematicDesign, WindowSpec};
-use spectral_telemetry::{Counter, Histogram, Stopwatch};
+use spectral_telemetry::{Counter, Stopwatch};
 
 use crate::creation::{benchmark_length, CreationConfig, CreationWarmers, TouchedState};
 use crate::encode::{
@@ -42,16 +42,13 @@ use crate::livepoint::{LivePoint, SizeBreakdown, WarmPayload};
 use crate::livestate::{LiveStateCollector, StateScope};
 
 // Library-creation metrics: where creation time goes (functional
-// warming vs. state snapshot vs. DER encode vs. LZSS compress) and how
-// big each record is before/after compression. All no-ops without the
-// `telemetry` feature.
+// warming vs. state snapshot vs. DER encode vs. LZSS compress). All
+// no-ops without the `telemetry` feature.
 static TLM_WINDOWS: Counter = Counter::new("core.create.windows");
 static TLM_WARM_NS: Counter = Counter::new("core.create.warm_ns");
 static TLM_SNAPSHOT_NS: Counter = Counter::new("core.create.snapshot_ns");
 static TLM_ENCODE_NS: Counter = Counter::new("core.create.der_encode_ns");
 static TLM_COMPRESS_NS: Counter = Counter::new("core.create.compress_ns");
-static TLM_DER_BYTES: Histogram = Histogram::new("core.create.record_der_bytes");
-static TLM_RECORD_BYTES: Histogram = Histogram::new("core.create.record_bytes");
 
 // Library-access metrics: open cost of every image a library serves
 // from (files, and the in-memory images of fresh creation, `from_bytes`
@@ -73,7 +70,6 @@ fn encode_record(lp: &LivePoint) -> Vec<u8> {
     let sw = Stopwatch::start();
     let der = encode_livepoint(lp);
     TLM_ENCODE_NS.add(sw.ns());
-    TLM_DER_BYTES.record(der.len() as u64);
     der
 }
 
@@ -89,7 +85,6 @@ fn compress_record(scratch: &mut lzss::CompressScratch, lp: &LivePoint) -> Vec<u
     let sw = Stopwatch::start();
     let bytes = lzss::compress_with(scratch, &der);
     TLM_COMPRESS_NS.add(sw.ns());
-    TLM_RECORD_BYTES.record(bytes.len() as u64);
     bytes
 }
 

@@ -15,7 +15,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use spectral_telemetry::{Counter, Histogram, ProfilePhase, WorkerTimeline};
+use spectral_telemetry::{Counter, ProfilePhase, WorkerTimeline};
 
 use crate::error::CoreError;
 use crate::library::{DecodeScratch, LivePointLibrary};
@@ -25,9 +25,6 @@ use crate::runner::decode_point;
 // Scheduler metrics; no-ops without the `telemetry` feature.
 static TLM_STEALS: Counter = Counter::new("core.sched.steals");
 static TLM_CHUNKS: Counter = Counter::new("core.sched.chunks");
-static TLM_CHUNK_POINTS: Histogram = Histogram::new("core.sched.chunk_points");
-static TLM_STEALS_PER_WORKER: Histogram = Histogram::new("core.sched.steals_per_worker");
-static TLM_PREFETCH_OCCUPANCY: Histogram = Histogram::new("core.sched.prefetch_occupancy");
 static TLM_BUSY_NS: Counter = Counter::new("core.sched.busy_ns");
 static TLM_IDLE_NS: Counter = Counter::new("core.sched.idle_ns");
 
@@ -111,12 +108,11 @@ pub(crate) struct WorkQueue<'a> {
     cursor: &'a ChunkCursor,
     worker: usize,
     first: bool,
-    steals: u64,
 }
 
 impl<'a> WorkQueue<'a> {
     pub fn new(cursor: &'a ChunkCursor, worker: usize) -> Self {
-        WorkQueue { cursor, worker, first: true, steals: 0 }
+        WorkQueue { cursor, worker, first: true }
     }
 
     /// The worker's next chunk (timed as the `claim` phase), or `None`
@@ -128,7 +124,6 @@ impl<'a> WorkQueue<'a> {
             self.cursor.first(self.worker)
         } else {
             let chunk = self.cursor.claim()?;
-            self.steals += 1;
             TLM_STEALS.inc();
             chunk
         };
@@ -136,13 +131,7 @@ impl<'a> WorkQueue<'a> {
             return None;
         }
         TLM_CHUNKS.inc();
-        TLM_CHUNK_POINTS.record(chunk.len() as u64);
         Some(chunk)
-    }
-
-    /// Close out the worker's scheduling telemetry (steal histogram).
-    pub fn finish(&self) {
-        TLM_STEALS_PER_WORKER.record(self.steals);
     }
 }
 
@@ -188,7 +177,6 @@ impl PrefetchRing {
             stalled = false;
             self.ring.push_back(decoded);
         }
-        TLM_PREFETCH_OCCUPANCY.record(self.ring.len() as u64);
         Ok(())
     }
 

@@ -21,11 +21,18 @@
 //! * **Cross-run regression** — a matched-pair-style diff of two runs'
 //!   final estimates: the mean delta against the combined half-width
 //!   `sqrt(hw₁² + hw₂²)`, plus point-count and wall-clock movement.
+//! * **Wall-clock attribution** ([`analyze_profile`]) — per profiled
+//!   run, from the same worker-timeline records: per-worker phase shares
+//!   with an explicit idle remainder, merge-lock waits, prefetch stall
+//!   vs decode-ahead, straggler/barrier waste, a critical-path estimate,
+//!   and the profiler's own overhead.
 //!
-//! The `spectral-doctor` binary renders the diagnosis as a text report
-//! (with a sparkline convergence curve), as machine-readable JSON
-//! (`--json`), and can convert the run stream into a Chrome
+//! The `spectral-doctor` binary renders the diagnosis as one text report
+//! (with a sparkline convergence curve), as one machine-readable JSON
+//! document (`--json`), and can convert the run stream into a Chrome
 //! `trace_event` document for <https://ui.perfetto.dev> (`--perfetto`).
+//! It reads a run that is still going, or one that was killed, as far
+//! as its last complete record ([`read_stream`]).
 //!
 //! Beyond the per-run `analyze` diagnosis, the binary grew cross-run
 //! subcommands over the [`spectral-registry`](spectral_registry)
@@ -41,14 +48,6 @@
 //!   baseline run-set and a candidate run-set, built on
 //!   [`spectral_stats::MatchedPair`]; designed as a CI gate (exit code
 //!   2 on regression).
-//! * **`watch`** ([`WatchFrame`]) — a live terminal dashboard over a
-//!   growing run stream or registry directory, with an optional
-//!   Prometheus-style text exposition (`--prom`).
-//! * **`profile`** ([`analyze_profile`]) — wall-clock attribution over
-//!   the stream's worker-timeline records: per-worker phase shares with
-//!   an explicit idle remainder, merge-lock waits, prefetch stall vs
-//!   decode-ahead, straggler/barrier waste, a critical-path estimate,
-//!   and the profiler's own overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,9 +57,7 @@ mod gate;
 mod profile;
 mod report;
 mod trend;
-mod watch;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -73,13 +70,11 @@ pub use analyze::{
 };
 pub use gate::{gate, render_gate_json, render_gate_text, GateComparison, GateConfig, GateVerdict};
 pub use profile::{
-    analyze_profile, measure_record_cost_ns, render_profile_json, render_profile_text,
-    OverheadEstimate, PhaseAttribution, PhaseTotal, ProfileReport, ProfileRun, WaitStats,
-    WorkerProfile, WorkerReport,
+    analyze_profile, measure_record_cost_ns, OverheadEstimate, PhaseAttribution, PhaseTotal,
+    ProfileReport, ProfileRun, WaitStats, WorkerProfile, WorkerReport,
 };
 pub use report::{render_json, render_text, sparkline};
 pub use trend::{render_trend_json, render_trend_text, trend, TrendPoint, TrendSeries};
-pub use watch::{load_latest_streams, EventsTail, SeriesState, WatchFrame};
 
 /// A doctor failure: a one-line diagnostic for stderr.
 #[derive(Debug)]
@@ -209,9 +204,6 @@ pub struct RunArtifacts {
     /// Worker-timeline profiles, one per profiled run, in first-seen
     /// order.
     pub profiles: Vec<ProfileRun>,
-    /// The counters of the manifest's embedded metrics snapshot (empty
-    /// without one).
-    pub counters: BTreeMap<String, u64>,
 }
 
 impl RunArtifacts {
@@ -313,8 +305,7 @@ impl RunArtifacts {
         Ok(artifacts)
     }
 
-    /// Load a run directory's manifest and the counters of its metrics
-    /// snapshot, but not its stream.
+    /// Load a run directory's manifest, but not its stream.
     fn load_manifest(dir: &RunDir) -> Result<RunArtifacts, DoctorError> {
         let path = dir.manifest();
         let text = match std::fs::read_to_string(&path) {
@@ -328,28 +319,21 @@ impl RunArtifacts {
             DoctorError(format!("malformed manifest {}: {}", path.display(), e.message))
         };
         let doc = JsonValue::parse(&text).map_err(malformed)?;
-        let counters = doc
-            .get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(JsonValue::as_obj)
-            .map(|c| c.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect())
-            .unwrap_or_default();
         let manifest = Some(RunManifest::from_value(&doc).map_err(malformed)?);
-        Ok(RunArtifacts { manifest, counters, ..Self::default() })
+        Ok(RunArtifacts { manifest, ..Self::default() })
     }
 
     /// Parse `dir`'s stream records of the kinds `keep` accepts into
     /// these artifacts, in place of any records parsed before.
     fn load_stream(&mut self, dir: &RunDir, keep: fn(&str) -> bool) -> Result<(), DoctorError> {
-        let parsed = Self::parse_kinds(self.manifest.take(), &read_stream(dir)?, keep)
+        *self = Self::parse_kinds(self.manifest.take(), &read_stream(dir)?, keep)
             .map_err(|e| DoctorError(format!("{}: {e}", dir.stream().display())))?;
-        *self = RunArtifacts { counters: std::mem::take(&mut self.counters), ..parsed };
         Ok(())
     }
 }
 
-/// The `(binary, benchmark, machine, threads)` tuple that trend series,
-/// gate comparisons and watch rows group runs by.
+/// The `(binary, benchmark, machine, threads)` tuple that trend series
+/// and gate comparisons group runs by.
 pub(crate) type TupleKey = (String, String, String, usize);
 
 /// One run of a registry: its index line and its run directory's
@@ -414,11 +398,6 @@ impl RegistryRun {
         first.or(self.manifest().points_processed)
     }
 
-    /// A counter of the manifest's metrics snapshot.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.artifacts.counters.get(name).copied()
-    }
-
     pub(crate) fn key(&self) -> TupleKey {
         let m = self.manifest();
         (m.binary.clone(), m.benchmark.clone(), m.machine.clone(), m.threads)
@@ -457,14 +436,21 @@ pub fn load_registry(dir: &Path) -> Result<Vec<RegistryRun>, DoctorError> {
         .collect()
 }
 
-/// Read a run directory's stream.
+/// Read a run directory's stream up to and including its last newline.
+///
+/// The sink is buffered and writes a record in several pieces, so the
+/// stream of a run that is still going, or of one that was killed, can
+/// end mid-record: that torn tail is not a record yet and is left out.
 ///
 /// # Errors
 ///
 /// Returns a diagnostic naming the stream when it cannot be read.
 pub fn read_stream(dir: &RunDir) -> Result<String, DoctorError> {
-    std::fs::read_to_string(dir.stream())
-        .map_err(|e| DoctorError(format!("cannot read {}: {e}", dir.stream().display())))
+    let fail =
+        |e: &dyn fmt::Display| DoctorError(format!("cannot read {}: {e}", dir.stream().display()));
+    let mut bytes = std::fs::read(dir.stream()).map_err(|e| fail(&e))?;
+    bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+    String::from_utf8(bytes).map_err(|e| fail(&e))
 }
 
 fn u64_field(doc: &JsonValue, key: &str) -> u64 {
@@ -598,16 +584,18 @@ mod tests {
         let parent = RunArtifacts::parse(None, PARENT_FORMAT).expect("the parent format parses");
         let current = RunArtifacts::parse(None, &stripped).expect("the stripped copy parses");
         let (a, b) = (analyze(&parent), analyze(&current));
-        assert_eq!(render_json(&a, None, None, 5), render_json(&b, None, None, 5));
+        let profiles = |r: &RunArtifacts| {
+            r.profiles.iter().map(|p| analyze_profile(p, 100)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            render_json(&a, None, None, 5, &profiles(&parent)),
+            render_json(&b, None, None, 5, &profiles(&current))
+        );
         let shards = &a.primary().expect("one series").shards;
         assert_eq!(shards, &b.primary().expect("one series").shards);
         assert_eq!(shards.workers, vec![(0, 16), (1, 8)]);
         assert_eq!(shards.busy, vec![(0, 15_986_359), (1, 8_100_000)]);
         assert_eq!(parent.profiles, current.profiles);
-        assert_eq!(
-            analyze_profile(&parent.profiles[0], 100),
-            analyze_profile(&current.profiles[0], 100)
-        );
     }
 
     #[test]

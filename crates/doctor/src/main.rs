@@ -9,43 +9,35 @@
 //!                         [--benchmark NAME] [--machine NAME] [--last N]
 //! spectral-doctor gate    --registry DIR [--baseline LABEL] [--candidate LABEL]
 //!                         [--max-regress PCT] [--json PATH]
-//! spectral-doctor watch   (--run DIR | --registry DIR) [--prom FILE]
-//!                         [--interval MS] [--once | --frames N]
-//! spectral-doctor profile --run DIR [--json PATH] [--record-cost-ns N]
 //! ```
 //!
 //! `--run DIR` names a run directory an experiment binary wrote with
-//! `--out DIR`. `analyze` prints the per-run text diagnosis to stdout
-//! (`--json` / `--perfetto` additionally write reports; `--check` exits
-//! non-zero on a run that exhausted its library without converging).
+//! `--out DIR`, finished or still running. `analyze` prints the per-run
+//! text report to stdout: the diagnosis, then each profiled run's
+//! wall-clock attribution, with the profiler's own overhead priced at a
+//! per-record cost one clock probe measures (`--json` / `--perfetto`
+//! additionally write reports; `--check` exits non-zero on a run that
+//! exhausted its library without converging).
 //!
 //! `trend` renders per-benchmark/per-machine sparkline time series over
 //! the runs a registry indexes, each read from its run directory (so
 //! `analyze --run <registry>/runs/<id>` works on any of them too);
 //! `gate` compares a baseline run-set against a
 //! candidate run-set and exits 0 on pass, 2 on regression, 1 on error —
-//! the CI contract; `watch` tails a growing run stream or registry
-//! directory, redrawing an in-place dashboard each `--interval` and
-//! optionally writing a Prometheus-style text exposition to `--prom`;
-//! for all three, `--registry` falls back to the `SPECTRAL_REGISTRY`
-//! environment variable when the flag is omitted — the same contract
-//! the experiment binaries use for appending. `--help` / `-h` prints
-//! the usage summary and exits 0 for every subcommand;
-//! `profile` attributes each worker's wall-clock to scheduler/decode/
-//! simulate/merge phases from the run stream's profile records, reporting
-//! contention, stragglers, a critical-path estimate, and the profiler's
-//! own overhead (priced at a clock-probe-measured per-record cost, or
-//! `--record-cost-ns` for reproducible output).
+//! the CI contract. For both, `--registry` falls back to the
+//! `SPECTRAL_REGISTRY` environment variable when the flag is omitted —
+//! the same contract the experiment binaries use for appending.
+//! `--help` / `-h` prints the usage summary and exits 0 for every
+//! subcommand.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spectral_doctor::{
-    analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate, load_latest_streams,
-    load_registry, measure_record_cost_ns, read_stream, render_gate_json, render_gate_text,
-    render_json, render_profile_json, render_profile_text, render_text, render_trend_json,
-    render_trend_text, trend, DoctorError, EventsTail, GateConfig, RegistryRun, RunArtifacts,
-    WatchFrame,
+    analyze, analyze_profile, diff_runs, exhausted_without_convergence, gate, load_registry,
+    measure_record_cost_ns, read_stream, render_gate_json, render_gate_text, render_json,
+    render_text, render_trend_json, render_trend_text, trend, DoctorError, GateConfig, RegistryRun,
+    RunArtifacts,
 };
 use spectral_registry::registry_dir;
 use spectral_telemetry::RunDir;
@@ -66,10 +58,7 @@ const USAGE: &str = "spectral-doctor analyze --run DIR [--baseline-run DIR] [--j
                      spectral-doctor trend --registry DIR [--json PATH] [--binary NAME] \
                      [--benchmark NAME] [--machine NAME] [--last N]\n\
                      spectral-doctor gate --registry DIR [--baseline LABEL] \
-                     [--candidate LABEL] [--max-regress PCT] [--json PATH]\n\
-                     spectral-doctor watch (--run DIR | --registry DIR) [--prom FILE] \
-                     [--interval MS] [--once | --frames N]\n\
-                     spectral-doctor profile --run DIR [--json PATH] [--record-cost-ns N]";
+                     [--candidate LABEL] [--max-regress PCT] [--json PATH]";
 
 /// A flag-value iterator shared by every subcommand parser.
 struct Args<'a> {
@@ -144,19 +133,22 @@ fn run_analyze(cli: &AnalyzeCli) -> Result<Vec<String>, DoctorError> {
         )));
     }
     let diagnosis = analyze(&artifacts);
+    // One clock probe prices the profiler's own overhead in every run's
+    // attribution.
+    let record_cost_ns = measure_record_cost_ns();
+    let profiles: Vec<_> =
+        artifacts.profiles.iter().map(|run| analyze_profile(run, record_cost_ns)).collect();
 
     let diff = match &cli.baseline_run {
         Some(base) => Some(diff_runs(&artifacts, &RunArtifacts::load(base)?)?),
         None => None,
     };
 
-    print!("{}", render_text(&diagnosis, artifacts.manifest.as_ref(), diff.as_ref(), cli.top));
+    let (manifest, diff) = (artifacts.manifest.as_ref(), diff.as_ref());
+    print!("{}", render_text(&diagnosis, manifest, diff, cli.top, &profiles));
 
     if let Some(path) = &cli.json {
-        write_file(
-            path,
-            &render_json(&diagnosis, artifacts.manifest.as_ref(), diff.as_ref(), cli.top),
-        )?;
+        write_file(path, &render_json(&diagnosis, manifest, diff, cli.top, &profiles))?;
     }
     if let Some(path) = &cli.perfetto {
         // A Chrome trace: spans, convergence counters, anomaly instants,
@@ -308,145 +300,22 @@ fn gate_main(argv: &[String]) -> ExitCode {
     }
 }
 
-fn watch_main(argv: &[String]) -> ExitCode {
-    let run = || -> Result<(), DoctorError> {
-        let mut dir: Option<RunDir> = None;
-        let mut registry: Option<PathBuf> = None;
-        let mut prom: Option<PathBuf> = None;
-        let mut interval_ms: u64 = 1_000;
-        let mut frames: Option<u64> = None;
-        let mut args = Args::new(argv);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--run" => dir = Some(RunDir::new(args.value("--run")?)),
-                "--registry" => registry = Some(PathBuf::from(args.value("--registry")?)),
-                "--prom" => prom = Some(PathBuf::from(args.value("--prom")?)),
-                "--interval" => interval_ms = args.parsed("--interval", "milliseconds")?,
-                "--once" => frames = Some(1),
-                "--frames" => frames = Some(args.parsed("--frames", "an integer")?),
-                other => {
-                    return Err(DoctorError::msg(format!("unknown argument {other}\n{USAGE}")))
-                }
-            }
-        }
-        // With neither source flag given, fall back to the
-        // SPECTRAL_REGISTRY environment variable like trend/gate do.
-        let registry =
-            if dir.is_none() && registry.is_none() { registry_dir(None) } else { registry };
-        if dir.is_some() == registry.is_some() {
-            return Err(DoctorError::msg(
-                "watch needs exactly one of --run DIR or --registry DIR \
-                 (or the SPECTRAL_REGISTRY environment variable)",
-            ));
-        }
-        let total = frames.unwrap_or(u64::MAX);
-        let in_place = total > 1;
-        // Incremental tail over the run stream: each frame reads only
-        // appended bytes, and a truncated or rotated file re-seeks
-        // instead of erroring — a run that hasn't produced the stream
-        // yet is an empty frame, because watch outlives writers.
-        let mut tail = dir.map(|r| (EventsTail::new(r.stream()), r.stream()));
-        for i in 0..total {
-            let frame = match (&mut tail, &registry) {
-                (Some((tail, path)), None) => {
-                    let artifacts = RunArtifacts::parse(None, tail.poll())
-                        .map_err(|e| DoctorError::msg(format!("{}: {e}", path.display())))?;
-                    WatchFrame::from_artifacts(&artifacts)
-                }
-                (None, Some(dir)) => {
-                    let mut runs = load_registry(dir)?;
-                    load_latest_streams(&mut runs)?;
-                    WatchFrame::from_registry(runs)
-                }
-                _ => unreachable!("validated above"),
-            };
-            if in_place {
-                // Clear + home, then redraw over the previous frame.
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", frame.dashboard());
-            if let Some(path) = &prom {
-                write_file(path, &frame.prometheus())?;
-            }
-            if i + 1 < total {
-                std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-            }
-        }
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("spectral-doctor watch: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn profile_main(argv: &[String]) -> ExitCode {
-    let run = || -> Result<(), DoctorError> {
-        let mut dir: Option<RunDir> = None;
-        let mut json: Option<PathBuf> = None;
-        let mut record_cost_ns: Option<u64> = None;
-        let mut args = Args::new(argv);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--run" => dir = Some(RunDir::new(args.value("--run")?)),
-                "--json" => json = Some(PathBuf::from(args.value("--json")?)),
-                "--record-cost-ns" => {
-                    record_cost_ns = Some(args.parsed("--record-cost-ns", "nanoseconds")?);
-                }
-                other => {
-                    return Err(DoctorError::msg(format!("unknown argument {other}\n{USAGE}")))
-                }
-            }
-        }
-        let dir = dir.ok_or_else(|| DoctorError::msg(format!("--run is required\n{USAGE}")))?;
-        let text = read_stream(&dir)?;
-        let runs = RunArtifacts::parse(None, &text)
-            .map_err(|e| DoctorError::msg(format!("{}: {e}", dir.stream().display())))?
-            .profiles;
-        if runs.is_empty() {
-            return Err(DoctorError::msg(format!(
-                "{}: no profile records (built without telemetry?)",
-                dir.stream().display()
-            )));
-        }
-        let cost = record_cost_ns.unwrap_or_else(measure_record_cost_ns);
-        let reports: Vec<_> = runs.iter().map(|r| analyze_profile(r, cost)).collect();
-        for report in &reports {
-            print!("{}", render_profile_text(report));
-        }
-        if let Some(path) = &json {
-            write_file(path, &render_profile_json(&reports))?;
-        }
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("spectral-doctor profile: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // `--help` / `-h` works uniformly on every subcommand (and bare):
     // print the usage summary to stdout and exit 0.
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: {USAGE}");
-        return ExitCode::SUCCESS;
-    }
+    let help = argv.iter().any(|a| a == "--help" || a == "-h");
     match argv.first().map(String::as_str) {
+        Some("analyze" | "trend" | "gate" | "--help" | "-h") if help => {
+            println!("usage: {USAGE}");
+            ExitCode::SUCCESS
+        }
         Some("analyze") => analyze_main(&argv[1..]),
         Some("trend") => trend_main(&argv[1..]),
         Some("gate") => gate_main(&argv[1..]),
-        Some("watch") => watch_main(&argv[1..]),
-        Some("profile") => profile_main(&argv[1..]),
-        _ => {
-            eprintln!("spectral-doctor: error: expected a subcommand\nusage: {USAGE}");
+        other => {
+            let got = other.map_or(String::new(), |s| format!(", got {s}"));
+            eprintln!("spectral-doctor: error: expected a subcommand{got}\nusage: {USAGE}");
             ExitCode::FAILURE
         }
     }

@@ -1,5 +1,5 @@
-//! `doctor profile`: wall-clock attribution over the worker-timeline
-//! records of a run stream.
+//! Wall-clock attribution over the worker-timeline records of a run
+//! stream: the last part of `analyze`'s report.
 //!
 //! The stream carries two profile record kinds per run: one
 //! `profile_run` bracket (the run's own wall-clock) and one
@@ -24,8 +24,9 @@
 //!   overlapped (total busy minus the busiest worker), a lower bound on
 //!   the serial residue.
 //! * **Profiler overhead** — `recorded × per-record cost`, with the
-//!   per-record cost measured by a clock probe at analysis time (or
-//!   pinned via `--record-cost-ns` for reproducible reports).
+//!   per-record cost the caller passes: the binary measures it once with
+//!   a clock probe ([`measure_record_cost_ns`]); tests pass a fixed one,
+//!   so their reports are reproducible.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -174,8 +175,8 @@ pub struct WaitStats {
 pub struct OverheadEstimate {
     /// Intervals recorded across all workers.
     pub recorded: u64,
-    /// Per-record cost in nanoseconds (clock probe or
-    /// `--record-cost-ns`).
+    /// Per-record cost in nanoseconds (the binary's clock probe, or a
+    /// caller's fixed cost).
     pub record_cost_ns: u64,
     /// Total overhead across all workers, nanoseconds.
     pub total_ns: u64,
@@ -403,8 +404,8 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Render a profiled run's analysis as the text report.
-pub fn render_profile_text(report: &ProfileReport) -> String {
+/// Render a profiled run's analysis as a text block.
+pub(crate) fn render_profile_text(report: &ProfileReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -496,61 +497,55 @@ fn attribution_json(rows: &[PhaseAttribution]) -> String {
     format!("[{}]", entries.join(","))
 }
 
-/// Render the analyses of every profiled run as one JSON document.
-pub fn render_profile_json(reports: &[ProfileReport]) -> String {
-    let runs: Vec<String> = reports
+/// Render a profiled run's analysis as one JSON object.
+pub(crate) fn render_profile_json(r: &ProfileReport) -> String {
+    let workers: Vec<String> = r
+        .worker_reports
         .iter()
-        .map(|r| {
-            let workers: Vec<String> = r
-                .worker_reports
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"worker\":{},\"wall_us\":{},\"busy_ns\":{},\"idle_ns\":{},\
-                         \"end_gap_us\":{},\"attribution\":{}}}",
-                        w.worker,
-                        w.wall_us,
-                        w.busy_ns,
-                        w.idle_ns,
-                        w.end_gap_us,
-                        attribution_json(&w.attribution)
-                    )
-                })
-                .collect();
-            let mw = &r.merge_wait;
-            let o = &r.overhead;
+        .map(|w| {
             format!(
-                "{{\"run_id\":{},\"seq\":{},\"run\":{},\"workers\":{},\"run_wall_us\":{},\
-                 \"attributed_pct\":{},\"aggregate\":{},\"worker_reports\":[{}],\
-                 \"merge_wait\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{}}},\
-                 \"prefetch\":{{\"stall_ns\":{},\"decode_ahead_ns\":{}}},\
-                 \"straggler_us\":{},\"critical_path_us\":{},\
-                 \"overhead\":{{\"recorded\":{},\"record_cost_ns\":{},\"total_ns\":{},\
-                 \"max_worker_ns\":{},\"pct_of_wall\":{}}}}}",
-                json_quote(&r.run_id),
-                r.seq,
-                json_quote(&r.run),
-                r.workers,
-                r.run_wall_us,
-                json_number(r.attributed_pct),
-                attribution_json(&r.aggregate),
-                workers.join(","),
-                mw.count,
-                mw.total_ns,
-                json_number(mw.mean_ns),
-                r.prefetch_stall_ns,
-                r.decode_ahead_ns,
-                r.straggler_us,
-                r.critical_path_us.map_or_else(|| "null".to_owned(), |us| us.to_string()),
-                o.recorded,
-                o.record_cost_ns,
-                o.total_ns,
-                o.max_worker_ns,
-                json_number(o.pct_of_wall),
+                "{{\"worker\":{},\"wall_us\":{},\"busy_ns\":{},\"idle_ns\":{},\
+                 \"end_gap_us\":{},\"attribution\":{}}}",
+                w.worker,
+                w.wall_us,
+                w.busy_ns,
+                w.idle_ns,
+                w.end_gap_us,
+                attribution_json(&w.attribution)
             )
         })
         .collect();
-    format!("{{\"runs\":[{}]}}\n", runs.join(","))
+    let mw = &r.merge_wait;
+    let o = &r.overhead;
+    format!(
+        "{{\"run_id\":{},\"seq\":{},\"run\":{},\"workers\":{},\"run_wall_us\":{},\
+         \"attributed_pct\":{},\"aggregate\":{},\"worker_reports\":[{}],\
+         \"merge_wait\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{}}},\
+         \"prefetch\":{{\"stall_ns\":{},\"decode_ahead_ns\":{}}},\
+         \"straggler_us\":{},\"critical_path_us\":{},\
+         \"overhead\":{{\"recorded\":{},\"record_cost_ns\":{},\"total_ns\":{},\
+         \"max_worker_ns\":{},\"pct_of_wall\":{}}}}}",
+        json_quote(&r.run_id),
+        r.seq,
+        json_quote(&r.run),
+        r.workers,
+        r.run_wall_us,
+        json_number(r.attributed_pct),
+        attribution_json(&r.aggregate),
+        workers.join(","),
+        mw.count,
+        mw.total_ns,
+        json_number(mw.mean_ns),
+        r.prefetch_stall_ns,
+        r.decode_ahead_ns,
+        r.straggler_us,
+        r.critical_path_us.map_or_else(|| "null".to_owned(), |us| us.to_string()),
+        o.recorded,
+        o.record_cost_ns,
+        o.total_ns,
+        o.max_worker_ns,
+        json_number(o.pct_of_wall),
+    )
 }
 
 #[cfg(test)]
@@ -651,9 +646,9 @@ mod tests {
             text.contains("critical path: n/a (other workers' busy time ≥ run wall)"),
             "{text}"
         );
-        let json = render_profile_json(&[report]);
+        let json = render_profile_json(&report);
         assert!(json.contains("\"critical_path_us\":null"), "{json}");
-        JsonValue::parse(json.trim()).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
     }
 
     #[test]
@@ -680,9 +675,7 @@ mod tests {
         assert!(text.contains("merge-lock wait: 2 waits, total 800 µs, mean 400 µs"), "{text}");
         assert!(text.contains("critical path ≥ 1.200 ms"), "{text}");
         assert!(text.contains("profiler overhead: 12 intervals × 50 ns"), "{text}");
-        let json = render_profile_json(&[report]);
-        let doc = JsonValue::parse(json.trim()).expect("valid JSON");
-        let run0 = &doc.get("runs").and_then(JsonValue::as_arr).expect("runs array")[0];
+        let run0 = JsonValue::parse(&render_profile_json(&report)).expect("valid JSON");
         assert_eq!(run0.get("run_wall_us").and_then(JsonValue::as_u64), Some(10_000));
         assert!(run0.get("attributed_pct").and_then(JsonValue::as_f64).unwrap() >= 95.0);
         assert_eq!(

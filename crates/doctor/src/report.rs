@@ -1,12 +1,14 @@
 //! Report rendering: the human-readable text diagnosis and the
-//! machine-readable JSON report.
+//! machine-readable JSON report, each ending with the run's wall-clock
+//! attribution.
 
 use std::fmt::Write as _;
 
 use spectral_telemetry::{json_number as number, json_quote as quote, RunManifest};
 
 use crate::analyze::exhausted_without_convergence;
-use crate::{AnomalyRecord, Diagnosis, RunDiff, SeriesDiagnosis};
+use crate::profile::{render_profile_json, render_profile_text};
+use crate::{AnomalyRecord, Diagnosis, ProfileReport, RunDiff, SeriesDiagnosis};
 
 const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -127,12 +129,14 @@ fn write_anomaly_text(out: &mut String, a: &AnomalyRecord) {
     );
 }
 
-/// Render the full text report.
+/// Render the full text report: the diagnosis, then one attribution
+/// block per profiled run ([`analyze_profile`](crate::analyze_profile)).
 pub fn render_text(
     diagnosis: &Diagnosis,
     manifest: Option<&RunManifest>,
     diff: Option<&RunDiff>,
     top: usize,
+    profiles: &[ProfileReport],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "spectral-doctor — sampling-health report");
@@ -193,6 +197,9 @@ pub fn render_text(
         if let Some(s) = d.secs_delta {
             let _ = writeln!(out, "  total phase wall-clock: {s:+.3}s");
         }
+    }
+    for p in profiles {
+        out.push_str(&render_profile_text(p));
     }
     out
 }
@@ -298,12 +305,14 @@ fn render_anomaly_json(a: &AnomalyRecord) -> String {
     )
 }
 
-/// Render the machine-readable JSON report.
+/// Render the machine-readable JSON report; its last key, `profile`,
+/// holds one attribution per profiled run.
 pub fn render_json(
     diagnosis: &Diagnosis,
     manifest: Option<&RunManifest>,
     diff: Option<&RunDiff>,
     top: usize,
+    profiles: &[ProfileReport],
 ) -> String {
     let mut out = String::from("{\"version\":1,");
     out.push_str("\"series\":[");
@@ -358,7 +367,8 @@ pub fn render_json(
         }
         None => out.push_str("\"diff\":null"),
     }
-    out.push('}');
+    let profiles: Vec<String> = profiles.iter().map(render_profile_json).collect();
+    let _ = write!(out, ",\"profile\":[{}]}}", profiles.join(","));
     out
 }
 
@@ -390,11 +400,37 @@ mod tests {
     fn anomaly_lines_name_their_run() {
         let diagnosis =
             Diagnosis { anomalies: vec![anomaly(1), anomaly(4)], ..Diagnosis::default() };
-        let text = render_text(&diagnosis, None, None, 3);
+        let text = render_text(&diagnosis, None, None, 3, &[]);
         let lines: Vec<&str> = text.lines().filter(|l| l.contains("point #611")).collect();
         assert_eq!(lines.len(), 2, "{text}");
         assert!(lines[0].trim_start().starts_with("online #1 "), "{text}");
         assert!(lines[1].trim_start().starts_with("online #4 "), "{text}");
+    }
+
+    #[test]
+    fn json_report_ends_with_the_attribution() {
+        // The keys before `profile` are the report's earlier format.
+        let empty = render_json(&Diagnosis::default(), None, None, 3, &[]);
+        assert_eq!(
+            empty,
+            "{\"version\":1,\"series\":[],\"anomalies\":{\"total\":0,\"top\":[]},\
+             \"manifest\":null,\"check\":null,\"diff\":null,\"profile\":[]}"
+        );
+        let stream = "{\"type\":\"profile_worker\",\"run_id\":\"aaaa000000000001-1\",\"seq\":1,\
+                      \"run\":\"online\",\"worker\":0,\"t_us\":0,\"dur_us\":10,\"recorded\":1,\
+                      \"phases\":{\"simulate\":{\"count\":1,\"ns\":9000}}}\n";
+        let run = &crate::RunArtifacts::parse(None, stream).expect("valid stream").profiles[0];
+        let report = crate::analyze_profile(run, 50);
+        let diagnosis = Diagnosis { anomalies: vec![anomaly(1)], ..Diagnosis::default() };
+        let earlier = render_json(&diagnosis, None, None, 3, &[]);
+        let earlier = earlier.strip_suffix(",\"profile\":[]}").expect("profile is the last key");
+        let entry = render_profile_json(&report);
+        assert_eq!(
+            render_json(&diagnosis, None, None, 3, &[report.clone(), report]),
+            format!("{earlier},\"profile\":[{entry},{entry}]}}")
+        );
+        let doc = spectral_telemetry::JsonValue::parse(&format!("{earlier}}}")).expect("JSON");
+        assert!(doc.get("profile").is_none());
     }
 
     #[test]

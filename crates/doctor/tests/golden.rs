@@ -133,6 +133,17 @@ fn seeded_run_diagnoses_end_to_end() {
         Some(false)
     );
     assert_eq!(doc.get("diff"), Some(&JsonValue::Null));
+    // The wall-clock attribution closes the report: one entry per
+    // profiled run (the serial run is profiled too).
+    let profile = doc.get("profile").and_then(JsonValue::as_arr).expect("profile array");
+    assert_eq!(profile.len(), 1, "one profiled run in the stream");
+    assert_eq!(profile.len(), artifacts.profiles.len(), "one entry per profiled run");
+    for (entry, run) in profile.iter().zip(&artifacts.profiles) {
+        assert_eq!(entry.get("seq").and_then(JsonValue::as_u64), Some(run.seq));
+        assert_eq!(entry.get("run").and_then(JsonValue::as_str), Some(run.run.as_str()));
+        assert!(entry.get("aggregate").and_then(JsonValue::as_arr).is_some_and(|a| !a.is_empty()));
+    }
+    assert!(stdout.contains("aggregate attribution"), "{stdout}");
 
     // Perfetto export carries convergence counters from the events.
     let chrome_doc = JsonValue::parse(&std::fs::read_to_string(&chrome).expect("read chrome"))

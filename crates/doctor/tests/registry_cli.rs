@@ -1,7 +1,7 @@
-//! CLI-level tests for the registry-backed subcommands: `trend` renders
-//! a trajectory from an on-disk registry, `gate` turns baseline vs
-//! candidate run-sets into exit codes CI can branch on, and `watch
-//! --once --prom` emits a parseable Prometheus text exposition.
+//! CLI-level tests: `trend` renders a trajectory from an on-disk
+//! registry, `gate` turns baseline vs candidate run-sets into exit codes
+//! CI can branch on, and `analyze` reads a run directory, finished or
+//! still being written.
 //!
 //! Runs are synthesized as run directories with controlled run rates,
 //! indexed through the `spectral-registry` API, so regression verdicts
@@ -209,112 +209,26 @@ fn trend_renders_a_multi_point_trajectory() {
     let _ = std::fs::remove_file(&json);
 }
 
-/// Every non-comment exposition line must be `name{labels} value` (or
-/// `name value`) with a finite float value.
-fn assert_prometheus_parses(text: &str) -> usize {
-    let mut samples = 0;
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_part, value) = line.rsplit_once(' ').expect("sample line has a value");
-        let name = name_part.split('{').next().expect("metric name");
-        assert!(
-            !name.is_empty()
-                && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "bad metric name in line: {line}"
-        );
-        let v: f64 = value.parse().unwrap_or_else(|_| panic!("non-float value in line: {line}"));
-        assert!(v.is_finite(), "non-finite sample in line: {line}");
-        samples += 1;
-    }
-    samples
-}
-
-#[test]
-fn watch_once_emits_parseable_prometheus_exposition() {
-    // Run-directory mode: two progress strides and one anomaly.
-    let run = RunDir::new(temp_path("watch_run"));
-    std::fs::create_dir_all(run.root()).expect("create run directory");
-    let progress = |n: u64, mean: f64| {
-        format!(
-            "{{\"type\":\"progress\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\
-             \"run\":\"online\",\"metric\":\"cpi\",\"t_us\":100,\"worker\":0,\"config\":null,\
-             \"n\":{n},\"mean\":{mean},\"half_width\":0.05,\"rel_half_width\":0.04,\
-             \"target_rel_err\":0.03,\"eligible\":false,\"rel_half_width_95\":0.02,\
-             \"eligible_95\":true,\"overshoot\":0}}"
-        )
-    };
-    let anomaly = "{\"type\":\"anomaly\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\
-                   \"run\":\"online\",\"t_us\":120,\"worker\":0,\"point\":7,\
-                   \"detail_start\":0,\"measure_start\":0,\"kinds\":[\"cpi_outlier\"],\
-                   \"cpi\":9.0,\"mean\":1.2,\"std_dev\":0.2,\"sigmas\":6.5,\
-                   \"decode_ns\":10,\"simulate_ns\":20}";
-    let stream = format!("{}\n{}\n{anomaly}\n", progress(20, 1.25), progress(40, 1.22));
-    std::fs::write(run.stream(), stream).expect("write stream fixture");
-
-    let prom = temp_path("watch.prom");
-    let out = doctor()
-        .args(["watch", "--once", "--run"])
-        .arg(run.root())
-        .arg("--prom")
-        .arg(&prom)
-        .output()
-        .expect("run watch");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("spectral-doctor watch"), "{stdout}");
-    assert!(stdout.contains("n=40"), "dashboard shows the latest stride: {stdout}");
-
-    let text = std::fs::read_to_string(&prom).expect("read exposition");
-    assert!(text.contains("spectral_progress_points"), "{text}");
-    assert!(text.contains("spectral_anomalies"), "{text}");
-    assert!(assert_prometheus_parses(&text) >= 5, "several samples expected:\n{text}");
-
-    // Registry mode: indexed runs surface as spectral_run_rate samples.
-    let dir = temp_path("watch_registry");
-    let registry =
-        build_registry(&dir, &[record("v1", 1, 2000.0, 1_000), record("v2", 2, 2100.0, 2_000)]);
-    // Series come from the latest run's stream; an older run's stream
-    // is not read at all, so not even a garbled one fails the frame.
-    let entries = registry.load().expect("index loads");
-    std::fs::write(registry.run_dir(&entries[0]).stream(), "not json\n").expect("garble");
-    std::fs::write(registry.run_dir(&entries[1]).stream(), eligible_stream(&entries[1].run_id, 36))
-        .expect("write stream");
-    let out = doctor()
-        .args(["watch", "--once", "--registry"])
-        .arg(&dir)
-        .arg("--prom")
-        .arg(&prom)
-        .output()
-        .expect("run watch --registry");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = std::fs::read_to_string(&prom).expect("read exposition");
-    assert!(text.contains("spectral_run_rate"), "{text}");
-    assert!(text.contains("spectral_runs_total"), "{text}");
-    assert!(assert_prometheus_parses(&text) >= 3, "{text}");
-    assert!(text.contains(&format!("spectral_progress_points{{run_id=\"{}\"", entries[1].run_id)));
-
-    let _ = std::fs::remove_dir_all(run.root());
-    let _ = std::fs::remove_file(&prom);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn help_works_on_every_subcommand() {
-    for sub in [
-        &["--help"][..],
-        &["analyze", "--help"],
-        &["trend", "-h"],
-        &["gate", "--help"],
-        &["watch", "--help"],
-        &["profile", "-h"],
-    ] {
+    for sub in [&["--help"][..], &["analyze", "--help"], &["trend", "-h"], &["gate", "--help"]] {
         let out = doctor().args(sub).output().expect("run --help");
         assert_eq!(out.status.code(), Some(0), "{sub:?} must exit 0");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("usage:"), "{sub:?}: {stdout}");
-        assert!(stdout.contains("spectral-doctor watch"), "usage covers watch: {stdout}");
+        for covered in ["analyze", "trend", "gate"] {
+            let line = format!("spectral-doctor {covered} ");
+            assert!(stdout.contains(&line), "usage covers {covered}: {stdout}");
+        }
+    }
+    // `analyze` carries the wall-clock attribution; there is no other
+    // per-run view.
+    for sub in [&["watch", "--once"][..], &["watch", "--help"], &["profile", "-h"]] {
+        let out = doctor().args(sub).output().expect("run a removed subcommand");
+        assert_eq!(out.status.code(), Some(1), "{sub:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{sub:?}: {stderr}");
+        assert!(!stderr.contains(&format!("spectral-doctor {} ", sub[0])), "{stderr}");
     }
 }
 
@@ -329,11 +243,12 @@ fn registry_env_var_substitutes_for_the_flag() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("run rate"));
 
     let out = doctor()
-        .args(["watch", "--once"])
+        .args(["gate", "--baseline", "v1", "--candidate", "v2"])
         .env("SPECTRAL_REGISTRY", &dir)
         .output()
-        .expect("run watch via env");
+        .expect("run gate via env");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
 
     // Without the flag or the variable, the error says how to fix it.
     let out = doctor().arg("trend").env_remove("SPECTRAL_REGISTRY").output().expect("run trend");
@@ -341,6 +256,54 @@ fn registry_env_var_substitutes_for_the_flag() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("SPECTRAL_REGISTRY"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A progress record of run `feed5eed00000001-1` at `n` points, as the
+/// sink writes it (without its newline).
+fn progress(n: u64) -> String {
+    format!(
+        "{{\"type\":\"progress\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\
+         \"run\":\"online\",\"metric\":\"cpi\",\"t_us\":100,\"worker\":0,\"config\":null,\
+         \"n\":{n},\"mean\":1.25,\"half_width\":0.05,\"rel_half_width\":0.04,\
+         \"target_rel_err\":0.03,\"eligible\":false,\"rel_half_width_95\":0.02,\
+         \"eligible_95\":true,\"overshoot\":0}}"
+    )
+}
+
+#[test]
+fn analyze_reads_a_live_runs_torn_tail() {
+    // A run still going (or killed) can end mid-record: the sink is
+    // buffered and writes a record in pieces.
+    let run = RunDir::new(temp_path("torn_tail"));
+    std::fs::create_dir_all(run.root()).expect("create run directory");
+    let anomaly = "{\"type\":\"anomaly\",\"run_id\":\"feed5eed00000001-1\",\"seq\":1,\
+                   \"run\":\"online\",\"t_us\":120,\"worker\":0,\"point\":7,";
+    let stream = format!("{}\n{}\n{anomaly}", progress(20), progress(40));
+    std::fs::write(run.stream(), stream).expect("write stream fixture");
+
+    let out = doctor().args(["analyze", "--run"]).arg(run.root()).output().expect("run analyze");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("convergence (online cpi, run #1):"), "{stdout}");
+    assert!(stdout.contains("0.0400 → 0.0400 (target 0.0300)"), "{stdout}");
+    assert!(stdout.contains("anomalies: 0 total"), "the torn record is not one yet: {stdout}");
+
+    let _ = std::fs::remove_dir_all(run.root());
+}
+
+#[test]
+fn analyze_names_a_garbled_complete_line() {
+    let run = RunDir::new(temp_path("garbled"));
+    std::fs::create_dir_all(run.root()).expect("create run directory");
+    let stream = format!("{}\n{{\"type\":\"progress\",\"n\":\n{}\n", progress(20), progress(40));
+    std::fs::write(run.stream(), stream).expect("write stream fixture");
+
+    let out = doctor().args(["analyze", "--run"]).arg(run.root()).output().expect("run analyze");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("run.jsonl: line 2: "), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(run.root());
 }
 
 #[test]

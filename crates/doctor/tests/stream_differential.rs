@@ -2,7 +2,7 @@
 //! sampling-health events and worker-timeline profiles together) must
 //! leave a seeded 2-thread online run's estimates bit-identical, the
 //! stream must carry exactly one per-worker timing record per worker,
-//! and the attribution `spectral-doctor profile` computes from it must
+//! and the attribution `spectral-doctor analyze` reports from it must
 //! cover ≥95% of run wall-clock.
 //!
 //! Everything lives in one test function: the run stream is a
@@ -12,7 +12,7 @@
 use std::process::Command;
 
 use spectral_core::{CreationConfig, LivePointLibrary, OnlineRunner, RunPolicy};
-use spectral_doctor::{analyze, analyze_profile, render_profile_text, RunArtifacts};
+use spectral_doctor::{analyze, analyze_profile, render_text, RunArtifacts};
 use spectral_telemetry::{JsonValue, RunDir};
 use spectral_uarch::MachineConfig;
 
@@ -108,7 +108,7 @@ fn run_stream_is_bit_identical_and_attributes_wall_clock() {
         "self-estimated profiler overhead {:.3}% exceeds 3% of run wall",
         report.overhead.pct_of_wall
     );
-    let rendered = render_profile_text(&report);
+    let rendered = render_text(&diagnosis, None, None, 3, std::slice::from_ref(&report));
     assert!(rendered.contains("aggregate attribution"), "{rendered}");
     assert!(rendered.contains("profiler overhead:"), "{rendered}");
 
@@ -116,23 +116,31 @@ fn run_stream_is_bit_identical_and_attributes_wall_clock() {
     let json_path =
         std::env::temp_dir().join(format!("spectral_doctor_diff_{}.json", std::process::id()));
     let out = Command::new(env!("CARGO_BIN_EXE_spectral-doctor"))
-        .args(["profile", "--run"])
+        .args(["analyze", "--run"])
         .arg(dir.root())
         .arg("--json")
         .arg(&json_path)
         .output()
-        .expect("run spectral-doctor profile");
+        .expect("run spectral-doctor analyze");
     assert!(
         out.status.success(),
-        "doctor profile failed: {}",
+        "doctor analyze failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("aggregate attribution"), "{stdout}");
     let doc = JsonValue::parse(&std::fs::read_to_string(&json_path).expect("read report"))
         .expect("report is valid JSON");
-    let cli_runs = doc.get("runs").and_then(JsonValue::as_arr).expect("runs array");
+    let cli_runs = doc.get("profile").and_then(JsonValue::as_arr).expect("profile array");
     assert_eq!(cli_runs.len(), 1);
     let att = cli_runs[0].get("attributed_pct").and_then(JsonValue::as_f64).expect("attributed");
     assert!(att >= 95.0, "CLI reports {att:.1}% attributed");
+    let overhead = cli_runs[0]
+        .get("overhead")
+        .and_then(|o| o.get("pct_of_wall"))
+        .and_then(JsonValue::as_f64)
+        .expect("overhead");
+    assert!(overhead < 3.0, "CLI reports {overhead:.3}% profiler overhead");
 
     let _ = std::fs::remove_dir_all(dir.root());
     let _ = std::fs::remove_file(&json_path);

@@ -47,15 +47,15 @@
 //!   run executes; on exit `report.txt` receives the stdout
 //!   report and `manifest.json` the run manifest with the full metrics
 //!   snapshot embedded. A reused DIR is cleared of an earlier run's
-//!   files first. Feed DIR to `spectral-doctor analyze|profile|watch
-//!   --run DIR`.
+//!   files first. Feed DIR to `spectral-doctor analyze --run DIR`,
+//!   while the run is going or after it finished.
 //! * `--registry DIR` — index the run in the cross-run registry at DIR:
 //!   without `--out` the run directory is `DIR/runs/<id>`, and on exit,
 //!   once its manifest is written, one line naming the run id, code
 //!   version and run directory is appended to `DIR/index.jsonl`; also
 //!   enabled by the `SPECTRAL_REGISTRY` env var. Query the registry with
-//!   `spectral-doctor trend` / `gate` / `watch`, and any of its runs
-//!   with `spectral-doctor analyze --run`.
+//!   `spectral-doctor trend` / `gate`, and any of its runs with
+//!   `spectral-doctor analyze --run`.
 //!
 //! Binaries exit non-zero with a one-line `binary: error: …`
 //! diagnostic on malformed arguments or I/O faults.

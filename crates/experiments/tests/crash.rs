@@ -224,11 +224,9 @@ fn killed_checkpointing_run_keeps_its_run_stream() {
         .output()
         .expect("spawn online");
     assert!(!killed.status.success(), "kill must abort the process");
-    let stream = std::fs::read_to_string(run.stream()).expect("the stream exists");
-    // Records the run wrote after its last flush may be torn; every
-    // complete line must parse.
-    let complete = &stream[..stream.rfind('\n').map_or(0, |i| i + 1)];
-    let artifacts = RunArtifacts::parse(None, complete).expect("the kept stream parses");
+    // Records the run wrote after its last flush may be torn; the doctor
+    // reads every complete line.
+    let artifacts = RunArtifacts::load(&run).expect("the kept stream loads");
     let checkpoints = &artifacts.checkpoints;
     assert!(checkpoints.len() >= 4, "{} checkpoint records kept", checkpoints.len());
     let last = checkpoints.last().expect("checkpoints");

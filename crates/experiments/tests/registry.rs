@@ -67,7 +67,13 @@ fn two_online_invocations_build_a_queryable_trend() {
             assert_eq!(view.shards, full.shards, "a registry view reads the same shard balance");
         }
         assert_eq!(diagnosis.series.len(), full.series.len());
-        assert!(r.counter("core.run.points").is_some(), "manifest embeds the metrics snapshot");
+        let manifest = std::fs::read_to_string(run.manifest()).expect("read the manifest");
+        let manifest = spectral_telemetry::JsonValue::parse(&manifest).expect("manifest parses");
+        let counters = manifest.get("metrics").and_then(|m| m.get("counters"));
+        assert!(
+            counters.and_then(|c| c.get("core.run.points")).is_some(),
+            "manifest embeds the metrics snapshot"
+        );
     }
 
     // The two invocations form one two-point trend series.

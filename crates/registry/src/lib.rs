@@ -39,9 +39,8 @@
 //! estimate and its convergence — is read from its run directory, the
 //! same way `spectral-doctor analyze` reads any run. `doctor trend`
 //! renders per-benchmark/per-machine time series over the indexed runs,
-//! `doctor gate` turns a baseline set and a candidate set into a
-//! statistical regression verdict, and `doctor watch` tails a registry
-//! directory live.
+//! and `doctor gate` turns a baseline set and a candidate set into a
+//! statistical regression verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -94,8 +94,7 @@ impl StreamingCi {
 }
 
 /// The log₂ bucket a value falls into (bucket 0 holds zeros, bucket
-/// `i ≥ 1` holds `[2^(i-1), 2^i)`), mirroring the telemetry histogram
-/// layout so doctor tooling can compare the two.
+/// `i ≥ 1` holds `[2^(i-1), 2^i)`).
 fn log2_bucket(value: u64) -> usize {
     if value == 0 {
         0

@@ -5,11 +5,11 @@
 //! trajectories. This crate gives every run an auditable account of
 //! where time and bytes go:
 //!
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — process-wide,
+//! * **Counters** ([`Counter`], timed with [`Stopwatch`]) — process-wide,
 //!   lock-free, sharded over cache-line-padded atomic cells so
-//!   `run_parallel`'s workers never contend on a counter line. Metrics
+//!   `run_parallel`'s workers never contend on a counter line. Counters
 //!   register themselves on first touch; [`snapshot`] collects every
-//!   registered metric into a mergeable, JSON-serializable
+//!   registered counter and span aggregate into a JSON-serializable
 //!   [`MetricsSnapshot`].
 //! * **Spans** ([`span`]) — RAII wall-clock timing with a thread-local
 //!   depth stack. Every span aggregates into per-name totals (visible in
@@ -71,10 +71,7 @@ pub use events::{
 };
 pub use json::{number as json_number, quote as json_quote, JsonError, JsonValue};
 pub use manifest::{EstimateSummary, Phase, RunManifest, MANIFEST_VERSION};
-pub use metrics::{
-    reset, snapshot, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Stopwatch,
-    HISTOGRAM_BUCKETS,
-};
+pub use metrics::{snapshot, Counter, MetricsSnapshot, Stopwatch};
 pub use perfetto::chrome_trace;
 pub use profile::{run_scope, PhaseGuard, ProfilePhase, RunScope, WorkerTimeline};
 pub use sink::{flush_stream, streaming, RunDir};

@@ -1,143 +1,20 @@
-//! Lock-free metrics: sharded counters, gauges, and log₂ histograms.
+//! Lock-free metrics: sharded counters.
 //!
-//! Each metric is declared as a `static` at its instrumentation site and
-//! registers itself with the process-wide registry on first touch, so
-//! [`snapshot`] sees exactly the metrics the run exercised. Counter and
-//! histogram cells are sharded across cache-line-padded atomics indexed
-//! by a per-thread id, so concurrent workers (e.g. `run_parallel`
-//! shards) increment disjoint lines; a snapshot sums the shards.
+//! Each counter is declared as a `static` at its instrumentation site
+//! and registers itself with the process-wide registry on first touch,
+//! so [`snapshot`] sees exactly the counters the run exercised. Counter
+//! cells are sharded across cache-line-padded atomics indexed by a
+//! per-thread id, so concurrent workers (e.g. `run_parallel` shards)
+//! increment disjoint lines; a snapshot sums the shards.
 
 use std::fmt::Write as _;
 
-/// Number of log₂ buckets in a [`Histogram`]: bucket 0 holds zeros,
-/// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, bucket 64 holds
-/// `[2^63, u64::MAX]`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// The log₂ bucket a value falls into.
-fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// An immutable, mergeable histogram snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`HISTOGRAM_BUCKETS`]).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values (wrapping on overflow).
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        HistogramSnapshot { buckets: vec![0; HISTOGRAM_BUCKETS], count: 0, sum: 0 }
-    }
-
-    /// The bucket a value would land in (exposed for tests and
-    /// summarization).
-    pub fn bucket_of(value: u64) -> usize {
-        bucket_index(value)
-    }
-
-    /// The inclusive value range `[lo, hi]` of bucket `i`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        match i {
-            0 => (0, 0),
-            64 => (1 << 63, u64::MAX),
-            _ => (1 << (i - 1), (1 << i) - 1),
-        }
-    }
-
-    /// Record one observation (snapshots are plain data; this supports
-    /// building expected values in tests and offline aggregation).
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(value);
-    }
-
-    /// Element-wise merge: `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)` and
-    /// `a ⊕ b == b ⊕ a` — shard aggregation is order-independent.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The bucket index and 1-based rank of the `q`-quantile
-    /// (`0.0 ..= 1.0`); `None` when empty.
-    fn quantile_bucket(&self, q: f64) -> Option<(usize, u64)> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some((i, rank));
-            }
-        }
-        Some((HISTOGRAM_BUCKETS - 1, rank))
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 ..= 1.0`) of the recorded distribution; `None` when empty.
-    ///
-    /// Log₂ buckets are wide, so this bound can overstate the true
-    /// quantile by up to 2×; use [`quantile`](Self::quantile) for an
-    /// interpolated estimate.
-    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
-        self.quantile_bucket(q).map(|(i, _)| Self::bucket_range(i).1)
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`), linearly interpolated within
-    /// its log₂ bucket by rank position; `None` when empty.
-    ///
-    /// With all observations in one bucket the estimate walks from the
-    /// bucket's lower edge to its upper edge as `q` goes to 1, instead
-    /// of pinning every quantile to the upper edge the way
-    /// [`quantile_bound`](Self::quantile_bound) does.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let (i, rank) = self.quantile_bucket(q)?;
-        let in_bucket = self.buckets[i];
-        let before: u64 = self.buckets[..i].iter().sum();
-        let (lo, hi) = Self::bucket_range(i);
-        if in_bucket == 0 {
-            return Some(hi as f64);
-        }
-        let position = (rank - before) as f64 / in_bucket as f64;
-        Some(lo as f64 + (hi - lo) as f64 * position)
-    }
-}
-
-/// A point-in-time copy of every registered metric, sorted by name.
+/// A point-in-time copy of every registered counter and span aggregate,
+/// sorted by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, i64)>,
-    /// Histogram snapshots.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Span aggregates: `(name, close_count, total_ns)`.
     pub spans: Vec<(String, u64, u64)>,
 }
@@ -148,63 +25,8 @@ impl MetricsSnapshot {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Look up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    /// Merge `other` into `self`, by metric name. The per-kind contract:
-    ///
-    /// * **counters** — totals add (commutative and associative, like
-    ///   shard aggregation).
-    /// * **gauges** — *last-write-wins*: when both snapshots define a
-    ///   gauge, `other`'s value replaces `self`'s. A gauge is a level,
-    ///   not a flow — summing two observations of the same level would
-    ///   double it. This makes gauge merge associative but **not**
-    ///   commutative: `a ⊕ b ⊕ c` keeps the right-most observation,
-    ///   whatever the grouping, so merge in chronological order.
-    /// * **histograms** — element-wise bucket addition
-    ///   ([`HistogramSnapshot::merge`]).
-    /// * **spans** — close counts and total nanoseconds add.
-    ///
-    /// The result is deterministic: entries are re-sorted by name, so
-    /// the output order never depends on which side a name came from.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        fn merge_by_name<V: Clone>(
-            dst: &mut Vec<(String, V)>,
-            src: &[(String, V)],
-            mut combine: impl FnMut(&mut V, &V),
-        ) {
-            for (name, v) in src {
-                match dst.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, existing)) => combine(existing, v),
-                    None => dst.push((name.clone(), v.clone())),
-                }
-            }
-            dst.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        merge_by_name(&mut self.counters, &other.counters, |a, b| *a += b);
-        merge_by_name(&mut self.gauges, &other.gauges, |a, b| *a = *b);
-        merge_by_name(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
-        let spans: Vec<(String, (u64, u64))> =
-            self.spans.iter().map(|(n, c, t)| (n.clone(), (*c, *t))).collect();
-        let other_spans: Vec<(String, (u64, u64))> =
-            other.spans.iter().map(|(n, c, t)| (n.clone(), (*c, *t))).collect();
-        let mut merged = spans;
-        merge_by_name(&mut merged, &other_spans, |a, b| {
-            a.0 += b.0;
-            a.1 += b.1;
-        });
-        self.spans = merged.into_iter().map(|(n, (c, t))| (n, c, t)).collect();
-    }
-
-    /// Serialize as a JSON object: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {name: {count, sum, mean, p50, p99, p50_ub, p99_ub,
-    /// buckets}}, "spans": {name: {count, total_ns}}}`. `p50`/`p99` are
-    /// within-bucket interpolated quantiles ([`HistogramSnapshot::quantile`]);
-    /// `p50_ub`/`p99_ub` are the raw bucket upper bounds the pre-v2
-    /// `p50`/`p99` fields used to report. Histogram `buckets` is a
-    /// sparse `{"<index>": count}` map of non-empty buckets.
+    /// Serialize as a JSON object: `{"counters": {name: total, ...},
+    /// "spans": {name: {count, total_ns}}}`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str("\"counters\":{");
@@ -213,43 +35,6 @@ impl MetricsSnapshot {
                 s.push(',');
             }
             let _ = write!(s, "{}:{v}", crate::json::quote(name));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{v}", crate::json::quote(name));
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{}:{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\
-                 \"p50_ub\":{},\"p99_ub\":{},\"buckets\":{{",
-                crate::json::quote(name),
-                h.count,
-                h.sum,
-                crate::json::number(h.mean()),
-                crate::json::number(h.quantile(0.50).unwrap_or(0.0)),
-                crate::json::number(h.quantile(0.99).unwrap_or(0.0)),
-                h.quantile_bound(0.50).unwrap_or(0),
-                h.quantile_bound(0.99).unwrap_or(0),
-            );
-            let mut first = true;
-            for (b, &c) in h.buckets.iter().enumerate() {
-                if c > 0 {
-                    if !first {
-                        s.push(',');
-                    }
-                    first = false;
-                    let _ = write!(s, "\"{b}\":{c}");
-                }
-            }
-            s.push_str("}}");
         }
         s.push_str("},\"spans\":{");
         for (i, (name, count, ns)) in self.spans.iter().enumerate() {
@@ -266,12 +51,12 @@ impl MetricsSnapshot {
 
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{bucket_index, HistogramSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
-    use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+    use super::MetricsSnapshot;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Mutex, Once};
     use std::time::Instant;
 
-    /// Shards per metric: enough to keep an 8–16-worker run off shared
+    /// Shards per counter: enough to keep an 8–16-worker run off shared
     /// cache lines without bloating every counter.
     const SHARDS: usize = 16;
 
@@ -296,17 +81,7 @@ mod imp {
         THREAD_SHARD.with(|s| *s)
     }
 
-    struct Registry {
-        counters: Mutex<Vec<&'static Counter>>,
-        gauges: Mutex<Vec<&'static Gauge>>,
-        histograms: Mutex<Vec<&'static Histogram>>,
-    }
-
-    static REGISTRY: Registry = Registry {
-        counters: Mutex::new(Vec::new()),
-        gauges: Mutex::new(Vec::new()),
-        histograms: Mutex::new(Vec::new()),
-    };
+    static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
 
     /// A monotone event counter, sharded across padded atomic cells.
     #[derive(Debug)]
@@ -326,7 +101,7 @@ mod imp {
         #[inline]
         pub fn add(&'static self, n: u64) {
             self.registered.call_once(|| {
-                REGISTRY.counters.lock().expect("registry lock").push(self);
+                COUNTERS.lock().expect("registry lock").push(self);
             });
             self.cells[shard()].0.fetch_add(n, Ordering::Relaxed);
         }
@@ -340,94 +115,6 @@ mod imp {
         /// Sum over all shards.
         pub fn get(&self) -> u64 {
             self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-        }
-
-        fn reset(&self) {
-            for c in &self.cells {
-                c.0.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// A last-value-wins instantaneous value.
-    #[derive(Debug)]
-    pub struct Gauge {
-        name: &'static str,
-        registered: Once,
-        value: AtomicI64,
-    }
-
-    impl Gauge {
-        /// Declare a gauge (use in a `static`).
-        pub const fn new(name: &'static str) -> Self {
-            Gauge { name, registered: Once::new(), value: AtomicI64::new(0) }
-        }
-
-        /// Set the value.
-        #[inline]
-        pub fn set(&'static self, v: i64) {
-            self.registered.call_once(|| {
-                REGISTRY.gauges.lock().expect("registry lock").push(self);
-            });
-            self.value.store(v, Ordering::Relaxed);
-        }
-
-        /// Current value.
-        pub fn get(&self) -> i64 {
-            self.value.load(Ordering::Relaxed)
-        }
-    }
-
-    /// A log₂-bucketed histogram with sharded count/sum accumulators.
-    #[derive(Debug)]
-    pub struct Histogram {
-        name: &'static str,
-        registered: Once,
-        buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-        count: [Cell; SHARDS],
-        sum: [Cell; SHARDS],
-    }
-
-    impl Histogram {
-        /// Declare a histogram (use in a `static`).
-        pub const fn new(name: &'static str) -> Self {
-            Histogram {
-                name,
-                registered: Once::new(),
-                buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-                count: [const { Cell::new() }; SHARDS],
-                sum: [const { Cell::new() }; SHARDS],
-            }
-        }
-
-        /// Record one observation.
-        #[inline]
-        pub fn record(&'static self, value: u64) {
-            self.registered.call_once(|| {
-                REGISTRY.histograms.lock().expect("registry lock").push(self);
-            });
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            let s = shard();
-            self.count[s].0.fetch_add(1, Ordering::Relaxed);
-            self.sum[s].0.fetch_add(value, Ordering::Relaxed);
-        }
-
-        /// Copy out a mergeable snapshot.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot {
-                buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                count: self.count.iter().map(|c| c.0.load(Ordering::Relaxed)).sum(),
-                sum: self.sum.iter().fold(0u64, |a, c| a.wrapping_add(c.0.load(Ordering::Relaxed))),
-            }
-        }
-
-        fn reset(&self) {
-            for b in &self.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            for c in self.count.iter().chain(&self.sum) {
-                c.0.store(0, Ordering::Relaxed);
-            }
         }
     }
 
@@ -449,59 +136,27 @@ mod imp {
         }
     }
 
-    /// Snapshot every registered metric, sorted by name.
+    /// Snapshot every registered counter and span aggregate, sorted by
+    /// name.
     pub fn snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
-            counters: REGISTRY
-                .counters
+            counters: COUNTERS
                 .lock()
                 .expect("registry lock")
                 .iter()
                 .map(|c| (c.name.to_owned(), c.get()))
                 .collect(),
-            gauges: REGISTRY
-                .gauges
-                .lock()
-                .expect("registry lock")
-                .iter()
-                .map(|g| (g.name.to_owned(), g.get()))
-                .collect(),
-            histograms: REGISTRY
-                .histograms
-                .lock()
-                .expect("registry lock")
-                .iter()
-                .map(|h| (h.name.to_owned(), h.snapshot()))
-                .collect(),
             spans: crate::span::aggregates(),
         };
         snap.counters.sort();
-        snap.gauges.sort();
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
         snap.spans.sort();
         snap
-    }
-
-    /// Zero every registered metric and span aggregate (benchmark /
-    /// test isolation; concurrent recorders may land increments after
-    /// the reset).
-    pub fn reset() {
-        for c in REGISTRY.counters.lock().expect("registry lock").iter() {
-            c.reset();
-        }
-        for g in REGISTRY.gauges.lock().expect("registry lock").iter() {
-            g.value.store(0, Ordering::Relaxed);
-        }
-        for h in REGISTRY.histograms.lock().expect("registry lock").iter() {
-            h.reset();
-        }
-        crate::span::reset_aggregates();
     }
 }
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use super::{HistogramSnapshot, MetricsSnapshot};
+    use super::MetricsSnapshot;
 
     /// Disabled-build counter: every operation is an inlined no-op.
     #[derive(Debug)]
@@ -528,47 +183,6 @@ mod imp {
         }
     }
 
-    /// Disabled-build gauge.
-    #[derive(Debug)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// No-op.
-        pub const fn new(_name: &'static str) -> Self {
-            Gauge
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set(&self, _v: i64) {}
-
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
-    }
-
-    /// Disabled-build histogram.
-    #[derive(Debug)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// No-op.
-        pub const fn new(_name: &'static str) -> Self {
-            Histogram
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-
-        /// Always empty.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::new()
-        }
-    }
-
     /// Disabled-build stopwatch: no clock read.
     #[derive(Debug)]
     pub struct Stopwatch;
@@ -591,92 +205,13 @@ mod imp {
     pub fn snapshot() -> MetricsSnapshot {
         MetricsSnapshot::default()
     }
-
-    /// No-op.
-    pub fn reset() {}
 }
 
-pub use imp::{reset, snapshot, Counter, Gauge, Histogram, Stopwatch};
+pub use imp::{snapshot, Counter, Stopwatch};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_ranges_cover() {
-        assert_eq!(HistogramSnapshot::bucket_of(0), 0);
-        assert_eq!(HistogramSnapshot::bucket_of(1), 1);
-        assert_eq!(HistogramSnapshot::bucket_of(2), 2);
-        assert_eq!(HistogramSnapshot::bucket_of(3), 2);
-        assert_eq!(HistogramSnapshot::bucket_of(4), 3);
-        assert_eq!(HistogramSnapshot::bucket_of(u64::MAX), 64);
-        for i in 0..HISTOGRAM_BUCKETS {
-            let (lo, hi) = HistogramSnapshot::bucket_range(i);
-            assert_eq!(HistogramSnapshot::bucket_of(lo), i);
-            assert_eq!(HistogramSnapshot::bucket_of(hi), i);
-        }
-    }
-
-    #[test]
-    fn quantile_interpolates_within_bucket() {
-        let mut h = HistogramSnapshot::new();
-        // 100 observations, all in bucket [512, 1023]: the raw bucket
-        // bound pins every quantile to 1023, overstating by up to 2x.
-        for _ in 0..100 {
-            h.record(700);
-        }
-        assert_eq!(h.quantile_bound(0.50), Some(1023));
-        let p50 = h.quantile(0.50).unwrap();
-        assert!((p50 - 767.5).abs() < 1e-9, "rank 50/100 sits mid-bucket, got {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 < p99 && p99 < 1023.0, "p99 {p99} interpolates below the bucket edge");
-        assert_eq!(h.quantile(1.0), Some(1023.0), "p100 is the bucket's upper edge");
-    }
-
-    #[test]
-    fn quantile_walks_buckets() {
-        let mut h = HistogramSnapshot::new();
-        for v in [1u64, 2, 4, 8, 16, 32, 64, 128, 256, 512] {
-            h.record(v);
-        }
-        // Ten singleton buckets: each decile exhausts its bucket, so the
-        // estimate is that bucket's upper edge, and deciles are strictly
-        // increasing across buckets.
-        assert_eq!(h.quantile(0.1), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(31.0), "rank 5 exhausts the [16,31] bucket");
-        assert_eq!(h.quantile(1.0), Some(1023.0));
-        let deciles: Vec<f64> = (1..=10).map(|d| h.quantile(d as f64 / 10.0).unwrap()).collect();
-        assert!(deciles.windows(2).all(|w| w[0] < w[1]), "monotonic deciles {deciles:?}");
-    }
-
-    #[test]
-    fn quantile_empty_and_zero() {
-        let h = HistogramSnapshot::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.quantile_bound(0.5), None);
-        let mut h = HistogramSnapshot::new();
-        h.record(0);
-        assert_eq!(h.quantile(0.99), Some(0.0));
-        assert_eq!(h.quantile_bound(0.99), Some(0));
-    }
-
-    #[test]
-    fn snapshot_json_reports_both_quantile_forms() {
-        let mut h = HistogramSnapshot::new();
-        for _ in 0..10 {
-            h.record(700);
-        }
-        let snap = MetricsSnapshot {
-            histograms: vec![("test.hist".into(), h)],
-            ..MetricsSnapshot::default()
-        };
-        let doc = crate::json::JsonValue::parse(&snap.to_json()).expect("valid JSON");
-        let hist = doc.get("histograms").and_then(|o| o.get("test.hist")).expect("histogram");
-        let p50 = hist.get("p50").and_then(crate::json::JsonValue::as_f64).unwrap();
-        assert!(p50 < 1023.0, "p50 {p50} must be interpolated");
-        assert_eq!(hist.get("p50_ub").and_then(crate::json::JsonValue::as_u64), Some(1023));
-        assert_eq!(hist.get("p99_ub").and_then(crate::json::JsonValue::as_u64), Some(1023));
-    }
 
     #[cfg(feature = "enabled")]
     #[test]
@@ -692,14 +227,8 @@ mod tests {
     #[test]
     fn disabled_ops_are_noops() {
         static C: Counter = Counter::new("noop");
-        static H: Histogram = Histogram::new("noop");
-        static G: Gauge = Gauge::new("noop");
         C.add(10);
-        H.record(10);
-        G.set(10);
         assert_eq!(C.get(), 0);
-        assert_eq!(H.snapshot().count, 0);
-        assert_eq!(G.get(), 0);
         assert_eq!(Stopwatch::start().ns(), 0);
         assert!(snapshot().counters.is_empty());
     }

@@ -37,8 +37,8 @@
 //!   merge-wait, merge) pay for their own RAII guard
 //!   ([`WorkerTimeline::enter`]), two clock reads per interval.
 //!
-//! `spectral-doctor profile` reads these records from the run stream
-//! and computes wall-clock attribution, contention and straggler
+//! `spectral-doctor analyze` reads these records from the run stream
+//! and reports wall-clock attribution, contention and straggler
 //! analyses, and the profiler's own overhead estimate (`recorded ×
 //! per-record cost`).
 

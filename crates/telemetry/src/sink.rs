@@ -7,7 +7,7 @@
 //! `profile_worker`) and whose `t_us` sits on one
 //! timebase (microseconds since the first telemetry event in the
 //! process). Readers skip kinds they do not know, so one stream serves
-//! `spectral-doctor analyze`, `profile` and `watch` alike.
+//! `spectral-doctor analyze`, `trend` and the `--perfetto` export alike.
 //!
 //! The sink is buffered; progress and checkpoint records flush it, so
 //! a killed run's stream ends at its last one, and everything else is

@@ -96,10 +96,6 @@ mod imp {
             .map(|(name, &(count, ns))| ((*name).to_owned(), count, ns))
             .collect()
     }
-
-    pub(crate) fn reset_aggregates() {
-        AGGREGATES.lock().expect("span aggregates lock").clear();
-    }
 }
 
 #[cfg(not(feature = "enabled"))]
@@ -118,7 +114,7 @@ mod imp {
 pub use imp::{span, Span};
 
 #[cfg(feature = "enabled")]
-pub(crate) use imp::{aggregates, now_us, reset_aggregates};
+pub(crate) use imp::{aggregates, now_us};
 
 #[cfg(all(test, feature = "enabled"))]
 mod tests {

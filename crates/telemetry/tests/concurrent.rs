@@ -1,15 +1,14 @@
-//! Concurrency and merge-order guarantees: sharded counters lose no
-//! increments under thread contention, histogram snapshots merge
-//! associatively, and a snapshot taken mid-run is a valid partial view.
+//! Concurrency guarantees: sharded counters lose no increments under
+//! thread contention, and a snapshot taken mid-run is a valid partial
+//! view.
 
 #![cfg(feature = "enabled")]
 
 use std::thread;
 
-use spectral_telemetry::{snapshot, Counter, Histogram, HistogramSnapshot, MetricsSnapshot};
+use spectral_telemetry::{snapshot, Counter};
 
 static HAMMERED: Counter = Counter::new("test.concurrent.hammered");
-static DIST: Histogram = Histogram::new("test.concurrent.dist");
 
 #[test]
 fn counter_exact_under_contention() {
@@ -27,122 +26,6 @@ fn counter_exact_under_contention() {
     });
     assert_eq!(HAMMERED.get() - before, THREADS * PER_THREAD);
     assert_eq!(snapshot().counter("test.concurrent.hammered"), Some(HAMMERED.get()));
-}
-
-#[test]
-fn histogram_complete_under_contention() {
-    const THREADS: usize = 8;
-    const PER_THREAD: usize = 20_000;
-    let before = DIST.snapshot().count;
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            s.spawn(move || {
-                for i in 0..PER_THREAD {
-                    DIST.record((t * PER_THREAD + i) as u64);
-                }
-            });
-        }
-    });
-    let snap = DIST.snapshot();
-    assert_eq!(snap.count - before, (THREADS * PER_THREAD) as u64);
-    // Every recorded value also landed in a bucket.
-    assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-}
-
-#[test]
-fn merge_is_associative_and_commutative() {
-    let mut a = HistogramSnapshot::new();
-    let mut b = HistogramSnapshot::new();
-    let mut c = HistogramSnapshot::new();
-    for v in [0u64, 1, 2, 3, 100, 1 << 20] {
-        a.record(v);
-    }
-    for v in [5u64, 5, 5, u64::MAX] {
-        b.record(v);
-    }
-    for v in [7u64, 1 << 40, 1 << 63] {
-        c.record(v);
-    }
-
-    // (a + b) + c
-    let mut left = a.clone();
-    left.merge(&b);
-    left.merge(&c);
-    // a + (b + c)
-    let mut right_inner = b.clone();
-    right_inner.merge(&c);
-    let mut right = a.clone();
-    right.merge(&right_inner);
-    // (c + b) + a
-    let mut swapped = c.clone();
-    swapped.merge(&b);
-    swapped.merge(&a);
-
-    assert_eq!(left.count, right.count);
-    assert_eq!(left.sum, right.sum);
-    assert_eq!(left.buckets, right.buckets);
-    assert_eq!(left.buckets, swapped.buckets);
-    assert_eq!(left.count, 13);
-}
-
-#[test]
-fn snapshot_merge_is_associative_and_name_sorted() {
-    fn hist(values: &[u64]) -> HistogramSnapshot {
-        let mut h = HistogramSnapshot::new();
-        for &v in values {
-            h.record(v);
-        }
-        h
-    }
-    let a = MetricsSnapshot {
-        counters: vec![("x.count".into(), 10), ("z.count".into(), 1)],
-        gauges: vec![("x.level".into(), 5)],
-        histograms: vec![("x.dist".into(), hist(&[1, 2, 3]))],
-        spans: vec![("x.span".into(), 2, 100)],
-    };
-    let b = MetricsSnapshot {
-        counters: vec![("a.count".into(), 7), ("x.count".into(), 5)],
-        gauges: vec![("x.level".into(), 9), ("y.level".into(), -2)],
-        histograms: vec![("x.dist".into(), hist(&[100])), ("y.dist".into(), hist(&[7]))],
-        spans: vec![("x.span".into(), 1, 50)],
-    };
-    let c = MetricsSnapshot {
-        counters: vec![("x.count".into(), 1)],
-        gauges: vec![("x.level".into(), -3)],
-        histograms: vec![("x.dist".into(), hist(&[9]))],
-        spans: vec![("y.span".into(), 4, 400)],
-    };
-
-    // (a ⊕ b) ⊕ c
-    let mut left = a.clone();
-    left.merge(&b);
-    left.merge(&c);
-    // a ⊕ (b ⊕ c)
-    let mut inner = b.clone();
-    inner.merge(&c);
-    let mut right = a.clone();
-    right.merge(&inner);
-
-    assert_eq!(left.counters, right.counters);
-    assert_eq!(left.gauges, right.gauges);
-    assert_eq!(left.histograms, right.histograms);
-    assert_eq!(left.spans, right.spans);
-
-    // Counters add; gauges keep the right-most (chronologically last)
-    // observation — the documented last-write-wins contract.
-    assert_eq!(
-        left.counters,
-        vec![("a.count".into(), 7), ("x.count".into(), 16), ("z.count".into(), 1)]
-    );
-    assert_eq!(left.gauges, vec![("x.level".into(), -3), ("y.level".into(), -2)]);
-    // Output is name-sorted regardless of input interleaving.
-    let names: Vec<&str> = left.counters.iter().map(|(n, _)| n.as_str()).collect();
-    let mut sorted = names.clone();
-    sorted.sort_unstable();
-    assert_eq!(names, sorted);
-    // Histograms merged element-wise, spans summed.
-    assert_eq!(left.histograms[0].1.count, 5);
-    assert_eq!(left.spans, vec![("x.span".into(), 3, 150), ("y.span".into(), 4, 400)]);
 }
 
 #[test]

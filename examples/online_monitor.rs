@@ -87,7 +87,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(line) = anomalies.first() {
         println!("  {line}");
     }
-    println!("  diagnose with: spectral-doctor analyze --run {}", run.root().display());
-    println!("  watch live   : spectral-doctor watch --run {} --once", run.root().display());
+    println!(
+        "  diagnose with: spectral-doctor analyze --run {} (live or finished)",
+        run.root().display()
+    );
     Ok(())
 }
